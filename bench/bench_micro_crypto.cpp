@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "accumulator/witness.hpp"
+#include "bigint/power_context.hpp"
 #include "crypto/signature.hpp"
 #include "crypto/standard_params.hpp"
 #include "hash/sha256.hpp"
@@ -52,6 +53,36 @@ void BM_PowOwnerVsCloud(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PowOwnerVsCloud)->Arg(0)->Arg(1);  // 0=cloud, 1=owner
+
+// g^±e on the prover's table (2M-bit capacity, the widest a table gets)
+// against plain powm, at representative widths: a single representative
+// (64/128), a short product (1024), one interval of 100 x 128-bit
+// representatives (12800) and two (25600).  Every width the profitability
+// rule routes to the table should come out ahead of powm here.
+void BM_FixedBasePow(benchmark::State& state) {
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  const bool negative = state.range(1) == 1;
+  const bool table = state.range(2) == 1;
+  const auto& mod = standard_accumulator_modulus(1024);
+  const Bigint& g = standard_qr_generator(1024);
+  static const PowerContext kTable = [&] {
+    PowerContext ctx(mod.n);
+    ctx.prepare_fixed_base(g, 2'000'000);
+    return ctx;
+  }();
+  const PowerContext plain(mod.n);
+  const PowerContext& ctx = table ? kTable : plain;
+  DeterministicRng rng(5);
+  Bigint e = Bigint::random_bits(rng, bits);
+  if (negative) e = -e;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.pow(g, e));
+  }
+}
+BENCHMARK(BM_FixedBasePow)
+    ->ArgNames({"bits", "neg", "table"})
+    ->ArgsProduct({{64, 128, 1024, 12800, 25600}, {0, 1}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SignVerify(benchmark::State& state) {
   DeterministicRng rng(3);

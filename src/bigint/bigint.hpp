@@ -106,6 +106,7 @@ class Bigint {
   static Bigint div_exact(const Bigint& a, const Bigint& b);
 
   // Serialization: sign byte + big-endian magnitude, length-prefixed.
+  static constexpr std::size_t kMinEncodedBytes = 2;  // sign + empty length
   void write(ByteWriter& w) const;
   static Bigint read(ByteReader& r);
   // Byte size of the canonical encoding (for proof-size accounting).

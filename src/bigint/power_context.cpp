@@ -39,7 +39,8 @@ obs::Counter& pow_calls() {
 // mod n on the public side, tables mod p and mod q on the trapdoor side
 // (whose exponents arrive already reduced mod p-1 / q-1).  Sub-table i
 // stores powers[j] = base^(2^(window·j)) mod `mod`; the BGMW bucket scan in
-// eval_fixed combines them without a single squaring.
+// eval_fixed combines them, squaring only to join digit columns when the
+// exponent is narrow enough to profit from a smaller digit width.
 namespace {
 
 struct FixedSub {
@@ -94,50 +95,95 @@ FixedSub build_sub(const Bigint& base, const Bigint& mod, std::size_t capacity_b
   return sub;
 }
 
-// BGMW bucket evaluation: group digit positions by digit value d, then
-//   result = Π_d (Π_{i: e_i = d} powers[i])^d
-// computed with the running-product trick (B accumulates the buckets from
-// the largest d downward, A accumulates B once per d).  Total cost:
-// (#nonzero digits + max digit) multiplications, zero squarings.
-Bigint eval_fixed(const FixedSub& sub, const Bigint& exp) {
+// Per-call digit width.  Sub-table powers are spaced W = sub.window bits
+// apart, which suits exponents near the table's capacity.  A narrower
+// exponent splits each W-bit table digit e_i into s = ceil(W/v) columns of
+// v bits, e_i = Σ_c e_{i,c}·2^(v·c), so that
+//   base^e = Π_c (Π_i powers[i]^(e_{i,c}))^(2^(v·c)),
+// one 2^v-bucket scan per column joined Horner-style by (s-1)·v squarings:
+//   cost(v) = digits·s + s·2^v + (s-1)·v   multiplications.
+// v = W is the single-column scan (digits + 2^W).  Returns the cheapest v
+// (the widest on ties), or 0 when no v beats a generic powm.  A table
+// multiplication (plain mul + remainder) costs at least one powm bit (GMP
+// squares in Montgomery form), so the break-even in BM_FixedBasePow sits
+// near 64-bit exponents, where a plan needs about one multiplication per
+// bit; the 0.9 keeps the table off that knife edge.
+std::size_t fixed_digit_width(const FixedSub& sub, std::size_t exp_bits) {
+  if (exp_bits == 0 || exp_bits > sub.capacity_bits) return 0;
+  const std::size_t w = sub.window;
+  const double digits = static_cast<double>((exp_bits + w - 1) / w);
+  std::size_t best_v = 0;
+  double best_cost = 0.9 * static_cast<double>(exp_bits);
+  for (std::size_t v = w; v >= 1; --v) {
+    const double s = static_cast<double>((w + v - 1) / v);
+    const double cost = digits * s + s * static_cast<double>(std::size_t{1} << v) +
+                        (s - 1) * static_cast<double>(v);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best_v = v;
+    }
+  }
+  return best_v;
+}
+
+// Bits [pos, pos+width) of |z| (width <= 32); limbs past the top read as 0.
+std::uint32_t bits_at(mpz_srcptr z, std::size_t pos, std::size_t width) {
+  constexpr std::size_t kLimbBits = GMP_NUMB_BITS;
+  const auto limb = static_cast<mp_size_t>(pos / kLimbBits);
+  const std::size_t shift = pos % kLimbBits;
+  mp_limb_t v = mpz_getlimbn(z, limb) >> shift;
+  if (shift + width > kLimbBits) v |= mpz_getlimbn(z, limb + 1) << (kLimbBits - shift);
+  return static_cast<std::uint32_t>(v & ((mp_limb_t{1} << width) - 1));
+}
+
+// BGMW bucket evaluation at digit width v (see above).  Within one column,
+// digit positions are grouped by digit value d and
+//   column = Π_d (Π_{i: e_{i,c} = d} powers[i])^d
+// is computed with the running-product trick (B accumulates the buckets
+// from the largest d downward, A accumulates B once per d): (#nonzero
+// digits + max digit) multiplications, zero squarings.  All products run in
+// place through one scratch value.
+Bigint eval_fixed(const FixedSub& sub, const Bigint& exp, std::size_t v) {
   const std::size_t bits = exp.bit_length();
   if (bits == 0) return Bigint(1);
   const std::size_t w = sub.window;
   const std::size_t digits = (bits + w - 1) / w;
-  constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
-  std::vector<std::uint32_t> head(std::size_t{1} << w, kEmpty);
-  std::vector<std::uint32_t> next(digits, kEmpty);
-  mpz_srcptr z = exp.raw();
-  std::size_t max_digit = 0;
-  for (std::size_t i = 0; i < digits; ++i) {
-    std::size_t d = 0;
-    for (std::size_t k = 0; k < w && i * w + k < bits; ++k) {
-      d |= static_cast<std::size_t>(mpz_tstbit(z, i * w + k)) << k;
-    }
-    if (d == 0) continue;
-    next[i] = head[d];
-    head[d] = static_cast<std::uint32_t>(i);
-    max_digit = std::max(max_digit, d);
-  }
-  Bigint a(1), b(1);
-  for (std::size_t d = max_digit; d >= 1; --d) {
-    for (std::uint32_t j = head[d]; j != kEmpty; j = next[j]) {
-      b = Bigint::mod(b * sub.powers[j], sub.mod);
-    }
-    a = Bigint::mod(a * b, sub.mod);
-  }
-  return a;
-}
+  const std::size_t columns = (w + v - 1) / v;
+  std::vector<std::uint32_t> digit(digits);
+  for (std::size_t i = 0; i < digits; ++i) digit[i] = bits_at(exp.raw(), i * w, w);
 
-// The fixed path only wins when the bucket scan is cheaper than the ~1.2
-// multiplications-per-exponent-bit of a generic powm; short exponents on a
-// wide-capacity table would lose to the 2^w scan.
-bool fixed_profitable(const FixedSub& sub, std::size_t exp_bits) {
-  if (exp_bits == 0 || exp_bits > sub.capacity_bits) return false;
-  double fixed_cost = static_cast<double>((exp_bits + sub.window - 1) / sub.window) +
-                      static_cast<double>(std::size_t{1} << sub.window);
-  double plain_cost = 1.2 * static_cast<double>(exp_bits);
-  return fixed_cost < plain_cost;
+  mpz_srcptr mod = sub.mod.raw();
+  Bigint scratch;
+  auto mul_into = [&](Bigint& acc, const Bigint& x) {
+    mpz_mul(scratch.raw_mut(), acc.raw(), x.raw());
+    mpz_tdiv_r(acc.raw_mut(), scratch.raw(), mod);
+  };
+
+  constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  const std::uint32_t mask = (std::uint32_t{1} << v) - 1;
+  std::vector<std::uint32_t> head(std::size_t{1} << v);
+  std::vector<std::uint32_t> next(digits);
+  Bigint result(1), a, b;
+  for (std::size_t c = columns; c-- > 0;) {
+    for (std::size_t k = 0; c + 1 < columns && k < v; ++k) mul_into(result, result);
+    std::fill(head.begin(), head.end(), kEmpty);
+    std::uint32_t max_digit = 0;
+    for (std::size_t i = 0; i < digits; ++i) {
+      const std::uint32_t d = (digit[i] >> (c * v)) & mask;
+      if (d == 0) continue;
+      next[i] = head[d];
+      head[d] = static_cast<std::uint32_t>(i);
+      max_digit = std::max(max_digit, d);
+    }
+    mpz_set_ui(a.raw_mut(), 1);
+    mpz_set_ui(b.raw_mut(), 1);
+    for (std::uint32_t d = max_digit; d >= 1; --d) {
+      for (std::uint32_t j = head[d]; j != kEmpty; j = next[j]) mul_into(b, sub.powers[j]);
+      mul_into(a, b);
+    }
+    mul_into(result, a);
+  }
+  return result;
 }
 
 }  // namespace
@@ -232,15 +278,15 @@ void PowerContext::import_fixed_base(const FixedBaseSnapshot& snap) {
 }
 
 Bigint PowerContext::pow(const Bigint& base, const Bigint& exp) const {
-  if (exp.is_negative()) {
-    return pow(inv(base), -exp);
-  }
+  // base^-e = (base^e)^-1, so a table for `base` serves both signs.
+  if (exp.is_negative()) return inv(pow(base, -exp));
   pow_calls().inc();
   if (!trapdoor_) {
     if (fixed_base_matches(base)) {
-      if (fixed_profitable(fixed_->subs[0], exp.bit_length())) {
+      const FixedSub& sub = fixed_->subs[0];
+      if (std::size_t v = fixed_digit_width(sub, exp.bit_length())) {
         fixed_hits().inc();
-        return eval_fixed(fixed_->subs[0], exp);
+        return eval_fixed(sub, exp, v);
       }
       fixed_misses().inc();
     }
@@ -254,12 +300,12 @@ Bigint PowerContext::pow(const Bigint& base, const Bigint& exp) const {
   Bigint eq = Bigint::mod(exp, t.q_minus_1);
   Bigint mp, mq;
   if (fixed_base_matches(base)) {
-    bool p_fixed = fixed_profitable(fixed_->subs[0], ep.bit_length());
-    bool q_fixed = fixed_profitable(fixed_->subs[1], eq.bit_length());
-    (p_fixed && q_fixed ? fixed_hits() : fixed_misses()).inc();
-    mp = p_fixed ? eval_fixed(fixed_->subs[0], ep)
+    std::size_t vp = fixed_digit_width(fixed_->subs[0], ep.bit_length());
+    std::size_t vq = fixed_digit_width(fixed_->subs[1], eq.bit_length());
+    (vp != 0 && vq != 0 ? fixed_hits() : fixed_misses()).inc();
+    mp = vp != 0 ? eval_fixed(fixed_->subs[0], ep, vp)
                  : Bigint::pow_mod(Bigint::mod(base, t.p), ep, t.p);
-    mq = q_fixed ? eval_fixed(fixed_->subs[1], eq)
+    mq = vq != 0 ? eval_fixed(fixed_->subs[1], eq, vq)
                  : Bigint::pow_mod(Bigint::mod(base, t.q), eq, t.q);
   } else {
     mp = Bigint::pow_mod(Bigint::mod(base, t.p), ep, t.p);

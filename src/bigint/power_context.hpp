@@ -40,26 +40,31 @@ class PowerContext {
   // Euler totient; throws UsageError when no trapdoor is held.
   [[nodiscard]] const Bigint& phi() const;
 
-  // base^exp mod n.  Negative exponents invert the base first (requires
-  // gcd(base, n) = 1, which holds for all accumulator values in QR_n).
-  // With a trapdoor the exponent is reduced mod phi(n) and the two prime
-  // powers are combined with CRT; without one this is a plain powm — unless
-  // a fixed-base table has been prepared for `base`, in which case the
-  // squaring-free windowed evaluation below takes over.
+  // base^exp mod n.  A negative exponent inverts base^|exp| (requires
+  // gcd(base, n) = 1, which holds for all accumulator values in QR_n), so a
+  // fixed-base table serves both signs.  With a trapdoor the exponent is
+  // reduced mod phi(n) and the two prime powers are combined with CRT;
+  // without one this is a plain powm — unless a fixed-base table has been
+  // prepared for `base`, in which case the windowed evaluation below takes
+  // over.
   [[nodiscard]] Bigint pow(const Bigint& base, const Bigint& exp) const;
 
   // Precomputes a windowed fixed-base table (BGMW bucket method): powers
   // base^(2^(w·i)) are stored so a later exponentiation by an e of up to
   // `max_exp_bits` bits costs ~(bits/w + 2^w) multiplications and *no*
-  // squarings, against ~1.2·bits multiplication-equivalents for a generic
-  // powm.  The accumulator generator g is the base of nearly every
-  // cloud-side witness exponentiation, which is what makes one table pay
-  // for thousands of calls.  With the trapdoor, exponents are served after
-  // reduction mod p-1 / q-1, so the two CRT tables are modulus-sized and
-  // `max_exp_bits` is irrelevant to their memory.  The table is immutable
-  // once built and shared by copies of this context; prepare it before
-  // publishing the context to other threads.  Results are identical to the
-  // generic path bit for bit.
+  // squarings, against about one multiplication per bit for a generic
+  // powm.  Each call evaluates at its own digit width v <= w (w-bit digits
+  // split into ceil(w/v) columns joined by a few squarings), so exponents
+  // far narrower than `max_exp_bits` still pay near their own optimum;
+  // exponents where even that loses to powm take the generic path.  The
+  // accumulator generator g is the base of nearly every cloud-side witness
+  // exponentiation, which is what makes one table pay for thousands of
+  // calls.  With the trapdoor, exponents are served after reduction mod
+  // p-1 / q-1, so the two CRT tables are modulus-sized and `max_exp_bits`
+  // is irrelevant to their memory.  The table is immutable once built and
+  // shared by copies of this context; prepare it before publishing the
+  // context to other threads.  Results are identical to the generic path
+  // bit for bit.
   void prepare_fixed_base(const Bigint& base, std::size_t max_exp_bits);
   [[nodiscard]] bool has_fixed_base(const Bigint& base) const {
     return fixed_ != nullptr && fixed_base_matches(base);

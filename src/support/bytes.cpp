@@ -1,5 +1,7 @@
 #include "support/bytes.hpp"
 
+#include <algorithm>
+
 #include "support/errors.hpp"
 
 namespace vc {
@@ -131,6 +133,14 @@ std::span<const std::uint8_t> ByteReader::bytes_view() {
   auto view = data_.subspan(pos_, n);
   pos_ += n;
   return view;
+}
+
+std::size_t ByteReader::count(std::size_t min_bytes_per_item) {
+  std::uint64_t n = varint();
+  if (n > remaining() / std::max<std::size_t>(1, min_bytes_per_item)) {
+    throw ParseError("element count exceeds the remaining buffer");
+  }
+  return static_cast<std::size_t>(n);
 }
 
 std::string ByteReader::str() {

@@ -63,6 +63,10 @@ class ByteReader {
   std::uint32_t u32();
   std::uint64_t u64();
   std::uint64_t varint();
+  // Varint element count of a sequence whose items encode to at least
+  // `min_bytes_per_item` bytes each.  Throws ParseError when the rest of the
+  // buffer cannot hold that many items, so callers may reserve() the result.
+  std::size_t count(std::size_t min_bytes_per_item);
   // Length-prefixed byte string (copies out).
   Bytes bytes();
   // Length-prefixed byte string as a view into the underlying buffer.

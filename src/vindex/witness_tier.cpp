@@ -69,10 +69,10 @@ void WitnessSubTable::write(ByteWriter& w) const {
 
 WitnessSubTable WitnessSubTable::read(ByteReader& r) {
   WitnessSubTable t;
-  std::uint64_t count = r.varint();
+  const std::size_t count = r.count(sizeof(std::uint64_t) + Bigint::kMinEncodedBytes);
   t.keys.reserve(count);
   t.witnesses.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     std::uint64_t key = r.u64();
     if (!t.keys.empty() && key <= t.keys.back()) {
       throw ParseError("WitnessSubTable: keys not strictly increasing");
@@ -256,9 +256,9 @@ FixedBaseSnapshot read_fixed_base(ByteReader& r) {
   snap.base = Bigint::read(r);
   snap.window = static_cast<std::size_t>(r.varint());
   snap.capacity_bits = static_cast<std::size_t>(r.varint());
-  std::uint64_t count = r.varint();
+  const std::size_t count = r.count(Bigint::kMinEncodedBytes);
   snap.powers.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) snap.powers.push_back(Bigint::read(r));
+  for (std::size_t i = 0; i < count; ++i) snap.powers.push_back(Bigint::read(r));
   return snap;
 }
 

@@ -5,6 +5,7 @@
 #include "bigint/bigint.hpp"
 #include "bigint/miller_rabin.hpp"
 #include "bigint/power_context.hpp"
+#include "obs/metrics.hpp"
 #include "support/errors.hpp"
 #include "support/rng.hpp"
 
@@ -259,6 +260,136 @@ TEST(PowerContext, HugeExponentReducedByTrapdoor) {
   Bigint exp = Bigint::random_bits(rng, 5000);
   Bigint base(2);
   EXPECT_EQ(owner.pow(base, exp), pub.pow(base, exp));
+}
+
+
+// --- fixed-base tables ------------------------------------------------------
+//
+// Every table evaluation is checked against a plain GMP powm (of the inverse
+// for negative exponents).  Small moduli keep scans over every exponent
+// width cheap; the digit/column logic does not depend on the modulus size.
+
+const Bigint kP = Bigint::from_decimal("1000000007");
+const Bigint kQ = Bigint::from_decimal("1000000009");
+
+Bigint reference_pow(const Bigint& base, const Bigint& exp, const Bigint& n) {
+  if (!exp.is_negative()) return Bigint::pow_mod(base, exp, n);
+  return Bigint::invert_mod(Bigint::pow_mod(base, -exp, n), n);
+}
+
+// ctx.pow(base, ±e) == powm for one random e of exactly each width.
+void expect_pow_matches(const PowerContext& ctx, const Bigint& base,
+                        const std::vector<std::size_t>& widths, DeterministicRng& rng) {
+  for (std::size_t bits : widths) {
+    Bigint e = Bigint::random_bits(rng, bits);
+    mpz_setbit(e.raw_mut(), bits - 1);
+    ASSERT_EQ(ctx.pow(base, e), reference_pow(base, e, ctx.modulus())) << bits << " bits";
+    ASSERT_EQ(ctx.pow(base, -e), reference_pow(base, -e, ctx.modulus())) << "-" << bits;
+  }
+}
+
+std::vector<std::size_t> widths_up_to(std::size_t last) {
+  std::vector<std::size_t> out;
+  for (std::size_t b = 1; b <= last; ++b) out.push_back(b);
+  return out;
+}
+
+// A public-side table of window w built by hand and adopted through
+// import_fixed_base, so every window can be paired with a small capacity.
+FixedBaseSnapshot snapshot_with_window(const Bigint& base, const Bigint& n, std::size_t window,
+                                       std::size_t capacity_bits) {
+  FixedBaseSnapshot snap{.base = base, .window = window, .capacity_bits = capacity_bits,
+                         .powers = {Bigint::mod(base, n)}};
+  const Bigint step(long{1} << window);
+  while (snap.powers.size() * window < capacity_bits) {
+    snap.powers.push_back(Bigint::pow_mod(snap.powers.back(), step, n));
+  }
+  return snap;
+}
+
+std::uint64_t fixedbase_count(const char* result) {
+  return obs::MetricsRegistry::global()
+      .counter("vc_fixedbase_total", std::string("result=\"") + result + "\"")
+      .value();
+}
+
+TEST(FixedBase, EveryWindowEveryWidthMatchesPowm) {
+  obs::set_enabled(true);
+  const Bigint n = kP * kQ;
+  DeterministicRng rng(21);
+  const Bigint base = Bigint::random_below(rng, n);
+  for (std::size_t window = 2; window <= 12; ++window) {
+    // 40 digits: several columns at every per-call digit width.
+    const std::size_t capacity = 40 * window;
+    PowerContext pub(n);
+    pub.import_fixed_base(snapshot_with_window(base, n, window, capacity));
+    SCOPED_TRACE(window);
+    const std::uint64_t hits = fixedbase_count("hit");
+    expect_pow_matches(pub, base, widths_up_to(capacity + 8), rng);
+    EXPECT_GT(fixedbase_count("hit"), hits + capacity);  // the table, not just powm
+  }
+}
+
+TEST(FixedBase, PreparedCapacitiesSpanWindows) {
+  const Bigint n = kP * kQ;
+  DeterministicRng rng(22);
+  const Bigint base = Bigint::random_below(rng, n);
+  // Capacities whose chosen window is 2, 3, ..., 12.
+  const std::vector<std::size_t> capacities = {16,    64,     256,    768,    2048,  6000,
+                                               16000, 40000, 100000, 250000, 400000};
+  for (std::size_t i = 0; i < capacities.size(); ++i) {
+    const std::size_t capacity = capacities[i];
+    PowerContext pub(n);
+    pub.prepare_fixed_base(base, capacity);
+    ASSERT_EQ(pub.export_fixed_base()->window, i + 2) << capacity;
+    SCOPED_TRACE(capacity);
+    // Every width up to 2048 bits (the whole range for the narrower
+    // capacities), a stride through the rest, and the capacity edge.
+    std::vector<std::size_t> widths = widths_up_to(std::min<std::size_t>(capacity + 8, 2048));
+    if (capacity > 2048) {
+      for (std::size_t b = 2048 + capacity / 8; b < capacity; b += capacity / 8) {
+        widths.push_back(b);
+      }
+      for (std::size_t b = capacity - 8; b <= capacity + 8; ++b) widths.push_back(b);
+    }
+    expect_pow_matches(pub, base, widths, rng);
+  }
+}
+
+TEST(FixedBase, TrapdoorTablesMatchPowm) {
+  DeterministicRng rng(23);
+  // Prime sizes whose CRT tables pick windows 3, 4 and 5.
+  for (std::size_t prime_bits : {30, 128, 400}) {
+    auto random_prime = [&] {
+      Bigint start = Bigint::random_bits(rng, prime_bits);
+      mpz_setbit(start.raw_mut(), prime_bits - 1);
+      return next_prime_from(start, rng);
+    };
+    Bigint p = random_prime();
+    Bigint q = random_prime();
+    ASSERT_NE(p, q);
+    PowerContext owner(p * q, p, q);
+    const Bigint base = Bigint::random_below(rng, owner.modulus());
+    owner.prepare_fixed_base(base, 0);
+    SCOPED_TRACE(prime_bits);
+    expect_pow_matches(owner, base, widths_up_to(owner.modulus().bit_length() + 8), rng);
+  }
+}
+
+TEST(FixedBase, NegativeExponentOfTableBaseIsAHit) {
+  obs::set_enabled(true);
+  const Bigint n = kP * kQ;
+  DeterministicRng rng(24);
+  const Bigint g = Bigint::random_below(rng, n);
+  PowerContext pub(n);
+  pub.prepare_fixed_base(g, 20000);
+  // One interval's worth of 128-bit representatives: a 12.8k-bit exponent.
+  Bigint e = Bigint::random_bits(rng, 12800);
+  const std::uint64_t hits = fixedbase_count("hit");
+  const std::uint64_t misses = fixedbase_count("miss");
+  EXPECT_EQ(pub.pow(g, -e), reference_pow(g, -e, n));
+  EXPECT_EQ(fixedbase_count("hit"), hits + 1);
+  EXPECT_EQ(fixedbase_count("miss"), misses);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Corpus directory loading (the vcsearch-build --docs path).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "support/errors.hpp"
 #include "text/corpus.hpp"
@@ -13,7 +15,9 @@ namespace {
 class CorpusIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "vc_corpus_io";
+    // Per process: ctest -j runs these tests concurrently.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("vc_corpus_io_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_ / "sub");
     write(dir_ / "b.txt", "bravo document");

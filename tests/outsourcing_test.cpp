@@ -2,9 +2,11 @@
 // cloud loads it, validates every signature (the "acknowledge receipt" step
 // of Fig 1), and serves proofs from the loaded copy.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "support/errors.hpp"
 #include "test_fixtures.hpp"
@@ -21,7 +23,10 @@ class OutsourcingTest : public ::testing::Test {
                    .max_doc_words = 60, .vocab_size = 250, .zipf_s = 0.9, .seed = 61};
     bed_ = new testbed::TestBed(spec, testbed::small_config(256, "outsource"),
                                 /*key_seed=*/501, /*threads=*/2);
-    path_ = (std::filesystem::temp_directory_path() / "vc_outsource_test.vc").string();
+    // Per process: ctest -j runs this suite's tests concurrently.
+    path_ = (std::filesystem::temp_directory_path() /
+             ("vc_outsource_test_" + std::to_string(::getpid()) + ".vc"))
+                .string();
     bed_->vidx.save(path_);
   }
   static void TearDownTestSuite() {

@@ -93,6 +93,23 @@ TEST(ByteReader, LengthPrefixedBytes) {
   r.expect_done();
 }
 
+TEST(ByteReader, CountBoundedByRemainingBytes) {
+  ByteWriter w;
+  w.varint(3);
+  w.raw(Bytes(6, 0));
+  ByteReader ok(w.data());
+  EXPECT_EQ(ok.count(2), 3u);
+  ByteReader too_many(w.data());
+  EXPECT_THROW(too_many.count(3), ParseError);
+
+  // A few bytes claiming 2^40 items must not reach reserve().
+  ByteWriter huge;
+  huge.varint(std::uint64_t{1} << 40);
+  huge.raw(Bytes(4, 0));
+  ByteReader r(huge.data());
+  EXPECT_THROW(r.count(1), ParseError);
+}
+
 TEST(ByteReader, ExpectDoneThrowsOnTrailing) {
   Bytes data = {1, 2};
   ByteReader r(data);

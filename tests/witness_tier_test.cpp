@@ -544,6 +544,26 @@ TEST_F(TieredStoreTest, ConcurrentHitMissHammerOverLazyTier) {
 
 // --- fixed base --------------------------------------------------------------
 
+// A few-byte section that claims 2^40 entries is rejected as a ParseError
+// before anything is reserved.
+TEST(WitnessTierDecode, HugeCountsAreTypedErrors) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  ByteWriter fixed;
+  Bigint(4).write(fixed);
+  fixed.varint(12);
+  fixed.varint(2'000'000);
+  fixed.varint(kHuge);
+  fixed.raw(Bytes(4, 0));
+  ByteReader fr(fixed.data());
+  EXPECT_THROW((void)read_fixed_base(fr), ParseError);
+
+  ByteWriter sub;
+  sub.varint(kHuge);
+  sub.raw(Bytes(4, 0));
+  ByteReader sr(sub.data());
+  EXPECT_THROW((void)WitnessSubTable::read(sr), ParseError);
+}
+
 TEST_F(WitnessTierTest, FixedBaseSnapshotRoundTrips) {
   ByteWriter w;
   write_fixed_base(w, built_->fixed_base);
