@@ -18,6 +18,7 @@
 // VC_BENCH_JSON=0 to suppress them.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -85,6 +86,14 @@ inline double corpus_mb(const Corpus& corpus) {
 inline double mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0;
   return std::accumulate(xs.begin(), xs.end(), 0.0) / static_cast<double>(xs.size());
+}
+
+// Middle sample (upper middle for an even count).
+inline double median(std::vector<double> xs) {
+  if (xs.empty()) return 0;
+  auto mid = xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2);
+  std::nth_element(xs.begin(), mid, xs.end());
+  return *mid;
 }
 
 // Environment knobs recorded into every BENCH_*.json so a result file is

@@ -6,9 +6,9 @@
 // both accumulators and filters.  Expected shape: near-flat lines with
 // Hybrid on top.
 //
-// The last two columns measure update-while-serving: mean and worst query
-// latency observed at the sharded serving core while a second batch is
-// applied and its new epoch atomically swapped in.
+// The serve columns measure update-while-serving: mean and worst query
+// latency observed at the serving core while a second batch is applied and
+// its new epoch atomically swapped in.
 //
 //   VC_FIG8_INITIAL="250,500,1000,2000"  VC_FIG8_ADDED=200
 //
@@ -17,7 +17,9 @@
 // (O(touched terms)) against a full snapshot republish (O(index)), per
 // initial corpus size.  VC_DELTA_INITIAL / VC_DELTA_ADDED set the scale;
 // VC_DELTA_REQUIRE_FLAT=K turns it into a gate — the delta visible time at
-// the largest corpus must stay within Kx of the smallest.
+// the largest corpus must stay within Kx of the smallest.  Each size times
+// kDeltaRounds delta publishes and reports (and gates on) their median, so
+// one slow fsync cannot decide the gate.
 #include <unistd.h>
 
 #include <algorithm>
@@ -44,10 +46,11 @@ int main() {
   // accumulators and Bloom filters" (§V-D) — interval-tree witness
   // maintenance is owner-side offline work outside that measurement, so it
   // is reported in its own column here.
-  // publish_sync_ms / publish_async_ms: wall time the owner's publish()
-  // call blocks for — the sync path builds state and swaps inline, the
-  // async pipeline stages the epoch and returns (workers build/warm/swap
-  // off the caller); async_settle_ms is staging → every shard swapped.
+  // publish_sync_ms: wall time of publish() + wait_published(), an owner
+  // that waits for its epoch to serve; publish_async_ms: wall time of
+  // publish() alone, which only stages the epoch (the publish worker
+  // builds, warms and swaps off the caller); async_settle_ms: staging →
+  // swapped.
   TablePrinter table("fig8_update", {"initial_docs", "Accumulator_s", "Bloom_s", "Hybrid_s",
                       "interval_extra_s", "touched_terms", "serve_mean_ms", "serve_max_ms",
                       "publish_sync_ms", "publish_async_ms", "async_settle_ms"});
@@ -95,8 +98,10 @@ int main() {
     std::thread updater([&] {
       bed.vindex().add_documents(second_docs, bed.owner_ctx(), bed.owner_key(),
                                  /*rebuild_dictionary=*/false);
+      SnapshotPtr snap = bed.vindex().snapshot();
       Stopwatch psw;
-      cloud.publish(bed.vindex().snapshot());
+      cloud.publish(snap);
+      cloud.wait_published(snap->epoch());
       publish_sync_ms = psw.millis();
       updating.store(false);
     });
@@ -112,10 +117,9 @@ int main() {
     }
     updater.join();
 
-    // Async column: the same publish through the per-shard pipeline.  The
-    // owner-visible cost collapses to the staging call; the settle time is
-    // what the pipeline absorbed off the owner's critical path.
-    cloud.enable_async_publish();
+    // Async column: the same publish without waiting.  The owner-visible
+    // cost collapses to the staging call; the settle time is what the
+    // publish worker absorbed off the owner's critical path.
     SynthSpec third_spec = add_spec;
     third_spec.doc_seed = opts.corpus.seed + 3000;
     std::vector<Document> third_docs;
@@ -153,12 +157,15 @@ int main() {
         static_cast<double>(env_size("VC_DELTA_REQUIRE_FLAT", 0));
     const double require_speedup =
         static_cast<double>(env_size("VC_DELTA_REQUIRE_SPEEDUP", 0));
+    constexpr std::uint32_t kDeltaRounds = 3;
 
     std::printf("\n# Delta vs full publish: update-to-visible seconds, adding %u docs\n",
                 delta_added);
     std::printf("# (publish = encode + fsync + CURRENT advance; open = what a cold\n");
     std::printf("#  reader then pays — the full-snapshot CRC sweep dominates it and is\n");
-    std::printf("#  identical for both paths, so the gate compares the publish legs)\n");
+    std::printf("#  identical for both paths, so the gate compares the publish legs;\n");
+    std::printf("#  delta columns are medians over %u delta publishes per size)\n",
+                kDeltaRounds);
     TablePrinter dt("delta_update",
                     {"initial_docs", "corpus_MB", "touched_terms", "update_s",
                      "delta_publish_s", "delta_open_s", "delta_KB", "full_publish_s",
@@ -189,32 +196,44 @@ int main() {
         return docs;
       };
 
-      double update_s = 0;
-      UpdateTimings ut;
-      {
-        ScopedTimer timer(update_s);
-        ut = bed.vindex().add_documents(make_batch(3000, initial), bed.owner_ctx(),
-                                        bed.owner_key(), /*rebuild_dictionary=*/false);
-      }
-      double delta_s = 0, delta_open_s = 0;
-      std::uintmax_t delta_bytes = 0;
-      {
-        ScopedTimer timer(delta_s);
-        auto delta = bed.vindex().publish_delta();
-        if (!delta) {
-          std::fprintf(stderr, "delta sweep: update produced no delta\n");
-          return 1;
+      // kDeltaRounds fresh batches ride the delta path; every column is
+      // the median over the rounds.
+      std::vector<double> touched_runs, update_runs, delta_runs, open_runs, kb_runs;
+      for (std::uint32_t round = 0; round < kDeltaRounds; ++round) {
+        double update_s = 0;
+        UpdateTimings ut;
+        {
+          ScopedTimer timer(update_s);
+          ut = bed.vindex().add_documents(
+              make_batch(3000 + 100 * round, initial + round * delta_added),
+              bed.owner_ctx(), bed.owner_key(), /*rebuild_dictionary=*/false);
         }
-        fs::path dir = store.publish_delta(*delta, 1);
-        delta_bytes = fs::file_size(dir / store::EpochStore::kDeltaFile);
+        double delta_s = 0, delta_open_s = 0;
+        std::uintmax_t delta_bytes = 0;
+        {
+          ScopedTimer timer(delta_s);
+          auto delta = bed.vindex().publish_delta();
+          if (!delta) {
+            std::fprintf(stderr, "delta sweep: update produced no delta\n");
+            return 1;
+          }
+          fs::path dir = store.publish_delta(*delta, 1);
+          delta_bytes = fs::file_size(dir / store::EpochStore::kDeltaFile);
+        }
+        {
+          ScopedTimer timer(delta_open_s);
+          (void)store.open_current();  // a cold reader resolves the chain
+        }
+        touched_runs.push_back(static_cast<double>(ut.touched_terms));
+        update_runs.push_back(update_s);
+        delta_runs.push_back(delta_s);
+        open_runs.push_back(delta_open_s);
+        kb_runs.push_back(static_cast<double>(delta_bytes) / 1024.0);
       }
-      {
-        ScopedTimer timer(delta_open_s);
-        (void)store.open_current();  // a cold reader resolves the chain
-      }
+      const double delta_s = median(delta_runs);
       delta_publish.push_back(delta_s);
 
-      bed.vindex().add_documents(make_batch(4000, initial + delta_added),
+      bed.vindex().add_documents(make_batch(4000, initial + kDeltaRounds * delta_added),
                                  bed.owner_ctx(), bed.owner_key(),
                                  /*rebuild_dictionary=*/false);
       double full_s = 0;
@@ -228,9 +247,9 @@ int main() {
       speedups.push_back(full_s / delta_s);
 
       dt.row({std::to_string(initial), fmt(corpus_mb(bed.corpus()), "%.1f"),
-              std::to_string(ut.touched_terms), fmt(update_s, "%.3f"),
-              fmt(delta_s, "%.3f"), fmt(delta_open_s, "%.3f"),
-              fmt(static_cast<double>(delta_bytes) / 1024.0, "%.1f"),
+              fmt(median(touched_runs), "%.0f"), fmt(median(update_runs), "%.3f"),
+              fmt(delta_s, "%.3f"), fmt(median(open_runs), "%.3f"),
+              fmt(median(kb_runs), "%.1f"),
               fmt(full_s, "%.3f"),
               fmt(static_cast<double>(full_bytes) / 1024.0, "%.1f"),
               fmt(full_s / delta_s, "%.1f")});

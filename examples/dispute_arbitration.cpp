@@ -48,10 +48,19 @@ int main() {
 
   // --- Act 2: the cloud drops a result --------------------------------------
   {
-    cloud.set_behavior(CloudBehavior::kDropLastResult);
     SignedQuery q = owner.issue_query({w0, w1});
     SearchResponse resp = cloud.handle(q);
-    cloud.set_behavior(CloudBehavior::kHonest);
+    // The cloud hides its last hit to save work and signs the partial
+    // answer with its own key, as a real cheating operator would.
+    auto& result = std::get<MultiKeywordResponse>(resp.body).result;
+    if (!result.docs.empty()) {
+      std::uint64_t hidden = result.docs.back();
+      result.docs.pop_back();
+      for (auto& postings : result.postings) {
+        if (!postings.empty() && postings.back().doc_id == hidden) postings.pop_back();
+      }
+    }
+    resp.cloud_sig = bed.cloud_key().sign(resp.payload_bytes());
     try {
       owner.receive_response(resp);
       std::printf("act 2: ERROR — tampering went unnoticed!\n");

@@ -28,7 +28,15 @@ void for_each_index(const AccumulatorContext& ctx, std::size_t n,
 
 namespace {
 constexpr std::uint64_t kU64Max = ~std::uint64_t{0};
-}
+
+// Smallest encodings of a proof part, for bounding decoded part counts: a
+// Bigint is at least a sign byte plus a length varint, a descriptor two
+// u64 bounds plus one Bigint.
+constexpr std::size_t kMinBigintBytes = 2;
+constexpr std::size_t kMinDescriptorBytes = 16 + kMinBigintBytes;
+constexpr std::size_t kMinMembershipPartBytes = kMinDescriptorBytes + 2 * kMinBigintBytes;
+constexpr std::size_t kMinNonmembershipPartBytes = kMinDescriptorBytes + 3 * kMinBigintBytes;
+}  // namespace
 
 // --- descriptors -------------------------------------------------------------
 
@@ -103,7 +111,7 @@ void IntervalMembershipProof::write(ByteWriter& w) const {
 
 IntervalMembershipProof IntervalMembershipProof::read(ByteReader& r) {
   IntervalMembershipProof proof;
-  std::uint64_t n = r.varint();
+  const std::size_t n = r.count(kMinMembershipPartBytes);
   proof.parts.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) proof.parts.push_back(IntervalMembershipPart::read(r));
   return proof;
@@ -122,7 +130,7 @@ void IntervalNonmembershipProof::write(ByteWriter& w) const {
 
 IntervalNonmembershipProof IntervalNonmembershipProof::read(ByteReader& r) {
   IntervalNonmembershipProof proof;
-  std::uint64_t n = r.varint();
+  const std::size_t n = r.count(kMinNonmembershipPartBytes);
   proof.parts.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     proof.parts.push_back(IntervalNonmembershipPart::read(r));
@@ -449,7 +457,7 @@ void write_members(ByteWriter& w, const std::vector<std::uint64_t>& members) {
 }
 
 std::vector<std::uint64_t> read_members(ByteReader& r) {
-  std::uint64_t n = r.varint();
+  const std::size_t n = r.count(1);  // one varint delta per member
   std::vector<std::uint64_t> out;
   out.reserve(n);
   std::uint64_t prev = 0;

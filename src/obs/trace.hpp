@@ -4,7 +4,7 @@
 // cannot say why *one* query was slow.  This module upgrades the RAII
 // Span chain into a real span tree: while a trace is active on a thread,
 // every named Span also records a SpanRecord — name, wall start/end,
-// thread, parent span and key attributes (shard index, epoch, term count,
+// thread, parent span and key attributes (epoch, term count,
 // witness-tier hit/miss, lazy store materialization) — into the trace's
 // lock-light striped buffers.  Completed traces land in a bounded
 // TraceCollector ring with reservoir sampling, plus an always-keep ring

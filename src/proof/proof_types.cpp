@@ -18,7 +18,7 @@ void write_u64set(ByteWriter& w, const U64Set& xs) {
 }
 
 U64Set read_u64set(ByteReader& r) {
-  std::uint64_t n = r.varint();
+  const std::size_t n = r.count(1);  // one varint delta per element
   U64Set out;
   out.reserve(n);
   std::uint64_t prev = 0;
@@ -40,7 +40,7 @@ void write_postings(ByteWriter& w, const PostingList& list) {
 }
 
 PostingList read_postings(ByteReader& r) {
-  std::uint64_t n = r.varint();
+  const std::size_t n = r.count(2);  // doc delta + tf varints per posting
   PostingList out;
   out.reserve(n);
   std::uint32_t prev = 0;

@@ -74,9 +74,8 @@ HybridMetrics hybrid_metrics(IntegrityChoice choice) {
 
 }  // namespace
 
-Prover::Prover(SnapshotPtr snapshot, AccumulatorContext ctx, ThreadPool* pool,
-               std::size_t shards)
-    : snap_(std::move(snapshot)), ctx_(std::move(ctx)), pool_(pool), shards_(shards) {
+Prover::Prover(SnapshotPtr snapshot, AccumulatorContext ctx, ThreadPool* pool)
+    : snap_(std::move(snapshot)), ctx_(std::move(ctx)), pool_(pool) {
   if (snap_ == nullptr) throw UsageError("Prover requires a snapshot");
   // Every fan-out below the proof managers (per-interval parts, batched
   // witness trees) rides the same pool.
@@ -438,50 +437,17 @@ QueryProof Prover::prove(const SearchResult& result, SchemeKind scheme) const {
   for (const auto* e : entries) proof.terms.push_back(e->attestation);
 
   // Correctness and integrity build concurrently (Fig 4's managers).
-  auto prove_keyword = [&](CorrectnessProof& correctness, std::size_t i) {
-    U64Set tuples = InvertedIndex::tuple_set(result.postings[i]);
-    std::sort(tuples.begin(), tuples.end());
-    correctness.keywords[i] = prove_tuple_membership(*entries[i], tuples, interval_form,
-                                                     tier_for(result.keywords[i]));
-  };
   auto build_correctness = [&]() {
     static obs::Histogram& stage = obs::MetricsRegistry::global().stage("correctness");
     obs::Span span(stage, "correctness");
     CorrectnessProof correctness;
     correctness.keywords.resize(entries.size());
-    if (shards_ > 1) {
-      // Sharded serving: keywords are hash-partitioned across shards, so the
-      // per-keyword proofs are generated per shard (one task per shard) and
-      // merged into the keyword-indexed slots.  Slot order fixes the bytes:
-      // the merged proof is identical to the unsharded one.
-      std::vector<std::pair<std::size_t, std::vector<std::size_t>>> groups;
-      {
-        std::vector<std::vector<std::size_t>> by_shard(shards_);
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-          by_shard[term_shard(result.keywords[i], shards_)].push_back(i);
-        }
-        for (std::size_t s = 0; s < by_shard.size(); ++s) {
-          if (!by_shard[s].empty()) groups.emplace_back(s, std::move(by_shard[s]));
-        }
-      }
-      for_each_index(pool_, groups.size(), [&](std::size_t gi) {
-        static obs::Histogram& shard_stage =
-            obs::MetricsRegistry::global().stage("shard_prove");
-        obs::Span shard_span(shard_stage, "shard_prove");
-        obs::trace_attr("shard", static_cast<std::int64_t>(groups[gi].first));
-        obs::trace_attr("keywords", static_cast<std::int64_t>(groups[gi].second.size()));
-        auto& counter = obs::MetricsRegistry::global().counter(
-            "vc_shard_proofs_total", "shard=\"" + std::to_string(groups[gi].first) + "\"",
-            "Per-keyword correctness proofs generated, by serving shard");
-        for (std::size_t i : groups[gi].second) {
-          prove_keyword(correctness, i);
-          counter.inc();
-        }
-      });
-    } else {
-      for_each_index(pool_, entries.size(),
-                     [&](std::size_t i) { prove_keyword(correctness, i); });
-    }
+    for_each_index(pool_, entries.size(), [&](std::size_t i) {
+      U64Set tuples = InvertedIndex::tuple_set(result.postings[i]);
+      std::sort(tuples.begin(), tuples.end());
+      correctness.keywords[i] = prove_tuple_membership(*entries[i], tuples, interval_form,
+                                                       tier_for(result.keywords[i]));
+    });
     return correctness;
   };
 

@@ -29,11 +29,7 @@ class Prover {
   // prover impersonate an owner-run cloud (used by some benchmarks).  The
   // prover serves exactly one immutable snapshot; a new epoch gets a new
   // prover (cheap: the fixed-base table is shared through the context).
-  // `shards` > 1 groups per-keyword correctness proofs by serving shard and
-  // generates each shard's group as one task ("per-shard proofs, merged");
-  // proof bytes are identical either way.
-  Prover(SnapshotPtr snapshot, AccumulatorContext ctx, ThreadPool* pool = nullptr,
-         std::size_t shards = 1);
+  Prover(SnapshotPtr snapshot, AccumulatorContext ctx, ThreadPool* pool = nullptr);
 
   // Builds the full proof for a computed multi-keyword result.
   [[nodiscard]] QueryProof prove(const SearchResult& result, SchemeKind scheme) const;
@@ -99,7 +95,6 @@ class Prover {
   SnapshotPtr snap_;
   AccumulatorContext ctx_;
   ThreadPool* pool_;
-  std::size_t shards_;
   // Captured from the snapshot at construction; the publish/open paths
   // attach the tier before provers are built over the snapshot.
   std::shared_ptr<const WitnessTier> tier_;

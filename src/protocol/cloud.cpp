@@ -1,13 +1,9 @@
 #include "protocol/cloud.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "store/epoch_store.hpp"
 #include "support/errors.hpp"
-#include "text/tokenizer.hpp"
 #include "vindex/witness_tier.hpp"
 
 namespace vc {
@@ -32,78 +28,86 @@ obs::Counter& scheme_counter(SchemeKind scheme) {
 obs::Counter& error_counter(const char* kind) {
   auto& reg = obs::MetricsRegistry::global();
   return reg.counter("vc_cloud_errors_total", std::string("kind=\"") + kind + "\"",
-                     "Queries the cloud rejected or failed on");
+                     "Queries the cloud rejected or failed on, and failed publishes");
 }
 
-std::string shard_label(std::size_t shard) {
-  return "shard=\"" + std::to_string(shard) + "\"";
+obs::Gauge& publish_queue_depth() {
+  static obs::Gauge& g = obs::MetricsRegistry::global().gauge(
+      "vc_publish_queue_depth", "",
+      "Epochs staged for the publish worker (0 or 1; newest wins)");
+  return g;
 }
 
-obs::Gauge& publish_queue_depth(std::size_t shard) {
-  return obs::MetricsRegistry::global().gauge(
-      "vc_publish_queue_depth", shard_label(shard),
-      "Epochs staged in each shard's publish lane (0 or 1; newest wins)");
-}
-
-obs::Gauge& publish_lag_gauge(std::size_t shard) {
-  return obs::MetricsRegistry::global().gauge(
-      "vc_publish_lag_ms", shard_label(shard),
-      "Milliseconds from publish() staging an epoch to this shard's swap");
-}
-
-obs::Counter& shard_publishes(std::size_t shard) {
-  return obs::MetricsRegistry::global().counter(
-      "vc_shard_publishes_total", shard_label(shard),
-      "Epoch swaps completed by each shard's publish worker");
+obs::Gauge& publish_lag() {
+  static obs::Gauge& g = obs::MetricsRegistry::global().gauge(
+      "vc_publish_lag_ms", "",
+      "Milliseconds from publish() staging an epoch to its swap");
+  return g;
 }
 
 obs::Counter& publishes_dropped() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       "vc_publish_dropped_total", "",
-      "Staged epochs superseded before a slow shard's worker reached them");
+      "Staged epochs superseded before the publish worker reached them, or older "
+      "than an epoch already staged");
   return c;
 }
 
 obs::Counter& async_publishes() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "vc_async_publishes_total", "",
-      "publish() calls staged through the async pipeline");
+      "vc_async_publishes_total", "", "publish() calls staged for the publish worker");
   return c;
+}
+
+// Counts one swap of the serving pointer to `epoch`.
+void record_swap(std::uint64_t epoch) {
+  auto& reg = obs::MetricsRegistry::global();
+  static obs::Counter& swaps = reg.counter("vc_snapshot_swaps_total", "",
+                                           "Snapshot epochs published to the serving core");
+  static obs::Gauge& served =
+      reg.gauge("vc_epoch", "", "Epoch of the newest published index snapshot");
+  swaps.inc();
+  served.set(static_cast<std::int64_t>(epoch));
 }
 
 }  // namespace
 
 CloudService::CloudService(SnapshotPtr snapshot, AccumulatorContext public_ctx,
                            SigningKey cloud_key, VerifyKey owner_key, ThreadPool* pool,
-                           SchemeKind scheme, std::size_t shards)
+                           SchemeKind scheme, std::uint64_t warm_budget_bytes)
     : ctx_(std::move(public_ctx)),
       key_(std::move(cloud_key)),
       owner_key_(std::move(owner_key)),
       scheme_(scheme),
       pool_(pool),
-      shards_(std::max<std::size_t>(1, shards)),
-      stall_ms_(std::max<std::size_t>(1, shards)) {
+      warm_budget_bytes_(warm_budget_bytes) {
+  if (snapshot == nullptr) throw UsageError("CloudService requires a snapshot");
   ctx_.set_pool(pool);
-  publish(std::move(snapshot));
+  current_ = build_state(snapshot, std::nullopt);
+  newest_epoch_ = snapshot->epoch();
+  record_swap(newest_epoch_);
+  worker_ = std::thread([this] { publish_loop(); });
 }
 
 CloudService::~CloudService() {
-  for (auto& p : publishers_) {
-    {
-      std::lock_guard lock(p->mu);
-      p->stop = true;
-    }
-    p->cv.notify_all();
+  {
+    std::lock_guard lock(mu_);
+    stop_ = true;
   }
-  for (auto& p : publishers_) {
-    if (p->worker.joinable()) p->worker.join();
-  }
+  staged_cv_.notify_all();
+  worker_.join();
 }
 
-CloudService::StatePtr CloudService::build_state(const SnapshotPtr& snapshot) {
-  // Serialized across shard workers: the context's fixed-base table and
-  // fixed_base_bits_ are shared publish-path state.
-  std::lock_guard lock(build_mu_);
+CloudService::StatePtr CloudService::build_state(
+    const SnapshotPtr& snapshot, const std::optional<FixedBaseSnapshot>& fixed_base) {
+  // A persisted table for g makes the cold restart skip the capacity_bits
+  // squarings a rebuild would spend.  The witness tier itself is already
+  // attached to the snapshot (lazy, mmap-backed) — no per-term witness is
+  // recomputed on reopen.
+  if (fixed_base && fixed_base->base == ctx_.g()) {
+    ctx_.adopt_fixed_base(*fixed_base);
+    fixed_base_bits_ = std::max(fixed_base_bits_, fixed_base->capacity_bits);
+  }
   // Keep the shared fixed-base table for g wide enough for this snapshot's
   // longest posting list: every epoch's engine then reuses the same table
   // (it is shared through context copies) instead of rebuilding it.
@@ -123,225 +127,100 @@ CloudService::StatePtr CloudService::build_state(const SnapshotPtr& snapshot) {
       fixed_base_bits_ = need;
     }
   }
-  auto engine = std::make_shared<const SearchEngine>(snapshot, ctx_, key_, pool_,
-                                                     shards_.size());
-  auto& reg = obs::MetricsRegistry::global();
-  if (shards_.size() > 1) {
-    std::vector<std::int64_t> per_shard(shards_.size(), 0);
-    for (const auto& [term, entry] : snapshot->entries()) {
-      ++per_shard[term_shard(term, shards_.size())];
-    }
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      reg.gauge("vc_shard_terms", shard_label(s),
-               "Indexed terms hash-partitioned onto each serving shard")
-          .set(per_shard[s]);
-    }
-  }
+  auto engine = std::make_shared<const SearchEngine>(snapshot, ctx_, key_, pool_);
   return std::make_shared<const EpochState>(EpochState{snapshot, std::move(engine)});
 }
 
 void CloudService::publish(SnapshotPtr snapshot) {
   if (snapshot == nullptr) throw UsageError("publish requires a snapshot");
-  auto& reg = obs::MetricsRegistry::global();
-  if (!publishers_.empty()) {
-    // Async pipeline: stage and return.  State construction, warming and
-    // the swaps all happen on the shard workers.
-    static obs::Histogram& enqueue_stage = reg.stage("publish_enqueue");
-    obs::Span span(enqueue_stage, "publish_enqueue");
-    obs::trace_attr("epoch", static_cast<std::int64_t>(snapshot->epoch()));
-    auto pending = std::make_shared<PendingPublish>();
-    pending->snap = std::move(snapshot);
-    pending->enqueued = std::chrono::steady_clock::now();
-    stage_publish(std::move(pending));
-    async_publishes().inc();
-    return;
-  }
-  StatePtr state = build_state(snapshot);
-  for (auto& slot : shards_) {
-    slot.store(state);
-  }
-  reg.counter("vc_snapshot_swaps_total", "",
-              "Snapshot epochs published to the serving core")
-      .inc();
-  reg.gauge("vc_epoch", "", "Epoch of the newest published index snapshot")
-      .set(static_cast<std::int64_t>(snapshot->epoch()));
-}
-
-void CloudService::stage_publish(PendingPtr pending) {
-  for (std::size_t s = 0; s < publishers_.size(); ++s) {
-    ShardPublisher& lane = *publishers_[s];
-    {
-      std::lock_guard lock(lane.mu);
-      // Depth-1 newest-wins staging: a shard that stalls skips straight to
-      // the newest epoch instead of replaying every superseded one.
-      if (lane.pending != nullptr) publishes_dropped().inc();
-      lane.pending = pending;
-      publish_queue_depth(s).set(1);  // under mu so it never races the drain's 0
-    }
-    lane.cv.notify_one();
-  }
-}
-
-void CloudService::enable_async_publish(PublishConfig config) {
-  if (!publishers_.empty()) return;
-  publish_cfg_ = config;
-  if (const char* spec = std::getenv("VC_PUBLISH_STALL");
-      spec != nullptr && *spec != '\0') {
-    // "<shard>:<ms>" — the fault-injection hook the pipeline tests and the
-    // CLI harness use to emulate one slow shard.
-    char* end = nullptr;
-    unsigned long shard = std::strtoul(spec, &end, 10);
-    if (end != nullptr && *end == ':' && shard < shards_.size()) {
-      stall_ms_[shard].store(std::strtoul(end + 1, nullptr, 10),
-                             std::memory_order_relaxed);
-    }
-  }
-  publishers_.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    publishers_.push_back(std::make_unique<ShardPublisher>());
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    publishers_[s]->worker = std::thread([this, s] { shard_publish_loop(s); });
-  }
-  // Stage the boot snapshot once so its warm stage runs off the serving
-  // path; the swap is an idempotent same-state store.
-  auto pending = std::make_shared<PendingPublish>();
-  StatePtr current = shards_[0].load();
-  pending->snap = current->snap;
-  pending->state = current;
-  std::call_once(pending->built, [] {});  // state already built
-  pending->enqueued = std::chrono::steady_clock::now();
-  stage_publish(std::move(pending));
-}
-
-void CloudService::shard_publish_loop(std::size_t shard) {
-  ShardPublisher& lane = *publishers_[shard];
-  auto& reg = obs::MetricsRegistry::global();
-  static obs::Histogram& publish_stage =
-      obs::MetricsRegistry::global().stage("shard_publish");
-  for (;;) {
-    PendingPtr pending;
-    {
-      std::unique_lock lock(lane.mu);
-      lane.cv.wait(lock, [&] { return lane.stop || lane.pending != nullptr; });
-      if (lane.stop) return;
-      pending = std::move(lane.pending);
-      lane.pending = nullptr;
-      publish_queue_depth(shard).set(0);
-    }
-    obs::Span span(publish_stage, "shard_publish");
-    obs::trace_attr("shard", static_cast<std::int64_t>(shard));
-    obs::trace_attr("epoch", static_cast<std::int64_t>(pending->snap->epoch()));
-    std::call_once(pending->built,
-                   [&] { pending->state = build_state(pending->snap); });
-    if (publish_cfg_.warm_budget_bytes > 0) warm_shard(shard, *pending->state);
-    if (std::uint64_t ms = stall_ms_[shard].load(std::memory_order_relaxed); ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    }
-    const std::uint64_t epoch = pending->state->snap->epoch();
-    shards_[shard].store(pending->state);
-    auto lag = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - pending->enqueued);
-    publish_lag_gauge(shard).set(static_cast<std::int64_t>(lag.count()));
-    shard_publishes(shard).inc();
-    // The epoch gauge / swap counter advance when the *first* shard serves
-    // the new epoch — that is when current_state()'s max-epoch pinning
-    // starts returning it.
-    auto& epoch_gauge =
-        reg.gauge("vc_epoch", "", "Epoch of the newest published index snapshot");
-    if (epoch_gauge.value() < static_cast<std::int64_t>(epoch)) {
-      epoch_gauge.set(static_cast<std::int64_t>(epoch));
-      reg.counter("vc_snapshot_swaps_total", "",
-                  "Snapshot epochs published to the serving core")
-          .inc();
-    }
-    {
-      std::lock_guard lock(swap_mu_);
-    }
-    swap_cv_.notify_all();
-  }
-}
-
-void CloudService::warm_shard(std::size_t shard, const EpochState& state) {
-  // The tier's term list is the publish-time hot set (ranked by traffic/df
-  // under the tier policy); this shard warms its own partition of it.  The
-  // global budget is apportioned by each shard's observed query traffic so
-  // the hottest shard's terms are resident first (equal split cold).
-  auto tier = state.snap->witness_tier();
-  if (tier == nullptr) return;
-  std::vector<std::uint64_t> traffic =
-      shard_query_counts_from_metrics(shards_.size());
-  std::uint64_t total = 0;
-  for (std::uint64_t t : traffic) total += t;
-  // Laplace-smoothed share: proportional to observed traffic but never
-  // zero, so a shard that has not seen a query yet still warms its
-  // partition (and a cold process degrades to an equal split).
-  std::uint64_t budget = static_cast<std::uint64_t>(
-      static_cast<double>(publish_cfg_.warm_budget_bytes) *
-      (static_cast<double>(traffic[shard]) + 1.0) /
-      (static_cast<double>(total) + static_cast<double>(shards_.size())));
-  if (budget == 0) return;
-  std::vector<std::string> mine;
-  for (const std::string& term : tier->terms()) {
-    if (term_shard(term, shards_.size()) == shard) mine.push_back(term);
-  }
-  store::warm_epoch(*state.snap, tier.get(), mine, budget);
+  stage(std::move(snapshot), std::nullopt);
 }
 
 std::uint64_t CloudService::publish_from(const store::EpochStore& store) {
   store::OpenedEpoch opened = store.open_current();
-  // A tiered epoch carries the public fixed-base table for g; adopting it
-  // makes the cold restart skip the capacity_bits squarings publish() would
-  // otherwise spend rebuilding the table from scratch.  The witness tier
-  // itself is already attached to the snapshot (lazy, mmap-backed) — no
-  // per-term witness is recomputed on reopen.
-  if (opened.fixed_base && opened.fixed_base->base == ctx_.g()) {
-    ctx_.adopt_fixed_base(*opened.fixed_base);
-    fixed_base_bits_ = std::max(fixed_base_bits_, opened.fixed_base->capacity_bits);
-  }
-  publish(opened.snapshot);
-  return opened.snapshot->epoch();
+  const std::uint64_t epoch = opened.snapshot->epoch();
+  stage(std::move(opened.snapshot), std::move(opened.fixed_base));
+  return epoch;
 }
 
-CloudService::StatePtr CloudService::current_state() const {
-  StatePtr best = shards_[0].load();
-  bool mixed = false;
-  for (std::size_t i = 1; i < shards_.size(); ++i) {
-    StatePtr s = shards_[i].load();
-    if (s->snap->epoch() != best->snap->epoch()) {
-      mixed = true;
-      if (s->snap->epoch() > best->snap->epoch()) best = std::move(s);
+void CloudService::stage(SnapshotPtr snapshot, std::optional<FixedBaseSnapshot> fixed_base) {
+  static obs::Histogram& enqueue_stage =
+      obs::MetricsRegistry::global().stage("publish_enqueue");
+  obs::Span span(enqueue_stage, "publish_enqueue");
+  const std::uint64_t epoch = snapshot->epoch();
+  obs::trace_attr("epoch", static_cast<std::int64_t>(epoch));
+  async_publishes().inc();
+  {
+    std::lock_guard lock(mu_);
+    // A racing publisher already staged a newer epoch: serving never goes
+    // back, so this one is dropped outright.
+    if (epoch < newest_epoch_) {
+      publishes_dropped().inc();
+      return;
     }
+    // Depth-1 newest-wins staging: a worker that falls behind skips
+    // straight to the newest epoch instead of replaying superseded ones.
+    if (staged_.has_value()) publishes_dropped().inc();
+    newest_epoch_ = epoch;
+    staged_ = Staged{std::move(snapshot), std::move(fixed_base),
+                     std::chrono::steady_clock::now(), ++staged_seq_};
+    publish_queue_depth().set(1);  // under mu_ so it never races the drain's 0
   }
-  if (mixed) {
-    // A read raced a publish mid-swap; serving pins the newest epoch so the
-    // response never mixes evidence across epochs.
-    obs::MetricsRegistry::global()
-        .counter("vc_epoch_fallback_total", "",
-                 "Queries that observed shard slots from mixed epochs")
-        .inc();
+  staged_cv_.notify_one();
+}
+
+void CloudService::publish_loop() {
+  for (;;) {
+    Staged next;
+    {
+      std::unique_lock lock(mu_);
+      staged_cv_.wait(lock, [&] { return stop_ || staged_.has_value(); });
+      if (stop_) return;
+      next = std::move(*staged_);
+      staged_.reset();
+      publish_queue_depth().set(0);
+    }
+    std::exception_ptr failure;
+    try {
+      StatePtr state = build_state(next.snap, next.fixed_base);
+      // Warm stage: pre-materialize the tier's hot terms (publish-time
+      // order, hottest first) so the first post-swap queries skip the lazy
+      // decode path.
+      if (auto tier = next.snap->witness_tier(); tier != nullptr && warm_budget_bytes_ > 0) {
+        store::warm_epoch(*next.snap, tier.get(), tier->terms(), warm_budget_bytes_);
+      }
+      {
+        std::lock_guard lock(current_mu_);
+        current_.swap(state);
+      }  // `state` now holds the previous epoch, released outside the lock
+      record_swap(next.snap->epoch());
+      publish_lag().set(std::chrono::duration_cast<std::chrono::milliseconds>(
+                            std::chrono::steady_clock::now() - next.enqueued)
+                            .count());
+    } catch (...) {
+      // The previous epoch keeps serving; waiters learn why this one is not.
+      error_counter("publish_failed").inc();
+      failure = std::current_exception();
+    }
+    {
+      std::lock_guard lock(mu_);
+      done_seq_ = next.seq;
+      publish_error_ = failure;
+    }
+    done_cv_.notify_all();
   }
-  return best;
+}
+
+void CloudService::wait_published(std::uint64_t epoch) const {
+  std::unique_lock lock(mu_);
+  const std::uint64_t target = staged_seq_;
+  done_cv_.wait(lock, [&] {
+    return done_seq_ >= target && (publish_error_ != nullptr || this->epoch() >= epoch);
+  });
+  if (publish_error_ != nullptr) std::rethrow_exception(publish_error_);
 }
 
 std::uint64_t CloudService::epoch() const { return current_state()->snap->epoch(); }
-
-void CloudService::wait_published(std::uint64_t epoch) const {
-  std::unique_lock lock(swap_mu_);
-  swap_cv_.wait(lock, [&] {
-    for (const auto& slot : shards_) {
-      StatePtr s = slot.load();
-      if (s == nullptr || s->snap->epoch() < epoch) return false;
-    }
-    return true;
-  });
-}
-
-void CloudService::set_publish_stall_for_test(std::size_t shard, std::uint64_t ms) {
-  if (shard < stall_ms_.size()) {
-    stall_ms_[shard].store(ms, std::memory_order_relaxed);
-  }
-}
 
 SearchResponse CloudService::handle(const SignedQuery& query) {
   static obs::Histogram& handle_stage = obs::MetricsRegistry::global().stage("handle");
@@ -354,7 +233,6 @@ SearchResponse CloudService::handle(const SignedQuery& query) {
   // from the same snapshot even if a publish lands mid-query.
   StatePtr state = current_state();
   obs::trace_attr("epoch", static_cast<std::int64_t>(state->snap->epoch()));
-  obs::trace_attr("shards", static_cast<std::int64_t>(shards_.size()));
   SearchResponse resp;
   try {
     resp = state->engine->search(query.query, scheme_);
@@ -363,41 +241,7 @@ SearchResponse CloudService::handle(const SignedQuery& query) {
     throw;
   }
   scheme_counter(scheme_).inc();
-  if (shards_.size() > 1) {
-    auto& reg = obs::MetricsRegistry::global();
-    for (const auto& raw : query.query.keywords) {
-      std::string norm = normalize_term(raw);
-      if (norm.empty()) continue;
-      reg.counter("vc_shard_queries_total", shard_label(term_shard(norm, shards_.size())),
-                  "Query keywords routed to each serving shard")
-          .inc();
-    }
-  }
   served_.fetch_add(1, std::memory_order_relaxed);
-  if (behavior_ == CloudBehavior::kHonest) return resp;
-
-  // Misbehaviour modes tamper with the already-proven response, exactly the
-  // situation the owner's verification must catch.
-  if (auto* multi = std::get_if<MultiKeywordResponse>(&resp.body)) {
-    if (behavior_ == CloudBehavior::kDropLastResult && !multi->result.docs.empty()) {
-      std::uint64_t hidden = multi->result.docs.back();
-      multi->result.docs.pop_back();
-      for (auto& postings : multi->result.postings) {
-        if (!postings.empty() && postings.back().doc_id == hidden) postings.pop_back();
-      }
-    } else if (behavior_ == CloudBehavior::kInflateWeight &&
-               !multi->result.postings.empty() && !multi->result.postings[0].empty()) {
-      multi->result.postings[0][0].tf += 100;
-    }
-    resp.cloud_sig = key_.sign(resp.payload_bytes());
-  } else if (auto* single = std::get_if<SingleKeywordResponse>(&resp.body)) {
-    if (behavior_ == CloudBehavior::kDropLastResult && !single->postings.empty()) {
-      single->postings.pop_back();
-    } else if (behavior_ == CloudBehavior::kInflateWeight && !single->postings.empty()) {
-      single->postings[0].tf += 100;
-    }
-    resp.cloud_sig = key_.sign(resp.payload_bytes());
-  }
   return resp;
 }
 

@@ -1,42 +1,35 @@
-// The cloud role (Fig 1 right): the sharded serving core.
+// The cloud role (Fig 1 right): the serving core.
 //
 // Wraps the search engine with the signed-message protocol: it rejects
 // queries that are not validly signed by the owner (so it can later
 // disprove forged-query accusations) and signs every response.
 //
 // Serving is organized around immutable, epoch-numbered IndexSnapshots.
-// The service holds one std::atomic<std::shared_ptr<...>> slot per shard
-// (terms are hash-partitioned across shards with term_shard); publish()
-// swaps every slot to the new epoch's snapshot atomically, so queries in
-// flight keep proving against the snapshot they started on while new
-// queries see the new epoch — concurrent owner updates never race with
-// proof generation.  Per-keyword proofs are generated per shard and merged
-// (see Prover); responses carry the serving snapshot's epoch in the signed
-// payload.
+// The service holds one shared_ptr to the current epoch's serving state,
+// behind a mutex held only to copy or replace the pointer; a query copies
+// it once and proves every keyword against that one snapshot, so queries
+// in flight keep the epoch they started on while new queries see the new
+// one — concurrent owner updates never race with proof generation.
+// Responses carry the serving snapshot's epoch in the signed payload.
+// (libstdc++'s std::atomic<std::shared_ptr> unlocks with a relaxed store
+// in load(), which ThreadSanitizer reports as a race against store().)
 //
-// Async publication pipeline (enable_async_publish): publish() then only
-// stages the epoch into a depth-1 newest-wins slot per shard and returns
-// immediately; one worker thread per shard builds the serving state (first
-// worker to reach it), runs an optional witness warm stage for its shard's
-// hot terms, and swaps its slot independently — a slow shard never delays
-// the others.  Consistency is unchanged: a query that observes mixed
-// epochs mid-pipeline pins to the max fully-published state it saw
-// (current_state), so responses never mix evidence across epochs and
-// verifier semantics are untouched.  A shard that falls behind skips
-// superseded epochs (newest wins) instead of queueing them.
-//
-// For tests and the arbitration example it can also be configured to
-// misbehave in the ways the paper's threat model names: dropping results or
-// tampering with weights.
+// Publication is asynchronous: publish() stages the epoch into a depth-1
+// newest-wins slot and returns; one publish worker builds the serving
+// state, runs the witness warm stage for the epoch's hot terms, and swaps
+// the pointer.  An epoch superseded while still staged is dropped instead
+// of queued, and so is one older than an epoch already staged.
+// wait_published() blocks for callers that need the swap.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
-#include <vector>
 
 #include "protocol/messages.hpp"
 
@@ -50,73 +43,49 @@ namespace advtest {
 struct CloudAccess;
 }  // namespace advtest
 
-enum class CloudBehavior {
-  kHonest,
-  kDropLastResult,   // return partial results (the economic-incentive cheat)
-  kInflateWeight,    // tamper with a tf weight in the results
-};
-
-// Knobs for the asynchronous per-shard publication pipeline.
-struct PublishConfig {
-  // Warm-stage byte budget across the whole pool; apportioned to shards by
-  // their vc_shard_queries_total traffic share (equal split before any
-  // traffic is recorded).  0 disables the warm stage.
-  std::uint64_t warm_budget_bytes = 0;
-};
-
 class CloudService {
  public:
+  // Builds the serving state for `snapshot` before returning.  A non-zero
+  // `warm_budget_bytes` makes the publish worker pre-materialize each
+  // published epoch's tiered hot terms (hottest first, until that many
+  // stored bytes are resident) before swapping it in; 0 disables the warm
+  // stage.
   CloudService(SnapshotPtr snapshot, AccumulatorContext public_ctx,
                SigningKey cloud_key, VerifyKey owner_key, ThreadPool* pool = nullptr,
-               SchemeKind scheme = SchemeKind::kHybrid, std::size_t shards = 1);
+               SchemeKind scheme = SchemeKind::kHybrid, std::uint64_t warm_budget_bytes = 0);
 
-  ~CloudService();  // drains and joins the publish workers, if any
+  ~CloudService();  // stops and joins the publish worker
+  CloudService(const CloudService&) = delete;
+  CloudService& operator=(const CloudService&) = delete;
 
-  // Swaps every shard slot to the given snapshot (a new epoch).  Safe to
-  // call while queries are being served concurrently; concurrent publishers
-  // must be externally serialized (there is one owner).  With the async
-  // pipeline enabled this only stages the epoch (one depth-1 newest-wins
-  // slot per shard) and returns immediately — each shard's worker warms and
-  // swaps independently; wait_published() blocks until the swap completed
-  // everywhere.
+  // Stages the given snapshot (a new epoch) for the publish worker and
+  // returns immediately.  Safe to call while queries are being served and
+  // from several threads at once: an epoch older than the newest one
+  // already staged is dropped, so the served epoch never decreases.
   void publish(SnapshotPtr snapshot);
 
-  // Spawns one publish worker per shard and routes subsequent publish()
-  // calls through them.  Also stages the currently-served state once, so
-  // the warm stage runs for the boot snapshot off the serving path.
-  // Idempotent; must not race publish().  Honors VC_PUBLISH_STALL
-  // ("<shard>:<ms>", fault injection for tests) like
-  // set_publish_stall_for_test.
-  void enable_async_publish(PublishConfig config = {});
-  [[nodiscard]] bool async_publish_enabled() const { return !publishers_.empty(); }
-
-  // Blocks until every shard slot serves an epoch >= `epoch` (all shards
-  // finished swapping; with a staged-but-stalled shard this waits out the
-  // stall).  Immediate in sync mode.
-  void wait_published(std::uint64_t epoch) const;
-
-  // Fault injection for the publish-pipeline tests: the given shard's
-  // worker sleeps `ms` before its swap, emulating a slow shard (cold page
-  // cache, contended NUMA node, ...).  The other shards must not care.
-  void set_publish_stall_for_test(std::size_t shard, std::uint64_t ms);
-
   // Opens the store's CURRENT epoch (mmap-backed, lazily materialized) and
-  // publishes it into the shard slots — the cold-restart entry point.
-  // Throws the store's typed errors when the epoch is missing or damaged.
-  // Returns the published epoch number.
+  // stages it together with the epoch's persisted fixed-base table, which
+  // the publish worker adopts — the cold-restart entry point.  Throws the
+  // store's typed errors when the epoch is missing or damaged.  Returns the
+  // staged epoch number.
   std::uint64_t publish_from(const store::EpochStore& store);
+
+  // Blocks until every publish staged before the call has been swapped in
+  // (or superseded by a newer one that has) and the served epoch is at
+  // least `epoch`.  When the worker's most recent publish failed (the
+  // previous epoch keeps serving), rethrows that failure instead.
+  void wait_published(std::uint64_t epoch) const;
 
   // Throws VerifyError if the query signature is invalid.
   [[nodiscard]] SearchResponse handle(const SignedQuery& query);
 
-  void set_behavior(CloudBehavior behavior) { behavior_ = behavior; }
   [[nodiscard]] const VerifyKey& verify_key() const { return key_.verify_key(); }
   [[nodiscard]] std::uint64_t queries_served() const {
     return served_.load(std::memory_order_relaxed);
   }
-  // Epoch of the newest published snapshot.
+  // Epoch of the snapshot currently served.
   [[nodiscard]] std::uint64_t epoch() const;
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
  private:
   // Narrow test-only hook: the adversarial soundness harness (src/advtest)
@@ -126,64 +95,58 @@ class CloudService {
   friend struct advtest::CloudAccess;
 
   // One epoch's serving state: the snapshot and the engine (prover) built
-  // over it.  Immutable once published; shared by every shard slot.
+  // over it.  Immutable once published.
   struct EpochState {
     SnapshotPtr snap;
     std::shared_ptr<const SearchEngine> engine;
   };
   using StatePtr = std::shared_ptr<const EpochState>;
 
-  // Reads every shard slot and serves from the newest epoch seen, so one
-  // query never mixes shards from different epochs even mid-publish.
-  [[nodiscard]] StatePtr current_state() const;
-
-  // One staged epoch moving through the pipeline.  The serving state is
-  // built once, by whichever shard worker reaches it first (call_once);
-  // the others reuse it.
-  struct PendingPublish {
+  // One epoch waiting in the staging slot.  `fixed_base` is the table the
+  // epoch was persisted with (publish_from only).
+  struct Staged {
     SnapshotPtr snap;
+    std::optional<FixedBaseSnapshot> fixed_base;
     std::chrono::steady_clock::time_point enqueued;
-    std::once_flag built;
-    StatePtr state;
-  };
-  using PendingPtr = std::shared_ptr<PendingPublish>;
-
-  // Per-shard publish lane: a depth-1 newest-wins staging slot plus the
-  // worker that drains it.  Bounded by construction — a shard that stalls
-  // holds back at most one superseded epoch, which is dropped (counted in
-  // vc_publish_dropped_total) when a newer one lands.
-  struct ShardPublisher {
-    std::mutex mu;
-    std::condition_variable cv;
-    PendingPtr pending;
-    bool stop = false;
-    std::thread worker;
+    std::uint64_t seq = 0;
   };
 
-  // Fixed-base sizing + engine construction for one epoch (the serialized
-  // part of a publish; guarded by build_mu_ under the async pipeline).
-  [[nodiscard]] StatePtr build_state(const SnapshotPtr& snapshot);
-  void stage_publish(PendingPtr pending);    // fan a staged epoch out to all lanes
-  void shard_publish_loop(std::size_t shard);
-  void warm_shard(std::size_t shard, const EpochState& state);
+  [[nodiscard]] StatePtr current_state() const {
+    std::lock_guard lock(current_mu_);
+    return current_;
+  }
+
+  // Fixed-base adoption/sizing + engine construction for one epoch.  Runs
+  // in the constructor before the worker starts and on the worker after
+  // that, so one thread at a time owns ctx_ and fixed_base_bits_.
+  [[nodiscard]] StatePtr build_state(const SnapshotPtr& snapshot,
+                                     const std::optional<FixedBaseSnapshot>& fixed_base);
+  void stage(SnapshotPtr snapshot, std::optional<FixedBaseSnapshot> fixed_base);
+  void publish_loop();
 
   AccumulatorContext ctx_;
   SigningKey key_;
   VerifyKey owner_key_;
   SchemeKind scheme_;
   ThreadPool* pool_;
-  CloudBehavior behavior_ = CloudBehavior::kHonest;
+  std::uint64_t warm_budget_bytes_;
   std::atomic<std::uint64_t> served_{0};
   std::size_t fixed_base_bits_ = 0;  // capacity of the shared g-base table
-  std::vector<std::atomic<StatePtr>> shards_;
+  mutable std::mutex current_mu_;
+  StatePtr current_;  // guarded by current_mu_
 
-  // Async pipeline state (empty/idle in sync mode).
-  PublishConfig publish_cfg_;
-  std::mutex build_mu_;
-  std::vector<std::unique_ptr<ShardPublisher>> publishers_;
-  std::vector<std::atomic<std::uint64_t>> stall_ms_;  // fault injection, per shard
-  mutable std::mutex swap_mu_;               // pairs with swap_cv_ for wait_published
-  mutable std::condition_variable swap_cv_;  // notified after every shard swap
+  // Publish pipeline: the staging slot, the sequence numbers that let
+  // wait_published() tell staged from finished, and the worker.
+  mutable std::mutex mu_;
+  std::condition_variable staged_cv_;        // wakes the worker
+  mutable std::condition_variable done_cv_;  // wakes wait_published
+  std::optional<Staged> staged_;
+  std::uint64_t newest_epoch_ = 0;  // newest epoch ever staged (or booted)
+  std::uint64_t staged_seq_ = 0;    // last sequence number handed out
+  std::uint64_t done_seq_ = 0;      // sequence number the worker last finished
+  std::exception_ptr publish_error_;  // why that publish failed, if it did
+  bool stop_ = false;
+  std::thread worker_;
 };
 
 }  // namespace vc

@@ -13,7 +13,7 @@
 // Binary payloads travel hex-encoded so the wire format stays the canonical
 // one the signatures cover.  One acceptor thread; with a ThreadPool, /search
 // requests are dispatched onto it (bounded by max_inflight, 503 over the
-// cap) so the sharded serving core answers queries concurrently, and stop()
+// cap) so the serving core answers queries concurrently, and stop()
 // drains the in-flight ones before returning.  Without a pool every request
 // is served inline on the acceptor thread.
 //

@@ -53,11 +53,11 @@ Query Query::read(ByteReader& r) {
 }
 
 SearchEngine::SearchEngine(SnapshotPtr snapshot, AccumulatorContext cloud_ctx,
-                           SigningKey cloud_key, ThreadPool* pool, std::size_t shards)
+                           SigningKey cloud_key, ThreadPool* pool)
     : snap_(std::move(snapshot)),
       ctx_(std::move(cloud_ctx)),
       cloud_key_(std::move(cloud_key)),
-      prover_(snap_, ctx_, pool, shards) {}
+      prover_(snap_, ctx_, pool) {}
 
 SearchEngine::Classified SearchEngine::classify(
     const std::vector<std::string>& keywords) const {

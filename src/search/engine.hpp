@@ -37,11 +37,9 @@ struct Query {
 class SearchEngine {
  public:
   // The engine serves exactly one immutable snapshot; every response is
-  // stamped with the snapshot's epoch.  `shards` is forwarded to the prover
-  // for per-shard proof generation.
+  // stamped with the snapshot's epoch.
   SearchEngine(SnapshotPtr snapshot, AccumulatorContext cloud_ctx,
-               SigningKey cloud_key, ThreadPool* pool = nullptr,
-               std::size_t shards = 1);
+               SigningKey cloud_key, ThreadPool* pool = nullptr);
 
   // Executes the query and returns the signed response with proofs.
   // The response records search vs proof-generation wall time separately

@@ -36,9 +36,9 @@ struct TierArtifacts {
   FixedBaseSnapshot fixed_base;
 };
 
-// Serializes `snap` into the epoch-file byte layout.  `shard_count` records
-// the serving topology the epoch was published under (informational; the
-// serving side may re-shard).
+// Serializes `snap` into the epoch-file byte layout.  `shard_count` is
+// legacy header metadata: it is stored and reported but nothing reads it
+// back to decide how to serve (the serving core has no shards).
 Bytes encode_snapshot(const IndexSnapshot& snap, std::uint32_t shard_count,
                       const TierArtifacts* tier = nullptr);
 

@@ -85,14 +85,4 @@ std::uint64_t IndexSnapshot::warm(std::string_view term) const {
   return source_->stored_bytes(rank);
 }
 
-std::size_t term_shard(std::string_view term, std::size_t shard_count) {
-  if (shard_count <= 1) return 0;
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (unsigned char c : term) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return static_cast<std::size_t>(h % shard_count);
-}
-
 }  // namespace vc

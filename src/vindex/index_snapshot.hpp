@@ -10,7 +10,7 @@
 // the Prover, SearchEngine and CloudService consume them.  A snapshot never
 // changes after construction, so any number of threads may serve queries
 // from it while the owner applies the next update — swapping in the new
-// epoch is a single atomic shared_ptr store per shard.
+// epoch is a single atomic shared_ptr store.
 #pragma once
 
 #include <atomic>
@@ -174,9 +174,5 @@ class IndexSnapshot {
 };
 
 using SnapshotPtr = std::shared_ptr<const IndexSnapshot>;
-
-// Hash-partitions a term onto one of `shard_count` serving shards (FNV-1a;
-// stable across platforms so shard metrics and tests agree).
-std::size_t term_shard(std::string_view term, std::size_t shard_count);
 
 }  // namespace vc

@@ -204,22 +204,18 @@ std::vector<std::string> rank_hot_terms(const IndexSnapshot& snap, const TierPol
   } else {
     struct Candidate {
       std::string_view term;
-      std::uint64_t traffic = 0;
       std::size_t df = 0;
     };
     std::vector<Candidate> cands;
     cands.reserve(snap.term_count());
-    const std::size_t shards = policy.shard_query_counts.size();
     for (const auto& [term, unused] : snap.entries()) {
       Candidate c{.term = term};
       // Document frequency materializes lazy entries; hotness ranking runs
       // at publish time where the snapshot is eager, so this is a lookup.
       if (const IndexEntry* e = snap.find(term)) c.df = e->postings.size();
-      if (shards > 0) c.traffic = policy.shard_query_counts[term_shard(term, shards)];
       cands.push_back(c);
     }
     std::sort(cands.begin(), cands.end(), [](const Candidate& a, const Candidate& b) {
-      if (a.traffic != b.traffic) return a.traffic > b.traffic;
       if (a.df != b.df) return a.df > b.df;
       return a.term < b.term;
     });
@@ -228,17 +224,6 @@ std::vector<std::string> rank_hot_terms(const IndexSnapshot& snap, const TierPol
   }
   if (policy.top_k != 0 && out.size() > policy.top_k) out.resize(policy.top_k);
   return out;
-}
-
-std::vector<std::uint64_t> shard_query_counts_from_metrics(std::size_t shard_count) {
-  auto& reg = obs::MetricsRegistry::global();
-  std::vector<std::uint64_t> counts;
-  counts.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    counts.push_back(
-        reg.counter("vc_shard_queries_total", "shard=\"" + std::to_string(s) + "\"").value());
-  }
-  return counts;
 }
 
 // --- builder -----------------------------------------------------------------

@@ -15,8 +15,8 @@
 //
 // Tiers ride inside the epoch store (store/snapshot_codec.hpp, format v2) as
 // checksummed mmap'd sections and re-attach lazily on cold restart; hotness
-// comes from serving shard traffic (vc_shard_queries_total), an explicit
-// term list, or document frequency, greedily packed under a byte budget.
+// comes from an explicit term list, else document frequency, greedily
+// packed under a byte budget.
 #pragma once
 
 #include <atomic>
@@ -134,14 +134,10 @@ class WitnessTier {
 
 struct TierPolicy {
   // Explicit winners in priority order (normalized index terms); when
-  // non-empty it overrides the scored ranking below.
+  // non-empty it overrides the document-frequency ranking.
   std::vector<std::string> hot_terms;
   // Consider only the K hottest candidates (0 = all; the budget still caps).
   std::size_t top_k = 0;
-  // Serving-fed hotness: vc_shard_queries_total per shard index.  A term
-  // scores by its shard's query count (document frequency breaks ties);
-  // empty falls back to document frequency alone (offline build).
-  std::vector<std::uint64_t> shard_query_counts;
   // Byte cap over fixed-base table + witness tables, greedy by hotness.
   std::uint64_t budget_bytes = std::numeric_limits<std::uint64_t>::max();
 };
@@ -152,14 +148,9 @@ void write_fixed_base(ByteWriter& w, const FixedBaseSnapshot& snap);
 [[nodiscard]] FixedBaseSnapshot read_fixed_base(ByteReader& r);
 
 // Candidate terms, hottest first, per the policy (explicit list filtered to
-// indexed terms, or scored by shard traffic / document frequency).
+// indexed terms, else by descending document frequency).
 [[nodiscard]] std::vector<std::string> rank_hot_terms(const IndexSnapshot& snap,
                                                       const TierPolicy& policy);
-
-// Snapshot of vc_shard_queries_total for `shard_count` shards, for feeding
-// TierPolicy::shard_query_counts from a serving process.
-[[nodiscard]] std::vector<std::uint64_t> shard_query_counts_from_metrics(
-    std::size_t shard_count);
 
 struct TierBuildResult {
   std::shared_ptr<const WitnessTier> tier;  // null when nothing fit the budget

@@ -6,12 +6,8 @@ BUILD="$1"
 WORK=$(mktemp -d)
 trap 'kill $SERVE_PID 2>/dev/null || true; rm -rf "$WORK" || true' EXIT
 
-# VC_ASYNC_PUBLISH=1 (one CI Release leg) reruns the whole workflow with
-# the per-shard async publish pipeline and its warm stage on every serve.
-SERVE_FLAGS=""
-if [ -n "$VC_ASYNC_PUBLISH" ]; then
-  SERVE_FLAGS="--async-publish --warm-budget-mb 4"
-fi
+# Every serve runs the publish worker's warm stage under a small budget.
+SERVE_FLAGS="--warm-budget-mb 4"
 
 "$BUILD/tools/vcsearch-build" --out "$WORK" --synth 60 --seed 9 \
     --modulus-bits 512 --rep-bits 64 --interval 8 > "$WORK/build.log"
@@ -30,10 +26,8 @@ until grep -q "serving" "$WORK/serve.log" 2>/dev/null; do
   test $tries -lt 100 || { echo "server never came up"; exit 1; }
   sleep 0.2
 done
-if [ -n "$VC_ASYNC_PUBLISH" ]; then
-  grep -q "async publish pipeline" "$WORK/serve.log" || {
-    echo "async publish pipeline not enabled"; cat "$WORK/serve.log"; exit 1; }
-fi
+grep -q "warm-budget-mb=4" "$WORK/serve.log" || {
+  echo "warm budget not applied"; cat "$WORK/serve.log"; exit 1; }
 PORT=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' "$WORK/serve.log" | head -1)
 
 # Two words guaranteed known: the top terms from the inspect output.  Two
@@ -123,18 +117,17 @@ grep -q 'vc_http_responses_total{code="200"}' "$WORK/metrics.txt"
 kill $SERVE_PID
 wait $SERVE_PID 2>/dev/null || true
 
-# Sharded serving: restart with 4 shards and pooled dispatch, fire 4
-# concurrent verified queries, and require per-shard + epoch metrics.
-"$BUILD/tools/vcsearch-serve" --dir "$WORK" --port 0 --shards 4 $SERVE_FLAGS \
+# Pooled dispatch: restart, fire 4 concurrent verified queries, and
+# require the epoch metrics.
+"$BUILD/tools/vcsearch-serve" --dir "$WORK" --port 0 $SERVE_FLAGS \
     > "$WORK/serve2.log" 2>&1 &
 SERVE_PID=$!
 tries=0
 until grep -q "serving" "$WORK/serve2.log" 2>/dev/null; do
   tries=$((tries + 1))
-  test $tries -lt 100 || { echo "sharded server never came up"; exit 1; }
+  test $tries -lt 100 || { echo "restarted server never came up"; exit 1; }
   sleep 0.2
 done
-grep -q "shards=4" "$WORK/serve2.log"
 PORT=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' "$WORK/serve2.log" | head -1)
 
 QPIDS=""
@@ -144,14 +137,14 @@ for i in 1 2 3 4; do
   QPIDS="$QPIDS $!"
 done
 for pid in $QPIDS; do
-  wait "$pid" || { echo "concurrent sharded query failed"; cat "$WORK"/cq*.log; exit 1; }
+  wait "$pid" || { echo "concurrent query failed"; cat "$WORK"/cq*.log; exit 1; }
 done
 for i in 1 2 3 4; do
   grep -q "VERIFIED" "$WORK/cq$i.log" || { echo "query $i not verified"; cat "$WORK/cq$i.log"; exit 1; }
 done
 
 # Boolean query language + verifiable top-k (docs/QUERY_LANGUAGE.md),
-# against the live sharded server.  Three known words: the top terms.
+# against the live server.  Three known words: the top terms.
 BWORDS=$("$BUILD/tools/vcsearch-inspect" --dir "$WORK" --top 3 | grep ' docs' | awk '{print $1}')
 B1=$(echo $BWORDS | awk '{print $1}')
 B2=$(echo $BWORDS | awk '{print $2}')
@@ -186,10 +179,6 @@ grep -q "query failed" "$WORK/q7.log"
 fetch /metrics > "$WORK/metrics2.txt"
 grep -q '^vc_epoch 1' "$WORK/metrics2.txt"
 grep -q 'vc_snapshot_swaps_total' "$WORK/metrics2.txt"
-grep -q 'vc_shard_terms{shard="0"}' "$WORK/metrics2.txt"
-grep -q 'vc_shard_terms{shard="3"}' "$WORK/metrics2.txt"
-grep -q 'vc_shard_queries_total{shard=' "$WORK/metrics2.txt"
-grep -q 'vc_shard_proofs_total{shard=' "$WORK/metrics2.txt"
 
 kill $SERVE_PID
 wait $SERVE_PID 2>/dev/null || true

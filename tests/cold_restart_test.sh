@@ -19,13 +19,10 @@ fi
     --modulus-bits 512 --rep-bits 64 --interval 8 > "$WORK/build.log"
 grep -q "built verifiable index" "$WORK/build.log"
 
-# VC_ASYNC_PUBLISH=1 (one CI Release leg) reruns every boot through the
-# async publish pipeline with warm-on-open — the proof byte-identity
-# assertions then also prove the warm stage never changes a proof byte.
-SERVE_FLAGS=""
-if [ -n "$VC_ASYNC_PUBLISH" ]; then
-  SERVE_FLAGS="--async-publish --warm-budget-mb 4"
-fi
+# Every boot warms under a small budget (warm-on-open plus the publish
+# worker's warm stage) — the proof byte-identity assertions then also
+# prove the warm stage never changes a proof byte.
+SERVE_FLAGS="--warm-budget-mb 4"
 
 wait_serving() {
   tries=0

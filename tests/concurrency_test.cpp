@@ -155,11 +155,11 @@ TEST(Concurrency, MetricsRegistrySharedAcrossThreads) {
             static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
 }
 
-// Queries hammer the sharded serving core while the owner keeps publishing
-// new epochs.  Every response must verify, and the epochs a thread observes
-// must never go backwards — the atomic per-shard swap may race reads, but
-// serving always pins one complete epoch (this is the TSan target for the
-// snapshot-swap machinery).
+// Queries hammer the serving core while the owner keeps publishing new
+// epochs.  Every response must verify, and the epochs a thread observes
+// must never go backwards — the epoch-pointer swap may race reads,
+// but serving always pins one complete epoch (this is the TSan target for
+// the snapshot-swap machinery).
 TEST(Concurrency, QueriesVerifyWhileEpochsSwap) {
   VerifiableIndexConfig cfg;
   cfg.modulus_bits = 512;
@@ -179,8 +179,7 @@ TEST(Concurrency, QueriesVerifyWhileEpochsSwap) {
                  .max_doc_words = 45, .vocab_size = 160, .zipf_s = 0.9, .seed = 55};
   IndexBuilder vidx = IndexBuilder::build(InvertedIndex::build(generate_corpus(spec)),
                                           owner_ctx, owner_key, cfg, build_pool);
-  CloudService cloud(vidx.snapshot(), pub_ctx, cloud_key, owner_key.verify_key(),
-                     /*pool=*/nullptr, SchemeKind::kHybrid, /*shards=*/4);
+  CloudService cloud(vidx.snapshot(), pub_ctx, cloud_key, owner_key.verify_key());
   ResultVerifier verifier(owner_ctx, owner_key.verify_key(), cloud_key.verify_key(), cfg);
 
   std::string w0 = synth_word(spec, 3), w1 = synth_word(spec, 7);
@@ -214,6 +213,7 @@ TEST(Concurrency, QueriesVerifyWhileEpochsSwap) {
     cloud.publish(vidx.snapshot());
   }
   for (auto& f : futs) f.get();
+  cloud.wait_published(1u + kUpdates);
   EXPECT_EQ(cloud.epoch(), 1u + kUpdates);
 
   // After the last publish, a pinned verifier accepts current responses and

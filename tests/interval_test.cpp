@@ -261,6 +261,34 @@ TEST_F(IntervalIndexTest, ProofSerializationRoundtrip) {
   EXPECT_TRUE(IntervalIndex::verify_nonmembership(pub_, idx.root(), nround, absent, primes_));
 }
 
+// A few bytes announcing 2^62 or 2^28 proof parts or members must fail as
+// a typed ParseError before any allocation.
+TEST(IntervalDecode, HugeCountsAreTypedErrors) {
+  for (std::uint64_t huge : {std::uint64_t{1} << 62, std::uint64_t{1} << 28}) {
+    ByteWriter parts;
+    parts.varint(huge);
+    parts.raw(Bytes(4, 0));
+    ByteReader mr(parts.data());
+    EXPECT_THROW((void)IntervalMembershipProof::read(mr), ParseError) << huge;
+    ByteReader nr(parts.data());
+    EXPECT_THROW((void)IntervalNonmembershipProof::read(nr), ParseError) << huge;
+
+    // An index header (tag, interval size, prime config, root) followed by
+    // a member list of `huge` elements.
+    ByteWriter index;
+    index.str("vc.interval-index.v1");
+    index.varint(8);
+    index.varint(64);
+    index.str("interval-test");
+    index.varint(24);
+    Bigint(4).write(index);
+    index.varint(huge);
+    index.raw(Bytes(4, 0));
+    ByteReader ir(index.data());
+    EXPECT_THROW((void)IntervalIndex::read(ir), ParseError) << huge;
+  }
+}
+
 // --- dictionary gap intervals -------------------------------------------------
 
 class DictIntervalsTest : public ::testing::Test {

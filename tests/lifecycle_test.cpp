@@ -68,6 +68,7 @@ TEST(Lifecycle, EndToEnd) {
     std::vector<Document> docs = {Document{45, "new", w5 + " " + w9 + " freshterm"}};
     vidx.add_documents(docs, owner_ctx, owner_key);
     cloud.publish(vidx.snapshot());  // push the new epoch to the serving core
+    cloud.wait_published(vidx.snapshot()->epoch());
     SignedQuery q = owner.issue_query({w5, w9});
     SearchResponse resp = http_search(frontend.port(), q);
     ASSERT_NO_THROW(owner.receive_response(resp));
@@ -81,6 +82,7 @@ TEST(Lifecycle, EndToEnd) {
     U64Set gone = {45};
     vidx.remove_documents(gone, owner_ctx, owner_key);
     cloud.publish(vidx.snapshot());
+    cloud.wait_published(vidx.snapshot()->epoch());
     SignedQuery q = owner.issue_query({w5, w9});
     SearchResponse resp = http_search(frontend.port(), q);
     ASSERT_NO_THROW(owner.receive_response(resp));
@@ -97,10 +99,17 @@ TEST(Lifecycle, EndToEnd) {
   // --- dispute: the cloud turns dishonest, arbitration convicts it ------------
   ThirdPartyArbiter arbiter(pub_ctx, owner_key.verify_key(), cloud_key.verify_key(), cfg);
   {
-    cloud.set_behavior(CloudBehavior::kDropLastResult);
     SignedQuery q = owner.issue_query({w5, w9});
     SearchResponse resp = http_search(frontend.port(), q);
-    cloud.set_behavior(CloudBehavior::kHonest);
+    // The cloud hides its last hit and re-signs the partial answer.
+    auto& result = std::get<MultiKeywordResponse>(resp.body).result;
+    ASSERT_FALSE(result.docs.empty());
+    std::uint64_t hidden = result.docs.back();
+    result.docs.pop_back();
+    for (auto& postings : result.postings) {
+      if (!postings.empty() && postings.back().doc_id == hidden) postings.pop_back();
+    }
+    resp.cloud_sig = cloud_key.sign(resp.payload_bytes());
     EXPECT_THROW(owner.receive_response(resp), VerifyError);
     EXPECT_EQ(arbiter.arbitrate(owner.transcript_for(q.query.id)), Ruling::kCloudCheated);
   }

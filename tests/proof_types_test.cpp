@@ -41,6 +41,25 @@ TEST(SearchResultSerialization, EmptyResult) {
   EXPECT_EQ(SearchResult::read(reader), r);
 }
 
+// A few bytes announcing 2^62 or 2^28 elements must fail as a typed
+// ParseError, before any allocation, for every count-prefixed reader of a
+// cloud response's result: the doc set and each posting list.
+TEST(SearchResultSerialization, HugeCountsAreTypedErrors) {
+  for (std::uint64_t huge : {std::uint64_t{1} << 62, std::uint64_t{1} << 28}) {
+    // {no keywords, docs: huge}, then {no keywords, no docs, one posting
+    // list of huge postings}.
+    for (const Bytes& prefix : {Bytes{0x00}, Bytes{0x00, 0x00, 0x01}}) {
+      ByteWriter w;
+      w.raw(prefix);
+      w.varint(huge);
+      w.raw(Bytes(4, 0));
+      ByteReader r(w.data());
+      EXPECT_THROW((void)SearchResult::read(r), ParseError)
+          << "count " << huge << " after " << prefix.size() << " prefix bytes";
+    }
+  }
+}
+
 TEST(EvidenceSerialization, FlatAndIntervalFormsTagged) {
   MembershipEvidence flat;
   flat.interval_form = false;

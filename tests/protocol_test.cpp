@@ -25,6 +25,32 @@ TestbedOptions small_testbed_options() {
   return opts;
 }
 
+// The cheats a dishonest cloud commits: tamper with the honest response's
+// results, then re-sign the payload with the cloud's own key, so only the
+// proofs can give it away.
+SearchResponse cheat(SearchResponse resp, const SigningKey& cloud_key,
+                     void (*tamper)(SearchResult&)) {
+  tamper(std::get<MultiKeywordResponse>(resp.body).result);
+  resp.cloud_sig = cloud_key.sign(resp.payload_bytes());
+  return resp;
+}
+
+// Returns a partial result (the economic-incentive cheat).
+void drop_last_result(SearchResult& result) {
+  ASSERT_FALSE(result.docs.empty());
+  std::uint64_t hidden = result.docs.back();
+  result.docs.pop_back();
+  for (auto& postings : result.postings) {
+    if (!postings.empty() && postings.back().doc_id == hidden) postings.pop_back();
+  }
+}
+
+// Tampers with a tf weight in the results.
+void inflate_weight(SearchResult& result) {
+  ASSERT_FALSE(result.postings.empty() || result.postings[0].empty());
+  result.postings[0][0].tf += 100;
+}
+
 class ProtocolTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -61,7 +87,6 @@ ThirdPartyArbiter* ProtocolTest::arbiter_ = nullptr;
 
 TEST_F(ProtocolTest, HonestExchangeVerifies) {
   DataOwner owner = make_owner();
-  cloud_->set_behavior(CloudBehavior::kHonest);
   SignedQuery q = owner.issue_query(two_terms());
   SearchResponse resp = cloud_->handle(q);
   EXPECT_NO_THROW(owner.receive_response(resp));
@@ -77,10 +102,8 @@ TEST_F(ProtocolTest, CloudRejectsUnsignedQuery) {
 
 TEST_F(ProtocolTest, DroppedResultCaughtAndArbitrated) {
   DataOwner owner = make_owner();
-  cloud_->set_behavior(CloudBehavior::kDropLastResult);
   SignedQuery q = owner.issue_query(two_terms());
-  SearchResponse resp = cloud_->handle(q);
-  cloud_->set_behavior(CloudBehavior::kHonest);
+  SearchResponse resp = cheat(cloud_->handle(q), bed_->cloud_key(), drop_last_result);
   EXPECT_THROW(owner.receive_response(resp), VerifyError);
   // The owner proves the cloud's error to a third party.
   const Transcript& evidence = owner.transcript_for(q.query.id);
@@ -90,10 +113,8 @@ TEST_F(ProtocolTest, DroppedResultCaughtAndArbitrated) {
 
 TEST_F(ProtocolTest, InflatedWeightCaughtAndArbitrated) {
   DataOwner owner = make_owner();
-  cloud_->set_behavior(CloudBehavior::kInflateWeight);
   SignedQuery q = owner.issue_query(two_terms());
-  SearchResponse resp = cloud_->handle(q);
-  cloud_->set_behavior(CloudBehavior::kHonest);
+  SearchResponse resp = cheat(cloud_->handle(q), bed_->cloud_key(), inflate_weight);
   EXPECT_THROW(owner.receive_response(resp), VerifyError);
   EXPECT_EQ(arbiter_->arbitrate(owner.transcript_for(q.query.id)), Ruling::kCloudCheated);
 }
@@ -102,7 +123,6 @@ TEST_F(ProtocolTest, FalseAccusationDismissed) {
   // The owner presents a perfectly valid transcript claiming cloud fraud;
   // the arbiter dismisses it (the cloud can't be framed, §III-F).
   DataOwner owner = make_owner();
-  cloud_->set_behavior(CloudBehavior::kHonest);
   SignedQuery q = owner.issue_query(two_terms());
   SearchResponse resp = cloud_->handle(q);
   owner.receive_response(resp);
@@ -136,7 +156,6 @@ TEST_F(ProtocolTest, OwnerRejectsResponseToUnknownQuery) {
 }
 
 TEST_F(ProtocolTest, HttpRoundtrip) {
-  cloud_->set_behavior(CloudBehavior::kHonest);
   HttpFrontend frontend(*cloud_);
   frontend.start();
   DataOwner owner = make_owner();

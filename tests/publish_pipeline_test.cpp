@@ -1,10 +1,10 @@
-// Async per-shard epoch publication pipeline (tentpole of the publish
-// subsystem): a fault-injected slow shard must never delay the others'
-// swaps, queries mid-pipeline pin one fully-published epoch, superseded
-// epochs are dropped (newest wins, bounded staging), the warm stage keeps
-// every cold-path counter flat for the warmed hot set, and the whole
-// machinery survives a TSan hammer of concurrent publishes, verifying
-// queries and background compaction.
+// Asynchronous epoch publication: one publish worker behind a depth-1
+// newest-wins staging slot.  Superseded epochs are dropped (every staged
+// publish is either swapped in or counted as dropped) while the served
+// epoch never goes backwards, the warm stage keeps every cold-path counter
+// flat for the warmed hot set, and the whole machinery survives a TSan
+// hammer of concurrent publishes, store reopens, verifying queries and
+// background compaction.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,95 +25,9 @@ namespace vc {
 namespace {
 
 namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
 
 std::uint64_t counter_value(const char* name, const std::string& labels = "") {
   return obs::MetricsRegistry::global().counter(name, labels).value();
-}
-
-double ms_since(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-constexpr bool kSanitized =
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-    true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-    true;
-#else
-    false;
-#endif
-#else
-    false;
-#endif
-
-// Swap-latency gate for the non-stalled shards.  The acceptance bound is
-// 50 ms in optimized builds; debug/sanitizer legs run the same assertions
-// with slack, still far under the 500 ms stall — so the independence claim
-// (fast shards swap while the slow one sleeps) is proved on every leg.
-#ifdef NDEBUG
-constexpr double kSwapBoundMs = kSanitized ? 400.0 : 50.0;
-#else
-constexpr double kSwapBoundMs = 400.0;
-#endif
-
-constexpr std::uint64_t kStallMs = 500;
-
-TEST(PublishPipeline, SlowShardNeverDelaysOthers) {
-  SynthSpec spec{.name = "apub", .num_docs = 40, .min_doc_words = 20,
-                 .max_doc_words = 45, .vocab_size = 160, .zipf_s = 0.9, .seed = 15};
-  testbed::TestBed bed(spec, testbed::small_config(256, "apub"), /*key_seed=*/701,
-                       /*threads=*/2);
-  CloudService cloud(bed.vidx.snapshot(), bed.pub_ctx, bed.cloud_key,
-                     bed.owner_key.verify_key(), /*pool=*/nullptr,
-                     SchemeKind::kHybrid, /*shards=*/4);
-  cloud.enable_async_publish();
-  cloud.wait_published(1);  // boot restage settles before the fault goes in
-
-  std::vector<std::string> words = bed.frequent_terms(2);
-  ResultVerifier verifier = bed.owner_verifier();
-  auto run_query = [&](std::uint64_t id) {
-    Query q{.id = id, .keywords = words};
-    SignedQuery sq{q, bed.owner_key.sign(q.encode())};
-    return cloud.handle(sq);
-  };
-
-  // Shard 0's worker sleeps half a second before its swap; the other three
-  // lanes must not care.  The next snapshot is built before the clock
-  // starts so only pipeline latency is measured.
-  std::uint64_t swaps0 = counter_value("vc_shard_publishes_total", "shard=\"0\"");
-  cloud.set_publish_stall_for_test(0, kStallMs);
-  bed.vidx.add_documents(
-      {Document{spec.num_docs, "upd-0", words[0] + " " + words[1]}},
-      bed.owner_ctx, bed.owner_key);
-  SnapshotPtr next = bed.vidx.snapshot();
-  ASSERT_EQ(next->epoch(), 2u);
-
-  auto t0 = Clock::now();
-  cloud.publish(next);
-  EXPECT_LT(ms_since(t0), kSwapBoundMs) << "publish() must only stage and return";
-
-  while (cloud.epoch() < 2 && ms_since(t0) < 5000.0) std::this_thread::yield();
-  double swap_ms = ms_since(t0);
-  ASSERT_EQ(cloud.epoch(), 2u);
-  EXPECT_LT(swap_ms, kSwapBoundMs)
-      << "fast shards must swap while shard 0 is still stalled";
-
-  // Mid-stall queries pin the newest fully-built state and verify; the
-  // straggler's slot still holds epoch 1 but is never consulted for
-  // serving (max-epoch pinning).
-  SearchResponse mid = run_query(1);
-  EXPECT_EQ(mid.epoch, 2u);
-  ASSERT_NO_THROW(verifier.verify(mid));
-
-  cloud.wait_published(2);  // waits out the stalled lane
-  EXPECT_GE(ms_since(t0), static_cast<double>(kStallMs))
-      << "the stalled shard really slept before swapping";
-  EXPECT_GE(counter_value("vc_shard_publishes_total", "shard=\"0\""), swaps0 + 1);
-  SearchResponse after = run_query(2);
-  EXPECT_EQ(after.epoch, 2u);
-  ASSERT_NO_THROW(verifier.verify(after));
 }
 
 TEST(PublishPipeline, NewestWinsDropsSupersededEpochs) {
@@ -122,38 +36,55 @@ TEST(PublishPipeline, NewestWinsDropsSupersededEpochs) {
   testbed::TestBed bed(spec, testbed::small_config(256, "nwin"), /*key_seed=*/702,
                        /*threads=*/2);
   CloudService cloud(bed.vidx.snapshot(), bed.pub_ctx, bed.cloud_key,
-                     bed.owner_key.verify_key(), /*pool=*/nullptr,
-                     SchemeKind::kHybrid, /*shards=*/2);
-  cloud.enable_async_publish();
-  cloud.wait_published(1);
+                     bed.owner_key.verify_key());
 
   std::vector<std::string> words = bed.frequent_terms(2);
-  // Build three epochs up front, then stage them faster than the stalled
-  // workers can drain: each depth-1 lane must skip at least one superseded
-  // epoch instead of queueing it.
+  // Build the epochs up front, then stage them back to back: the worker
+  // either swaps each one in or finds it superseded in the slot.
+  constexpr std::uint32_t kEpochs = 5;
   std::vector<SnapshotPtr> epochs;
-  for (std::uint32_t u = 0; u < 3; ++u) {
+  for (std::uint32_t u = 0; u < kEpochs; ++u) {
     bed.vidx.add_documents(
         {Document{spec.num_docs + u, "nw-" + std::to_string(u),
                   words[0] + " " + words[1]}},
         bed.owner_ctx, bed.owner_key);
     epochs.push_back(bed.vidx.snapshot());
   }
-  for (std::size_t s = 0; s < cloud.shard_count(); ++s) {
-    cloud.set_publish_stall_for_test(s, 200);
-  }
-  std::uint64_t dropped0 = counter_value("vc_publish_dropped_total");
-  std::uint64_t staged0 = counter_value("vc_async_publishes_total");
+  const std::uint64_t dropped0 = counter_value("vc_publish_dropped_total");
+  const std::uint64_t staged0 = counter_value("vc_async_publishes_total");
+  const std::uint64_t swaps0 = counter_value("vc_snapshot_swaps_total");
+
+  // A reader polls the served epoch the whole time; it must never decrease.
+  std::atomic<bool> done{false};
+  std::atomic<bool> went_back{false};
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      std::uint64_t e = cloud.epoch();
+      if (e < last) went_back.store(true);
+      last = e;
+    }
+  });
   for (const SnapshotPtr& snap : epochs) cloud.publish(snap);
   cloud.wait_published(epochs.back()->epoch());
-  for (std::size_t s = 0; s < cloud.shard_count(); ++s) {
-    cloud.set_publish_stall_for_test(s, 0);
-  }
+  done.store(true);
+  reader.join();
 
+  EXPECT_FALSE(went_back.load()) << "the served epoch must never decrease";
   EXPECT_EQ(cloud.epoch(), epochs.back()->epoch());
-  EXPECT_EQ(counter_value("vc_async_publishes_total") - staged0, 3u);
-  EXPECT_GE(counter_value("vc_publish_dropped_total") - dropped0, 1u)
-      << "three epochs through stalled depth-1 lanes must supersede at least one";
+  const std::uint64_t staged = counter_value("vc_async_publishes_total") - staged0;
+  const std::uint64_t swaps = counter_value("vc_snapshot_swaps_total") - swaps0;
+  const std::uint64_t dropped = counter_value("vc_publish_dropped_total") - dropped0;
+  EXPECT_EQ(staged, kEpochs);
+  EXPECT_GE(swaps, 1u);
+  EXPECT_EQ(staged, swaps + dropped)
+      << "every staged epoch is either swapped in or dropped as superseded";
+
+  // An epoch older than the one served is dropped at once, never swapped.
+  cloud.publish(epochs.front());
+  cloud.wait_published(epochs.back()->epoch());
+  EXPECT_EQ(cloud.epoch(), epochs.back()->epoch());
+  EXPECT_EQ(counter_value("vc_publish_dropped_total") - dropped0, dropped + 1);
 
   ResultVerifier verifier = bed.owner_verifier();
   verifier.pin_epoch(cloud.epoch());
@@ -212,35 +143,23 @@ TEST(PublishPipeline, WarmStageAvoidsColdPathForHotTerms) {
   fs::remove_all(root);
   store::EpochStore store(root);
   store::TierArtifacts artifacts{built.tier, built.fixed_base};
-  store.publish(*snap, /*shard_count=*/2, &artifacts);
+  store.publish(*snap, /*shard_count=*/1, &artifacts);
 
-  // Reopen lazily with NO warm-on-open budget: every entry and tier table
-  // starts cold — exactly the state the pipeline's warm stage is for.
-  store::OpenedEpoch opened = store::EpochStore(root).open_current();
-  ASSERT_NE(opened.tier, nullptr);
+  // Serve the in-memory snapshot first, then republish the same epoch from
+  // the store: publish_from opens it lazily with NO warm-on-open budget, so
+  // every entry and tier table starts cold — exactly the state the publish
+  // worker's warm stage is for.
   auto pub_ctx = AccumulatorContext::public_side(owner_ctx.params());
   pub_ctx.set_pool(&pool);
-  if (opened.fixed_base && opened.fixed_base->base == pub_ctx.g()) {
-    pub_ctx.adopt_fixed_base(*opened.fixed_base);
-  }
-  CloudService cloud(opened.snapshot, pub_ctx, cloud_key, owner_key.verify_key(),
-                     /*pool=*/nullptr, SchemeKind::kHybrid, /*shards=*/2);
+  CloudService cloud(snap, pub_ctx, cloud_key, owner_key.verify_key(), /*pool=*/nullptr,
+                     SchemeKind::kHybrid, /*warm_budget_bytes=*/1ull << 30);
 
   std::uint64_t warm_terms0 = counter_value("vc_warm_terms_total");
   std::uint64_t warm_bytes0 = counter_value("vc_warm_bytes_total");
-  cloud.enable_async_publish(PublishConfig{.warm_budget_bytes = 1ull << 30});
-  // The boot restage warms off the serving path (the slots already hold
-  // this epoch, so wait_published is immediate); wait for both lanes' warm
-  // stages to finish before taking the cold-path baselines.
-  auto warm_t0 = Clock::now();
-  while (counter_value("vc_warm_terms_total") - warm_terms0 <
-             static_cast<std::uint64_t>(built.tier->term_count()) &&
-         ms_since(warm_t0) < 10000.0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  cloud.wait_published(cloud.publish_from(store));
   EXPECT_EQ(counter_value("vc_warm_terms_total") - warm_terms0,
             static_cast<std::uint64_t>(built.tier->term_count()))
-      << "both shards together must warm the whole hot set under a big budget";
+      << "the warm stage must warm the whole hot set under a big budget";
   EXPECT_GT(counter_value("vc_warm_bytes_total"), warm_bytes0);
 
   std::uint64_t entries0 = counter_value("vc_store_entries_materialized_total");
@@ -266,10 +185,10 @@ TEST(PublishPipeline, WarmStageAvoidsColdPathForHotTerms) {
   fs::remove_all(root);
 }
 
-// TSan target: concurrent async publishes (with a brief injected stall and
-// lane supersession), verifying queries pinning monotonically increasing
-// epochs, delta publication into the store and a background compaction
-// worker all running against each other.
+// TSan target: the owner's publishes race a second thread reopening the
+// store through publish_from (whose persisted fixed-base table the worker
+// adopts), verifying queries pinning monotonically increasing epochs,
+// delta publication into the store and a background compaction worker.
 TEST(PublishPipeline, PublishHammerWithQueriesAndCompaction) {
   SynthSpec spec{.name = "ham", .num_docs = 30, .min_doc_words = 20,
                  .max_doc_words = 40, .vocab_size = 140, .zipf_s = 0.9, .seed = 33};
@@ -279,13 +198,17 @@ TEST(PublishPipeline, PublishHammerWithQueriesAndCompaction) {
                   ("vc_publish_hammer." + std::to_string(::getpid()));
   fs::remove_all(root);
   store::EpochStore store(root);
-  store.publish(*bed.vidx.snapshot(), /*shard_count=*/2);
+  // A tiered base epoch, so every reopen carries a fixed-base table.
+  TierPolicy policy;
+  policy.top_k = 4;
+  TierBuildResult tier = build_witness_tier(*bed.vidx.snapshot(), bed.owner_ctx, policy);
+  ASSERT_NE(tier.tier, nullptr);
+  store::TierArtifacts artifacts{tier.tier, tier.fixed_base};
+  store.publish(*bed.vidx.snapshot(), /*shard_count=*/1, &artifacts);
   bed.vidx.note_full_publish();  // deltas chain to this base from here on
 
   CloudService cloud(bed.vidx.snapshot(), bed.pub_ctx, bed.cloud_key,
-                     bed.owner_key.verify_key(), /*pool=*/nullptr,
-                     SchemeKind::kHybrid, /*shards=*/4);
-  cloud.enable_async_publish();
+                     bed.owner_key.verify_key());
   store::CompactionWorker compactor(
       store, store::CompactionWorker::Options{.max_chain_length = 2,
                                               .poll_interval_ms = 5});
@@ -312,20 +235,33 @@ TEST(PublishPipeline, PublishHammerWithQueriesAndCompaction) {
       }
     }));
   }
+  // A second publisher keeps reopening the store's CURRENT epoch while the
+  // owner publishes: its stale reopens must be dropped, its fresh ones
+  // swapped in with the adopted fixed-base table.
+  std::atomic<bool> owner_done{false};
+  std::thread reopener([&] {
+    while (!owner_done.load()) {
+      (void)cloud.publish_from(store);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
   // The owner keeps shipping epochs: every update goes to the store as a
-  // delta (feeding the compactor) and to the serving core through the
-  // async lanes, one of which briefly stalls mid-hammer.
+  // delta (feeding the compactor) and to the serving core.
   for (std::uint32_t u = 0; u < kUpdates; ++u) {
-    if (u == 1) cloud.set_publish_stall_for_test(u % cloud.shard_count(), 10);
     bed.vidx.add_documents(
         {Document{spec.num_docs + u, "ham-" + std::to_string(u),
                   words[0] + " " + words[1] + " hammerterm"}},
         bed.owner_ctx, bed.owner_key);
     auto delta = bed.vidx.publish_delta();
-    ASSERT_TRUE(delta.has_value());
-    store.publish_delta(*delta, /*shard_count=*/2);
+    if (!delta) {
+      ADD_FAILURE() << "update " << u << " produced no delta";
+      break;
+    }
+    store.publish_delta(*delta, /*shard_count=*/1);
     cloud.publish(bed.vidx.snapshot());
   }
+  owner_done.store(true);
+  reopener.join();
   for (auto& f : futs) f.get();
   cloud.wait_published(1 + kUpdates);
   EXPECT_EQ(cloud.epoch(), 1u + kUpdates);

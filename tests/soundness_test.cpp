@@ -41,14 +41,6 @@ std::vector<std::uint64_t> seeds_from_env() {
   return seeds.empty() ? std::vector<std::uint64_t>{1, 2, 3} : seeds;
 }
 
-// Shard count for the serving core under test; VC_SHARDS=4 runs the whole
-// gate through sharded per-keyword proof generation.
-std::size_t shards_from_env() {
-  const char* env = std::getenv("VC_SHARDS");
-  if (env == nullptr || *env == '\0') return 1;
-  return std::max<std::size_t>(1, static_cast<std::size_t>(std::stoull(env)));
-}
-
 class SoundnessTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -77,8 +69,7 @@ class SoundnessTest : public ::testing::Test {
 
     SnapshotPtr live = bed_->vidx.snapshot();
     cloud_ = new CloudService(live, bed_->pub_ctx, bed_->cloud_key,
-                              bed_->owner_key.verify_key(), &bed_->pool,
-                              SchemeKind::kHybrid, shards_from_env());
+                              bed_->owner_key.verify_key(), &bed_->pool);
     mal_ = new advtest::MaliciousCloud(*cloud_, live, bed_->pub_ctx, std::move(stale));
     verifier_ = new ResultVerifier(bed_->owner_verifier());
     // The owner just pushed this epoch; pinning it is exactly the freshness

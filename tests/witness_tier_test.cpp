@@ -284,24 +284,8 @@ TEST_F(WitnessTierTest, RankHotTermsPolicies) {
     EXPECT_EQ(snap.find(t)->postings.size(), kDocs) << t;
   }
 
-  // Shard-traffic hotness: give one hot term's shard all the traffic and
-  // the winner must come from that shard.
-  constexpr std::size_t kShards = 4;
-  TierPolicy traffic_p;
-  traffic_p.top_k = 1;
-  traffic_p.shard_query_counts.assign(kShards, 0);
-  traffic_p.shard_query_counts[term_shard(normalize_term(hot(1)), kShards)] = 1000;
-  std::vector<std::string> hot_first = rank_hot_terms(snap, traffic_p);
-  ASSERT_EQ(hot_first.size(), 1u);
-  EXPECT_EQ(term_shard(hot_first[0], kShards),
-            term_shard(normalize_term(hot(1)), kShards));
-
-  // The metrics bridge reads vc_shard_queries_total per shard label.
-  auto& reg = obs::MetricsRegistry::global();
-  reg.counter("vc_shard_queries_total", "shard=\"0\"").inc();
-  std::vector<std::uint64_t> counts = shard_query_counts_from_metrics(2);
-  ASSERT_EQ(counts.size(), 2u);
-  EXPECT_EQ(counts[0], reg.counter("vc_shard_queries_total", "shard=\"0\"").value());
+  // Equal document frequency ties break by term, so the ranking is stable.
+  EXPECT_TRUE(std::is_sorted(ranked.begin(), ranked.end()));
 }
 
 TEST_F(WitnessTierTest, BudgetCapsGreedilyByHotness) {

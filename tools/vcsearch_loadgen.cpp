@@ -9,7 +9,7 @@
 // a machine-readable results/BENCH_serve_slo.json.  Optional SLO
 // thresholds turn the run into a gate: exit 3 when violated.
 //
-//   vcsearch-loadgen --spawn [--synth N] [--seed S] [--scheme S] [--shards K]
+//   vcsearch-loadgen --spawn [--synth N] [--seed S] [--scheme S]
 //   vcsearch-loadgen --port P --dir DIR [--synth N] [--seed S]
 //     --spawn           build a synthetic index and serve it in-process
 //                       (one-command smoke for CI; port 0 auto-picks)
@@ -150,11 +150,8 @@ int main(int argc, char** argv) {
     opts.corpus = spec;
     bed.emplace(std::move(opts));
     SchemeKind scheme = parse_scheme(arg_value(argc, argv, "--scheme", "hybrid"));
-    std::size_t shards =
-        std::strtoul(arg_value(argc, argv, "--shards", "1"), nullptr, 10);
     cloud.emplace(bed->vindex().snapshot(), bed->public_ctx(), bed->cloud_key(),
-                  bed->owner_key().verify_key(), &bed->pool(), scheme,
-                  std::max<std::size_t>(1, shards));
+                  bed->owner_key().verify_key(), &bed->pool(), scheme);
     frontend.emplace(*cloud, port, &bed->pool());
     frontend->start();
     port = frontend->port();

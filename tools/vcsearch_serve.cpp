@@ -4,16 +4,14 @@
 //
 //   vcsearch-serve --dir DIR [--store DIR] [--port P]
 //                  [--scheme hybrid|accumulator|bloom|interval]
-//                  [--shards N] [--max-inflight M] [--compact-chain N]
-//                  [--async-publish] [--warm-budget-mb MB]
+//                  [--max-inflight M] [--compact-chain N] [--warm-budget-mb MB]
 //                  [--slow-ms MS] [--trace-capacity N] [--profile]
 //
-// --async-publish enables the per-shard epoch publication pipeline: one
-// worker per shard swaps its slot independently (queries pin the max
-// published epoch mid-pipeline), with a witness warm stage sized by
-// --warm-budget-mb (default 16) so the first post-swap query never pays
-// the cold lazy-materialization path.  With --store, the same budget also
-// warms the boot epoch's hot terms straight off the mapping (warm-on-open).
+// --warm-budget-mb (default 16; 0 disables) sizes the witness warm stage:
+// with --store the boot epoch's hot terms are pre-materialized straight off
+// the mapping (warm-on-open), and the publish worker warms every later
+// epoch the same way before swapping it in, so the first post-swap query
+// never pays the cold lazy-materialization path.
 //
 // With --store, the server boots from the persistent epoch store when it
 // has a published epoch (mmap-backed, lazily materialized — no builder
@@ -23,9 +21,8 @@
 // signing keys live there.
 //
 // Requests are dispatched onto the worker pool (up to --max-inflight
-// concurrently; excess gets 503) and proofs are generated per shard when
-// --shards > 1 (also settable via VC_SHARDS).  SIGINT/SIGTERM drain
-// in-flight requests before exiting.
+// concurrently; excess gets 503).  SIGINT/SIGTERM drain in-flight requests
+// before exiting.
 //
 // Every /search is traced (GET /traces lists the sampled span trees;
 // /traces/<id>/chrome exports Chrome trace_event JSON for Perfetto).
@@ -89,21 +86,13 @@ int main(int argc, char** argv) {
   std::uint16_t port = static_cast<std::uint16_t>(
       std::strtoul(arg_value(argc, argv, "--port", "8080"), nullptr, 10));
   SchemeKind scheme = parse_scheme(arg_value(argc, argv, "--scheme", "hybrid"));
-  const char* shards_env = std::getenv("VC_SHARDS");
-  std::size_t shards = std::strtoul(
-      arg_value(argc, argv, "--shards",
-                (shards_env != nullptr && *shards_env != '\0') ? shards_env : "1"),
-      nullptr, 10);
-  if (shards == 0) shards = 1;
   std::size_t max_inflight =
       std::strtoul(arg_value(argc, argv, "--max-inflight", "32"), nullptr, 10);
   if (max_inflight == 0) max_inflight = 1;
   const bool profile = has_flag(argc, argv, "--profile");
-  const bool async_publish = has_flag(argc, argv, "--async-publish");
-  const std::uint64_t warm_budget_mb =
-      std::strtoull(arg_value(argc, argv, "--warm-budget-mb", "16"), nullptr, 10);
   const std::uint64_t warm_budget_bytes =
-      async_publish ? warm_budget_mb * 1024 * 1024 : 0;
+      std::strtoull(arg_value(argc, argv, "--warm-budget-mb", "16"), nullptr, 10) * 1024 *
+      1024;
 
   // Trace collection: --slow-ms / --trace-capacity override the collector's
   // env-seeded defaults (VC_SLOW_MS / VC_TRACE_CAPACITY, else 250 ms / 128).
@@ -165,7 +154,7 @@ int main(int argc, char** argv) {
                 to_hex(owner_key.verify_key().fingerprint()).substr(0, 16).c_str());
     snapshot = vidx.snapshot();
     if (store) {
-      auto published = store->publish(*snapshot, static_cast<std::uint32_t>(shards));
+      auto published = store->publish(*snapshot, /*shard_count=*/1);
       std::printf("store: published epoch %llu to %s\n",
                   static_cast<unsigned long long>(snapshot->epoch()),
                   published.c_str());
@@ -176,7 +165,7 @@ int main(int argc, char** argv) {
       standard_accumulator_modulus(snapshot->config().modulus_bits).n,
       standard_qr_generator(snapshot->config().modulus_bits)});
   if (restored_fixed_base && restored_fixed_base->base == cloud_ctx.g()) {
-    // Skip the fixed-base rebuild squarings CloudService::publish would
+    // Skip the fixed-base rebuild squarings the serving core would
     // otherwise pay on every cold start.
     cloud_ctx.adopt_fixed_base(*restored_fixed_base);
     std::printf("store: adopted persisted fixed-base table (%zu-bit capacity)\n",
@@ -184,14 +173,7 @@ int main(int argc, char** argv) {
   }
   ThreadPool pool;
   CloudService cloud(snapshot, cloud_ctx, cloud_key, owner_key.verify_key(), &pool,
-                     scheme, shards);
-  if (async_publish) {
-    // Per-shard publish workers from here on; the boot snapshot is staged
-    // once so its warm stage runs off the serving path.
-    cloud.enable_async_publish(PublishConfig{.warm_budget_bytes = warm_budget_bytes});
-    std::printf("async publish pipeline: %zu shard worker(s), warm budget %llu MB\n",
-                shards, static_cast<unsigned long long>(warm_budget_mb));
-  }
+                     scheme, warm_budget_bytes);
   HttpFrontend frontend(cloud, port, &pool, max_inflight);
   frontend.start();
 
@@ -212,9 +194,10 @@ int main(int argc, char** argv) {
   }
   std::printf("serving %s scheme on http://127.0.0.1:%u "
               "(POST /search, GET /stats, GET /metrics, GET /traces) "
-              "epoch=%llu shards=%zu max-inflight=%zu slow-ms=%llu\n",
+              "epoch=%llu max-inflight=%zu warm-budget-mb=%llu slow-ms=%llu\n",
               scheme_name(scheme), frontend.port(),
-              static_cast<unsigned long long>(snapshot->epoch()), shards, max_inflight,
+              static_cast<unsigned long long>(snapshot->epoch()), max_inflight,
+              static_cast<unsigned long long>(warm_budget_bytes / (1024 * 1024)),
               static_cast<unsigned long long>(collector.slow_threshold_ns() / 1'000'000ull));
 
   std::fflush(stdout);
