@@ -1,14 +1,15 @@
-// Cold-start benchmark: restarting the cloud from the persistent epoch
-// store versus reloading the builder artifact.
+// Cold-start benchmark: restarting the cloud lazily from the persistent
+// epoch store versus eagerly reopening a builder over the same epoch.
 //
-// The builder path (IndexBuilder::load + snapshot()) parses every term
-// entry, every interval tree and every cached prime eagerly; the store
-// path (EpochStore::open_current) validates checksums, parses the small
-// sections and maps the rest, materializing per-term state only when a
-// query touches it.  The table reports both restart latencies, the
-// store/builder speedup, and the first-proof latency on each path (the
-// store path pays its lazy parse there — the interesting question is how
-// little of the O(index) work one query actually needs).
+// The builder path (IndexBuilder::from_snapshot over the opened epoch, then
+// snapshot()) materializes every term entry and interval tree and rebuilds
+// the inverted index; the store path (EpochStore::open_current alone)
+// validates checksums, parses the small sections and maps the rest,
+// materializing per-term state only when a query touches it.  The table
+// reports both restart latencies, the store/builder speedup, and the
+// first-proof latency on each path (the store path pays its lazy parse
+// there — the interesting question is how little of the O(index) work one
+// query actually needs).
 //
 //   docs  data_mb  terms  builder_s  store_open_s  speedup  builder_proof1_s  store_proof1_s
 //
@@ -36,8 +37,6 @@ int main() {
     Testbed bed(bench_testbed_options(docs));
     fs::remove_all(work);
     fs::create_directories(work);
-    const std::string artifact = (work / "index.vc").string();
-    bed.vindex().save(artifact);
     store::EpochStore store(work / "store");
     store.publish(*bed.vindex().snapshot(), 1);
 
@@ -47,7 +46,7 @@ int main() {
     for (std::size_t r = 0; r < runs; ++r) {
       {
         Stopwatch sw;
-        IndexBuilder loaded = IndexBuilder::load(artifact);
+        IndexBuilder loaded = IndexBuilder::from_snapshot(store.open_current().snapshot);
         SnapshotPtr snap = loaded.snapshot();
         builder_s.push_back(sw.seconds());
         SearchEngine engine(snap, bed.public_ctx(), bed.cloud_key(), &bed.pool());

@@ -20,12 +20,12 @@ struct ProverAccess {
                                              const IndexEntry& e,
                                              std::span<const std::uint64_t> tuples,
                                              bool interval_form) {
-    return p.prove_tuple_membership(e, tuples, interval_form);
+    return p.prove_membership(Prover::Side::kTuples, e, tuples, interval_form);
   }
   static MembershipEvidence doc_membership(const Prover& p, const IndexEntry& e,
                                            std::span<const std::uint64_t> docs,
                                            bool interval_form) {
-    return p.prove_doc_membership(e, docs, interval_form);
+    return p.prove_membership(Prover::Side::kDocs, e, docs, interval_form);
   }
   static NonmembershipEvidence doc_nonmembership(const Prover& p,
                                                  const IndexEntry& e,

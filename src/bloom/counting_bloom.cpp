@@ -98,6 +98,11 @@ void CountingBloom::write(ByteWriter& w) const {
 
 CountingBloom CountingBloom::read(ByteReader& r) {
   BloomParams params = BloomParams::read(r);
+  // Each counter is at least a one-byte varint: a filter wider than the
+  // rest of the buffer is rejected before its counters are allocated.
+  if (params.counters > r.remaining()) {
+    throw ParseError("Bloom counter count exceeds the remaining buffer");
+  }
   CountingBloom b(params);
   b.elements_added_ = r.u64();
   std::uint64_t n = r.varint();

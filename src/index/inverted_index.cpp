@@ -1,9 +1,7 @@
 #include "index/inverted_index.hpp"
 
 #include <algorithm>
-#include <fstream>
 
-#include "support/bytes.hpp"
 #include "support/errors.hpp"
 
 namespace vc {
@@ -14,6 +12,23 @@ InvertedIndex InvertedIndex::build(const Corpus& corpus, TokenizerConfig config)
   for (const Document& doc : corpus) {
     idx.add_document(doc.id, doc.text);
   }
+  return idx;
+}
+
+InvertedIndex InvertedIndex::from_postings(
+    std::map<std::string, PostingList, std::less<>> terms) {
+  InvertedIndex idx;
+  for (const auto& [term, list] : terms) {
+    if (list.empty()) throw UsageError("from_postings: empty posting list for " + term);
+    for (std::size_t i = 1; i < list.size(); ++i) {
+      if (list[i].doc_id <= list[i - 1].doc_id) {
+        throw UsageError("from_postings: postings not sorted by docID for " + term);
+      }
+    }
+    idx.records_ += list.size();
+    idx.doc_count_ = std::max(idx.doc_count_, list.back().doc_id + 1);
+  }
+  idx.terms_ = std::move(terms);
   return idx;
 }
 
@@ -102,65 +117,6 @@ PostingList InvertedIndex::filter_by_docs(const PostingList& list,
     }
   }
   return out;
-}
-
-void InvertedIndex::write(ByteWriter& w) const {
-  w.str("vc.inverted-index.v1");
-  w.u32(doc_count_);
-  w.u64(records_);
-  w.varint(terms_.size());
-  for (const auto& [term, list] : terms_) {
-    w.str(term);
-    w.varint(list.size());
-    std::uint32_t prev = 0;
-    for (const Posting& p : list) {
-      w.varint(p.doc_id - prev);  // delta-encoded docIDs
-      w.varint(p.tf);
-      prev = p.doc_id;
-    }
-  }
-}
-
-InvertedIndex InvertedIndex::read(ByteReader& r) {
-  if (r.str() != "vc.inverted-index.v1") throw ParseError("bad index header");
-  InvertedIndex idx;
-  idx.doc_count_ = r.u32();
-  idx.records_ = r.u64();
-  std::uint64_t n_terms = r.varint();
-  for (std::uint64_t t = 0; t < n_terms; ++t) {
-    std::string term = r.str();
-    std::uint64_t n = r.varint();
-    PostingList list;
-    list.reserve(n);
-    std::uint32_t prev = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::uint32_t delta = static_cast<std::uint32_t>(r.varint());
-      std::uint32_t tf = static_cast<std::uint32_t>(r.varint());
-      prev += delta;
-      list.push_back(Posting{prev, tf});
-    }
-    idx.terms_.emplace(std::move(term), std::move(list));
-  }
-  return idx;
-}
-
-void InvertedIndex::save(const std::string& path) const {
-  ByteWriter w;
-  write(w);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw UsageError("cannot open for write: " + path);
-  out.write(reinterpret_cast<const char*>(w.data().data()),
-            static_cast<std::streamsize>(w.size()));
-}
-
-InvertedIndex InvertedIndex::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw UsageError("cannot open for read: " + path);
-  Bytes data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  ByteReader r(data);
-  InvertedIndex idx = read(r);
-  r.expect_done();
-  return idx;
 }
 
 }  // namespace vc

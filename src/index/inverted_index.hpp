@@ -37,13 +37,21 @@ class InvertedIndex {
 
   static InvertedIndex build(const Corpus& corpus, TokenizerConfig config = {});
 
+  // Rebuilds an index from per-term posting lists (each non-empty, sorted by
+  // doc_id, unique) — what reopening a builder from a published epoch has.
+  // doc_count() becomes 1 + the highest docID present.
+  static InvertedIndex from_postings(std::map<std::string, PostingList, std::less<>> terms);
+
   // Adds one document's postings (docID must be new and larger than any
   // indexed one so lists stay sorted).  Returns the touched terms.
   std::vector<std::string> add_document(std::uint32_t doc_id, std::string_view text);
 
   // Removes every posting of the given (sorted) docIDs.  Returns the
   // removed postings per touched term; terms whose lists empty out are
-  // erased from the index.  DocIDs are never reused.
+  // erased from the index.  doc_count() does not shrink, so this index never
+  // reissues a removed docID — but an index rebuilt with from_postings()
+  // (a builder reopened from the store) only knows the surviving postings,
+  // and docIDs above the highest surviving one may be issued again.
   std::map<std::string, PostingList, std::less<>> remove_documents(
       std::span<const std::uint64_t> doc_ids);
 
@@ -71,12 +79,6 @@ class InvertedIndex {
   // Postings for a subset of docIDs (result assembly).
   static PostingList filter_by_docs(const PostingList& list,
                                     std::span<const std::uint64_t> doc_ids);
-
-  void save(const std::string& path) const;
-  static InvertedIndex load(const std::string& path);
-  // Buffer-level forms (embedded in the verifiable-index artifact).
-  void write(ByteWriter& w) const;
-  static InvertedIndex read(ByteReader& r);
 
   friend bool operator==(const InvertedIndex&, const InvertedIndex&) = default;
 

@@ -99,13 +99,13 @@ DictionaryIntervals DictionaryIntervals::read(ByteReader& r) {
   if (r.str() != "vc.dict-intervals.v1") throw ParseError("bad dict-intervals tag");
   DictionaryIntervals dict;
   dict.root_ = Bigint::read(r);
-  std::uint64_t nw = r.varint();
+  const std::size_t nw = r.count(1);  // length-prefixed words
   dict.words_.reserve(nw);
-  for (std::uint64_t i = 0; i < nw; ++i) dict.words_.push_back(r.str());
-  std::uint64_t ng = r.varint();
+  for (std::size_t i = 0; i < nw; ++i) dict.words_.push_back(r.str());
+  const std::size_t ng = r.count(Bigint::kMinEncodedBytes);
   if (ng != nw + 1) throw ParseError("dict-intervals gap count mismatch");
   dict.gap_witnesses_.reserve(ng);
-  for (std::uint64_t i = 0; i < ng; ++i) dict.gap_witnesses_.push_back(Bigint::read(r));
+  for (std::size_t i = 0; i < ng; ++i) dict.gap_witnesses_.push_back(Bigint::read(r));
   return dict;
 }
 

@@ -492,9 +492,9 @@ IntervalIndex IntervalIndex::read(ByteReader& r) {
   idx.element_prime_config_ = read_prime_config(r);
   idx.root_ = Bigint::read(r);
   idx.elements_ = read_members(r);
-  std::uint64_t n = r.varint();
+  const std::size_t n = r.count(16);  // each interval carries two u64 bounds
   idx.intervals_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     Interval iv;
     iv.desc = IntervalDescriptor::read(r);
     iv.members = read_members(r);

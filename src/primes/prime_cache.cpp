@@ -1,10 +1,8 @@
 #include "primes/prime_cache.hpp"
 
 #include <algorithm>
-#include <fstream>
 
 #include "obs/metrics.hpp"
-#include "support/errors.hpp"
 #include "support/threadpool.hpp"
 
 namespace vc {
@@ -148,46 +146,6 @@ std::vector<std::pair<std::uint64_t, Bigint>> PrimeCache::merged_entries() const
 std::shared_ptr<const PrimeBacking> PrimeCache::backing() const {
   std::shared_lock lock(mu_);
   return backing_;
-}
-
-void PrimeCache::write(ByteWriter& w) const {
-  std::shared_lock lock(mu_);
-  w.str("vc.prime-cache.v1");
-  w.varint(cache_.size());
-  for (const auto& [k, v] : cache_) {
-    w.u64(k);
-    v.write(w);
-  }
-}
-
-void PrimeCache::read_into(ByteReader& r) {
-  if (r.str() != "vc.prime-cache.v1") throw ParseError("bad prime-cache header");
-  std::uint64_t count = r.varint();
-  std::unique_lock lock(mu_);
-  cache_.clear();
-  cache_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t k = r.u64();
-    cache_.emplace(k, Bigint::read(r));
-  }
-}
-
-void PrimeCache::save(const std::string& path) const {
-  ByteWriter w;
-  write(w);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw UsageError("cannot open for write: " + path);
-  out.write(reinterpret_cast<const char*>(w.data().data()),
-            static_cast<std::streamsize>(w.size()));
-}
-
-void PrimeCache::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw UsageError("cannot open for read: " + path);
-  Bytes data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  ByteReader r(data);
-  read_into(r);
-  r.expect_done();
 }
 
 }  // namespace vc

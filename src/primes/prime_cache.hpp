@@ -5,7 +5,8 @@
 // representatives of every index element offline, so that online proof
 // generation only performs table lookups.  This cache is that store: a
 // thread-safe map from 64-bit elements to primes, with bulk parallel
-// pre-computation and binary save/load.
+// pre-computation.  On disk it lives in the epoch store's binary-searchable
+// prime sections, served back through a PrimeBacking.
 #pragma once
 
 #include <atomic>
@@ -66,13 +67,6 @@ class PrimeCache {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
-
-  // Binary persistence of the cache contents.
-  void save(const std::string& path) const;
-  void load(const std::string& path);
-  // Buffer-level forms (embedded in the verifiable-index artifact).
-  void write(ByteWriter& w) const;
-  void read_into(ByteReader& r);
 
   // Installs a read-only lookup tier consulted on map misses (see
   // PrimeBacking).  Entries found there are promoted into the map and

@@ -147,43 +147,47 @@ IntervalIndex::ChatProvider make_chat_provider(const AccumulatorContext& ctx,
 
 }  // namespace
 
-MembershipEvidence Prover::prove_tuple_membership(const IndexEntry& entry,
-                                                  std::span<const std::uint64_t> tuples,
-                                                  bool interval_form,
-                                                  const TermWitnessTable* tier) const {
+MembershipEvidence Prover::prove_membership(Side side, const IndexEntry& entry,
+                                            std::span<const std::uint64_t> values,
+                                            bool interval_form,
+                                            const TermWitnessTable* tier) const {
   static obs::Histogram& stage = obs::MetricsRegistry::global().stage("membership_witness");
   obs::Span span(stage, "membership_witness");
+  const bool tuples = side == Side::kTuples;
+  PrimeCache& primes = tuples ? snap_->tuple_primes() : snap_->doc_primes();
   MembershipEvidence ev;
   ev.interval_form = interval_form;
   if (interval_form) {
     IntervalIndex::ChatProvider provider;
     std::atomic<bool> served{tier != nullptr};
     if (tier != nullptr) {
-      provider =
-          make_chat_provider(ctx_, tier->interval_tuple, snap_->tuple_primes(), served);
+      provider = make_chat_provider(
+          ctx_, tuples ? tier->interval_tuple : tier->interval_doc, primes, served);
     }
-    ev.interval =
-        entry.tuple_intervals.prove_membership(ctx_, tuples, snap_->tuple_primes(), provider);
-    if (tier_ != nullptr && !tuples.empty()) {
+    const IntervalIndex& intervals = tuples ? entry.tuple_intervals : entry.doc_intervals;
+    ev.interval = intervals.prove_membership(ctx_, values, primes, provider);
+    if (tier_ != nullptr && !values.empty()) {
       bool hit = served.load();
       (hit ? tier_hits() : tier_misses()).inc();
       obs::trace_attr("witness_tier", hit ? "hit" : "miss");
     }
     return ev;
   }
-  if (tuples.empty()) {
+  if (values.empty()) {
     // The empty subset's witness is g^(Π all reps) — exactly the flat
     // accumulator the owner attested.  Witness residues are unique, so
     // serving it from the statement is byte-identical to the complement
     // exponentiation it replaces.
-    ev.flat_witness = entry.attestation.stmt.tuple_acc;
+    ev.flat_witness =
+        tuples ? entry.attestation.stmt.tuple_acc : entry.attestation.stmt.doc_acc;
     return ev;
   }
   if (tier != nullptr) {
     static obs::Histogram& lookup_stage = obs::MetricsRegistry::global().stage("tier_lookup");
     obs::Span lookup_span(lookup_stage, "tier_lookup");
-    if (std::optional<Bigint> w = tiered_subset_witness(
-            ctx_, tier->flat_tuple, tuples, entry.postings.size(), snap_->tuple_primes())) {
+    if (std::optional<Bigint> w =
+            tiered_subset_witness(ctx_, tuples ? tier->flat_tuple : tier->flat_doc, values,
+                                  entry.postings.size(), primes)) {
       tier_hits().inc();
       obs::trace_attr("witness_tier", "hit");
       ev.flat_witness = *std::move(w);
@@ -198,63 +202,10 @@ MembershipEvidence Prover::prove_tuple_membership(const IndexEntry& entry,
   std::vector<Bigint> rest;
   rest.reserve(entry.postings.size());
   for (const Posting& p : entry.postings) {
-    std::uint64_t t = InvertedIndex::encode_tuple(p);
-    if (!std::binary_search(tuples.begin(), tuples.end(), t)) {
-      rest.push_back(snap_->tuple_primes().get(t));
-    }
-  }
-  ev.flat_witness = membership_witness(ctx_, rest);
-  return ev;
-}
-
-MembershipEvidence Prover::prove_doc_membership(const IndexEntry& entry,
-                                                std::span<const std::uint64_t> docs,
-                                                bool interval_form,
-                                                const TermWitnessTable* tier) const {
-  static obs::Histogram& stage = obs::MetricsRegistry::global().stage("membership_witness");
-  obs::Span span(stage, "membership_witness");
-  MembershipEvidence ev;
-  ev.interval_form = interval_form;
-  if (interval_form) {
-    IntervalIndex::ChatProvider provider;
-    std::atomic<bool> served{tier != nullptr};
-    if (tier != nullptr) {
-      provider = make_chat_provider(ctx_, tier->interval_doc, snap_->doc_primes(), served);
-    }
-    ev.interval =
-        entry.doc_intervals.prove_membership(ctx_, docs, snap_->doc_primes(), provider);
-    if (tier_ != nullptr && !docs.empty()) {
-      bool hit = served.load();
-      (hit ? tier_hits() : tier_misses()).inc();
-      obs::trace_attr("witness_tier", hit ? "hit" : "miss");
-    }
-    return ev;
-  }
-  if (docs.empty()) {
-    ev.flat_witness = entry.attestation.stmt.doc_acc;
-    return ev;
-  }
-  if (tier != nullptr) {
-    static obs::Histogram& lookup_stage = obs::MetricsRegistry::global().stage("tier_lookup");
-    obs::Span lookup_span(lookup_stage, "tier_lookup");
-    if (std::optional<Bigint> w = tiered_subset_witness(
-            ctx_, tier->flat_doc, docs, entry.postings.size(), snap_->doc_primes())) {
-      tier_hits().inc();
-      obs::trace_attr("witness_tier", "hit");
-      ev.flat_witness = *std::move(w);
-      return ev;
-    }
-  }
-  if (tier_ != nullptr) {
-    tier_misses().inc();
-    obs::trace_attr("witness_tier", "miss");
-  }
-  std::vector<Bigint> rest;
-  rest.reserve(entry.postings.size());
-  for (const Posting& p : entry.postings) {
-    std::uint64_t d = InvertedIndex::encode_doc(p.doc_id);
-    if (!std::binary_search(docs.begin(), docs.end(), d)) {
-      rest.push_back(snap_->doc_primes().get(d));
+    std::uint64_t v =
+        tuples ? InvertedIndex::encode_tuple(p) : InvertedIndex::encode_doc(p.doc_id);
+    if (!std::binary_search(values.begin(), values.end(), v)) {
+      rest.push_back(primes.get(v));
     }
   }
   ev.flat_witness = membership_witness(ctx_, rest);
@@ -310,8 +261,9 @@ AccumulatorIntegrity Prover::make_accumulator_integrity(
 
   U64Set base_docs = InvertedIndex::doc_set(entries[base]->postings);
   integrity.check_docs = set_difference(base_docs, result.docs);
-  integrity.check_membership = prove_doc_membership(
-      *entries[base], integrity.check_docs, interval_form, tier_for(result.keywords[base]));
+  integrity.check_membership =
+      prove_membership(Side::kDocs, *entries[base], integrity.check_docs, interval_form,
+                       tier_for(result.keywords[base]));
 
   // Assign every check doc to the smallest other keyword missing it, then
   // aggregate one nonmembership witness per keyword (§III-C).
@@ -398,8 +350,8 @@ BloomIntegrity Prover::make_bloom_integrity(
         }
       }
     }
-    part.check_membership = prove_doc_membership(*entries[i], part.check_elements,
-                                                 interval_form, tier_for(result.keywords[i]));
+    part.check_membership = prove_membership(Side::kDocs, *entries[i], part.check_elements,
+                                             interval_form, tier_for(result.keywords[i]));
     integrity.parts[i] = std::move(part);
   });
   return integrity;
@@ -445,8 +397,8 @@ QueryProof Prover::prove(const SearchResult& result, SchemeKind scheme) const {
     for_each_index(pool_, entries.size(), [&](std::size_t i) {
       U64Set tuples = InvertedIndex::tuple_set(result.postings[i]);
       std::sort(tuples.begin(), tuples.end());
-      correctness.keywords[i] = prove_tuple_membership(*entries[i], tuples, interval_form,
-                                                       tier_for(result.keywords[i]));
+      correctness.keywords[i] = prove_membership(Side::kTuples, *entries[i], tuples,
+                                                 interval_form, tier_for(result.keywords[i]));
     });
     return correctness;
   };
@@ -637,7 +589,7 @@ void Prover::prove_boolean(BooleanQueryResponse& body,
     const TermWitnessTable* tier = tier_for(body.terms[i]);
     BooleanTermFacts f;
     f.members = std::move(members[i]);
-    f.membership = prove_doc_membership(*entries[i], f.members, interval_form, tier);
+    f.membership = prove_membership(Side::kDocs, *entries[i], f.members, interval_form, tier);
     f.nonmembers = std::move(nonmembers[i]);
     if (!f.nonmembers.empty()) {
       f.nonmembership = prove_doc_nonmembership(*entries[i], f.nonmembers, interval_form);
@@ -646,7 +598,7 @@ void Prover::prove_boolean(BooleanQueryResponse& body,
     U64Set tuples = InvertedIndex::tuple_set(body.postings[i]);
     std::sort(tuples.begin(), tuples.end());
     proof.correctness.keywords[i] =
-        prove_tuple_membership(*entries[i], tuples, interval_form, tier);
+        prove_membership(Side::kTuples, *entries[i], tuples, interval_form, tier);
   });
 
   for (const auto& u : unknowns) {

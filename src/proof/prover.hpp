@@ -59,24 +59,23 @@ class Prover {
   // honest cloud would never argue about.  Not part of the proving API.
   friend struct advtest::ProverAccess;
 
-  struct EntryRef {
-    const IndexEntry* entry;
-  };
-
   [[nodiscard]] std::vector<const IndexEntry*> lookup(
       const SearchResult& result) const;
+
+  // Which accumulated set a membership proof argues about: the (docID, tf)
+  // tuples (correctness) or the bare docIDs (integrity).  The side picks
+  // the interval tree, the tier subtables, the prime cache, the element
+  // encoding and the attested flat accumulator.
+  enum class Side { kTuples, kDocs };
 
   // `tier` is the term's materialized witness table when one exists (null
   // otherwise): membership witnesses it can serve skip the complement
   // exponentiation entirely — singleton subsets are pure lookups — and any
   // miss falls back to the compute path below.  Witness residues are unique,
   // so the returned evidence is byte-identical either way.
-  [[nodiscard]] MembershipEvidence prove_tuple_membership(
-      const IndexEntry& entry, std::span<const std::uint64_t> tuples, bool interval_form,
-      const TermWitnessTable* tier = nullptr) const;
-  [[nodiscard]] MembershipEvidence prove_doc_membership(
-      const IndexEntry& entry, std::span<const std::uint64_t> docs, bool interval_form,
-      const TermWitnessTable* tier = nullptr) const;
+  [[nodiscard]] MembershipEvidence prove_membership(
+      Side side, const IndexEntry& entry, std::span<const std::uint64_t> values,
+      bool interval_form, const TermWitnessTable* tier = nullptr) const;
   [[nodiscard]] NonmembershipEvidence prove_doc_nonmembership(
       const IndexEntry& entry, std::span<const std::uint64_t> docs,
       bool interval_form) const;

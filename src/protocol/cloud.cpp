@@ -183,9 +183,10 @@ void CloudService::publish_loop() {
     std::exception_ptr failure;
     try {
       StatePtr state = build_state(next.snap, next.fixed_base);
-      // Warm stage: pre-materialize the tier's hot terms (publish-time
-      // order, hottest first) so the first post-swap queries skip the lazy
-      // decode path.
+      // Warm stage: pre-materialize the tier's terms so the first post-swap
+      // queries skip the lazy decode path.  tier->terms() is sorted by term,
+      // not by hotness, so a budget smaller than the tier warms the
+      // alphabetically first tiered terms.
       if (auto tier = next.snap->witness_tier(); tier != nullptr && warm_budget_bytes_ > 0) {
         store::warm_epoch(*next.snap, tier.get(), tier->terms(), warm_budget_bytes_);
       }

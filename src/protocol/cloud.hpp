@@ -47,9 +47,9 @@ class CloudService {
  public:
   // Builds the serving state for `snapshot` before returning.  A non-zero
   // `warm_budget_bytes` makes the publish worker pre-materialize each
-  // published epoch's tiered hot terms (hottest first, until that many
-  // stored bytes are resident) before swapping it in; 0 disables the warm
-  // stage.
+  // published epoch's tiered terms (in the tier's sorted term order, until
+  // that many stored bytes are resident) before swapping it in; 0 disables
+  // the warm stage.
   CloudService(SnapshotPtr snapshot, AccumulatorContext public_ctx,
                SigningKey cloud_key, VerifyKey owner_key, ThreadPool* pool = nullptr,
                SchemeKind scheme = SchemeKind::kHybrid, std::uint64_t warm_budget_bytes = 0);

@@ -54,9 +54,9 @@ inline void write_entry(ByteWriter& w, const IndexEntry& e) {
 
 inline std::shared_ptr<const IndexEntry> read_entry(ByteReader& r) {
   auto e = std::make_shared<IndexEntry>();
-  std::uint64_t n = r.varint();
+  const std::size_t n = r.count(8);  // u32 docID + u32 tf per posting
   e->postings.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     Posting p{};
     p.doc_id = r.u32();
     p.tf = r.u32();
@@ -163,6 +163,13 @@ struct TermLoc {
   std::uint64_t size = 0;
 };
 
+// True when [offset, offset + size) lies inside [0, limit).  Written so no
+// sum can wrap: a crafted extent near 2^64 must not slip past the check
+// (section CRCs are not authentication — a forged file carries valid ones).
+inline bool extent_fits(std::uint64_t offset, std::uint64_t size, std::uint64_t limit) {
+  return offset <= limit && size <= limit - offset;
+}
+
 class MappedEntrySource final : public EntrySource {
  public:
   MappedEntrySource(std::shared_ptr<const MappedFile> file,
@@ -263,7 +270,7 @@ inline ParsedLayout parse_layout(std::span<const std::uint8_t> data,
       throw StoreCorruptError("section " + std::string(section_name(s.id)) +
                               " not contiguous");
     }
-    if (s.offset + s.size > data.size()) {
+    if (!extent_fits(s.offset, s.size, data.size())) {
       throw StoreTruncatedError("section " + std::string(section_name(s.id)) +
                                 " extends past end of file");
     }

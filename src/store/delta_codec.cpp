@@ -120,14 +120,14 @@ OpenedDelta open_delta(std::shared_ptr<const MappedFile> file, const OpenOptions
 
   auto entries_sec = detail::section_bytes(data, layout, SectionId::kDeltaEntries);
   ByteReader td(detail::section_bytes(data, layout, SectionId::kDeltaTermDirectory));
-  std::uint64_t touched = td.varint();
+  const std::size_t touched = td.count(3);  // name, offset, size: a byte each at least
   std::vector<TermLoc> locs;
   out.touched_terms.reserve(touched);
   locs.reserve(touched);
-  for (std::uint64_t i = 0; i < touched; ++i) {
+  for (std::size_t i = 0; i < touched; ++i) {
     out.touched_terms.push_back(td.str());
     TermLoc loc{.offset = td.varint(), .size = td.varint()};
-    if (loc.offset + loc.size > entries_sec.size()) {
+    if (!detail::extent_fits(loc.offset, loc.size, entries_sec.size())) {
       throw StoreCorruptError("delta term directory points past entries section");
     }
     if (i > 0 && out.touched_terms[i] <= out.touched_terms[i - 1]) {
@@ -139,9 +139,9 @@ OpenedDelta open_delta(std::shared_ptr<const MappedFile> file, const OpenOptions
   out.source = std::make_shared<const MappedEntrySource>(file, entries_sec, std::move(locs));
 
   ByteReader rm(detail::section_bytes(data, layout, SectionId::kDeltaRemoved));
-  std::uint64_t removed = rm.varint();
+  const std::size_t removed = rm.count(1);
   out.removed_terms.reserve(removed);
-  for (std::uint64_t i = 0; i < removed; ++i) {
+  for (std::size_t i = 0; i < removed; ++i) {
     out.removed_terms.push_back(rm.str());
     if (i > 0 && out.removed_terms[i] <= out.removed_terms[i - 1]) {
       throw StoreCorruptError("delta removed terms not strictly sorted");

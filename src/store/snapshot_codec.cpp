@@ -198,15 +198,15 @@ OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file, OpenOptions op
   auto entries_sec = section_bytes(data, layout, SectionId::kEntries);
   ByteReader td(section_bytes(data, layout, SectionId::kTermDirectory));
   std::uint64_t max_posting_count = td.u64();
-  std::uint64_t term_count = td.varint();
+  const std::size_t term_count = td.count(3);  // name, offset, size: a byte each at least
   std::vector<std::string> terms;
   std::vector<TermLoc> locs;
   terms.reserve(term_count);
   locs.reserve(term_count);
-  for (std::uint64_t i = 0; i < term_count; ++i) {
+  for (std::size_t i = 0; i < term_count; ++i) {
     terms.push_back(td.str());
     TermLoc loc{.offset = td.varint(), .size = td.varint()};
-    if (loc.offset + loc.size > entries_sec.size()) {
+    if (!detail::extent_fits(loc.offset, loc.size, entries_sec.size())) {
       throw StoreCorruptError("term directory points past entries section");
     }
     locs.push_back(loc);
@@ -237,15 +237,15 @@ OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file, OpenOptions op
     auto tables_sec = section_bytes(data, layout, SectionId::kWitnessTables);
     ByteReader tier_r(section_bytes(data, layout, SectionId::kWitnessTierDir));
     std::uint64_t tier_bytes = tier_r.u64();
-    std::uint64_t tier_terms = tier_r.varint();
+    const std::size_t tier_terms = tier_r.count(3);
     std::vector<std::string> tiered;
     std::vector<TermLoc> tier_locs;
     tiered.reserve(tier_terms);
     tier_locs.reserve(tier_terms);
-    for (std::uint64_t i = 0; i < tier_terms; ++i) {
+    for (std::size_t i = 0; i < tier_terms; ++i) {
       tiered.push_back(tier_r.str());
       TermLoc loc{.offset = tier_r.varint(), .size = tier_r.varint()};
-      if (loc.offset + loc.size > tables_sec.size()) {
+      if (!detail::extent_fits(loc.offset, loc.size, tables_sec.size())) {
         throw StoreCorruptError("witness-tier directory points past tables section");
       }
       tier_locs.push_back(loc);

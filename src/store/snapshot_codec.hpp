@@ -74,9 +74,9 @@ struct OpenOptions {
   // are the data.  Base-section corruption still throws.
   bool degrade_tier_on_corruption = false;
   // Warm-on-open: pre-materialize tiered terms' witness tables and index
-  // entries (hottest-first per the tier's publish-time order) until this
-  // many bytes are resident, so a cold restart's first queries skip the
-  // lazy call_once path.  0 disables.  Warming is an optimization — it
+  // entries (in the tier's sorted term order — alphabetical, not by
+  // hotness) until this many bytes are resident, so a cold restart's first
+  // queries skip the lazy call_once path.  0 disables.  Warming is an optimization — it
   // never affects what the open returns, only when the decode cost is paid.
   std::uint64_t warm_budget_bytes = 0;
 };

@@ -1,7 +1,6 @@
 #include "vindex/index_builder.hpp"
 
 #include <algorithm>
-#include <fstream>
 
 #include "bloom/compressed_bloom.hpp"
 #include "support/errors.hpp"
@@ -212,64 +211,25 @@ std::optional<IndexDelta> IndexBuilder::publish_delta() {
   return d;
 }
 
-void IndexBuilder::save(const std::string& path, bool include_prime_caches) const {
-  ByteWriter w;
-  w.str("vc.verifiable-index.v2");
-  config_.write(w);
-  w.u64(epoch_);
-  index_.write(w);
-  w.varint(entries_.size());
-  for (const auto& [term, e] : entries_) {
-    w.str(term);
-    e->tuple_intervals.write(w);
-    e->doc_intervals.write(w);
-    e->doc_bloom.write(w);
-    e->attestation.write(w);
-    e->bloom_attestation.write(w);
+IndexBuilder IndexBuilder::from_snapshot(const SnapshotPtr& snap) {
+  if (snap == nullptr) throw UsageError("from_snapshot requires a snapshot");
+  IndexBuilder vidx(snap->config());
+  vidx.epoch_ = snap->epoch();
+  std::map<std::string, PostingList, std::less<>> postings;
+  for (const auto& [term, unused] : snap->entries()) {
+    const IndexEntry* e = snap->find(term);
+    if (e == nullptr) throw Error("snapshot entry vanished for term " + term);
+    vidx.entries_.emplace_hint(vidx.entries_.end(), term,
+                               std::shared_ptr<const IndexEntry>(snap, e));
+    postings.emplace_hint(postings.end(), term, e->postings);
   }
-  dict_->write(w);
-  dict_attestation_->write(w);
-  w.u8(include_prime_caches ? 1 : 0);
-  if (include_prime_caches) {
-    tuple_primes_->write(w);
-    doc_primes_->write(w);
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw UsageError("cannot open for write: " + path);
-  out.write(reinterpret_cast<const char*>(w.data().data()),
-            static_cast<std::streamsize>(w.size()));
-}
-
-IndexBuilder IndexBuilder::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw UsageError("cannot open for read: " + path);
-  Bytes data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  ByteReader r(data);
-  if (r.str() != "vc.verifiable-index.v2") throw ParseError("bad verifiable-index tag");
-  IndexBuilder vidx(VerifiableIndexConfig::read(r));
-  vidx.epoch_ = r.u64();
-  vidx.index_ = InvertedIndex::read(r);
-  std::uint64_t n = r.varint();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string term = r.str();
-    IndexEntry e;
-    e.tuple_intervals = IntervalIndex::read(r);
-    e.doc_intervals = IntervalIndex::read(r);
-    e.doc_bloom = CountingBloom::read(r);
-    e.attestation = TermAttestation::read(r);
-    e.bloom_attestation = BloomAttestation::read(r);
-    const PostingList* postings = vidx.index_.find(term);
-    if (postings == nullptr) throw ParseError("entry for unknown term: " + term);
-    e.postings = *postings;
-    vidx.entries_.emplace(std::move(term), std::make_shared<const IndexEntry>(std::move(e)));
-  }
-  vidx.dict_ = std::make_shared<DictionaryIntervals>(DictionaryIntervals::read(r));
-  vidx.dict_attestation_ = std::make_shared<DictAttestation>(DictAttestation::read(r));
-  if (r.u8() != 0) {
-    vidx.tuple_primes_->read_into(r);
-    vidx.doc_primes_->read_into(r);
-  }
-  r.expect_done();
+  vidx.index_ = InvertedIndex::from_postings(std::move(postings));
+  vidx.dict_ = std::shared_ptr<const DictionaryIntervals>(snap, &snap->dictionary());
+  vidx.dict_attestation_ =
+      std::shared_ptr<const DictAttestation>(snap, &snap->dict_attestation());
+  vidx.tuple_primes_ = std::shared_ptr<PrimeCache>(snap, &snap->tuple_primes());
+  vidx.doc_primes_ = std::shared_ptr<PrimeCache>(snap, &snap->doc_primes());
+  vidx.note_full_publish();
   return vidx;
 }
 

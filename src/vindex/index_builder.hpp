@@ -167,11 +167,14 @@ class IndexBuilder {
   [[nodiscard]] std::uint64_t last_published_epoch() const { return last_published_epoch_; }
 
   // --- outsourcing ---------------------------------------------------------
-  // Serializes the complete structure — index, per-term entries, dictionary
-  // and (optionally) the pre-computed prime caches — into the artifact the
-  // owner uploads (§III-B).
-  void save(const std::string& path, bool include_prime_caches = true) const;
-  static IndexBuilder load(const std::string& path);
+  // The owner outsources the index by publishing its snapshot into the
+  // epoch store (store/epoch_store.hpp), the only on-disk form.  This
+  // reopens a builder from a published epoch: every entry is materialized
+  // and aliased to `snap` (the dictionary, its attestation and the prime
+  // caches are shared with it too), the inverted index is rebuilt from the
+  // entries' postings with doc_count() = 1 + the highest docID, and the
+  // delta state is reset so the next publish_delta() chains to snap's epoch.
+  static IndexBuilder from_snapshot(const SnapshotPtr& snap);
 
   // The receipt check the cloud performs before acknowledging: every
   // attestation must verify under the owner's key, and every entry must be

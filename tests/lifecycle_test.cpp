@@ -1,8 +1,9 @@
-// Full-lifecycle integration test: build → outsource (save/load + receipt
-// validation) → serve over HTTP → verified queries → incremental adds →
-// deletes → verified queries again → dispute arbitration.  One scenario
-// exercising every subsystem against the same index.
+// Full-lifecycle integration test: build → outsource (epoch-store publish,
+// reopen + receipt validation) → serve over HTTP → verified queries →
+// incremental adds → deletes → verified queries again → dispute arbitration.
+// One scenario exercising every subsystem against the same index.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 
@@ -11,6 +12,7 @@
 #include "protocol/cloud.hpp"
 #include "protocol/http.hpp"
 #include "protocol/owner.hpp"
+#include "store/epoch_store.hpp"
 #include "support/errors.hpp"
 #include "support/threadpool.hpp"
 #include "text/stemmer.hpp"
@@ -42,11 +44,15 @@ TEST(Lifecycle, EndToEnd) {
   IndexBuilder built = IndexBuilder::build(InvertedIndex::build(corpus), owner_ctx,
                                                  owner_key, cfg, pool);
 
-  // --- outsource: serialize, reload as the cloud, validate receipt -----------
-  auto path = (std::filesystem::temp_directory_path() / "vc_lifecycle.vc").string();
-  built.save(path);
-  IndexBuilder vidx = IndexBuilder::load(path);
-  std::filesystem::remove(path);
+  // --- outsource: publish into the store, reopen as the cloud, validate -----
+  auto store_dir = std::filesystem::temp_directory_path() /
+                   ("vc_lifecycle_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(store_dir);
+  IndexBuilder vidx = [&] {
+    store::EpochStore store(store_dir);
+    store.publish(*built.snapshot(), /*shard_count=*/1);
+    return IndexBuilder::from_snapshot(store.open_current().snapshot);
+  }();
   ASSERT_NO_THROW(vidx.validate(owner_key.verify_key()));
 
   CloudService cloud(vidx.snapshot(), pub_ctx, cloud_key, owner_key.verify_key(), &pool);
@@ -117,6 +123,7 @@ TEST(Lifecycle, EndToEnd) {
   EXPECT_EQ(arbiter.arbitrate(owner.transcripts().front()), Ruling::kResponseValid);
 
   frontend.stop();
+  std::filesystem::remove_all(store_dir);
 }
 
 }  // namespace

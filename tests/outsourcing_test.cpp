@@ -1,6 +1,7 @@
-// Outsourcing-flow tests: the owner serializes the verifiable index, the
-// cloud loads it, validates every signature (the "acknowledge receipt" step
-// of Fig 1), and serves proofs from the loaded copy.
+// Outsourcing-flow tests: the owner publishes the verifiable index into the
+// epoch store, the cloud reopens it (IndexBuilder::from_snapshot over the
+// store's CURRENT epoch), validates every signature (the "acknowledge
+// receipt" step of Fig 1), and serves proofs from the reopened copy.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -8,6 +9,8 @@
 #include <fstream>
 #include <string>
 
+#include "store/delta_codec.hpp"
+#include "store/epoch_store.hpp"
 #include "support/errors.hpp"
 #include "test_fixtures.hpp"
 #include "text/synth.hpp"
@@ -15,6 +18,8 @@
 
 namespace vc {
 namespace {
+
+namespace fs = std::filesystem;
 
 class OutsourcingTest : public ::testing::Test {
  protected:
@@ -24,25 +29,43 @@ class OutsourcingTest : public ::testing::Test {
     bed_ = new testbed::TestBed(spec, testbed::small_config(256, "outsource"),
                                 /*key_seed=*/501, /*threads=*/2);
     // Per process: ctest -j runs this suite's tests concurrently.
-    path_ = (std::filesystem::temp_directory_path() /
-             ("vc_outsource_test_" + std::to_string(::getpid()) + ".vc"))
-                .string();
-    bed_->vidx.save(path_);
+    root_ = fs::temp_directory_path() /
+            ("vc_outsource_test_" + std::to_string(::getpid()));
+    fs::remove_all(root_);
+    publish_original(root_ / "store");
   }
   static void TearDownTestSuite() {
-    std::filesystem::remove(path_);
+    fs::remove_all(root_);
     delete bed_;
   }
 
+  // The owner's outsourcing step: publish the built epoch into a store.
+  static void publish_original(const fs::path& store_dir) {
+    store::EpochStore store(store_dir);
+    store.publish(*bed_->vidx.snapshot(), /*shard_count=*/1);
+  }
+
+  // The cloud's receipt: reopen a builder over the store's CURRENT epoch.
+  static IndexBuilder reopen(const fs::path& store_dir) {
+    store::EpochStore store(store_dir);
+    return IndexBuilder::from_snapshot(store.open_current().snapshot);
+  }
+
+  static Bytes read_file(const fs::path& p) {
+    std::ifstream in(p, std::ios::binary);
+    return Bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  }
+
   static testbed::TestBed* bed_;
-  static std::string path_;
+  static fs::path root_;
 };
 
 testbed::TestBed* OutsourcingTest::bed_ = nullptr;
-std::string OutsourcingTest::path_;
+fs::path OutsourcingTest::root_;
 
 TEST_F(OutsourcingTest, LoadedIndexMatchesOriginal) {
-  IndexBuilder loaded = IndexBuilder::load(path_);
+  IndexBuilder loaded = reopen(root_ / "store");
+  EXPECT_EQ(loaded.epoch(), bed_->vidx.epoch());
   EXPECT_EQ(loaded.term_count(), bed_->vidx.term_count());
   EXPECT_EQ(loaded.index(), bed_->vidx.index());
   EXPECT_EQ(loaded.dict_attestation(), bed_->vidx.dict_attestation());
@@ -57,25 +80,35 @@ TEST_F(OutsourcingTest, LoadedIndexMatchesOriginal) {
     EXPECT_EQ(a->doc_bloom, b->doc_bloom) << term;
     EXPECT_EQ(a->postings, b->postings) << term;
   }
-  // Prime caches travelled with the artifact.
-  EXPECT_EQ(loaded.tuple_primes().size(), bed_->vidx.tuple_primes().size());
-  EXPECT_EQ(loaded.doc_primes().size(), bed_->vidx.doc_primes().size());
+  // Prime caches travelled with the epoch: every representative the owner
+  // computed resolves from the store without a recompute, to the same prime.
+  auto expect_same_primes = [](PrimeCache& original, PrimeCache& reopened) {
+    auto want = original.sorted_entries();
+    EXPECT_EQ(reopened.merged_entries().size(), want.size());
+    for (const auto& [element, prime] : want) {
+      Bigint got;
+      ASSERT_TRUE(reopened.try_get(element, got)) << element;
+      EXPECT_EQ(got, prime) << element;
+    }
+  };
+  expect_same_primes(bed_->vidx.tuple_primes(), loaded.tuple_primes());
+  expect_same_primes(bed_->vidx.doc_primes(), loaded.doc_primes());
 }
 
 TEST_F(OutsourcingTest, ValidationAcceptsHonestArtifact) {
-  IndexBuilder loaded = IndexBuilder::load(path_);
+  IndexBuilder loaded = reopen(root_ / "store");
   EXPECT_NO_THROW(loaded.validate(bed_->owner_key.verify_key()));
 }
 
 TEST_F(OutsourcingTest, ValidationRejectsWrongOwnerKey) {
-  IndexBuilder loaded = IndexBuilder::load(path_);
+  IndexBuilder loaded = reopen(root_ / "store");
   DeterministicRng rng(502);
   SigningKey other = generate_signing_key(rng, 512);
   EXPECT_THROW(loaded.validate(other.verify_key()), VerifyError);
 }
 
 TEST_F(OutsourcingTest, LoadedIndexServesVerifiableProofs) {
-  IndexBuilder loaded = IndexBuilder::load(path_);
+  IndexBuilder loaded = reopen(root_ / "store");
   SearchEngine engine(loaded.snapshot(), bed_->pub_ctx, bed_->cloud_key, &bed_->pool);
   ResultVerifier verifier = bed_->owner_verifier();
   Query q{.id = 1, .keywords = {synth_word(bed_->spec, 5), synth_word(bed_->spec, 9)}};
@@ -86,68 +119,82 @@ TEST_F(OutsourcingTest, LoadedIndexServesVerifiableProofs) {
   }
 }
 
-TEST_F(OutsourcingTest, SaveWithoutPrimeCaches) {
-  auto p = (std::filesystem::temp_directory_path() / "vc_outsource_nocache.vc").string();
-  bed_->vidx.save(p, /*include_prime_caches=*/false);
-  IndexBuilder loaded = IndexBuilder::load(p);
-  EXPECT_EQ(loaded.tuple_primes().size(), 0u);
-  // The cloud can still serve: representatives get recomputed on demand.
-  SearchEngine engine(loaded.snapshot(), bed_->pub_ctx, bed_->cloud_key, &bed_->pool);
-  ResultVerifier verifier = bed_->owner_verifier();
-  Query q{.id = 2, .keywords = {synth_word(bed_->spec, 5), synth_word(bed_->spec, 9)}};
-  EXPECT_NO_THROW(verifier.verify(engine.search(q, SchemeKind::kHybrid)));
-  EXPECT_LT(std::filesystem::file_size(p), std::filesystem::file_size(path_));
-  std::filesystem::remove(p);
-}
-
 TEST_F(OutsourcingTest, UpdatedIndexRoundtripsAndValidates) {
-  IndexBuilder loaded = IndexBuilder::load(path_);
+  fs::path store_dir = root_ / "updated";
+  publish_original(store_dir);
+  IndexBuilder loaded = reopen(store_dir);
   std::vector<Document> docs = {
       Document{50, "new",
                synth_word(bed_->spec, 5) + " " + synth_word(bed_->spec, 9) + " brandnewterm"}};
   loaded.add_documents(docs, bed_->owner_ctx, bed_->owner_key);
   EXPECT_NO_THROW(loaded.validate(bed_->owner_key.verify_key()));
-  auto p = (std::filesystem::temp_directory_path() / "vc_outsource_upd.vc").string();
-  loaded.save(p);
-  IndexBuilder again = IndexBuilder::load(p);
+  auto delta = loaded.publish_delta();
+  ASSERT_TRUE(delta.has_value());
+  store::EpochStore(store_dir).publish_delta(*delta, /*shard_count=*/1);
+  IndexBuilder again = reopen(store_dir);
+  EXPECT_EQ(again.epoch(), loaded.epoch());
   EXPECT_NO_THROW(again.validate(bed_->owner_key.verify_key()));
   EXPECT_NE(again.find("brandnewterm"), nullptr);
-  std::filesystem::remove(p);
+}
+
+TEST_F(OutsourcingTest, ReopenedBuilderPublishesByteIdenticalDelta) {
+  // The owner that never left memory and the owner that reopened its
+  // builder from the store must ship the same delta bytes, round after
+  // round — including a round that adds terms (dictionary rebuild).
+  IndexBuilder in_memory = bed_->vidx;  // entries are copy-on-write
+  in_memory.note_full_publish();
+  IndexBuilder reopened = reopen(root_ / "store");
+  EXPECT_EQ(reopened.last_published_epoch(), in_memory.last_published_epoch());
+  std::string w5 = synth_word(bed_->spec, 5), w9 = synth_word(bed_->spec, 9);
+  const std::vector<std::vector<Document>> rounds = {
+      {Document{50, "a", w5 + " " + w9 + " reopenfreshterm"}},
+      {Document{51, "b", w9 + " " + synth_word(bed_->spec, 2)},
+       Document{53, "c", w5 + " anotherfreshterm"}},
+  };
+  for (const auto& docs : rounds) {
+    in_memory.add_documents(docs, bed_->owner_ctx, bed_->owner_key);
+    reopened.add_documents(docs, bed_->owner_ctx, bed_->owner_key);
+    auto want = in_memory.publish_delta();
+    auto got = reopened.publish_delta();
+    ASSERT_TRUE(want.has_value());
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->base_epoch, want->base_epoch);
+    EXPECT_EQ(store::encode_delta(*got, 1), store::encode_delta(*want, 1));
+  }
 }
 
 TEST_F(OutsourcingTest, TamperedArtifactDetectedByValidation) {
-  // Load, swap one term's Bloom filter for another's (both validly signed),
-  // save, reload: validate() must notice the inconsistency.
-  IndexBuilder loaded = IndexBuilder::load(path_);
-  // Direct tampering through the file: flip a byte inside and expect either
-  // a parse error or a validation failure, never silent acceptance.
-  Bytes raw;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    raw.assign((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  }
+  // Flip a byte of the published snapshot file and expect the store open
+  // (header, section-table and per-section CRC checks) or the receipt check
+  // to reject it, never silent acceptance.
+  const fs::path original = root_ / "store";
+  const fs::path snapshot_file =
+      store::EpochStore(original).epoch_file(bed_->vidx.epoch());
+  const Bytes raw = read_file(snapshot_file);
+  ASSERT_FALSE(raw.empty());
+  const fs::path tampered = root_ / "tampered";
   DeterministicRng rng(503);
   int silent = 0;
   for (int trial = 0; trial < 20; ++trial) {
     Bytes mutated = raw;
     mutated[rng.below(mutated.size())] ^= 0x40;
-    auto p = (std::filesystem::temp_directory_path() / "vc_outsource_tamper.vc").string();
+    fs::remove_all(tampered);
+    fs::copy(original, tampered, fs::copy_options::recursive);
     {
-      std::ofstream out(p, std::ios::binary | std::ios::trunc);
+      std::ofstream out(tampered / fs::relative(snapshot_file, original),
+                        std::ios::binary | std::ios::trunc);
       out.write(reinterpret_cast<const char*>(mutated.data()),
                 static_cast<std::streamsize>(mutated.size()));
     }
     try {
-      IndexBuilder t = IndexBuilder::load(p);
+      IndexBuilder t = reopen(tampered);
       t.validate(bed_->owner_key.verify_key());
-      ++silent;  // flip hit a prime-cache byte or other non-authenticated data
+      ++silent;  // flip hit an unchecked header byte (reserved/padding, shard count)
     } catch (const Error&) {
       // rejected — good
     }
-    std::filesystem::remove(p);
   }
-  // Most flips must be caught; prime caches are unauthenticated wire bytes
-  // (they are *recomputable* hints), so a few silent passes are acceptable.
+  // Every section is CRC'd, so only a few header bytes can pass silently.
   EXPECT_LT(silent, 10);
 }
 

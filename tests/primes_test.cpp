@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "bigint/miller_rabin.hpp"
 #include "primes/prime_cache.hpp"
@@ -104,29 +103,6 @@ TEST(PrimeCache, ClearEmpties) {
   EXPECT_EQ(cache.size(), 0u);
   Bigint out;
   EXPECT_FALSE(cache.try_get(5, out));
-}
-
-TEST(PrimeCache, SaveLoadRoundtrip) {
-  auto path = std::filesystem::temp_directory_path() / "vc_prime_cache_test.bin";
-  PrimeCache cache(small_config());
-  for (std::uint64_t e = 0; e < 20; ++e) cache.get(e);
-  cache.save(path.string());
-
-  PrimeCache loaded(small_config());
-  loaded.load(path.string());
-  EXPECT_EQ(loaded.size(), 20u);
-  for (std::uint64_t e = 0; e < 20; ++e) {
-    Bigint expect, got;
-    ASSERT_TRUE(cache.try_get(e, expect));
-    ASSERT_TRUE(loaded.try_get(e, got));
-    EXPECT_EQ(got, expect);
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(PrimeCache, LoadRejectsMissingFile) {
-  PrimeCache cache(small_config());
-  EXPECT_THROW(cache.load("/nonexistent/path/cache.bin"), UsageError);
 }
 
 TEST(PrimeCache, ConcurrentGetsConsistent) {

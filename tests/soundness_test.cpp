@@ -6,10 +6,7 @@
 // (query, class, scheme, seed, mutation trace).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdlib>
-#include <filesystem>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -52,14 +49,9 @@ class SoundnessTest : public ::testing::Test {
     // every term: the new document contains the whole vocabulary plus one
     // brand-new word.  Every attestation changes, so a lazy cloud replaying
     // any pre-update signed state commits the kStaleAttestation forgery.
-    // ctest runs each case as its own process, concurrently — the snapshot
-    // path must be per-process or parallel runs race on it.
-    auto stale_path = (std::filesystem::temp_directory_path() /
-                       ("vc_soundness_stale_" + std::to_string(::getpid()) + ".vc"))
-                          .string();
-    bed_->vidx.save(stale_path);
-    SnapshotPtr stale = IndexBuilder::load(stale_path).snapshot();
-    std::filesystem::remove(stale_path);
+    // The update clones every entry it touches (copy-on-write), so the
+    // frozen snapshot keeps serving the pre-update state.
+    SnapshotPtr stale = bed_->vidx.snapshot();
     std::string update_text = "zzstaleterm";
     for (std::uint32_t rank = 0; rank < spec.vocab_size; ++rank) {
       update_text += " " + synth_word(spec, rank);

@@ -8,9 +8,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
+#include "store/crc32.hpp"
+#include "store/delta_codec.hpp"
 #include "store/epoch_store.hpp"
 #include "test_fixtures.hpp"
 #include "text/stemmer.hpp"
@@ -36,6 +40,79 @@ void flip_byte(const fs::path& file, std::size_t offset) {
   c = static_cast<char>(c ^ 0x01);
   f.seekp(static_cast<std::streamoff>(offset));
   f.write(&c, 1);
+}
+
+Bytes read_file(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return Bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+void write_file(const fs::path& p, const Bytes& bytes) {
+  std::ofstream out(p, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+std::uint64_t load_le(const Bytes& b, std::size_t offset, std::size_t width) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, b.data() + offset, width);  // little-endian host, as the store
+  return v;
+}
+
+void store_le(Bytes& b, std::size_t offset, std::uint64_t v, std::size_t width) {
+  std::memcpy(b.data() + offset, &v, width);
+}
+
+// Header field offsets (format.hpp): section count, declared file size and
+// the section-table CRC.
+constexpr std::size_t kSectionCountOffset = 28;
+constexpr std::size_t kFileBytesOffset = 64;
+constexpr std::size_t kTableCrcOffset = 72;
+
+// Replaces one section's payload and re-lays the file out — offsets,
+// sizes, per-section CRCs, the table CRC and the declared file size all
+// follow — so the result passes every checksum.  That is what a forger
+// (rather than a torn write) hands the decoder: CRCs are not authentication.
+Bytes replace_section(const Bytes& file, store::SectionId id, const Bytes& payload) {
+  const std::size_t count = load_le(file, kSectionCountOffset, 4);
+  std::uint64_t offset = store::kHeaderBytes + count * store::kSectionEntryBytes;
+  ByteWriter table;
+  Bytes body;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t entry = store::kHeaderBytes + i * store::kSectionEntryBytes;
+    const auto sid = static_cast<std::uint32_t>(load_le(file, entry, 4));
+    const std::uint64_t old_offset = load_le(file, entry + 8, 8);
+    const std::uint64_t old_size = load_le(file, entry + 16, 8);
+    Bytes bytes = sid == static_cast<std::uint32_t>(id)
+                      ? payload
+                      : Bytes(file.begin() + static_cast<std::ptrdiff_t>(old_offset),
+                              file.begin() + static_cast<std::ptrdiff_t>(old_offset + old_size));
+    table.u32(sid);
+    table.u32(store::crc32(bytes));
+    table.u64(offset);
+    table.u64(bytes.size());
+    table.u64(load_le(file, entry + 24, 8));
+    offset += bytes.size();
+    body.insert(body.end(), bytes.begin(), bytes.end());
+  }
+  Bytes out(file.begin(), file.begin() + store::kHeaderBytes);
+  store_le(out, kFileBytesOffset, offset, 8);
+  store_le(out, kTableCrcOffset, store::crc32(table.data()), 4);
+  out.insert(out.end(), table.data().begin(), table.data().end());
+  out.insert(out.end(), body.begin(), body.end());
+  return out;
+}
+
+// A term directory of one entry: the snapshot header's max posting count,
+// then (name, offset, size).
+Bytes one_term_directory(std::uint64_t offset, std::uint64_t size) {
+  ByteWriter w;
+  w.u64(1);
+  w.varint(1);
+  w.str("a");
+  w.varint(offset);
+  w.varint(size);
+  return std::move(w).take();
 }
 
 class StoreTest : public ::testing::Test {
@@ -265,6 +342,109 @@ TEST_F(StoreTest, InspectReportsLayoutAndCrcVerdicts) {
   bool any_bad = false;
   for (const auto& s : dinfo.sections) any_bad = any_bad || !s.crc_ok;
   EXPECT_TRUE(any_bad);
+}
+
+// Directory extents and section-table entries near 2^64 must not wrap past
+// the bounds checks into an out-of-mapping read: the forged file re-CRCs
+// cleanly, so only the overflow-safe comparison stands between it and the
+// subspan.
+TEST_F(StoreTest, CraftedExtentsNearTwoToTheSixtyFourAreCorrupt) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const Bytes raw = read_file(current_file());
+  fs::path p = *root_ / "crafted-extent.vcs";
+
+  write_file(p, replace_section(raw, store::SectionId::kTermDirectory,
+                                one_term_directory(kMax, 2)));
+  EXPECT_THROW(open_file(p), store::StoreCorruptError);
+  write_file(p, replace_section(raw, store::SectionId::kTermDirectory,
+                                one_term_directory(1, kMax)));
+  EXPECT_THROW(open_file(p), store::StoreCorruptError);
+
+  // Section table: the last section's size wraps offset + size around to a
+  // value inside the file.
+  Bytes table = raw;
+  const std::size_t count = load_le(table, kSectionCountOffset, 4);
+  const std::size_t last = store::kHeaderBytes + (count - 1) * store::kSectionEntryBytes;
+  const std::uint64_t last_offset = load_le(table, last + 8, 8);
+  store_le(table, last + 16, kMax - last_offset + 2, 8);
+  store_le(table, kTableCrcOffset,
+           store::crc32(std::span<const std::uint8_t>(table).subspan(
+               store::kHeaderBytes, count * store::kSectionEntryBytes)),
+           4);
+  write_file(p, table);
+  EXPECT_THROW(open_file(p), store::StoreError);
+}
+
+// Counts that claim more items than their section could hold are typed
+// errors, raised before anything is reserved: the term directory at open,
+// a posting list when its entry first materializes.
+TEST_F(StoreTest, CraftedHugeCountsAreTypedErrors) {
+  const Bytes raw = read_file(current_file());
+  fs::path p = *root_ / "crafted-count.vcs";
+  for (std::uint64_t huge : {std::uint64_t{1} << 62, std::uint64_t{1} << 28}) {
+    ByteWriter dir;
+    dir.u64(1);
+    dir.varint(huge);
+    dir.raw(Bytes(4, 0));
+    write_file(p, replace_section(raw, store::SectionId::kTermDirectory, dir.data()));
+    EXPECT_THROW(open_file(p), ParseError) << huge;
+
+    ByteWriter entry;
+    entry.varint(huge);  // posting count
+    entry.raw(Bytes(4, 0));
+    Bytes forged = replace_section(raw, store::SectionId::kEntries, entry.data());
+    forged = replace_section(forged, store::SectionId::kTermDirectory,
+                             one_term_directory(0, entry.size()));
+    write_file(p, forged);
+    store::OpenedEpoch opened = open_file(p);
+    EXPECT_THROW((void)opened.snapshot->find("a"), ParseError) << huge;
+  }
+}
+
+// The delta record's touched-term directory and removed-term list get the
+// same treatment.
+TEST_F(StoreTest, CraftedDeltaDirectoriesAreTypedErrors) {
+  const SnapshotPtr& snap = *mem_snap_;
+  const std::string& term = snap->entries().begin()->first;
+  IndexDelta delta;
+  delta.epoch = snap->epoch() + 1;
+  delta.base_epoch = snap->epoch();
+  delta.config = snap->config();
+  delta.touched.emplace(term, std::shared_ptr<const IndexEntry>(snap, snap->find(term)));
+  delta.removed = {"zzzgone"};
+  delta.max_posting_count = snap->max_posting_count();
+  const Bytes raw = store::encode_delta(delta, 1);
+  fs::path p = *root_ / "crafted.vcd";
+  auto open = [&](const Bytes& bytes) {
+    write_file(p, bytes);
+    return store::open_delta(std::make_shared<const store::MappedFile>(p));
+  };
+  ASSERT_NO_THROW(open(raw));
+
+  auto touched_dir = [](std::uint64_t offset, std::uint64_t size) {
+    ByteWriter w;
+    w.varint(1);
+    w.str("a");
+    w.varint(offset);
+    w.varint(size);
+    return std::move(w).take();
+  };
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW(open(replace_section(raw, store::SectionId::kDeltaTermDirectory,
+                                    touched_dir(kMax, 2))),
+               store::StoreCorruptError);
+  for (std::uint64_t huge : {std::uint64_t{1} << 62, std::uint64_t{1} << 28}) {
+    ByteWriter count;
+    count.varint(huge);
+    count.raw(Bytes(4, 0));
+    EXPECT_THROW(open(replace_section(raw, store::SectionId::kDeltaTermDirectory,
+                                      count.data())),
+                 ParseError)
+        << huge;
+    EXPECT_THROW(open(replace_section(raw, store::SectionId::kDeltaRemoved, count.data())),
+                 ParseError)
+        << huge;
+  }
 }
 
 }  // namespace

@@ -1,18 +1,17 @@
 // vcsearch-build — owner-side CLI: index a directory of text files (or a
-// synthetic corpus), build + sign the verifiable index, and write the
-// artifacts the other tools consume.
+// synthetic corpus), build + sign the verifiable index, and publish it into
+// the persistent epoch store the other tools consume.
 //
 //   vcsearch-build --out DIR [--docs DIR | --synth N] [--seed S]
 //                  [--modulus-bits 1024] [--rep-bits 128] [--interval 100]
-//                  [--store DIR]  also publish the built epoch into a
-//                                 persistent epoch store (vcsearch-serve
-//                                 boots from it with --store)
-//                  [--update-synth N]  incremental mode: reload --out's
-//                                 index.vc, append N fresh synthetic
-//                                 documents, and publish the mutation as a
-//                                 delta record chained to the store's
-//                                 current epoch (O(touched terms), not
-//                                 O(index)); requires --store
+//                  [--store DIR]  the epoch store to publish into
+//                                 (default DIR/store, where vcsearch-serve,
+//                                 -inspect and -query look for it)
+//                  [--update-synth N]  incremental mode: reopen the builder
+//                                 from the store's CURRENT epoch, append N
+//                                 fresh synthetic documents, and publish the
+//                                 mutation as a delta record chained to it
+//                                 (O(touched terms), not O(index))
 //                  [--compact-store]  fold the store's delta chain into a
 //                                 full snapshot and exit (what
 //                                 vcsearch-serve's background worker does
@@ -20,7 +19,6 @@
 //                  [--tier-budget-mb MB]  materialize witness tiers for the
 //                                 hottest terms, greedily packed under MB
 //                                 megabytes, and persist them in the epoch
-//                                 (requires --store)
 //                  [--hot-terms FILE]  explicit hot-term list (one term per
 //                                 line) instead of the by-frequency ranking
 //                  [--profile]   print the telemetry stage table after the build
@@ -28,8 +26,9 @@
 // Writes into --out:
 //   owner.key    owner signing key (plaintext; prototype)
 //   cloud.key    cloud signing key (handed to the cloud operator)
-//   index.vc     the signed verifiable index (incl. prime caches)
 //   params.txt   human-readable parameter summary
+//   store/       the epoch store holding the signed verifiable index (epoch 1,
+//                incl. prime caches), unless --store points elsewhere
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -66,10 +65,17 @@ bool has_flag(int argc, char** argv, const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const char* out_dir = arg_value(argc, argv, "--out", nullptr);
+  std::filesystem::path store_dir;
+  if (const char* s = arg_value(argc, argv, "--store", nullptr)) {
+    store_dir = s;
+  } else if (out_dir != nullptr) {
+    store_dir = std::filesystem::path(out_dir) / "store";
+  }
+
   if (has_flag(argc, argv, "--compact-store")) {
-    const char* store_dir = arg_value(argc, argv, "--store", nullptr);
-    if (store_dir == nullptr) {
-      std::fprintf(stderr, "--compact-store requires --store DIR\n");
+    if (store_dir.empty()) {
+      std::fprintf(stderr, "--compact-store requires --store DIR or --out DIR\n");
       return 2;
     }
     store::EpochStore store(store_dir);
@@ -83,41 +89,30 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const char* out_dir = arg_value(argc, argv, "--out", nullptr);
   if (out_dir == nullptr) {
     std::fprintf(stderr,
                  "usage: vcsearch-build --out DIR [--docs DIR | --synth N] [--seed S]\n"
-                 "       [--modulus-bits B] [--rep-bits B] [--interval N]\n");
+                 "       [--modulus-bits B] [--rep-bits B] [--interval N] [--store DIR]\n");
     return 2;
   }
   std::filesystem::create_directories(out_dir);
+  std::filesystem::path out(out_dir);
+  store::EpochStore store(store_dir);
 
   if (const char* update = arg_value(argc, argv, "--update-synth", nullptr)) {
-    const char* store_dir = arg_value(argc, argv, "--store", nullptr);
-    if (store_dir == nullptr) {
-      std::fprintf(stderr, "--update-synth requires --store DIR\n");
+    if (!store.has_current()) {
+      std::fprintf(stderr, "store %s has no published epoch; run vcsearch-build first\n",
+                   store_dir.c_str());
       return 2;
     }
-    std::filesystem::path out(out_dir);
-    IndexBuilder vidx = IndexBuilder::load((out / "index.vc").string());
+    // The store's CURRENT epoch is the owner's state: reopen the builder
+    // over it, so the delta below chains to exactly the epoch being served.
+    IndexBuilder vidx = IndexBuilder::from_snapshot(
+        store.open_current(store::OpenOptions{.degrade_tier_on_corruption = true}).snapshot);
     SigningKey owner_key = SigningKey::load((out / "owner.key").string());
     auto owner_ctx = AccumulatorContext::owner(
         standard_accumulator_modulus(vidx.config().modulus_bits),
         standard_qr_generator(vidx.config().modulus_bits));
-    store::EpochStore store(store_dir);
-    // The saved artifact does not carry dirty-tracking state; the store's
-    // CURRENT epoch tells us which epoch the chain hangs off.
-    auto current = store.current_epoch();
-    if (!current.has_value() || *current != vidx.epoch()) {
-      std::fprintf(stderr,
-                   "store %s serves epoch %llu but %s/index.vc is at epoch %llu; "
-                   "publish a full epoch first\n",
-                   store_dir,
-                   static_cast<unsigned long long>(current.value_or(0)),
-                   out_dir, static_cast<unsigned long long>(vidx.epoch()));
-      return 2;
-    }
-    vidx.note_full_publish();
 
     std::uint32_t n = static_cast<std::uint32_t>(std::strtoul(update, nullptr, 10));
     std::uint64_t seed = std::strtoull(arg_value(argc, argv, "--seed", "1"), nullptr, 10);
@@ -151,8 +146,18 @@ int main(int argc, char** argv) {
                 static_cast<double>(std::filesystem::file_size(
                     published / store::EpochStore::kDeltaFile)) /
                     (1024 * 1024));
-    vidx.save((out / "index.vc").string());
     return 0;
+  }
+
+  // A fresh build commits epoch 1; publishing it over an existing history
+  // would leave the old epoch-1 file in place (republish trusts the file on
+  // disk) next to freshly generated keys.
+  if (store.has_current()) {
+    std::fprintf(stderr,
+                 "store %s already holds a published index; extend it with "
+                 "--update-synth, or build into an empty --out / --store\n",
+                 store_dir.c_str());
+    return 2;
   }
 
   VerifiableIndexConfig config;
@@ -197,10 +202,8 @@ int main(int argc, char** argv) {
               stats.prime_precompute_seconds, stats.accumulate_seconds,
               stats.dictionary_seconds);
 
-  std::filesystem::path out(out_dir);
   owner_key.save((out / "owner.key").string());
   cloud_key.save((out / "cloud.key").string());
-  vidx.save((out / "index.vc").string());
   {
     std::ofstream params(out / "params.txt");
     params << "modulus_bits=" << config.modulus_bits << "\n"
@@ -209,52 +212,46 @@ int main(int argc, char** argv) {
            << "bloom_m=" << config.bloom.counters << "\n"
            << "terms=" << stats.terms << "\nrecords=" << stats.records << "\n";
   }
-  std::printf("wrote %s/{owner.key,cloud.key,index.vc,params.txt} (index %.2f MB)\n",
-              out_dir,
-              static_cast<double>(std::filesystem::file_size(out / "index.vc")) /
-                  (1024 * 1024));
-  if (const char* store_dir = arg_value(argc, argv, "--store", nullptr)) {
-    store::EpochStore store(store_dir);
-    SnapshotPtr snapshot = vidx.snapshot();
-    std::optional<store::TierArtifacts> artifacts;
-    const char* budget_mb = arg_value(argc, argv, "--tier-budget-mb", nullptr);
-    const char* hot_file = arg_value(argc, argv, "--hot-terms", nullptr);
-    if (budget_mb != nullptr || hot_file != nullptr) {
-      TierPolicy policy;
-      if (budget_mb != nullptr) {
-        policy.budget_bytes = std::strtoull(budget_mb, nullptr, 10) * 1024 * 1024;
-      }
-      if (hot_file != nullptr) {
-        std::ifstream in(hot_file);
-        if (!in) {
-          std::fprintf(stderr, "cannot read --hot-terms file %s\n", hot_file);
-          return 2;
-        }
-        for (std::string line; std::getline(in, line);) {
-          std::string norm = normalize_term(line);
-          if (!norm.empty()) policy.hot_terms.push_back(std::move(norm));
-        }
-      }
-      owner_ctx.set_pool(&pool);
-      TierBuildResult tier = build_witness_tier(*snapshot, owner_ctx, policy);
-      if (tier.tier != nullptr) {
-        snapshot->attach_tier(tier.tier);
-        artifacts = store::TierArtifacts{tier.tier, std::move(tier.fixed_base)};
-      }
-      std::printf(
-          "tier: %zu terms tiered (%zu considered, %zu over budget), "
-          "%.2f MB tables + %.2f MB fixed-base, built in %.2fs\n",
-          tier.tier != nullptr ? tier.tier->term_count() : 0, tier.terms_considered,
-          tier.terms_skipped, static_cast<double>(tier.table_bytes) / (1024 * 1024),
-          static_cast<double>(tier.fixed_base_bytes) / (1024 * 1024), tier.build_seconds);
+  std::printf("wrote %s/{owner.key,cloud.key,params.txt}\n", out_dir);
+  SnapshotPtr snapshot = vidx.snapshot();
+  std::optional<store::TierArtifacts> artifacts;
+  const char* budget_mb = arg_value(argc, argv, "--tier-budget-mb", nullptr);
+  const char* hot_file = arg_value(argc, argv, "--hot-terms", nullptr);
+  if (budget_mb != nullptr || hot_file != nullptr) {
+    TierPolicy policy;
+    if (budget_mb != nullptr) {
+      policy.budget_bytes = std::strtoull(budget_mb, nullptr, 10) * 1024 * 1024;
     }
-    auto published = store.publish(*snapshot, 1, artifacts ? &*artifacts : nullptr);
-    std::printf("store: published epoch %llu to %s (%.2f MB)\n",
-                static_cast<unsigned long long>(snapshot->epoch()), published.c_str(),
-                static_cast<double>(std::filesystem::file_size(
-                    published / store::EpochStore::kSnapshotFile)) /
-                    (1024 * 1024));
+    if (hot_file != nullptr) {
+      std::ifstream in(hot_file);
+      if (!in) {
+        std::fprintf(stderr, "cannot read --hot-terms file %s\n", hot_file);
+        return 2;
+      }
+      for (std::string line; std::getline(in, line);) {
+        std::string norm = normalize_term(line);
+        if (!norm.empty()) policy.hot_terms.push_back(std::move(norm));
+      }
+    }
+    owner_ctx.set_pool(&pool);
+    TierBuildResult tier = build_witness_tier(*snapshot, owner_ctx, policy);
+    if (tier.tier != nullptr) {
+      snapshot->attach_tier(tier.tier);
+      artifacts = store::TierArtifacts{tier.tier, std::move(tier.fixed_base)};
+    }
+    std::printf(
+        "tier: %zu terms tiered (%zu considered, %zu over budget), "
+        "%.2f MB tables + %.2f MB fixed-base, built in %.2fs\n",
+        tier.tier != nullptr ? tier.tier->term_count() : 0, tier.terms_considered,
+        tier.terms_skipped, static_cast<double>(tier.table_bytes) / (1024 * 1024),
+        static_cast<double>(tier.fixed_base_bytes) / (1024 * 1024), tier.build_seconds);
   }
+  auto published = store.publish(*snapshot, 1, artifacts ? &*artifacts : nullptr);
+  std::printf("store: published epoch %llu to %s (%.2f MB)\n",
+              static_cast<unsigned long long>(snapshot->epoch()), published.c_str(),
+              static_cast<double>(std::filesystem::file_size(
+                  published / store::EpochStore::kSnapshotFile)) /
+                  (1024 * 1024));
   if (has_flag(argc, argv, "--profile")) {
     std::printf("\nbuild stage profile\n%s",
                 obs::render_profile(obs::MetricsRegistry::global()).c_str());

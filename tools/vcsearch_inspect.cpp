@@ -1,14 +1,18 @@
-// vcsearch-inspect — print the contents and statistics of a verifiable
-// index artifact, and optionally re-validate all owner signatures.
+// vcsearch-inspect — print the contents and statistics of the verifiable
+// index the epoch store serves, and optionally re-validate all owner
+// signatures.
 //
-//   vcsearch-inspect --dir DIR [--top N] [--validate]
+//   vcsearch-inspect --dir DIR [--store DIR] [--top N] [--validate]
 //   vcsearch-inspect --store DIR [--epoch N]
 //
-// The --store form dumps the persistent epoch store instead: the epochs on
-// disk, the CURRENT pointer, the delta chain CURRENT resolves through (base
-// epoch, per-delta touched/removed term counts, compaction status, per-record
-// CRC verdicts), and the full header + section table (with CRC verdicts) of
-// one epoch file.
+// The --dir form reopens the builder over the store's CURRENT epoch (--store,
+// default DIR/store) and prints index statistics; --validate runs the
+// receipt check (Fig 1's acknowledge step) under DIR/owner.key.  The
+// --store-only form dumps the store's layout instead: the epochs on disk,
+// the CURRENT pointer, the delta chain CURRENT resolves through (base
+// epoch, per-delta touched/removed term counts, compaction status,
+// per-record CRC verdicts), and the full header + section table (with CRC
+// verdicts) of one epoch file.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -130,20 +134,29 @@ int inspect_store(const char* store_dir, int argc, char** argv) {
 
 int main(int argc, char** argv) {
   const char* dir = arg_value(argc, argv, "--dir", nullptr);
-  const char* store_dir = arg_value(argc, argv, "--store", nullptr);
-  if (store_dir != nullptr) return inspect_store(store_dir, argc, argv);
+  const char* store_arg = arg_value(argc, argv, "--store", nullptr);
+  if (dir == nullptr && store_arg != nullptr) return inspect_store(store_arg, argc, argv);
   if (dir == nullptr) {
     std::fprintf(stderr,
-                 "usage: vcsearch-inspect --dir DIR [--top N] [--validate]\n"
+                 "usage: vcsearch-inspect --dir DIR [--store DIR] [--top N] [--validate]\n"
                  "       vcsearch-inspect --store DIR [--epoch N]\n");
     return 2;
   }
   std::size_t top = std::strtoul(arg_value(argc, argv, "--top", "10"), nullptr, 10);
 
   std::filesystem::path base(dir);
-  IndexBuilder vidx = IndexBuilder::load((base / "index.vc").string());
+  const std::filesystem::path store_dir =
+      store_arg != nullptr ? std::filesystem::path(store_arg) : base / "store";
+  if (!std::filesystem::exists(store_dir / store::EpochStore::kCurrentFile)) {
+    std::fprintf(stderr, "store %s has no published epoch; run vcsearch-build first\n",
+                 store_dir.c_str());
+    return 2;
+  }
+  store::EpochStore store(store_dir);
+  IndexBuilder vidx = IndexBuilder::from_snapshot(store.open_current().snapshot);
   const auto& cfg = vidx.config();
-  std::printf("verifiable index: %s\n", (base / "index.vc").c_str());
+  std::printf("verifiable index: %s (epoch %llu)\n", store_dir.c_str(),
+              static_cast<unsigned long long>(vidx.epoch()));
   std::printf("  modulus          %zu bits\n", cfg.modulus_bits);
   std::printf("  prime reps       %zu bits\n", cfg.rep_bits);
   std::printf("  interval size    %zu\n", cfg.interval_size);
@@ -154,7 +167,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(vidx.index().record_count()));
   std::printf("  avg doc freq     %.1f\n", vidx.index().avg_document_frequency());
   std::printf("  prime cache      %zu tuple / %zu doc entries\n",
-              vidx.tuple_primes().size(), vidx.doc_primes().size());
+              vidx.tuple_primes().merged_entries().size(),
+              vidx.doc_primes().merged_entries().size());
   std::printf("  dictionary gaps  %zu\n", vidx.dictionary().word_count() + 1);
 
   // Posting-list size distribution (what load balancing fights, Fig 9).

@@ -1,24 +1,24 @@
-// vcsearch-serve — cloud-side CLI: load a verifiable index, validate the
-// owner's signatures (the "acknowledge receipt" step of Fig 1), and serve
-// signed search responses over HTTP until interrupted.
+// vcsearch-serve — cloud-side CLI: open the verifiable index the owner
+// published into the epoch store and serve signed search responses over
+// HTTP until interrupted.
 //
 //   vcsearch-serve --dir DIR [--store DIR] [--port P]
 //                  [--scheme hybrid|accumulator|bloom|interval]
 //                  [--max-inflight M] [--compact-chain N] [--warm-budget-mb MB]
 //                  [--slow-ms MS] [--trace-capacity N] [--profile]
 //
-// --warm-budget-mb (default 16; 0 disables) sizes the witness warm stage:
-// with --store the boot epoch's hot terms are pre-materialized straight off
-// the mapping (warm-on-open), and the publish worker warms every later
-// epoch the same way before swapping it in, so the first post-swap query
-// never pays the cold lazy-materialization path.
+// The server boots from the store's CURRENT epoch (--store, default
+// DIR/store): mmap-backed and lazily materialized, with no full-index
+// signature sweep — per-term signatures in the mapped epoch still guard
+// soundness, and the receipt check (Fig 1's acknowledge step) is
+// `vcsearch-inspect --dir DIR --validate`.  An empty store exits 2: run
+// vcsearch-build first.  --dir holds the signing keys.
 //
-// With --store, the server boots from the persistent epoch store when it
-// has a published epoch (mmap-backed, lazily materialized — no builder
-// load, no full-index signature sweep), and otherwise performs the normal
-// builder load and then publishes the snapshot into the store so the next
-// restart is a cold start from disk.  --dir stays required either way: the
-// signing keys live there.
+// --warm-budget-mb (default 16; 0 disables) sizes the witness warm stage:
+// the boot epoch's tiered terms are pre-materialized straight off the
+// mapping (warm-on-open), and the publish worker warms every later epoch
+// the same way before swapping it in, so the first post-swap query never
+// pays the cold lazy-materialization path.
 //
 // Requests are dispatched onto the worker pool (up to --max-inflight
 // concurrently; excess gets 503).  SIGINT/SIGTERM drain in-flight requests
@@ -43,7 +43,6 @@
 #include "protocol/http.hpp"
 #include "store/epoch_store.hpp"
 #include "support/threadpool.hpp"
-#include "vindex/index_builder.hpp"
 
 using namespace vc;
 
@@ -77,7 +76,6 @@ SchemeKind parse_scheme(const char* s) {
 
 int main(int argc, char** argv) {
   const char* dir = arg_value(argc, argv, "--dir", nullptr);
-  const char* store_dir = arg_value(argc, argv, "--store", nullptr);
   if (dir == nullptr) {
     std::fprintf(stderr,
                  "usage: vcsearch-serve --dir DIR [--store DIR] [--port P] [--scheme S]\n");
@@ -107,69 +105,50 @@ int main(int argc, char** argv) {
   collector.set_slow_log(true);
 
   std::filesystem::path base(dir);
+  const std::filesystem::path store_dir =
+      arg_value(argc, argv, "--store", (base / "store").c_str());
+  if (!std::filesystem::exists(store_dir / store::EpochStore::kCurrentFile)) {
+    std::fprintf(stderr, "store %s has no published epoch; run vcsearch-build first\n",
+                 store_dir.c_str());
+    return 2;
+  }
   SigningKey cloud_key = SigningKey::load((base / "cloud.key").string());
   SigningKey owner_key = SigningKey::load((base / "owner.key").string());
 
-  // Boot path 1 (cold restart): the store has a published epoch — mmap it
-  // and serve without touching the builder artifact.  Per-term signatures
-  // in the mapped epoch still guard soundness; the full receipt sweep ran
-  // when the epoch was first built and published.
-  SnapshotPtr snapshot;
-  std::optional<FixedBaseSnapshot> restored_fixed_base;
-  std::optional<store::EpochStore> store;
-  if (store_dir != nullptr) store.emplace(store_dir);
-  if (store && store->has_current()) {
-    // A corrupt tier section degrades to untiered serving (the tier is a
-    // cache over the base sections); base-section corruption still fails.
-    store::OpenedEpoch opened =
-        store->open_current(store::OpenOptions{.degrade_tier_on_corruption = true,
-                                               .warm_budget_bytes = warm_budget_bytes});
-    snapshot = opened.snapshot;
-    restored_fixed_base = std::move(opened.fixed_base);
-    std::printf("store: restored epoch %llu from %s (%zu terms, %.2f MB mapped)\n",
-                static_cast<unsigned long long>(snapshot->epoch()), store_dir,
-                snapshot->term_count(),
-                static_cast<double>(opened.file->size()) / (1024 * 1024));
-    if (opened.chain_length > 0) {
-      std::printf("store: resolved delta chain (%u deltas on base epoch %llu)\n",
-                  opened.chain_length,
-                  static_cast<unsigned long long>(opened.base_epoch));
-    }
-    if (opened.tier != nullptr) {
-      std::printf("store: restored witness tier (%zu terms, %.2f MB tables, "
-                  "no witness recompute)\n",
-                  opened.tier->term_count(),
-                  static_cast<double>(opened.tier->table_bytes()) / (1024 * 1024));
-    } else if (opened.tier_degraded) {
-      std::printf("store: witness tier sections corrupt — serving untiered "
-                  "(compute path)\n");
-    }
-  } else {
-    // Boot path 2: load + receipt-check the builder artifact, and seed the
-    // store (when given) so the next restart takes path 1.
-    IndexBuilder vidx = IndexBuilder::load((base / "index.vc").string());
-    vidx.validate(owner_key.verify_key());
-    std::printf("index validated: %zu terms, owner key fingerprint %s...\n",
-                vidx.term_count(),
-                to_hex(owner_key.verify_key().fingerprint()).substr(0, 16).c_str());
-    snapshot = vidx.snapshot();
-    if (store) {
-      auto published = store->publish(*snapshot, /*shard_count=*/1);
-      std::printf("store: published epoch %llu to %s\n",
-                  static_cast<unsigned long long>(snapshot->epoch()),
-                  published.c_str());
-    }
+  store::EpochStore store(store_dir);
+  // A corrupt tier section degrades to untiered serving (the tier is a
+  // cache over the base sections); base-section corruption still fails.
+  store::OpenedEpoch opened =
+      store.open_current(store::OpenOptions{.degrade_tier_on_corruption = true,
+                                            .warm_budget_bytes = warm_budget_bytes});
+  SnapshotPtr snapshot = opened.snapshot;
+  std::printf("store: restored epoch %llu from %s (%zu terms, %.2f MB mapped)\n",
+              static_cast<unsigned long long>(snapshot->epoch()), store_dir.c_str(),
+              snapshot->term_count(),
+              static_cast<double>(opened.file->size()) / (1024 * 1024));
+  if (opened.chain_length > 0) {
+    std::printf("store: resolved delta chain (%u deltas on base epoch %llu)\n",
+                opened.chain_length, static_cast<unsigned long long>(opened.base_epoch));
+  }
+  if (opened.tier != nullptr) {
+    std::printf("store: restored witness tier (%zu terms, %.2f MB tables, "
+                "no witness recompute)\n",
+                opened.tier->term_count(),
+                static_cast<double>(opened.tier->table_bytes()) / (1024 * 1024));
+  } else if (opened.tier_degraded) {
+    std::printf("store: witness tier sections corrupt — serving untiered "
+                "(compute path)\n");
   }
 
   auto cloud_ctx = AccumulatorContext::public_side(AccumulatorParams{
       standard_accumulator_modulus(snapshot->config().modulus_bits).n,
       standard_qr_generator(snapshot->config().modulus_bits)});
-  if (restored_fixed_base && restored_fixed_base->base == cloud_ctx.g()) {
+  if (opened.fixed_base && opened.fixed_base->base == cloud_ctx.g()) {
     // Skip the fixed-base rebuild squarings the serving core would
     // otherwise pay on every cold start.
-    cloud_ctx.adopt_fixed_base(*restored_fixed_base);
+    cloud_ctx.adopt_fixed_base(*opened.fixed_base);
     std::printf("store: adopted persisted fixed-base table (%zu-bit capacity)\n",
-                restored_fixed_base->capacity_bits);
+                opened.fixed_base->capacity_bits);
   }
   ThreadPool pool;
   CloudService cloud(snapshot, cloud_ctx, cloud_key, owner_key.verify_key(), &pool,
@@ -184,8 +163,8 @@ int main(int argc, char** argv) {
   std::optional<store::CompactionWorker> compactor;
   std::uint32_t compact_chain = static_cast<std::uint32_t>(
       std::strtoul(arg_value(argc, argv, "--compact-chain", "4"), nullptr, 10));
-  if (store && compact_chain > 0) {
-    compactor.emplace(*store,
+  if (compact_chain > 0) {
+    compactor.emplace(store,
                       store::CompactionWorker::Options{
                           .max_chain_length = compact_chain,
                           .open = store::OpenOptions{.degrade_tier_on_corruption = true}});
