@@ -1,11 +1,50 @@
 #include "bigint/bigint.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "support/errors.hpp"
 #include "support/rng.hpp"
 
 namespace vc {
+
+namespace {
+
+// Big-endian magnitude <-> limbs, a whole 64-bit limb at a time.  mpz_import
+// and mpz_export walk byte-sized words (~0.3 us for a 512-bit value), and the
+// epoch store converts three group elements per interval on every encode and
+// every lazy parse.
+static_assert(GMP_LIMB_BITS == 64 && GMP_NAIL_BITS == 0, "64-bit nail-free limbs");
+
+std::uint64_t load_be(const std::uint8_t* p, std::size_t n) {
+  if (n == 8) {
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return __builtin_bswap64(v);  // the toolchain targets little-endian platforms only
+  }
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < n; ++i) v = v << 8 | p[i];
+  return v;
+}
+
+// Writes |z| into `out`, which holds exactly its significant bytes.
+void export_be(mpz_srcptr z, std::span<std::uint8_t> out) {
+  const mp_limb_t* limbs = mpz_limbs_read(z);
+  std::size_t end = out.size();
+  for (std::size_t i = 0; end > 0; ++i) {
+    std::uint64_t v = limbs[i];
+    if (end >= 8) {
+      v = __builtin_bswap64(v);
+      std::memcpy(out.data() + end - 8, &v, sizeof(v));
+      end -= 8;
+    } else {
+      for (; end > 0; v >>= 8) out[--end] = static_cast<std::uint8_t>(v);
+    }
+  }
+}
+
+}  // namespace
 
 Bigint Bigint::from_u64(std::uint64_t v) {
   Bigint r;
@@ -24,7 +63,16 @@ Bigint Bigint::from_decimal(std::string_view s) {
 
 Bigint Bigint::from_bytes(std::span<const std::uint8_t> be) {
   Bigint r;
-  if (!be.empty()) mpz_import(r.z_, be.size(), 1, 1, 1, 0, be.data());
+  if (be.empty()) return r;
+  const std::size_t n = (be.size() + 7) / 8;
+  mp_limb_t* limbs = mpz_limbs_write(r.z_, static_cast<mp_size_t>(n));
+  std::size_t end = be.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t take = std::min<std::size_t>(8, end);
+    limbs[i] = load_be(be.data() + end - take, take);
+    end -= take;
+  }
+  mpz_limbs_finish(r.z_, static_cast<mp_size_t>(n));  // strips leading zero limbs
   return r;
 }
 
@@ -66,11 +114,8 @@ std::string Bigint::to_decimal() const {
 
 Bytes Bigint::to_bytes() const {
   if (is_zero()) return {};
-  std::size_t count = (mpz_sizeinbase(z_, 2) + 7) / 8;
-  Bytes out(count);
-  std::size_t written = 0;
-  mpz_export(out.data(), &written, 1, 1, 1, 0, z_);
-  out.resize(written);
+  Bytes out((mpz_sizeinbase(z_, 2) + 7) / 8);
+  export_be(z_, out);
   return out;
 }
 
@@ -185,8 +230,9 @@ Bigint Bigint::div_exact(const Bigint& a, const Bigint& b) {
 
 void Bigint::write(ByteWriter& w) const {
   w.u8(is_negative() ? 1 : 0);
-  Bytes mag = to_bytes();
-  w.bytes(mag);
+  const std::size_t count = is_zero() ? 0 : (mpz_sizeinbase(z_, 2) + 7) / 8;
+  w.varint(count);
+  if (count > 0) export_be(z_, w.extend(count));
 }
 
 Bigint Bigint::read(ByteReader& r) {

@@ -63,28 +63,21 @@ CountingBloom decompress_bloom(const CompressedBloom& compressed) {
   auto coded = payload.bytes_view();
   ArithDecoder dec(coded);
   AdaptiveModel model(kAlphabet);
-  std::vector<std::uint32_t> symbols(compressed.params.counters);
+  CountingBloom filter(compressed.params);
+  std::vector<std::uint32_t>& counters = filter.counters_;
   std::vector<std::size_t> escape_slots;
-  for (std::uint32_t j = 0; j < compressed.params.counters; ++j) {
-    symbols[j] = model.decode(dec);
-    if (symbols[j] == kEscape) escape_slots.push_back(j);
+  for (std::size_t j = 0; j < counters.size(); ++j) {
+    counters[j] = model.decode(dec);
+    if (counters[j] == kEscape) escape_slots.push_back(j);
   }
   for (std::size_t j : escape_slots) {
     std::uint64_t v = payload.varint();
     if (v < kEscape || v > ~std::uint32_t{0}) throw ParseError("bad escaped counter");
-    symbols[j] = static_cast<std::uint32_t>(v);
+    counters[j] = static_cast<std::uint32_t>(v);
   }
   payload.expect_done();
-
-  // Rebuild a filter with the decoded counters via the serialization path
-  // (counters are not reachable by add() alone).
-  ByteWriter w;
-  compressed.params.write(w);
-  w.u64(compressed.element_count);
-  w.varint(symbols.size());
-  for (std::uint32_t c : symbols) w.varint(c);
-  ByteReader r(w.data());
-  return CountingBloom::read(r);
+  filter.elements_added_ = compressed.element_count;
+  return filter;
 }
 
 double expected_compressed_bytes(std::uint32_t counters, double load) {

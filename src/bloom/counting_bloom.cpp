@@ -89,38 +89,6 @@ CountingBloom CountingBloom::elementwise_min(const CountingBloom& a, const Count
   return out;
 }
 
-void CountingBloom::write(ByteWriter& w) const {
-  params_.write(w);
-  w.u64(elements_added_);
-  w.varint(counters_.size());
-  for (std::uint32_t c : counters_) w.varint(c);
-}
-
-CountingBloom CountingBloom::read(ByteReader& r) {
-  BloomParams params = BloomParams::read(r);
-  // Each counter is at least a one-byte varint: a filter wider than the
-  // rest of the buffer is rejected before its counters are allocated.
-  if (params.counters > r.remaining()) {
-    throw ParseError("Bloom counter count exceeds the remaining buffer");
-  }
-  CountingBloom b(params);
-  b.elements_added_ = r.u64();
-  std::uint64_t n = r.varint();
-  if (n != b.counters_.size()) throw ParseError("Bloom counter count mismatch");
-  for (std::uint64_t j = 0; j < n; ++j) {
-    std::uint64_t v = r.varint();
-    if (v > ~std::uint32_t{0}) throw ParseError("Bloom counter overflow");
-    b.counters_[j] = static_cast<std::uint32_t>(v);
-  }
-  return b;
-}
-
-std::size_t CountingBloom::encoded_size() const {
-  ByteWriter w;
-  write(w);
-  return w.size();
-}
-
 CheckElements extract_check_elements(const BloomParams& params,
                                      std::span<const std::uint64_t> x1,
                                      std::span<const std::uint64_t> x2,

@@ -20,6 +20,8 @@ namespace advtest {
 struct BloomTamper;
 }  // namespace advtest
 
+struct CompressedBloom;
+
 struct BloomParams {
   std::uint32_t counters = 1024;  // m
   std::uint32_t hashes = 1;       // k (paper: one hash is optimal)
@@ -53,11 +55,6 @@ class CountingBloom {
   // Element-wise minimum B̂ of two filters with identical params.
   static CountingBloom elementwise_min(const CountingBloom& a, const CountingBloom& b);
 
-  // Uncompressed canonical encoding (params + raw counters).
-  void write(ByteWriter& w) const;
-  static CountingBloom read(ByteReader& r);
-  [[nodiscard]] std::size_t encoded_size() const;
-
   friend bool operator==(const CountingBloom&, const CountingBloom&) = default;
 
  private:
@@ -65,6 +62,9 @@ class CountingBloom {
   // forges dishonest filter states (decremented / inflated counters) that
   // the public API refuses to construct.
   friend struct advtest::BloomTamper;
+  // The compressed form is the only encoding a filter has; decoding it
+  // writes the counters directly (compressed_bloom.hpp).
+  friend CountingBloom decompress_bloom(const CompressedBloom& compressed);
 
   BloomParams params_;
   std::vector<std::uint32_t> counters_;

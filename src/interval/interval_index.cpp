@@ -1,6 +1,7 @@
 #include "interval/interval_index.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "accumulator/batch_witness.hpp"
 #include "obs/metrics.hpp"
@@ -28,6 +29,11 @@ void for_each_index(const AccumulatorContext& ctx, std::size_t n,
 
 namespace {
 constexpr std::uint64_t kU64Max = ~std::uint64_t{0};
+
+std::uint64_t fresh_stamp() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 // Smallest encodings of a proof part, for bounding decoded part counts: a
 // Bigint is at least a sign byte plus a length varint, a descriptor two
@@ -165,20 +171,20 @@ IntervalIndex IntervalIndex::build(const AccumulatorContext& ctx,
   IntervalIndex idx;
   idx.config_ = config;
   idx.element_prime_config_ = element_primes.generator().config();
-  idx.elements_.assign(sorted_elements.begin(), sorted_elements.end());
 
   // Chunk the sorted members; ranges partition [0, 2^64-1].
-  std::size_t n = idx.elements_.size();
+  std::size_t n = sorted_elements.size();
   std::size_t k = n == 0 ? 1 : (n + config.interval_size - 1) / config.interval_size;
   idx.intervals_.resize(k);
   for (std::size_t i = 0; i < k; ++i) {
     std::size_t begin = i * config.interval_size;
     std::size_t end = std::min(n, begin + config.interval_size);
     Interval& iv = idx.intervals_[i];
-    iv.members.assign(idx.elements_.begin() + begin, idx.elements_.begin() + end);
-    iv.desc.lo = i == 0 ? 0 : idx.elements_[begin];
+    iv.members.assign(sorted_elements.begin() + begin, sorted_elements.begin() + end);
+    iv.desc.lo = i == 0 ? 0 : sorted_elements[begin];
     bool last = i + 1 == k;
-    iv.desc.hi = last ? kU64Max : idx.elements_[end] - 1;
+    iv.desc.hi = last ? kU64Max : sorted_elements[end] - 1;
+    iv.stamp = fresh_stamp();
   }
   // Interval accumulators are independent of one another: fan out.
   for_each_index(ctx, idx.intervals_.size(), [&](std::size_t i) {
@@ -227,6 +233,12 @@ void IntervalIndex::rebuild_middle_layer(const AccumulatorContext& ctx) {
   // the O(K²) cost the RootFactor tree avoids (O(K log K), pool-parallel).
   std::vector<Bigint> witnesses = batch_membership_witnesses(ctx, mid_reps);
   for (std::size_t i = 0; i < k; ++i) intervals_[i].mid_witness = std::move(witnesses[i]);
+}
+
+std::size_t IntervalIndex::element_count() const {
+  std::size_t n = 0;
+  for (const Interval& iv : intervals_) n += iv.members.size();
+  return n;
 }
 
 std::size_t IntervalIndex::find_interval(std::uint64_t v) const {
@@ -343,8 +355,6 @@ void IntervalIndex::insert(const AccumulatorContext& ctx,
     if (it != members.end() && *it == v) continue;  // already present
     members.insert(it, v);
     touched[k] = true;
-    auto eit = std::lower_bound(elements_.begin(), elements_.end(), v);
-    elements_.insert(eit, v);
   }
   // Re-chunk touched intervals (splitting any that grew past twice the
   // nominal size, to keep online proving cheap), then refresh the stale
@@ -381,6 +391,7 @@ void IntervalIndex::insert(const AccumulatorContext& ctx,
     Interval& iv = next[stale[i]];
     iv.desc.b = ctx.accumulate(member_reps(iv, element_primes));
   });
+  for (std::size_t i : stale) next[i].stamp = fresh_stamp();
   intervals_ = std::move(next);
   rebuild_middle_layer(ctx);
 }
@@ -400,8 +411,6 @@ void IntervalIndex::remove(const AccumulatorContext& ctx,
     if (it == members.end() || *it != v) continue;  // not present
     members.erase(it);
     touched[k] = true;
-    auto eit = std::lower_bound(elements_.begin(), elements_.end(), v);
-    if (eit != elements_.end() && *eit == v) elements_.erase(eit);
   }
   std::vector<std::size_t> stale;
   for (std::size_t k = 0; k < intervals_.size(); ++k) {
@@ -415,6 +424,7 @@ void IntervalIndex::remove(const AccumulatorContext& ctx,
     std::size_t k = stale[i];
     intervals_[k].desc.b = ctx.accumulate(member_reps(intervals_[k], element_primes));
   });
+  for (std::size_t k : stale) intervals_[k].stamp = fresh_stamp();
   if (!stale.empty()) rebuild_middle_layer(ctx);
 }
 
@@ -425,7 +435,11 @@ namespace {
 bool verify_descriptor(const AccumulatorContext& ctx, const Bigint& root,
                        const IntervalDescriptor& desc, const Bigint& mid_witness,
                        const PrimeRepGenerator& mid_gen) {
-  std::vector<Bigint> mid_rep = {mid_gen.representative(desc.encode())};
+  static obs::Histogram& stage = obs::MetricsRegistry::global().stage("hash_to_prime");
+  std::vector<Bigint> mid_rep = [&] {
+    obs::Span span(stage, "hash_to_prime");  // the derivation, not the modexp check
+    return std::vector<Bigint>{mid_gen.representative(desc.encode())};
+  }();
   return verify_membership(ctx, root, mid_witness, mid_rep);
 }
 
@@ -475,7 +489,6 @@ void IntervalIndex::write(ByteWriter& w) const {
   w.varint(config_.interval_size);
   write_prime_config(w, element_prime_config_);
   root_.write(w);
-  write_members(w, elements_);
   w.varint(intervals_.size());
   for (const Interval& iv : intervals_) {
     iv.desc.write(w);
@@ -491,7 +504,6 @@ IntervalIndex IntervalIndex::read(ByteReader& r) {
   idx.config_.interval_size = r.varint();
   idx.element_prime_config_ = read_prime_config(r);
   idx.root_ = Bigint::read(r);
-  idx.elements_ = read_members(r);
   const std::size_t n = r.count(16);  // each interval carries two u64 bounds
   idx.intervals_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -499,6 +511,61 @@ IntervalIndex IntervalIndex::read(ByteReader& r) {
     iv.desc = IntervalDescriptor::read(r);
     iv.members = read_members(r);
     iv.mid_rep = Bigint::read(r);
+    iv.mid_witness = Bigint::read(r);
+    iv.stamp = fresh_stamp();
+    idx.intervals_.push_back(std::move(iv));
+  }
+  return idx;
+}
+
+void IntervalIndex::write_patch(ByteWriter& w, const IntervalIndex& base) const {
+  if (config_.interval_size != base.config_.interval_size ||
+      element_prime_config_.rep_bits != base.element_prime_config_.rep_bits ||
+      element_prime_config_.domain != base.element_prime_config_.domain) {
+    throw UsageError("interval patch base has a different config");
+  }
+  root_.write(w);
+  w.varint(intervals_.size());
+  std::size_t j = 0;  // merge walk: both lists are sorted by range start
+  for (const Interval& iv : intervals_) {
+    while (j < base.intervals_.size() && base.intervals_[j].desc.lo < iv.desc.lo) ++j;
+    if (iv.stamp != 0 && j < base.intervals_.size() && base.intervals_[j].stamp == iv.stamp) {
+      w.varint(j + 1);  // 1-based base position; 0 marks a full interval
+    } else {
+      w.varint(0);
+      iv.desc.write(w);
+      write_members(w, iv.members);
+      iv.mid_rep.write(w);
+    }
+    iv.mid_witness.write(w);
+  }
+}
+
+IntervalIndex IntervalIndex::read_patch(ByteReader& r, const IntervalIndex& base) {
+  IntervalIndex idx;
+  idx.config_ = base.config_;
+  idx.element_prime_config_ = base.element_prime_config_;
+  idx.root_ = Bigint::read(r);
+  const std::size_t n = r.count(3);  // position varint + witness sign and length
+  idx.intervals_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t ref = r.varint();
+    Interval iv;
+    if (ref == 0) {
+      iv.desc = IntervalDescriptor::read(r);
+      iv.members = read_members(r);
+      iv.mid_rep = Bigint::read(r);
+      iv.stamp = fresh_stamp();
+    } else {
+      if (ref > base.intervals_.size()) {
+        throw ParseError("interval patch references a missing base interval");
+      }
+      const Interval& from = base.intervals_[ref - 1];
+      iv.desc = from.desc;
+      iv.members = from.members;
+      iv.mid_rep = from.mid_rep;
+      iv.stamp = from.stamp;
+    }
     iv.mid_witness = Bigint::read(r);
     idx.intervals_.push_back(std::move(iv));
   }
@@ -509,7 +576,7 @@ bool operator==(const IntervalIndex& a, const IntervalIndex& b) {
   return a.config_.interval_size == b.config_.interval_size &&
          a.element_prime_config_.rep_bits == b.element_prime_config_.rep_bits &&
          a.element_prime_config_.domain == b.element_prime_config_.domain &&
-         a.root_ == b.root_ && a.elements_ == b.elements_ && a.intervals_ == b.intervals_;
+         a.root_ == b.root_ && a.intervals_ == b.intervals_;
 }
 
 bool IntervalIndex::verify_membership(const AccumulatorContext& ctx, const Bigint& root,

@@ -107,7 +107,7 @@ class IntervalIndex {
   // Root accumulator c, the value the owner signs.
   [[nodiscard]] const Bigint& root() const { return root_; }
   [[nodiscard]] std::size_t interval_count() const { return intervals_.size(); }
-  [[nodiscard]] std::size_t element_count() const { return elements_.size(); }
+  [[nodiscard]] std::size_t element_count() const;
   [[nodiscard]] const IntervalConfig& config() const { return config_; }
 
   // Index of the unique interval whose [lo, hi] range contains v.
@@ -182,6 +182,14 @@ class IntervalIndex {
   // Full-structure serialization (what the owner uploads to the cloud).
   void write(ByteWriter& w) const;
   static IntervalIndex read(ByteReader& r);
+
+  // Delta form of write() against `base`, an earlier version of this index
+  // (same config): an interval the updates since `base` left alone ships as
+  // a reference to its base position plus its refreshed middle witness (the
+  // root moved, so every witness did); the rest ship in full.
+  // read_patch(r, base) rebuilds exactly this index.
+  void write_patch(ByteWriter& w, const IntervalIndex& base) const;
+  static IntervalIndex read_patch(ByteReader& r, const IntervalIndex& base);
   friend bool operator==(const IntervalIndex&, const IntervalIndex&);
 
  private:
@@ -196,8 +204,17 @@ class IntervalIndex {
     std::vector<std::uint64_t> members;  // sorted
     Bigint mid_rep;                      // prime representative of desc
     Bigint mid_witness;                  // c_{b_k}, precomputed (Fig 3)
+    // Identity of (desc, members, mid_rep): fresh whenever the interval is
+    // built, re-accumulated or parsed in full, kept by copies.  Equal
+    // nonzero stamps mean equal content, so write_patch finds the intervals
+    // an update left alone without comparing them.  Not serialized, not
+    // part of ==.
+    std::uint64_t stamp = 0;
 
-    friend bool operator==(const Interval&, const Interval&) = default;
+    friend bool operator==(const Interval& a, const Interval& b) {
+      return a.desc == b.desc && a.members == b.members && a.mid_rep == b.mid_rep &&
+             a.mid_witness == b.mid_witness;
+    }
   };
 
   void rebuild_middle_layer(const AccumulatorContext& ctx);
@@ -205,8 +222,7 @@ class IntervalIndex {
                                                 PrimeCache& element_primes) const;
 
   IntervalConfig config_;
-  std::vector<Interval> intervals_;
-  std::vector<std::uint64_t> elements_;  // all members, sorted
+  std::vector<Interval> intervals_;  // their member lists partition X, in order
   Bigint root_;
   PrimeRepConfig element_prime_config_;
 };

@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "accumulator/batch_witness.hpp"
+#include "bloom/compressed_bloom.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/errors.hpp"
@@ -320,15 +321,19 @@ BloomIntegrity Prover::make_bloom_integrity(
   static obs::Histogram& stage = obs::MetricsRegistry::global().stage("integrity_bloom");
   obs::Span span(stage, "integrity_bloom");
   const BloomParams& params = snap_->config().bloom;
-  // B̂ = element-wise min over every keyword's signed filter; slots where
-  // B(S) falls short need check elements from every keyword.
+  // B̂ = element-wise min over every keyword's signed filter — decoded here,
+  // as the verifier decodes it; slots where B(S) falls short need check
+  // elements from every keyword.
+  std::vector<CountingBloom> filters;
+  filters.reserve(entries.size());
+  for (const IndexEntry* e : entries) {
+    filters.push_back(decompress_bloom(e->bloom_attestation.stmt.doc_bloom));
+  }
   CountingBloom bs = CountingBloom::from_set(params, result.docs);
   std::vector<bool> open(params.counters, false);
   for (std::uint32_t j = 0; j < params.counters; ++j) {
-    std::uint32_t bhat = entries[0]->doc_bloom.counter(j);
-    for (std::size_t i = 1; i < entries.size(); ++i) {
-      bhat = std::min(bhat, entries[i]->doc_bloom.counter(j));
-    }
+    std::uint32_t bhat = filters[0].counter(j);
+    for (std::size_t i = 1; i < filters.size(); ++i) bhat = std::min(bhat, filters[i].counter(j));
     open[j] = bs.counter(j) < bhat;
   }
 

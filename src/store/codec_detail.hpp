@@ -5,6 +5,7 @@
 // of src/store — tools and tests go through the public codec headers.
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <span>
@@ -15,6 +16,7 @@
 #include "obs/trace.hpp"
 #include "store/crc32.hpp"
 #include "store/mapped_file.hpp"
+#include "store/delta_codec.hpp"
 #include "store/snapshot_codec.hpp"
 
 namespace vc::store::detail {
@@ -39,35 +41,112 @@ inline std::uint64_t load_u64le(const std::uint8_t* p) {
 
 // --- entry blobs -------------------------------------------------------------
 
-inline void write_entry(ByteWriter& w, const IndexEntry& e) {
-  w.varint(e.postings.size());
-  for (const Posting& p : e.postings) {
+// Count-prefixed run of postings, u32 docID + u32 tf each.
+inline void write_postings(ByteWriter& w, std::span<const Posting> postings) {
+  w.varint(postings.size());
+  for (const Posting& p : postings) {
     w.u32(p.doc_id);
     w.u32(p.tf);
   }
+}
+
+inline void write_entry(ByteWriter& w, const IndexEntry& e) {
+  write_postings(w, e.postings);
   e.tuple_intervals.write(w);
   e.doc_intervals.write(w);
-  e.doc_bloom.write(w);
   e.attestation.write(w);
   e.bloom_attestation.write(w);
 }
 
-inline std::shared_ptr<const IndexEntry> read_entry(ByteReader& r) {
-  auto e = std::make_shared<IndexEntry>();
-  const std::size_t n = r.count(8);  // u32 docID + u32 tf per posting
-  e->postings.reserve(n);
+// Appends a write_postings run to `out`.
+inline void read_postings(ByteReader& r, PostingList& out) {
+  const std::size_t n = r.count(8);
+  out.reserve(out.size() + n);
   for (std::size_t i = 0; i < n; ++i) {
     Posting p{};
     p.doc_id = r.u32();
     p.tf = r.u32();
-    e->postings.push_back(p);
+    out.push_back(p);
   }
+}
+
+// The attestations close every entry blob.  `config` is the epoch's own
+// config section.  The signed filter's params must equal its Bloom params
+// before anything decodes the filter: decompress_bloom sizes its counters
+// from them, and a forged entry could otherwise claim 2^32-1 counters
+// (16 GiB) in a few bytes.
+inline void read_attestations(ByteReader& r, const VerifiableIndexConfig& config,
+                              IndexEntry& e) {
+  e.attestation = TermAttestation::read(r);
+  e.bloom_attestation = BloomAttestation::read(r);
+  r.expect_done();
+  if (!(e.bloom_attestation.stmt.doc_bloom.params == config.bloom)) {
+    throw StoreParamMismatchError("entry's signed Bloom params differ from the epoch config");
+  }
+}
+
+inline std::shared_ptr<const IndexEntry> read_entry(ByteReader& r,
+                                                    const VerifiableIndexConfig& config) {
+  auto e = std::make_shared<IndexEntry>();
+  read_postings(r, e->postings);
   e->tuple_intervals = IntervalIndex::read(r);
   e->doc_intervals = IntervalIndex::read(r);
-  e->doc_bloom = CountingBloom::read(r);
-  e->attestation = TermAttestation::read(r);
-  e->bloom_attestation = BloomAttestation::read(r);
-  r.expect_done();
+  read_attestations(r, config, *e);
+  return e;
+}
+
+// Delta entry blobs open with a kind byte.  A term the base epoch did not
+// hold ships in full (write_entry).  A term it held ships as a patch
+// against that entry: the postings past their common prefix, both interval
+// indexes via IntervalIndex::write_patch, and the re-signed attestations.
+// An update rebuilds only the few intervals its postings land in, so a
+// patch is mostly the refreshed middle witnesses: roughly a third of the
+// hot terms' full bytes, which dominate a Zipf workload's delta.
+enum class DeltaEntryKind : std::uint8_t { kFull = 0, kPatch = 1 };
+
+inline void write_delta_entry(ByteWriter& w, const IndexEntry& e, const IndexEntry* base) {
+  if (base == nullptr) {
+    w.u8(static_cast<std::uint8_t>(DeltaEntryKind::kFull));
+    write_entry(w, e);
+    return;
+  }
+  w.u8(static_cast<std::uint8_t>(DeltaEntryKind::kPatch));
+  const auto [diverge, unused] = std::mismatch(e.postings.begin(), e.postings.end(),
+                                               base->postings.begin(), base->postings.end());
+  w.varint(static_cast<std::size_t>(diverge - e.postings.begin()));  // kept base prefix
+  write_postings(w, {diverge, e.postings.end()});
+  e.tuple_intervals.write_patch(w, base->tuple_intervals);
+  e.doc_intervals.write_patch(w, base->doc_intervals);
+  e.attestation.write(w);
+  e.bloom_attestation.write(w);
+}
+
+// `base` is the term's entry at the delta's base epoch (null when absent);
+// only a patch consults it.
+inline std::shared_ptr<const IndexEntry> read_delta_entry(
+    ByteReader& r, const VerifiableIndexConfig& config, std::string_view term,
+    const DeltaEntrySource::BaseLookup& base_lookup) {
+  const std::uint8_t kind = r.u8();
+  if (kind == static_cast<std::uint8_t>(DeltaEntryKind::kFull)) return read_entry(r, config);
+  if (kind != static_cast<std::uint8_t>(DeltaEntryKind::kPatch)) {
+    throw StoreCorruptError("unknown delta entry kind " + std::to_string(kind));
+  }
+  std::shared_ptr<const IndexEntry> base = base_lookup ? base_lookup(term) : nullptr;
+  if (base == nullptr) {
+    throw StoreChainError("delta patches term " + std::string(term) +
+                          ", which its base epoch does not hold");
+  }
+  auto e = std::make_shared<IndexEntry>();
+  const std::size_t keep = r.varint();
+  if (keep > base->postings.size()) {
+    throw StoreCorruptError("delta patch keeps more postings than its base holds");
+  }
+  e->postings.assign(base->postings.begin(),
+                     base->postings.begin() + static_cast<std::ptrdiff_t>(keep));
+  read_postings(r, e->postings);
+  e->tuple_intervals = IntervalIndex::read_patch(r, base->tuple_intervals);
+  e->doc_intervals = IntervalIndex::read_patch(r, base->doc_intervals);
+  read_attestations(r, config, *e);
   return e;
 }
 
@@ -170,17 +249,25 @@ inline bool extent_fits(std::uint64_t offset, std::uint64_t size, std::uint64_t 
   return offset <= limit && size <= limit - offset;
 }
 
-class MappedEntrySource final : public EntrySource {
+// Lazy parse of one mapped entries section.  Delta records open each blob
+// with a kind byte and may patch it over the base version `base` supplies
+// (read_delta_entry); snapshot blobs are always full and ignore `base`.
+class MappedEntrySource final : public DeltaEntrySource {
  public:
-  MappedEntrySource(std::shared_ptr<const MappedFile> file,
-                    std::span<const std::uint8_t> entries, std::vector<TermLoc> locs)
-      : file_(std::move(file)), entries_(entries), locs_(std::move(locs)) {}
+  MappedEntrySource(std::shared_ptr<const MappedFile> file, VerifiableIndexConfig config,
+                    std::span<const std::uint8_t> entries, std::vector<TermLoc> locs,
+                    bool delta_blobs)
+      : file_(std::move(file)),
+        config_(std::move(config)),
+        entries_(entries),
+        locs_(std::move(locs)),
+        delta_blobs_(delta_blobs) {}
 
-  [[nodiscard]] std::shared_ptr<const IndexEntry> load(
-      std::size_t rank, std::string_view /*term*/) const override {
+  [[nodiscard]] std::shared_ptr<const IndexEntry> load_over(
+      std::size_t rank, std::string_view term, const BaseLookup& base) const override {
     const TermLoc& loc = locs_[rank];
     ByteReader r(entries_.subspan(loc.offset, loc.size));
-    auto entry = read_entry(r);
+    auto entry = delta_blobs_ ? read_delta_entry(r, config_, term, base) : read_entry(r, config_);
     entries_materialized().inc();
     // Cold first touch of a mapped term — the trace attribute is what tells
     // a slow first-query-after-restart apart from a warm one.
@@ -196,8 +283,10 @@ class MappedEntrySource final : public EntrySource {
 
  private:
   std::shared_ptr<const MappedFile> file_;  // keeps the mapping alive
+  VerifiableIndexConfig config_;
   std::span<const std::uint8_t> entries_;
   std::vector<TermLoc> locs_;
+  bool delta_blobs_;
 };
 
 // --- layout parsing ----------------------------------------------------------
@@ -319,6 +408,7 @@ inline Bytes encode_sections(std::uint32_t format_version, std::uint64_t epoch,
   }
 
   ByteWriter out;
+  out.reserve(total);
   out.raw(kMagic);
   out.u32(format_version);
   out.u32(static_cast<std::uint32_t>(kHeaderBytes));

@@ -34,7 +34,9 @@ Bytes encode_delta(const IndexDelta& delta, std::uint32_t shard_count) {
   for (const auto& [term, entry] : delta.touched) {
     if (entry == nullptr) throw StoreError("delta entry missing for term " + term);
     std::size_t start = entries_w.size();
-    detail::write_entry(entries_w, *entry);
+    auto base = delta.bases.find(term);
+    detail::write_delta_entry(entries_w, *entry,
+                              base == delta.bases.end() ? nullptr : base->second.get());
     termdir_w.str(term);
     termdir_w.varint(start);
     termdir_w.varint(entries_w.size() - start);
@@ -136,7 +138,8 @@ OpenedDelta open_delta(std::shared_ptr<const MappedFile> file, const OpenOptions
     locs.push_back(loc);
   }
   td.expect_done();
-  out.source = std::make_shared<const MappedEntrySource>(file, entries_sec, std::move(locs));
+  out.source = std::make_shared<const MappedEntrySource>(file, out.config, entries_sec,
+                                                         std::move(locs), /*delta_blobs=*/true);
 
   ByteReader rm(detail::section_bytes(data, layout, SectionId::kDeltaRemoved));
   const std::size_t removed = rm.count(1);

@@ -13,6 +13,7 @@
 // records.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +25,23 @@ namespace vc::store {
 
 // Serializes one delta record into the epoch-file byte layout (v3).
 Bytes encode_delta(const IndexDelta& delta, std::uint32_t shard_count);
+
+// A delta's touched entries, parsed lazily from the mapping.  An entry the
+// delta ships as a patch needs the term's entry at the base epoch: `base`
+// returns it (null when the base epoch does not hold the term).  The plain
+// EntrySource::load passes no base, so it serves full entries only and
+// throws StoreChainError on a patch.
+class DeltaEntrySource : public EntrySource {
+ public:
+  using BaseLookup = std::function<std::shared_ptr<const IndexEntry>(std::string_view term)>;
+
+  [[nodiscard]] virtual std::shared_ptr<const IndexEntry> load_over(
+      std::size_t rank, std::string_view term, const BaseLookup& base) const = 0;
+  [[nodiscard]] std::shared_ptr<const IndexEntry> load(std::size_t rank,
+                                                       std::string_view term) const override {
+    return load_over(rank, term, nullptr);
+  }
+};
 
 // A validated, opened delta record.  All views keep the mapping alive
 // through `file`; touched entries parse lazily via `source` (rank is the
@@ -39,7 +57,7 @@ struct OpenedDelta {
   std::shared_ptr<const DictionaryIntervals> dict;          // when dict_changed
   std::shared_ptr<const DictAttestation> dict_attestation;  // when dict_changed
   std::vector<std::string> touched_terms;  // sorted
-  std::shared_ptr<const EntrySource> source;
+  std::shared_ptr<const DeltaEntrySource> source;
   std::vector<std::string> removed_terms;  // sorted
   std::shared_ptr<const PrimeBacking> tuple_primes;
   std::shared_ptr<const PrimeBacking> doc_primes;

@@ -162,19 +162,43 @@ class OverlayEntrySource final : public EntrySource {
   [[nodiscard]] std::shared_ptr<const IndexEntry> load(
       std::size_t rank, std::string_view term) const override {
     const OverlayProvider& p = providers_[rank];
-    if (p.delta >= 0) {
-      return deltas_[static_cast<std::size_t>(p.delta)].source->load(p.rank, term);
-    }
-    const IndexEntry* e = base_->find(term);
+    if (p.delta >= 0) return load_layer(p.delta, p.rank, term);
+    auto e = below(0, term);
     if (e == nullptr) {
       throw StoreCorruptError("chain base lost term " + std::string(term));
     }
+    return e;
+  }
+
+ private:
+  // `term` as delta `layer` ships it (rank: its position in that delta's
+  // touched terms); a patch applies over the version just below the layer.
+  std::shared_ptr<const IndexEntry> load_layer(int layer, std::size_t rank,
+                                               std::string_view term) const {
+    return deltas_[static_cast<std::size_t>(layer)].source->load_over(
+        rank, term, [this, layer](std::string_view t) { return below(layer, t); });
+  }
+
+  // `term` as the chain held it before delta `layer`: the newest older delta
+  // that touched or removed it, else the base snapshot; null when absent.
+  std::shared_ptr<const IndexEntry> below(int layer, std::string_view term) const {
+    for (int l = layer - 1; l >= 0; --l) {
+      const OpenedDelta& d = deltas_[static_cast<std::size_t>(l)];
+      auto it = std::lower_bound(d.touched_terms.begin(), d.touched_terms.end(), term);
+      if (it != d.touched_terms.end() && *it == term) {
+        return load_layer(l, static_cast<std::size_t>(it - d.touched_terms.begin()), term);
+      }
+      if (std::binary_search(d.removed_terms.begin(), d.removed_terms.end(), term)) {
+        return nullptr;
+      }
+    }
+    const IndexEntry* e = base_->find(term);
+    if (e == nullptr) return nullptr;
     // Alias the base snapshot's cached entry; the overlay keeps the base
     // alive, so no copy and no second parse.
     return {base_, e};
   }
 
- private:
   SnapshotPtr base_;
   std::vector<OpenedDelta> deltas_;
   std::vector<OverlayProvider> providers_;

@@ -213,8 +213,8 @@ OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file, OpenOptions op
   }
   td.expect_done();
 
-  auto source = std::make_shared<const MappedEntrySource>(file, entries_sec,
-                                                          std::move(locs));
+  auto source = std::make_shared<const MappedEntrySource>(file, config, entries_sec,
+                                                          std::move(locs), /*delta_blobs=*/false);
 
   auto tuple_primes = std::make_shared<PrimeCache>(config.tuple_prime_config());
   tuple_primes->set_backing(std::make_shared<const MappedPrimeBacking>(

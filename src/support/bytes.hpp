@@ -42,6 +42,12 @@ class ByteWriter {
   // Raw bytes, no length prefix (caller knows the framing).
   void raw(std::span<const std::uint8_t> data);
   void str(std::string_view s);
+  // Grows the buffer by `n` bytes and returns them for the caller to fill.
+  std::span<std::uint8_t> extend(std::size_t n) {
+    buf_.resize(buf_.size() + n);
+    return {buf_.data() + buf_.size() - n, n};
+  }
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] const Bytes& data() const& { return buf_; }

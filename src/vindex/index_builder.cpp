@@ -1,6 +1,8 @@
 #include "vindex/index_builder.hpp"
 
 #include <algorithm>
+#include <span>
+#include <utility>
 
 #include "bloom/compressed_bloom.hpp"
 #include "support/errors.hpp"
@@ -28,8 +30,6 @@ IndexEntry IndexBuilder::build_entry(const std::string& term, const PostingList&
   for (std::uint64_t t : tuples) tuple_reps.push_back(tuple_primes_->get(t));
   for (std::uint64_t d : docs) doc_reps.push_back(doc_primes_->get(d));
 
-  e.doc_bloom = CountingBloom::from_set(config_.bloom, docs);
-
   TermStatement stmt;
   stmt.term = term;
   stmt.tuple_acc = owner_ctx.accumulate(tuple_reps);
@@ -43,7 +43,7 @@ IndexEntry IndexBuilder::build_entry(const std::string& term, const PostingList&
 
   BloomStatement bstmt;
   bstmt.term = term;
-  bstmt.doc_bloom = compress_bloom(e.doc_bloom);
+  bstmt.doc_bloom = compress_bloom(CountingBloom::from_set(config_.bloom, docs));
   bstmt.epoch = epoch_;
   e.bloom_attestation = BloomAttestation{bstmt, owner_key.sign(bstmt.encode())};
   return e;
@@ -52,6 +52,7 @@ IndexEntry IndexBuilder::build_entry(const std::string& term, const PostingList&
 void IndexBuilder::begin_mutation() {
   ++epoch_;
   cached_snapshot_.reset();
+  retired_bases_.clear();
 }
 
 SnapshotPtr IndexBuilder::snapshot() const {
@@ -149,7 +150,14 @@ void IndexBuilder::note_full_publish() {
   published_doc_watermark_ = index_.doc_count();
   dirty_terms_.clear();
   removed_terms_.clear();
+  delta_bases_.clear();
   dict_dirty_ = false;
+}
+
+void IndexBuilder::note_delta_base(const std::string& term) {
+  auto it = entries_.find(term);
+  // try_emplace: the first mutation since the publish keeps its view.
+  delta_bases_.try_emplace(term, it == entries_.end() ? nullptr : it->second);
 }
 
 std::optional<IndexDelta> IndexBuilder::publish_delta() {
@@ -166,6 +174,8 @@ std::optional<IndexDelta> IndexBuilder::publish_delta() {
     auto it = entries_.find(term);
     if (it == entries_.end()) throw Error("dirty term vanished from the index: " + term);
     d.touched.emplace(term, it->second);
+    auto base = delta_bases_.find(term);
+    if (base != delta_bases_.end() && base->second != nullptr) d.bases.emplace(*base);
   }
   d.removed.assign(removed_terms_.begin(), removed_terms_.end());
   d.dict_changed = dict_dirty_;
@@ -186,8 +196,12 @@ std::optional<IndexDelta> IndexBuilder::publish_delta() {
   // publish latency.
   std::vector<std::uint64_t> tuple_keys, doc_keys;
   for (const auto& [term, e] : d.touched) {
-    for (const Posting& p : e->postings) {
-      if (p.doc_id < published_doc_watermark_) continue;
+    // Postings are sorted by docID, so the new ones are a suffix: find it
+    // instead of walking a hot term's whole list.
+    auto fresh = std::partition_point(
+        e->postings.begin(), e->postings.end(),
+        [&](const Posting& p) { return p.doc_id < published_doc_watermark_; });
+    for (const Posting& p : std::span(fresh, e->postings.end())) {
       tuple_keys.push_back(InvertedIndex::encode_tuple(p));
       doc_keys.push_back(InvertedIndex::encode_doc(p.doc_id));
     }
@@ -207,6 +221,7 @@ std::optional<IndexDelta> IndexBuilder::publish_delta() {
   published_doc_watermark_ = index_.doc_count();
   dirty_terms_.clear();
   removed_terms_.clear();
+  retired_bases_ = std::exchange(delta_bases_, {});
   dict_dirty_ = false;
   return d;
 }
@@ -254,8 +269,9 @@ void IndexBuilder::validate(const VerifyKey& owner_key) const {
             "tuple interval root mismatch: " + term);
     require(e.attestation.stmt.doc_root == e.doc_intervals.root(),
             "doc interval root mismatch: " + term);
-    require(e.doc_bloom == decompress_bloom(e.bloom_attestation.stmt.doc_bloom),
-            "bloom filter mismatch: " + term);
+    require(decompress_bloom(e.bloom_attestation.stmt.doc_bloom) ==
+                CountingBloom::from_set(config_.bloom, InvertedIndex::doc_set(e.postings)),
+            "bloom filter does not match the postings: " + term);
     require(e.tuple_intervals.element_count() == e.postings.size(),
             "tuple interval cardinality mismatch: " + term);
     require(e.doc_intervals.element_count() == e.postings.size(),
@@ -296,6 +312,7 @@ UpdateTimings IndexBuilder::add_documents(const std::vector<Document>& docs,
   bool new_terms = false;
 
   for (auto& [term, new_postings] : added) {
+    note_delta_base(term);
     dirty_terms_.insert(term);
     removed_terms_.erase(term);  // a re-appearing term is an upsert again
     auto it = entries_.find(term);
@@ -336,10 +353,7 @@ UpdateTimings IndexBuilder::add_documents(const std::vector<Document>& docs,
     // Bloom: decompress the signed filter, add, recompress (§V-D).
     sw.reset();
     CountingBloom stored = decompress_bloom(e.bloom_attestation.stmt.doc_bloom);
-    for (std::uint64_t d : new_docs) {
-      stored.add(d);
-      e.doc_bloom.add(d);
-    }
+    for (std::uint64_t d : new_docs) stored.add(d);
     CompressedBloom recompressed = compress_bloom(stored);
     t.bloom_seconds += sw.seconds();
 
@@ -388,6 +402,7 @@ UpdateTimings IndexBuilder::remove_documents(std::span<const std::uint64_t> doc_
   for (auto& [term, gone] : removed) {
     auto it = entries_.find(term);
     if (it == entries_.end()) continue;  // defensive; should not happen
+    note_delta_base(term);
     t.added_postings += gone.size();  // postings *changed* by this update
 
     if (index_.find(term) == nullptr) {
@@ -425,10 +440,7 @@ UpdateTimings IndexBuilder::remove_documents(std::span<const std::uint64_t> doc_
     // Bloom: counter decrements + recompress the signed filter.
     sw.reset();
     CountingBloom stored = decompress_bloom(e.bloom_attestation.stmt.doc_bloom);
-    for (std::uint64_t d : gone_docs) {
-      stored.remove(d);
-      e.doc_bloom.remove(d);
-    }
+    for (std::uint64_t d : gone_docs) stored.remove(d);
     CompressedBloom recompressed = compress_bloom(stored);
     t.bloom_seconds += sw.seconds();
 

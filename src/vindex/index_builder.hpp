@@ -75,6 +75,10 @@ struct IndexDelta {
   std::uint64_t base_epoch = 0;  // the chain predecessor it applies to
   VerifiableIndexConfig config;
   std::map<std::string, std::shared_ptr<const IndexEntry>, std::less<>> touched;
+  // The entries at `base_epoch` of the touched terms it already held.  The
+  // codec ships each such term as a patch against its base entry; a touched
+  // term without one ships in full.
+  std::map<std::string, std::shared_ptr<const IndexEntry>, std::less<>> bases;
   std::vector<std::string> removed;  // sorted; absent from `touched`
   bool dict_changed = false;
   std::shared_ptr<const DictionaryIntervals> dict;             // when dict_changed
@@ -197,6 +201,10 @@ class IndexBuilder {
   // statements will carry and invalidates the cached snapshot.
   void begin_mutation();
 
+  // Records `term`'s published entry before its first mutation since the
+  // last publish (see delta_bases_).
+  void note_delta_base(const std::string& term);
+
   VerifiableIndexConfig config_;
   InvertedIndex index_;
   IndexSnapshot::EntryMap entries_;
@@ -211,6 +219,15 @@ class IndexBuilder {
   // most one of the two sets; re-adding a removed term moves it back.
   std::set<std::string, std::less<>> dirty_terms_;
   std::set<std::string, std::less<>> removed_terms_;
+  // Every dirty or removed term's entry as of the last publish (null for a
+  // term new since), taken at its first mutation after that publish:
+  // publish_delta() hands the touched ones over as IndexDelta::bases.
+  IndexSnapshot::EntryMap delta_bases_;
+  // The last delta's bases, released at the next mutation instead of when
+  // the delta is dropped: a hot term's old version is thousands of bigints,
+  // and freeing them belongs with the update that replaced them, not on
+  // the publish path.
+  IndexSnapshot::EntryMap retired_bases_;
   bool dict_dirty_ = false;
   std::uint64_t last_published_epoch_ = 0;  // 0: no publish recorded yet
   // DocIDs below this were covered by the last published epoch; deltas ship

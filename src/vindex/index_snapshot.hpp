@@ -10,7 +10,7 @@
 // the Prover, SearchEngine and CloudService consume them.  A snapshot never
 // changes after construction, so any number of threads may serve queries
 // from it while the owner applies the next update — swapping in the new
-// epoch is a single atomic shared_ptr store.
+// epoch replaces the cloud's one mutex-guarded shared_ptr.
 #pragma once
 
 #include <atomic>
@@ -63,7 +63,6 @@ struct IndexEntry {
   PostingList postings;
   IntervalIndex tuple_intervals;
   IntervalIndex doc_intervals;
-  CountingBloom doc_bloom{BloomParams{}};  // uncompressed working copy
   TermAttestation attestation;
   BloomAttestation bloom_attestation;
 };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "bigint/bigint.hpp"
@@ -127,6 +128,23 @@ TEST(Bigint, DivExact) {
   EXPECT_EQ(Bigint::div_exact(Bigint(84), Bigint(7)).to_u64(), 12u);
   EXPECT_THROW(Bigint::div_exact(Bigint(85), Bigint(7)), CryptoError);
   EXPECT_THROW(Bigint::div_exact(Bigint(85), Bigint(0)), UsageError);
+}
+
+// from_bytes/to_bytes convert whole limbs; check them against a byte-wise
+// Horner evaluation across limb boundaries, with leading zero bytes.
+TEST(Bigint, BytesMatchHornerAcrossLimbWidths) {
+  DeterministicRng rng(7);
+  for (std::size_t len = 1; len <= 40; ++len) {
+    Bytes be = rng.bytes(len);
+    be[0] = len % 3 == 0 ? 0 : be[0];  // some inputs lead with a zero byte
+    Bigint want;
+    for (std::uint8_t b : be) want = want * Bigint(256) + Bigint(b);
+    Bigint got = Bigint::from_bytes(be);
+    EXPECT_EQ(got, want) << len;
+    Bytes trimmed(std::find_if(be.begin(), be.end(), [](std::uint8_t b) { return b != 0; }),
+                  be.end());
+    EXPECT_EQ(got.to_bytes(), trimmed) << len;
+  }
 }
 
 TEST(Bigint, SerializationRoundtrip) {

@@ -10,12 +10,14 @@
 // the delta path invisible to verifiers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
 #include "obs/metrics.hpp"
 #include "store/delta_codec.hpp"
 #include "store/epoch_store.hpp"
+#include "store/mapped_file.hpp"
 #include "test_fixtures.hpp"
 #include "text/stemmer.hpp"
 #include "text/synth.hpp"
@@ -182,6 +184,45 @@ TEST_F(DeltaStoreTest, DeltaChainProofsAreByteIdentical) {
   EXPECT_EQ(chain[2].epoch, base);
   EXPECT_FALSE(chain[2].is_delta);
   EXPECT_FALSE(chain[2].compacted);
+  fs::remove_all(root);
+}
+
+// A touched term the base epoch already held ships as a patch over its
+// base entry: the blob undercuts the term's full interval encoding, a lone
+// delta record cannot serve it (typed StoreChainError), and the chain
+// rebuilds the builder's entry exactly.
+TEST_F(DeltaStoreTest, TouchedTermsShipAsPatchesOverTheirBase) {
+  fs::path root = fresh_root("patch");
+  store::EpochStore store(root);
+  publish_base(store);
+  add_doc();
+  auto delta = bed_->vidx.publish_delta();
+  ASSERT_TRUE(delta.has_value());
+  const std::string hot = porter_stem(bed_->frequent_terms(1)[0]);
+  ASSERT_TRUE(delta->touched.contains(hot));
+  ASSERT_TRUE(delta->bases.contains(hot));
+  const fs::path dir = store.publish_delta(*delta, /*shard_count=*/2);
+
+  store::OpenedDelta opened = store::open_delta(
+      std::make_shared<const store::MappedFile>(dir / store::EpochStore::kDeltaFile));
+  auto it = std::lower_bound(opened.touched_terms.begin(), opened.touched_terms.end(), hot);
+  ASSERT_TRUE(it != opened.touched_terms.end() && *it == hot);
+  const auto rank = static_cast<std::size_t>(it - opened.touched_terms.begin());
+  const IndexEntry& want = *bed_->vidx.find(hot);
+  ByteWriter intervals;
+  want.tuple_intervals.write(intervals);
+  want.doc_intervals.write(intervals);
+  EXPECT_LT(opened.source->stored_bytes(rank), intervals.size());
+  EXPECT_THROW((void)opened.source->load(rank, hot), store::StoreChainError);
+
+  store::OpenedEpoch chain = store.open_current();
+  const IndexEntry* got = chain.snapshot->find(hot);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->postings, want.postings);
+  EXPECT_EQ(got->tuple_intervals, want.tuple_intervals);
+  EXPECT_EQ(got->doc_intervals, want.doc_intervals);
+  EXPECT_EQ(got->attestation, want.attestation);
+  EXPECT_EQ(got->bloom_attestation, want.bloom_attestation);
   fs::remove_all(root);
 }
 

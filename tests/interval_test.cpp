@@ -239,6 +239,37 @@ TEST_F(IntervalIndexTest, InsertRequiresTrapdoor) {
   EXPECT_THROW(idx.insert(pub_, std::vector<std::uint64_t>{11}, primes_), UsageError);
 }
 
+// A patch against the pre-update index rebuilds the updated index exactly;
+// the intervals the insert left alone travel as base references, so the
+// patch is far smaller than the full encoding.
+TEST_F(IntervalIndexTest, PatchRebuildsUpdatedIndexFromBase) {
+  const IntervalIndex base = IntervalIndex::build(owner_, evens(80), primes_, cfg_);
+  IntervalIndex idx = base;
+  idx.insert(owner_, std::vector<std::uint64_t>{171, 173}, primes_);  // past the last member
+  ASSERT_NE(idx.root(), base.root());
+
+  ByteWriter patch;
+  idx.write_patch(patch, base);
+  ByteReader r(patch.data());
+  EXPECT_EQ(IntervalIndex::read_patch(r, base), idx);
+  EXPECT_TRUE(r.done());
+  ByteWriter full;
+  idx.write(full);
+  EXPECT_LT(patch.size(), full.size() / 2);
+
+  // Against an unrelated base of the same config every interval ships in
+  // full, and the result is still exact.
+  const IntervalIndex other = IntervalIndex::build(owner_, evens(3), primes_, cfg_);
+  ByteWriter unrelated;
+  idx.write_patch(unrelated, other);
+  ByteReader r2(unrelated.data());
+  EXPECT_EQ(IntervalIndex::read_patch(r2, other), idx);
+
+  // A reference past the end of the base is a typed error.
+  ByteReader r3(patch.data());
+  EXPECT_THROW((void)IntervalIndex::read_patch(r3, other), ParseError);
+}
+
 TEST_F(IntervalIndexTest, ProofSerializationRoundtrip) {
   auto elems = evens(30);
   IntervalIndex idx = IntervalIndex::build(owner_, elems, primes_, cfg_);
@@ -273,8 +304,9 @@ TEST(IntervalDecode, HugeCountsAreTypedErrors) {
     ByteReader nr(parts.data());
     EXPECT_THROW((void)IntervalNonmembershipProof::read(nr), ParseError) << huge;
 
-    // An index header (tag, interval size, prime config, root) followed by
-    // a member list of `huge` elements.
+    // An index header (tag, interval size, prime config, root), one
+    // interval, and that interval's descriptor followed by a member list of
+    // `huge` elements.
     ByteWriter index;
     index.str("vc.interval-index.v1");
     index.varint(8);
@@ -282,6 +314,8 @@ TEST(IntervalDecode, HugeCountsAreTypedErrors) {
     index.str("interval-test");
     index.varint(24);
     Bigint(4).write(index);
+    index.varint(1);
+    IntervalDescriptor{.lo = 0, .hi = ~std::uint64_t{0}, .b = Bigint(4)}.write(index);
     index.varint(huge);
     index.raw(Bytes(4, 0));
     ByteReader ir(index.data());
@@ -294,7 +328,7 @@ TEST(IntervalDecode, HugeCountsAreTypedErrors) {
 // rejected before anything is reserved.
 TEST(IntervalDecode, HugeIntervalAndDictionaryCountsAreTypedErrors) {
   for (std::uint64_t huge : {std::uint64_t{1} << 62, std::uint64_t{1} << 28}) {
-    // Interval-index header, an empty member list, then `huge` intervals.
+    // Interval-index header, then `huge` intervals.
     ByteWriter index;
     index.str("vc.interval-index.v1");
     index.varint(8);
@@ -302,7 +336,6 @@ TEST(IntervalDecode, HugeIntervalAndDictionaryCountsAreTypedErrors) {
     index.str("interval-test");
     index.varint(24);
     Bigint(4).write(index);
-    index.varint(0);
     index.varint(huge);
     index.raw(Bytes(4, 0));
     ByteReader ir(index.data());

@@ -77,7 +77,6 @@ TEST_F(OutsourcingTest, LoadedIndexMatchesOriginal) {
     EXPECT_EQ(a->bloom_attestation, b->bloom_attestation) << term;
     EXPECT_EQ(a->tuple_intervals, b->tuple_intervals) << term;
     EXPECT_EQ(a->doc_intervals, b->doc_intervals) << term;
-    EXPECT_EQ(a->doc_bloom, b->doc_bloom) << term;
     EXPECT_EQ(a->postings, b->postings) << term;
   }
   // Prime caches travelled with the epoch: every representative the owner

@@ -86,6 +86,9 @@ TEST_F(RemovalTest, AccumulatorsMatchFreshBuildAfterRemoval) {
     std::vector<Bigint> reps;
     for (auto d : docs) reps.push_back(vidx_->doc_primes().get(d));
     EXPECT_EQ(e->attestation.stmt.doc_acc, pub_ctx_.accumulate(reps)) << term;
+    EXPECT_EQ(decompress_bloom(e->bloom_attestation.stmt.doc_bloom),
+              CountingBloom::from_set(vidx_->config().bloom, docs))
+        << term;
   }
 }
 

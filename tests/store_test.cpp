@@ -306,6 +306,18 @@ TEST_F(StoreTest, BadMagicIsCorrupt) {
   EXPECT_THROW(open_file(p), store::StoreCorruptError);
 }
 
+// A store written before entry blobs lost their raw Bloom filter and flat
+// member lists carries the previous magic; it is refused at open, never
+// misparsed.
+TEST_F(StoreTest, PreviousFormatMagicIsCorrupt) {
+  fs::path p = scratch_copy("vcepoch1");
+  Bytes raw = read_file(p);
+  ASSERT_EQ(raw[7], '2');
+  raw[7] = '1';
+  write_file(p, raw);
+  EXPECT_THROW(open_file(p), store::StoreCorruptError);
+}
+
 TEST_F(StoreTest, StaleCurrentPointerIsCurrentError) {
   fs::path root = fs::path(::testing::TempDir()) / "vc_store_stale";
   fs::remove_all(root);
@@ -399,6 +411,51 @@ TEST_F(StoreTest, CraftedHugeCountsAreTypedErrors) {
     store::OpenedEpoch opened = open_file(p);
     EXPECT_THROW((void)opened.snapshot->find("a"), ParseError) << huge;
   }
+}
+
+// An entry whose signed Bloom filter claims params other than the epoch
+// config's is rejected when it materializes, before the filter is decoded:
+// decompress_bloom sizes its counters from those params.  The mismatch here
+// is one counter, so nothing large is allocated whichever way it goes.
+IndexEntry with_bloom_counters(const IndexEntry& honest, std::uint32_t counters) {
+  IndexEntry e = honest;
+  e.bloom_attestation.stmt.doc_bloom.params.counters = counters;
+  return e;
+}
+
+TEST_F(StoreTest, CraftedBloomParamsInSnapshotEntryAreTypedErrors) {
+  const SnapshotPtr& snap = *mem_snap_;
+  const std::string& term = snap->entries().begin()->first;
+  IndexSnapshot::EntryMap entries = snap->entries();
+  entries[term] = std::make_shared<const IndexEntry>(
+      with_bloom_counters(*snap->find(term), snap->config().bloom.counters + 1));
+  IndexSnapshot forged(snap->config(), snap->epoch(), std::move(entries),
+                       std::shared_ptr<const DictionaryIntervals>(snap, &snap->dictionary()),
+                       std::shared_ptr<const DictAttestation>(snap, &snap->dict_attestation()),
+                       std::shared_ptr<PrimeCache>(snap, &snap->tuple_primes()),
+                       std::shared_ptr<PrimeCache>(snap, &snap->doc_primes()));
+  fs::path p = *root_ / "crafted-bloom.vcs";
+  write_file(p, store::encode_snapshot(forged, 1));
+  store::OpenedEpoch opened = open_file(p);
+  EXPECT_THROW((void)opened.snapshot->find(term), store::StoreParamMismatchError);
+  const std::string& other = std::next(snap->entries().begin())->first;
+  EXPECT_NE(opened.snapshot->find(other), nullptr);
+}
+
+TEST_F(StoreTest, CraftedBloomParamsInDeltaEntryAreTypedErrors) {
+  const SnapshotPtr& snap = *mem_snap_;
+  const std::string& term = snap->entries().begin()->first;
+  IndexDelta delta;
+  delta.epoch = snap->epoch() + 1;
+  delta.base_epoch = snap->epoch();
+  delta.config = snap->config();
+  delta.touched.emplace(term, std::make_shared<const IndexEntry>(with_bloom_counters(
+                                  *snap->find(term), snap->config().bloom.counters - 1)));
+  delta.max_posting_count = snap->max_posting_count();
+  fs::path p = *root_ / "crafted-bloom.vcd";
+  write_file(p, store::encode_delta(delta, 1));
+  store::OpenedDelta opened = store::open_delta(std::make_shared<const store::MappedFile>(p));
+  EXPECT_THROW((void)opened.source->load(0, term), store::StoreParamMismatchError);
 }
 
 // The delta record's touched-term directory and removed-term list get the

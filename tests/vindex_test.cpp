@@ -78,7 +78,9 @@ TEST_F(VIndexTest, EntriesInternallyConsistent) {
     EXPECT_EQ(e->attestation.stmt.tuple_root, e->tuple_intervals.root());
     EXPECT_EQ(e->attestation.stmt.doc_root, e->doc_intervals.root());
     EXPECT_EQ(e->attestation.stmt.postings_digest, postings_digest(e->postings));
-    EXPECT_EQ(e->doc_bloom.element_count(), e->postings.size());
+    EXPECT_EQ(decompress_bloom(e->bloom_attestation.stmt.doc_bloom),
+              CountingBloom::from_set(vidx_->config().bloom, InvertedIndex::doc_set(e->postings)))
+        << term;
   }
 }
 
@@ -106,7 +108,39 @@ TEST_F(VIndexTest, FlatAccumulatorMatchesManualAccumulation) {
 TEST_F(VIndexTest, BloomAttestationRoundtrips) {
   const auto* e = vidx_->find(vidx_->index().dictionary()[1]);
   CountingBloom stored = decompress_bloom(e->bloom_attestation.stmt.doc_bloom);
-  EXPECT_EQ(stored, e->doc_bloom);
+  EXPECT_EQ(stored,
+            CountingBloom::from_set(vidx_->config().bloom, InvertedIndex::doc_set(e->postings)));
+  EXPECT_EQ(compress_bloom(stored), e->bloom_attestation.stmt.doc_bloom);
+}
+
+// The receipt check recomputes every signed filter from the postings: a
+// Bloom statement honestly signed over a different doc set of the same size
+// is caught.
+TEST_F(VIndexTest, ValidateRejectsBloomSignedOverOtherDocs) {
+  SnapshotPtr snap = vidx_->snapshot();
+  ASSERT_NO_THROW(IndexBuilder::from_snapshot(snap).validate(owner_key_->verify_key()));
+
+  const std::string term = vidx_->index().dictionary()[2];
+  auto forged = std::make_shared<IndexEntry>(*snap->find(term));
+  U64Set docs = InvertedIndex::doc_set(forged->postings);
+  const CountingBloom honest = CountingBloom::from_set(vidx_->config().bloom, docs);
+  docs.front() = docs.back() + 1;  // swap a member for a non-member
+  const CountingBloom other = CountingBloom::from_set(vidx_->config().bloom, docs);
+  ASSERT_NE(other, honest);
+  BloomStatement stmt = forged->bloom_attestation.stmt;
+  stmt.doc_bloom = compress_bloom(other);
+  forged->bloom_attestation = BloomAttestation{stmt, owner_key_->sign(stmt.encode())};
+
+  IndexSnapshot::EntryMap entries = snap->entries();
+  entries[term] = forged;
+  auto tampered = std::make_shared<const IndexSnapshot>(
+      snap->config(), snap->epoch(), std::move(entries),
+      std::shared_ptr<const DictionaryIntervals>(snap, &snap->dictionary()),
+      std::shared_ptr<const DictAttestation>(snap, &snap->dict_attestation()),
+      std::shared_ptr<PrimeCache>(snap, &snap->tuple_primes()),
+      std::shared_ptr<PrimeCache>(snap, &snap->doc_primes()));
+  EXPECT_THROW(IndexBuilder::from_snapshot(tampered).validate(owner_key_->verify_key()),
+               VerifyError);
 }
 
 TEST_F(VIndexTest, DictionaryKnowsAllTerms) {
@@ -158,8 +192,8 @@ TEST_F(VIndexTest, AddDocumentsUpdatesEverything) {
   EXPECT_EQ(e->attestation.stmt.doc_acc, pub_ctx_->accumulate(reps));
   EXPECT_TRUE(e->attestation.verify(owner_key_->verify_key()));
   // Bloom updated too.
-  EXPECT_EQ(decompress_bloom(e->bloom_attestation.stmt.doc_bloom), e->doc_bloom);
-  EXPECT_EQ(e->doc_bloom.element_count(), e->postings.size());
+  EXPECT_EQ(decompress_bloom(e->bloom_attestation.stmt.doc_bloom),
+            CountingBloom::from_set(vidx.config().bloom, docs));
 
   // The new term exists and the dictionary was rebuilt to include it.
   const auto* ne = vidx.find("zzznewword");

@@ -130,9 +130,7 @@ int inspect_store(const char* store_dir, int argc, char** argv) {
   return all_ok ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const char* dir = arg_value(argc, argv, "--dir", nullptr);
   const char* store_arg = arg_value(argc, argv, "--store", nullptr);
   if (dir == nullptr && store_arg != nullptr) return inspect_store(store_arg, argc, argv);
@@ -193,4 +191,16 @@ int main(int argc, char** argv) {
     std::printf("  validation       all %zu attestations verify\n", vidx.term_count() * 2 + 1);
   }
   return 0;
+}
+
+}  // namespace
+
+// A store that fails to open (bad magic, CRC, chain) exits 1 with the typed error.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const store::StoreError& e) {
+    std::fprintf(stderr, "vcsearch-inspect: %s\n", e.what());
+    return 1;
+  }
 }

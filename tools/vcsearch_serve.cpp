@@ -118,9 +118,14 @@ int main(int argc, char** argv) {
   store::EpochStore store(store_dir);
   // A corrupt tier section degrades to untiered serving (the tier is a
   // cache over the base sections); base-section corruption still fails.
-  store::OpenedEpoch opened =
-      store.open_current(store::OpenOptions{.degrade_tier_on_corruption = true,
-                                            .warm_budget_bytes = warm_budget_bytes});
+  store::OpenedEpoch opened;
+  try {
+    opened = store.open_current(store::OpenOptions{.degrade_tier_on_corruption = true,
+                                                   .warm_budget_bytes = warm_budget_bytes});
+  } catch (const store::StoreError& e) {
+    std::fprintf(stderr, "vcsearch-serve: %s\n", e.what());
+    return 1;
+  }
   SnapshotPtr snapshot = opened.snapshot;
   std::printf("store: restored epoch %llu from %s (%zu terms, %.2f MB mapped)\n",
               static_cast<unsigned long long>(snapshot->epoch()), store_dir.c_str(),
