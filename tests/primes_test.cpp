@@ -3,6 +3,8 @@
 #include <cstdio>
 
 #include "bigint/miller_rabin.hpp"
+#include "crypto/standard_params.hpp"
+#include "interval/interval_index.hpp"
 #include "primes/prime_cache.hpp"
 #include "primes/prime_rep.hpp"
 #include "support/errors.hpp"
@@ -63,6 +65,44 @@ TEST(PrimeRep, ConfigurableWidth) {
   PrimeRepConfig bad = small_config();
   bad.rep_bits = 8;
   EXPECT_THROW(PrimeRepGenerator{bad}, UsageError);
+}
+
+// The element -> prime mapping is part of the store and proof formats: a
+// change to the primality test or the candidate stream must leave these
+// 128-bit representatives (the production width) exactly where they are.
+TEST(PrimeRep, PinnedRepresentatives) {
+  auto hex = [](const Bigint& p) { return to_hex(p.to_bytes()); };
+  struct Pin {
+    const char* domain;
+    std::uint64_t element;
+    const char* rep;
+  };
+  const Pin pins[] = {
+      {"vc.tuples", 0, "d862284aedc0f9342fcf474ce28dbe87"},
+      {"vc.tuples", 42, "b8e9702f14f6624b8e1ce12ef06f5325"},
+      {"vc.tuples", 0x0123456789abcdefULL, "b419aaae965e33d5af472a5cdd505041"},
+      {"vc.docs", 1, "9e683b8afc3fba2a6c796e3fbe144a15"},
+      {"vc.docs", 977, "e68c1445dd2a74fc1ad051b34a5f103f"},
+      {"vc.dict", 7, "e2393714176f0e22e1cf67e5131820d5"},
+      {"vc.dict", ~0ULL, "96aeeb431ca38e62f7b1dc0ad24c4e8f"},
+  };
+  for (const Pin& pin : pins) {
+    PrimeRepGenerator gen(
+        PrimeRepConfig{.rep_bits = 128, .domain = pin.domain, .mr_rounds = 28});
+    EXPECT_EQ(hex(gen.representative(pin.element)), pin.rep) << pin.domain << " " << pin.element;
+  }
+
+  // A real middle-layer descriptor: the first interval of a small tuple tree.
+  PrimeRepConfig tuples{.rep_bits = 128, .domain = "vc.tuples", .mr_rounds = 28};
+  PrimeCache tuple_primes(tuples);
+  const std::vector<std::uint64_t> elems = {3, 10, 11, 500, 4096, 70000, 1ULL << 40};
+  const AccumulatorContext ctx = AccumulatorContext::owner(standard_accumulator_modulus(512),
+                                                           standard_qr_generator(512));
+  IntervalIndex idx =
+      IntervalIndex::build(ctx, elems, tuple_primes, IntervalConfig{.interval_size = 4});
+  const Bytes desc = idx.descriptor(0).encode();
+  EXPECT_EQ(hex(IntervalIndex::middle_generator(tuples).representative(desc)),
+            "ac03a3e79d685953b4d20aa053bd91ff");
 }
 
 TEST(PrimeCache, ComputesAndCaches) {
