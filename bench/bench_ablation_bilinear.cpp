@@ -5,7 +5,7 @@
 // aggregated membership witness for a 4-element subset, a nonmembership
 // witness for one outsider, verify both.  Key structural differences the
 // table surfaces:
-//   - elements: RSA needs prime representatives (Miller–Rabin per element,
+//   - elements: RSA needs prime representatives (hash-and-test per element,
 //     paid offline); bilinear hashes straight into Zr;
 //   - witness generation: RSA-with-trapdoor ≈ bilinear-with-trapdoor
 //     (cheap); without the trapdoor RSA pays a full-width exponentiation
@@ -32,7 +32,7 @@ int main() {
   auto owner = AccumulatorContext::owner(standard_accumulator_modulus(bits),
                                          standard_qr_generator(bits));
   auto cloud = AccumulatorContext::public_side(owner.params());
-  PrimeRepGenerator gen(PrimeRepConfig{.rep_bits = 128, .domain = "bilin", .mr_rounds = 28});
+  PrimeRepGenerator gen(PrimeRepConfig{.rep_bits = 128, .domain = "bilin"});
 
   // Bilinear side (setup covers the largest set).
   DeterministicRng rng(2024, "bilin.setup");

@@ -23,7 +23,7 @@ int main() {
                                          standard_qr_generator(bits));
   auto cloud = AccumulatorContext::public_side(owner.params());
   PrimeCache primes(PrimeRepConfig{.rep_bits = env_size("VC_REP_BITS", 128),
-                                   .domain = "abl-interval", .mr_rounds = 28});
+                                   .domain = "abl-interval"});
 
   std::vector<std::uint64_t> elements;
   for (std::uint32_t i = 0; i < set_size; ++i) elements.push_back(2 * i + 1);

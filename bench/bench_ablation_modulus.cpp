@@ -11,8 +11,7 @@ using namespace vc::bench;
 
 int main() {
   const std::size_t set_size = env_size("VC_ABL_SET", 2000);
-  PrimeRepGenerator gen(
-      PrimeRepConfig{.rep_bits = 128, .domain = "abl-mod", .mr_rounds = 28});
+  PrimeRepGenerator gen(PrimeRepConfig{.rep_bits = 128, .domain = "abl-mod"});
   std::vector<Bigint> set;
   for (std::size_t i = 0; i < set_size; ++i) {
     set.push_back(gen.representative(static_cast<std::uint64_t>(i)));

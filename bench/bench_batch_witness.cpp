@@ -105,8 +105,7 @@ int run() {
   // The cloud generates witnesses without the trapdoor.
   AccumulatorContext pub = AccumulatorContext::public_side(AccumulatorParams{
       standard_accumulator_modulus(modulus_bits).n, standard_qr_generator(modulus_bits)});
-  PrimeRepGenerator gen(
-      PrimeRepConfig{.rep_bits = rep_bits, .domain = "bench.batch", .mr_rounds = 16});
+  PrimeRepGenerator gen(PrimeRepConfig{.rep_bits = rep_bits, .domain = "bench.batch"});
 
   Workload w;
   w.reps.reserve(n);

@@ -22,8 +22,7 @@ int main() {
   auto owner = AccumulatorContext::owner(standard_accumulator_modulus(bits),
                                          standard_qr_generator(bits));
   auto cloud = AccumulatorContext::public_side(owner.params());
-  PrimeRepGenerator gen(
-      PrimeRepConfig{.rep_bits = rep_bits, .domain = "fig2", .mr_rounds = 28});
+  PrimeRepGenerator gen(PrimeRepConfig{.rep_bits = rep_bits, .domain = "fig2"});
 
   std::printf("# Fig 2: witness generation time vs set size "
               "(modulus=%zu bits, reps=%zu bits, cloud side)\n",

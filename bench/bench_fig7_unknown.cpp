@@ -40,7 +40,7 @@ int main() {
   auto owner = AccumulatorContext::owner(standard_accumulator_modulus(bits),
                                          standard_qr_generator(bits));
   auto cloud = AccumulatorContext::public_side(owner.params());
-  PrimeRepConfig cfg{.rep_bits = rep_bits, .domain = "vc.dict", .mr_rounds = 28};
+  PrimeRepConfig cfg{.rep_bits = rep_bits, .domain = "vc.dict"};
   PrimeRepGenerator word_gen(cfg);
 
   std::printf("# Fig 7: unknown-keyword proof time (s) vs dictionary size\n");

@@ -28,7 +28,7 @@ BENCHMARK(BM_Sha256_1KiB);
 
 void BM_PrimeRepresentative(benchmark::State& state) {
   PrimeRepGenerator gen(PrimeRepConfig{
-      .rep_bits = static_cast<std::size_t>(state.range(0)), .domain = "bm", .mr_rounds = 28});
+      .rep_bits = static_cast<std::size_t>(state.range(0)), .domain = "bm"});
   std::uint64_t e = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(gen.representative(e++));
@@ -46,7 +46,7 @@ void BM_PowOwnerVsCloud(benchmark::State& state) {
   DeterministicRng rng(2);
   // 100-element product exponent: one interval's worth of work.
   std::vector<Bigint> primes;
-  PrimeRepGenerator gen(PrimeRepConfig{.rep_bits = 128, .domain = "bm2", .mr_rounds = 28});
+  PrimeRepGenerator gen(PrimeRepConfig{.rep_bits = 128, .domain = "bm2"});
   for (std::uint64_t i = 0; i < 100; ++i) primes.push_back(gen.representative(i));
   for (auto _ : state) {
     benchmark::DoNotOptimize(ctx.accumulate(primes));
@@ -100,7 +100,7 @@ void BM_MembershipWitnessCloud(benchmark::State& state) {
   const auto& mod = standard_accumulator_modulus(1024);
   auto ctx = AccumulatorContext::public_side(
       AccumulatorParams{mod.n, standard_qr_generator(1024)});
-  PrimeRepGenerator gen(PrimeRepConfig{.rep_bits = 128, .domain = "bm3", .mr_rounds = 28});
+  PrimeRepGenerator gen(PrimeRepConfig{.rep_bits = 128, .domain = "bm3"});
   std::vector<Bigint> rest;
   for (std::int64_t i = 0; i < state.range(0); ++i) {
     rest.push_back(gen.representative(static_cast<std::uint64_t>(i)));
@@ -115,7 +115,7 @@ void BM_NonmembershipWitnessCloud(benchmark::State& state) {
   const auto& mod = standard_accumulator_modulus(1024);
   auto ctx = AccumulatorContext::public_side(
       AccumulatorParams{mod.n, standard_qr_generator(1024)});
-  PrimeRepGenerator gen(PrimeRepConfig{.rep_bits = 128, .domain = "bm4", .mr_rounds = 28});
+  PrimeRepGenerator gen(PrimeRepConfig{.rep_bits = 128, .domain = "bm4"});
   std::vector<Bigint> set, outsiders;
   for (std::int64_t i = 0; i < state.range(0); ++i) {
     set.push_back(gen.representative(static_cast<std::uint64_t>(i)));

@@ -101,7 +101,7 @@ void BM_IntervalProveMembership(benchmark::State& state) {
   auto owner = AccumulatorContext::owner(standard_accumulator_modulus(1024),
                                          standard_qr_generator(1024));
   auto cloud = AccumulatorContext::public_side(owner.params());
-  PrimeCache primes(PrimeRepConfig{.rep_bits = 128, .domain = "bm-int", .mr_rounds = 28});
+  PrimeCache primes(PrimeRepConfig{.rep_bits = 128, .domain = "bm-int"});
   std::vector<std::uint64_t> elems;
   for (std::uint64_t i = 0; i < 5000; ++i) elems.push_back(2 * i);
   IntervalIndex idx =

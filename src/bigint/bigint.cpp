@@ -220,6 +220,14 @@ Bigint Bigint::product(std::span<const Bigint> xs) {
   return std::move(level.front());
 }
 
+// GMP 6.2 made mpz_probab_prime_p run BPSW before its reps-24 random
+// Miller–Rabin rounds, so reps = 24 is BPSW alone.
+static_assert(__GNU_MP_RELEASE >= 60200, "mpz_probab_prime_p is BPSW from GMP 6.2 on");
+
+bool is_probable_prime(const Bigint& n) {
+  return n.sign() > 0 && mpz_probab_prime_p(n.raw(), 24) != 0;
+}
+
 Bigint Bigint::div_exact(const Bigint& a, const Bigint& b) {
   if (b.is_zero()) throw UsageError("div_exact: division by zero");
   if (!(a % b).is_zero()) throw CryptoError("div_exact: not divisible");

@@ -1,10 +1,10 @@
 // Arbitrary-precision integers for vcsearch.
 //
 // vc::Bigint is a value-semantic RAII wrapper over GMP's mpz_t.  GMP supplies
-// only raw arithmetic kernels (the role NTL played in the paper's prototype);
-// all number-theoretic algorithms the scheme relies on — Miller–Rabin, safe
-// prime search, CRT exponentiation, Bézout witnesses — are implemented in
-// this library on top of it.
+// the arithmetic kernels and the primality test (the role NTL played in the
+// paper's prototype); the number-theoretic algorithms the scheme relies on —
+// safe prime search, CRT exponentiation, Bézout witnesses — are implemented
+// in this library on top of it.
 #pragma once
 
 #include <gmp.h>
@@ -119,5 +119,11 @@ class Bigint {
  private:
   mpz_t z_;
 };
+
+// Trial division plus Baillie–PSW (strong base-2 Fermat and strong Lucas).
+// Never rejects a prime and has no known composite counterexample; the
+// accumulator needs every element it accumulates to be prime (§II-A).  A
+// pure function of n: no random bases, no round count.
+[[nodiscard]] bool is_probable_prime(const Bigint& n);
 
 }  // namespace vc

@@ -1,27 +1,24 @@
 #include "crypto/keygen.hpp"
 
-#include "bigint/miller_rabin.hpp"
 #include "support/errors.hpp"
 
 namespace vc {
 
-Bigint random_prime(DeterministicRng& rng, std::size_t bits, int mr_rounds) {
+Bigint random_prime(DeterministicRng& rng, std::size_t bits) {
   if (bits < 2) throw UsageError("random_prime: need at least 2 bits");
   while (true) {
     Bigint c = Bigint::random_bits(rng, bits);
     // Force exact bit length and oddness.
     mpz_setbit(c.raw_mut(), bits - 1);
     mpz_setbit(c.raw_mut(), 0);
-    if (is_probable_prime(c, rng, mr_rounds)) return c;
+    if (is_probable_prime(c)) return c;
   }
 }
 
-Bigint random_safe_prime(DeterministicRng& rng, std::size_t bits, int mr_rounds) {
+Bigint random_safe_prime(DeterministicRng& rng, std::size_t bits) {
   if (bits < 4) throw UsageError("random_safe_prime: need at least 4 bits");
   while (true) {
-    // Search p' prime with 2p'+1 also prime.  Cheap screen first: p = 2p'+1
-    // must be != 0 mod small primes, checked inside is_probable_prime's
-    // trial division, but testing p' first skips most candidates faster.
+    // Search p' prime with p = 2p'+1 also prime, testing p' first.
     Bigint pp = Bigint::random_bits(rng, bits - 1);
     mpz_setbit(pp.raw_mut(), bits - 2);
     mpz_setbit(pp.raw_mut(), 0);
@@ -29,10 +26,9 @@ Bigint random_safe_prime(DeterministicRng& rng, std::size_t bits, int mr_rounds)
     Bigint r3;
     mpz_tdiv_r_ui(r3.raw_mut(), pp.raw(), 3);
     if (r3.is_one()) continue;
-    if (!is_probable_prime(pp, rng, 2)) continue;  // quick screen
+    if (!is_probable_prime(pp)) continue;
     Bigint p = pp * Bigint(2) + Bigint(1);
-    if (!is_probable_prime(p, rng, mr_rounds)) continue;
-    if (!is_probable_prime(pp, rng, mr_rounds)) continue;  // confirm p'
+    if (!is_probable_prime(p)) continue;
     return p;
   }
 }

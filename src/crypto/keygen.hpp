@@ -16,10 +16,10 @@
 namespace vc {
 
 // Random prime with exactly `bits` bits (top bit set).
-Bigint random_prime(DeterministicRng& rng, std::size_t bits, int mr_rounds = 40);
+Bigint random_prime(DeterministicRng& rng, std::size_t bits);
 
 // Random safe prime p = 2p'+1 with exactly `bits` bits.
-Bigint random_safe_prime(DeterministicRng& rng, std::size_t bits, int mr_rounds = 40);
+Bigint random_safe_prime(DeterministicRng& rng, std::size_t bits);
 
 struct RsaModulus {
   Bigint n;

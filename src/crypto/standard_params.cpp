@@ -17,15 +17,18 @@ struct ParamSet {
 
 ParamSet make_params(std::size_t bits) {
   // Deterministic generation: same seed => same parameters on every host.
-  // For pinned sizes this is only a fallback path; see tools/gen_params.
+  // Only sizes without a pinned set take this path.
   DeterministicRng rng(0x5eed5afe'0000ULL + bits, "vc.standard-params");
   RsaModulus m = generate_modulus(rng, bits, /*safe=*/true);
   Bigint g = random_qr_generator(rng, m.n);
   return ParamSet{std::move(m), std::move(g)};
 }
 
-// Hex constants produced by tools/gen_params (same algorithm as
-// make_params); filled for the common sizes to avoid the safe-prime search.
+// Pinned sets for the common sizes, to avoid the safe-prime search.  They
+// were generated with make_params' seeds by the keygen that still drew
+// Miller–Rabin bases from the same RNG stream, so tools/gen_params (and
+// make_params) no longer reproduce them; StandardParams.PinnedSizesAreValid
+// checks every set instead.
 struct PinnedHex {
   const char* p;
   const char* q;
@@ -67,7 +70,7 @@ const Bigint& standard_qr_generator(std::size_t modulus_bits) {
 
 namespace {
 const std::map<std::size_t, PinnedHex>& pinned_table() {
-  // Output of tools/gen_params 512 1024 2048 (seed-pinned safe primes).
+  // Seed-pinned safe primes for 512, 1024 and 2048 bits (see above).
   static const std::map<std::size_t, PinnedHex> table = {
       {512,
        {"d2fa22d88c8e166c8dde7238ef1e8a49f52f40838221f2d26942535f3ec6d94f",

@@ -4,7 +4,7 @@
 // core, far too slow to repeat in every test and benchmark binary.  These
 // parameters were generated once with generate_modulus(seed-derived RNG,
 // safe=true) and pinned here; standard_accumulator_modulus() returns them
-// instantly.  The trapdoor (p, q) is included because this library plays
+// instantly.  A test checks that each pinned p and q is a safe prime.  The trapdoor (p, q) is included because this library plays
 // both roles (owner and cloud) in-process; a deployment would of course
 // never publish it.
 #pragma once

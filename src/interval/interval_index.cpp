@@ -170,7 +170,6 @@ IntervalIndex IntervalIndex::build(const AccumulatorContext& ctx,
 
   IntervalIndex idx;
   idx.config_ = config;
-  idx.element_prime_config_ = element_primes.generator().config();
 
   // Chunk the sorted members; ranges partition [0, 2^64-1].
   std::size_t n = sorted_elements.size();
@@ -191,7 +190,7 @@ IntervalIndex IntervalIndex::build(const AccumulatorContext& ctx,
     Interval& iv = idx.intervals_[i];
     iv.desc.b = ctx.accumulate(idx.member_reps(iv, element_primes));
   });
-  idx.rebuild_middle_layer(ctx);
+  idx.rebuild_middle_layer(ctx, element_primes);
   return idx;
 }
 
@@ -203,10 +202,11 @@ std::vector<Bigint> IntervalIndex::member_reps(const Interval& iv,
   return reps;
 }
 
-void IntervalIndex::rebuild_middle_layer(const AccumulatorContext& ctx) {
-  PrimeRepGenerator mid_gen = middle_generator(element_prime_config_);
+void IntervalIndex::rebuild_middle_layer(const AccumulatorContext& ctx,
+                                         const PrimeCache& element_primes) {
+  PrimeRepGenerator mid_gen = middle_generator(element_primes.generator().config());
   std::vector<Bigint> mid_reps(intervals_.size());
-  // Each representative costs dozens of Miller–Rabin rounds: fan out.
+  // Each representative hashes and BPSW-tests dozens of candidates: fan out.
   for_each_index(ctx, intervals_.size(), [&](std::size_t i) {
     intervals_[i].mid_rep = mid_gen.representative(intervals_[i].desc.encode());
     mid_reps[i] = intervals_[i].mid_rep;
@@ -393,7 +393,7 @@ void IntervalIndex::insert(const AccumulatorContext& ctx,
   });
   for (std::size_t i : stale) next[i].stamp = fresh_stamp();
   intervals_ = std::move(next);
-  rebuild_middle_layer(ctx);
+  rebuild_middle_layer(ctx, element_primes);
 }
 
 void IntervalIndex::remove(const AccumulatorContext& ctx,
@@ -425,7 +425,7 @@ void IntervalIndex::remove(const AccumulatorContext& ctx,
     intervals_[k].desc.b = ctx.accumulate(member_reps(intervals_[k], element_primes));
   });
   for (std::size_t k : stale) intervals_[k].stamp = fresh_stamp();
-  if (!stale.empty()) rebuild_middle_layer(ctx);
+  if (!stale.empty()) rebuild_middle_layer(ctx, element_primes);
 }
 
 namespace {
@@ -446,20 +446,6 @@ bool verify_descriptor(const AccumulatorContext& ctx, const Bigint& root,
 }  // namespace
 
 namespace {
-
-void write_prime_config(ByteWriter& w, const PrimeRepConfig& cfg) {
-  w.varint(cfg.rep_bits);
-  w.str(cfg.domain);
-  w.varint(static_cast<std::uint64_t>(cfg.mr_rounds));
-}
-
-PrimeRepConfig read_prime_config(ByteReader& r) {
-  PrimeRepConfig cfg;
-  cfg.rep_bits = r.varint();
-  cfg.domain = r.str();
-  cfg.mr_rounds = static_cast<int>(r.varint());
-  return cfg;
-}
 
 void write_members(ByteWriter& w, const std::vector<std::uint64_t>& members) {
   w.varint(members.size());
@@ -485,9 +471,6 @@ std::vector<std::uint64_t> read_members(ByteReader& r) {
 }  // namespace
 
 void IntervalIndex::write(ByteWriter& w) const {
-  w.str("vc.interval-index.v1");
-  w.varint(config_.interval_size);
-  write_prime_config(w, element_prime_config_);
   root_.write(w);
   w.varint(intervals_.size());
   for (const Interval& iv : intervals_) {
@@ -498,11 +481,9 @@ void IntervalIndex::write(ByteWriter& w) const {
   }
 }
 
-IntervalIndex IntervalIndex::read(ByteReader& r) {
-  if (r.str() != "vc.interval-index.v1") throw ParseError("bad interval-index tag");
+IntervalIndex IntervalIndex::read(ByteReader& r, IntervalConfig config) {
   IntervalIndex idx;
-  idx.config_.interval_size = r.varint();
-  idx.element_prime_config_ = read_prime_config(r);
+  idx.config_ = config;
   idx.root_ = Bigint::read(r);
   const std::size_t n = r.count(16);  // each interval carries two u64 bounds
   idx.intervals_.reserve(n);
@@ -519,9 +500,7 @@ IntervalIndex IntervalIndex::read(ByteReader& r) {
 }
 
 void IntervalIndex::write_patch(ByteWriter& w, const IntervalIndex& base) const {
-  if (config_.interval_size != base.config_.interval_size ||
-      element_prime_config_.rep_bits != base.element_prime_config_.rep_bits ||
-      element_prime_config_.domain != base.element_prime_config_.domain) {
+  if (config_.interval_size != base.config_.interval_size) {
     throw UsageError("interval patch base has a different config");
   }
   root_.write(w);
@@ -544,7 +523,6 @@ void IntervalIndex::write_patch(ByteWriter& w, const IntervalIndex& base) const 
 IntervalIndex IntervalIndex::read_patch(ByteReader& r, const IntervalIndex& base) {
   IntervalIndex idx;
   idx.config_ = base.config_;
-  idx.element_prime_config_ = base.element_prime_config_;
   idx.root_ = Bigint::read(r);
   const std::size_t n = r.count(3);  // position varint + witness sign and length
   idx.intervals_.reserve(n);
@@ -573,10 +551,8 @@ IntervalIndex IntervalIndex::read_patch(ByteReader& r, const IntervalIndex& base
 }
 
 bool operator==(const IntervalIndex& a, const IntervalIndex& b) {
-  return a.config_.interval_size == b.config_.interval_size &&
-         a.element_prime_config_.rep_bits == b.element_prime_config_.rep_bits &&
-         a.element_prime_config_.domain == b.element_prime_config_.domain &&
-         a.root_ == b.root_ && a.intervals_ == b.intervals_;
+  return a.config_.interval_size == b.config_.interval_size && a.root_ == b.root_ &&
+         a.intervals_ == b.intervals_;
 }
 
 bool IntervalIndex::verify_membership(const AccumulatorContext& ctx, const Bigint& root,

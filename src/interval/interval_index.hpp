@@ -179,9 +179,11 @@ class IntervalIndex {
   // verifier needs it to recompute descriptor representatives.
   static PrimeRepGenerator middle_generator(const PrimeRepConfig& element_config);
 
-  // Full-structure serialization (what the owner uploads to the cloud).
+  // Full-structure serialization (what the owner uploads to the cloud).  The
+  // blob carries no config: the reader passes the epoch's interval config,
+  // and the element primes arrive with each build/update/verify call.
   void write(ByteWriter& w) const;
-  static IntervalIndex read(ByteReader& r);
+  static IntervalIndex read(ByteReader& r, IntervalConfig config);
 
   // Delta form of write() against `base`, an earlier version of this index
   // (same config): an interval the updates since `base` left alone ships as
@@ -217,14 +219,13 @@ class IntervalIndex {
     }
   };
 
-  void rebuild_middle_layer(const AccumulatorContext& ctx);
+  void rebuild_middle_layer(const AccumulatorContext& ctx, const PrimeCache& element_primes);
   [[nodiscard]] std::vector<Bigint> member_reps(const Interval& iv,
                                                 PrimeCache& element_primes) const;
 
   IntervalConfig config_;
   std::vector<Interval> intervals_;  // their member lists partition X, in order
   Bigint root_;
-  PrimeRepConfig element_prime_config_;
 };
 
 }  // namespace vc

@@ -10,7 +10,7 @@ namespace vc {
 namespace {
 
 // The prime manager's registry mirror: hit/miss counts plus the wall time
-// of cache misses (a miss runs dozens of Miller–Rabin tests — it IS the
+// of cache misses (a miss hashes and tests dozens of candidates — it IS the
 // "prime-representative lookup" stage of the pipeline; hits are map reads
 // and only counted).
 obs::Counter& lookup_hits() {
@@ -45,7 +45,7 @@ Bigint PrimeCache::get(std::uint64_t element) {
     backing = backing_;
   }
   // Map miss: consult the read-only backing tier before recomputing.  A
-  // backing hit still counts as a hit — no Miller–Rabin ran — and the
+  // backing hit still counts as a hit — no hash-and-test ran — and the
   // entry is promoted so later lookups stay on the map fast path.
   if (backing != nullptr) {
     Bigint rep;

@@ -1,6 +1,6 @@
 // The Prime Representative DB (Fig 4's "prime manager").
 //
-// Computing a representative costs dozens of Miller–Rabin tests; the paper's
+// Computing a representative hashes and BPSW-tests dozens of candidates; the paper's
 // headline optimization (§III-D3, Table II) is to pre-compute and store the
 // representatives of every index element offline, so that online proof
 // generation only performs table lookups.  This cache is that store: a
@@ -28,7 +28,7 @@ class ThreadPool;
 
 // Read-only lookup tier behind the in-memory map.  Store-backed snapshots
 // (src/store) implement this over a memory-mapped sorted array so a cold
-// restart resolves known representatives without re-running Miller–Rabin,
+// restart resolves known representatives without re-running hash-and-test,
 // yet without materializing the whole table up front.  Purely accelerative:
 // when a backing misses, get() falls back to computing the representative.
 // Implementations must be thread-safe.

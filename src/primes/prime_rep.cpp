@@ -1,9 +1,7 @@
 #include "primes/prime_rep.hpp"
 
-#include "bigint/miller_rabin.hpp"
 #include "hash/hmac.hpp"
 #include "support/errors.hpp"
-#include "support/rng.hpp"
 
 namespace vc {
 
@@ -31,13 +29,6 @@ Bigint PrimeRepGenerator::representative(std::string_view element) const {
 
 Bigint PrimeRepGenerator::search(std::span<const std::uint8_t> element) const {
   const std::size_t nbytes = (config_.rep_bits + 7) / 8;
-  // Deterministic MR bases seeded from the element keeps the whole mapping
-  // a pure function of (domain, element).
-  Digest seed_digest = hmac_sha256(hmac_key_, element);
-  std::uint64_t seed = 0;
-  for (int i = 0; i < 8; ++i) seed = seed << 8 | seed_digest[i];
-  DeterministicRng mr_rng(seed, "vc.prime-rep.mr");
-
   for (std::uint32_t counter = 0;; ++counter) {
     ByteWriter w;
     w.raw(element);
@@ -50,9 +41,7 @@ Bigint PrimeRepGenerator::search(std::span<const std::uint8_t> element) const {
     Bigint candidate = Bigint::from_bytes(candidate_bytes);
     mpz_setbit(candidate.raw_mut(), config_.rep_bits - 1);
     mpz_setbit(candidate.raw_mut(), 0);
-    if (is_probable_prime(candidate, mr_rng, config_.mr_rounds)) {
-      return candidate;
-    }
+    if (is_probable_prime(candidate)) return candidate;
   }
 }
 

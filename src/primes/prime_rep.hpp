@@ -4,15 +4,17 @@
 // Goodrich et al. and Gennaro–Halevi–Rabin, arbitrary elements map to primes
 // via a deterministic keyed hash-and-test: hash the element with an
 // incrementing counter until the resulting odd candidate of the configured
-// width passes Miller–Rabin.  Both the owner and the cloud run the same
-// deterministic mapping, so representatives never travel on the wire unless
-// a proof chooses to include them (Table I's "with prime" variant).
+// width passes BPSW (is_probable_prime).  The test never rejects a prime, so
+// the representative is the first truly prime candidate.  Both the owner and
+// the cloud run the same deterministic mapping, so representatives never
+// travel on the wire unless a proof chooses to include them (Table I's "with
+// prime" variant).
 //
 // Width note: the paper maps k-bit elements to 3k-bit representatives to
 // make the map collision-free under hashing assumptions.  The width here is
 // configurable (default 128 bits for 64-bit index elements, i.e. 2k) —
-// benchmarks sweep it, and the accumulator constraint rep_bits < |n|/2 - 2
-// is enforced at setup.
+// benchmarks sweep it, and the accumulator constraint 2·rep_bits + 4 ≤ |n|
+// is enforced by VerifiableIndexConfig::validate.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +32,6 @@ struct PrimeRepConfig {
   // Domain-separation label: tuples, docIDs, interval accumulators and
   // dictionary gaps each use their own domain so streams are independent.
   std::string domain = "vc.default";
-  // Miller-Rabin rounds per candidate.
-  int mr_rounds = 28;
 };
 
 class PrimeRepGenerator {

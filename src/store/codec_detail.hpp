@@ -39,6 +39,39 @@ inline std::uint64_t load_u64le(const std::uint8_t* p) {
   return v;  // the toolchain targets little-endian platforms only
 }
 
+// --- config and counts -------------------------------------------------------
+
+// The config section, checked against the header fingerprint and then
+// validated: its values size allocations (the serving side's fixed-base
+// table is (max_posting_count + 1)·rep_bits bits), so a forged config is a
+// typed error here rather than a huge allocation later.
+inline VerifiableIndexConfig read_config(std::span<const std::uint8_t> section,
+                                         const Digest& fingerprint) {
+  if (Sha256::hash(section) != fingerprint) {
+    throw StoreParamMismatchError("header fingerprint does not match config section");
+  }
+  ByteReader r(section);
+  VerifiableIndexConfig config = VerifiableIndexConfig::read(r);
+  r.expect_done();
+  try {
+    config.validate();
+  } catch (const UsageError& e) {
+    throw StoreCorruptError(std::string("config section: ") + e.what());
+  }
+  return config;
+}
+
+// Every posting is 8 bytes in some layer's entry or patch blob, so a
+// max_posting_count above (entries bytes of the layers) / 8 is forged.
+inline void check_max_posting_count(std::uint64_t max_posting_count,
+                                    std::uint64_t entries_bytes) {
+  if (max_posting_count > entries_bytes / 8) {
+    throw StoreCorruptError("max posting count " + std::to_string(max_posting_count) +
+                            " exceeds what " + std::to_string(entries_bytes) +
+                            " entry bytes hold");
+  }
+}
+
 // --- entry blobs -------------------------------------------------------------
 
 // Count-prefixed run of postings, u32 docID + u32 tf each.
@@ -89,8 +122,9 @@ inline std::shared_ptr<const IndexEntry> read_entry(ByteReader& r,
                                                     const VerifiableIndexConfig& config) {
   auto e = std::make_shared<IndexEntry>();
   read_postings(r, e->postings);
-  e->tuple_intervals = IntervalIndex::read(r);
-  e->doc_intervals = IntervalIndex::read(r);
+  const IntervalConfig intervals{.interval_size = config.interval_size};
+  e->tuple_intervals = IntervalIndex::read(r, intervals);
+  e->doc_intervals = IntervalIndex::read(r, intervals);
   read_attestations(r, config, *e);
   return e;
 }

@@ -98,14 +98,9 @@ OpenedDelta open_delta(std::shared_ptr<const MappedFile> file, const OpenOptions
                                   " was written under different index parameters");
   }
 
-  auto config_sec = detail::section_bytes(data, layout, SectionId::kConfig);
-  if (Sha256::hash(config_sec) != layout.fingerprint) {
-    throw StoreParamMismatchError("header fingerprint does not match config section");
-  }
-  ByteReader config_r(config_sec);
   OpenedDelta out;
-  out.config = VerifiableIndexConfig::read(config_r);
-  config_r.expect_done();
+  out.config = detail::read_config(detail::section_bytes(data, layout, SectionId::kConfig),
+                                   layout.fingerprint);
   out.epoch = layout.epoch;
   out.shard_count = layout.shard_count;
   out.fingerprint = layout.fingerprint;
@@ -121,6 +116,7 @@ OpenedDelta open_delta(std::shared_ptr<const MappedFile> file, const OpenOptions
   }
 
   auto entries_sec = detail::section_bytes(data, layout, SectionId::kDeltaEntries);
+  out.entries_bytes = entries_sec.size();
   ByteReader td(detail::section_bytes(data, layout, SectionId::kDeltaTermDirectory));
   const std::size_t touched = td.count(3);  // name, offset, size: a byte each at least
   std::vector<TermLoc> locs;

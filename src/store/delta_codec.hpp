@@ -51,6 +51,7 @@ struct OpenedDelta {
   std::uint64_t base_epoch = 0;
   std::uint32_t shard_count = 0;
   std::size_t max_posting_count = 0;  // whole-index max at `epoch`
+  std::uint64_t entries_bytes = 0;    // size of the delta-entries section
   VerifiableIndexConfig config;
   Digest fingerprint{};
   bool dict_changed = false;

@@ -12,6 +12,7 @@
 #include <map>
 
 #include "obs/metrics.hpp"
+#include "store/codec_detail.hpp"
 #include "support/stopwatch.hpp"
 
 namespace vc::store {
@@ -527,6 +528,9 @@ OpenedEpoch EpochStore::resolve_chain(std::uint64_t head, const OpenOptions& opt
 
   const OpenedDelta& newest = deltas.back();
   OpenedEpoch out;
+  out.entries_bytes = base.entries_bytes;
+  for (const OpenedDelta& d : deltas) out.entries_bytes += d.entries_bytes;
+  detail::check_max_posting_count(newest.max_posting_count, out.entries_bytes);
   out.snapshot = std::make_shared<const IndexSnapshot>(
       config, head, std::move(terms),
       std::make_shared<const OverlayEntrySource>(base.snapshot, deltas, std::move(providers)),

@@ -93,11 +93,12 @@ class StoreChainError : public StoreError {
 
 // --- layout constants --------------------------------------------------------
 
-// "VCEPOCH2": entry blobs carry one Bloom filter (the signed compressed
-// one) and no flat interval member list.  "VCEPOCH1" stores predate that
-// layout; they fail the magic check and must be rebuilt.
+// "VCEPOCH3": the config section has no Miller–Rabin round count and
+// interval-tree blobs carry no copy of the epoch config.  Stores written
+// under an earlier magic ("VCEPOCH1", "VCEPOCH2") fail the magic check and
+// must be rebuilt.
 inline constexpr std::array<std::uint8_t, 8> kMagic = {'V', 'C', 'E', 'P',
-                                                       'O', 'C', 'H', '2'};
+                                                       'O', 'C', 'H', '3'};
 inline constexpr std::uint32_t kFormatVersion = 1;        // base layout
 inline constexpr std::uint32_t kFormatVersionTiered = 2;  // + witness-tier sections
 inline constexpr std::uint32_t kFormatVersionDelta = 3;   // delta record (journal entry)

@@ -182,13 +182,8 @@ OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file, OpenOptions op
                                   " was written under different index parameters");
   }
 
-  auto config_sec = section_bytes(data, layout, SectionId::kConfig);
-  if (Sha256::hash(config_sec) != layout.fingerprint) {
-    throw StoreParamMismatchError("header fingerprint does not match config section");
-  }
-  ByteReader config_r(config_sec);
-  VerifiableIndexConfig config = VerifiableIndexConfig::read(config_r);
-  config_r.expect_done();
+  VerifiableIndexConfig config = detail::read_config(
+      section_bytes(data, layout, SectionId::kConfig), layout.fingerprint);
 
   ByteReader dict_r(section_bytes(data, layout, SectionId::kDictionary));
   auto dict = std::make_shared<const DictionaryIntervals>(DictionaryIntervals::read(dict_r));
@@ -198,6 +193,7 @@ OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file, OpenOptions op
   auto entries_sec = section_bytes(data, layout, SectionId::kEntries);
   ByteReader td(section_bytes(data, layout, SectionId::kTermDirectory));
   std::uint64_t max_posting_count = td.u64();
+  detail::check_max_posting_count(max_posting_count, entries_sec.size());
   const std::size_t term_count = td.count(3);  // name, offset, size: a byte each at least
   std::vector<std::string> terms;
   std::vector<TermLoc> locs;
@@ -225,6 +221,7 @@ OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file, OpenOptions op
 
   OpenedEpoch out;
   out.tier_degraded = tier_degraded;
+  out.entries_bytes = entries_sec.size();
   out.snapshot = std::make_shared<const IndexSnapshot>(
       config, layout.epoch, std::move(terms), std::move(source),
       static_cast<std::size_t>(max_posting_count), std::move(dict), std::move(dict_att),

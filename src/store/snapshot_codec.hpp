@@ -55,6 +55,9 @@ struct OpenedEpoch {
   std::optional<FixedBaseSnapshot> fixed_base;
   // True when tier sections were dropped under degrade_tier_on_corruption.
   bool tier_degraded = false;
+  // Entries-section bytes of every layer the snapshot was resolved from;
+  // the snapshot's max_posting_count is at most a posting per 8 of them.
+  std::uint64_t entries_bytes = 0;
   // Chain provenance (EpochStore::open_*): the full snapshot the resolution
   // bottomed out at and the number of delta records applied on top of it.
   // A directly opened snapshot file has base_epoch == snapshot->epoch() and

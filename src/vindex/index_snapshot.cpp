@@ -2,13 +2,25 @@
 
 #include <algorithm>
 
+#include "support/errors.hpp"
+
 namespace vc {
+
+void VerifiableIndexConfig::validate() const {
+  if (rep_bits < 32) throw UsageError("rep_bits must be >= 32");
+  if (modulus_bits % 2 != 0 || modulus_bits > 4096) {
+    throw UsageError("modulus_bits must be even and <= 4096");
+  }
+  if (rep_bits > modulus_bits || 2 * rep_bits + 4 > modulus_bits) {  // no wrap
+    throw UsageError("rep_bits must satisfy 2*rep_bits + 4 <= modulus_bits");
+  }
+  if (interval_size < 1) throw UsageError("interval_size must be >= 1");
+}
 
 void VerifiableIndexConfig::write(ByteWriter& w) const {
   w.varint(modulus_bits);
   w.varint(rep_bits);
   w.varint(interval_size);
-  w.varint(static_cast<std::uint64_t>(prime_mr_rounds));
   bloom.write(w);
 }
 
@@ -17,7 +29,6 @@ VerifiableIndexConfig VerifiableIndexConfig::read(ByteReader& r) {
   cfg.modulus_bits = r.varint();
   cfg.rep_bits = r.varint();
   cfg.interval_size = r.varint();
-  cfg.prime_mr_rounds = static_cast<int>(r.varint());
   cfg.bloom = BloomParams::read(r);
   return cfg;
 }

@@ -37,18 +37,24 @@ struct VerifiableIndexConfig {
   std::size_t modulus_bits = 1024;
   std::size_t rep_bits = 128;     // prime representative width
   std::size_t interval_size = 100;  // the paper's §V-A choice
-  int prime_mr_rounds = 28;
   BloomParams bloom{.counters = 4096, .hashes = 1, .domain = "vc.bloom.docs"};
 
   [[nodiscard]] PrimeRepConfig tuple_prime_config() const {
-    return PrimeRepConfig{.rep_bits = rep_bits, .domain = "vc.tuples", .mr_rounds = prime_mr_rounds};
+    return PrimeRepConfig{.rep_bits = rep_bits, .domain = "vc.tuples"};
   }
   [[nodiscard]] PrimeRepConfig doc_prime_config() const {
-    return PrimeRepConfig{.rep_bits = rep_bits, .domain = "vc.docs", .mr_rounds = prime_mr_rounds};
+    return PrimeRepConfig{.rep_bits = rep_bits, .domain = "vc.docs"};
   }
   [[nodiscard]] PrimeRepConfig dict_prime_config() const {
-    return PrimeRepConfig{.rep_bits = rep_bits, .domain = "vc.dict", .mr_rounds = prime_mr_rounds};
+    return PrimeRepConfig{.rep_bits = rep_bits, .domain = "vc.dict"};
   }
+
+  // Throws UsageError unless rep_bits >= 32, 2·rep_bits + 4 <= modulus_bits
+  // (representatives stay below |n|/2 - 2 bits), interval_size >= 1 and
+  // modulus_bits is even and at most 4096.  These values size allocations
+  // (fixed-base tables, safe-prime halves), so a store reader checks them
+  // before trusting a config section.
+  void validate() const;
 
   // Canonical encoding (the epoch store's config section; the store's
   // param fingerprint hashes it).

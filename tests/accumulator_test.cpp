@@ -18,7 +18,7 @@ class AccumulatorTest : public ::testing::Test {
       : owner_(AccumulatorContext::owner(standard_accumulator_modulus(512),
                                          standard_qr_generator(512))),
         pub_(AccumulatorContext::public_side(owner_.params())),
-        gen_(PrimeRepConfig{.rep_bits = 64, .domain = "acc-test", .mr_rounds = 24}) {}
+        gen_(PrimeRepConfig{.rep_bits = 64, .domain = "acc-test"}) {}
 
   std::vector<Bigint> primes(std::uint64_t lo, std::uint64_t hi) const {
     std::vector<Bigint> out;

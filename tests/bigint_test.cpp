@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "bigint/bigint.hpp"
-#include "bigint/miller_rabin.hpp"
 #include "bigint/power_context.hpp"
+#include "crypto/keygen.hpp"
 #include "obs/metrics.hpp"
 #include "support/errors.hpp"
 #include "support/rng.hpp"
@@ -185,49 +185,44 @@ TEST(Bigint, RandomBelowInRange) {
   EXPECT_THROW(Bigint::random_below(rng, Bigint(0)), UsageError);
 }
 
-TEST(MillerRabin, SmallPrimes) {
-  DeterministicRng rng(1);
+TEST(Primality, SmallPrimes) {
   for (long p : {2L, 3L, 5L, 7L, 11L, 13L, 97L, 251L, 257L, 65537L}) {
-    EXPECT_TRUE(is_probable_prime(Bigint(p), rng)) << p;
+    EXPECT_TRUE(is_probable_prime(Bigint(p))) << p;
   }
 }
 
-TEST(MillerRabin, SmallComposites) {
-  DeterministicRng rng(2);
-  for (long c : {0L, 1L, 4L, 9L, 100L, 255L, 1001L}) {
-    EXPECT_FALSE(is_probable_prime(Bigint(c), rng)) << c;
+TEST(Primality, SmallComposites) {
+  for (long c : {-7L, 0L, 1L, 4L, 9L, 100L, 255L, 1001L}) {
+    EXPECT_FALSE(is_probable_prime(Bigint(c))) << c;
   }
 }
 
-TEST(MillerRabin, CarmichaelNumbers) {
-  // Fermat pseudoprimes to every base; Miller-Rabin must still reject them.
-  DeterministicRng rng(3);
+TEST(Primality, CarmichaelNumbers) {
+  // Fermat pseudoprimes to every coprime base; the strong test rejects them.
   for (long c : {561L, 1105L, 1729L, 2465L, 2821L, 6601L, 8911L, 41041L}) {
-    EXPECT_FALSE(is_probable_prime(Bigint(c), rng)) << c;
+    EXPECT_FALSE(is_probable_prime(Bigint(c))) << c;
   }
 }
 
-TEST(MillerRabin, KnownLargePrime) {
-  DeterministicRng rng(4);
+TEST(Primality, StrongBaseTwoPseudoprimes) {
+  // Composites that pass the strong base-2 test, the first half of BPSW;
+  // the strong Lucas half must reject every one.
+  for (const char* c : {"2047", "3277", "1373653", "3215031751", "3825123056546413051"}) {
+    EXPECT_FALSE(is_probable_prime(Bigint::from_decimal(c))) << c;
+  }
+}
+
+TEST(Primality, KnownLargePrime) {
   // 2^127 - 1 is a Mersenne prime.
   Bigint m127 = Bigint::from_decimal("170141183460469231731687303715884105727");
-  EXPECT_TRUE(is_probable_prime(m127, rng));
-  EXPECT_FALSE(is_probable_prime(m127 * Bigint(3), rng));
+  EXPECT_TRUE(is_probable_prime(m127));
+  EXPECT_FALSE(is_probable_prime(m127 * Bigint(3)));
 }
 
-TEST(MillerRabin, ProductOfTwoPrimesRejected) {
-  DeterministicRng rng(7);
+TEST(Primality, ProductOfTwoPrimesRejected) {
   Bigint p = Bigint::from_decimal("1000000007");
   Bigint q = Bigint::from_decimal("1000000009");
-  EXPECT_FALSE(is_probable_prime(p * q, rng));
-}
-
-TEST(MillerRabin, NextPrimeFrom) {
-  DeterministicRng rng(8);
-  EXPECT_EQ(next_prime_from(Bigint(14), rng).to_u64(), 17u);
-  EXPECT_EQ(next_prime_from(Bigint(17), rng).to_u64(), 17u);
-  EXPECT_EQ(next_prime_from(Bigint(0), rng).to_u64(), 2u);
-  EXPECT_EQ(next_prime_from(Bigint(90), rng).to_u64(), 97u);
+  EXPECT_FALSE(is_probable_prime(p * q));
 }
 
 TEST(PowerContext, PlainMatchesGmp) {
@@ -378,13 +373,8 @@ TEST(FixedBase, TrapdoorTablesMatchPowm) {
   DeterministicRng rng(23);
   // Prime sizes whose CRT tables pick windows 3, 4 and 5.
   for (std::size_t prime_bits : {30, 128, 400}) {
-    auto random_prime = [&] {
-      Bigint start = Bigint::random_bits(rng, prime_bits);
-      mpz_setbit(start.raw_mut(), prime_bits - 1);
-      return next_prime_from(start, rng);
-    };
-    Bigint p = random_prime();
-    Bigint q = random_prime();
+    Bigint p = random_prime(rng, prime_bits);
+    Bigint q = random_prime(rng, prime_bits);
     ASSERT_NE(p, q);
     PowerContext owner(p * q, p, q);
     const Bigint base = Bigint::random_below(rng, owner.modulus());

@@ -21,7 +21,6 @@ VerifiableIndexConfig tiny_bloom_config() {
   cfg.modulus_bits = 512;
   cfg.rep_bits = 64;
   cfg.interval_size = 4;
-  cfg.prime_mr_rounds = 24;
   cfg.bloom = BloomParams{.counters = 2, .hashes = 1, .domain = "q3"};
   return cfg;
 }

@@ -24,7 +24,6 @@ TEST(Concurrency, ParallelQueriesAllVerify) {
   cfg.modulus_bits = 512;
   cfg.rep_bits = 64;
   cfg.interval_size = 8;
-  cfg.prime_mr_rounds = 24;
   cfg.bloom = BloomParams{.counters = 256, .hashes = 1, .domain = "conc"};
   auto owner_ctx = AccumulatorContext::owner(standard_accumulator_modulus(512),
                                              standard_qr_generator(512));
@@ -76,7 +75,6 @@ TEST(Concurrency, PooledProverByteIdenticalToSingleThreaded) {
   cfg.modulus_bits = 512;
   cfg.rep_bits = 64;
   cfg.interval_size = 8;
-  cfg.prime_mr_rounds = 24;
   cfg.bloom = BloomParams{.counters = 256, .hashes = 1, .domain = "conc"};
   auto owner_ctx = AccumulatorContext::owner(standard_accumulator_modulus(512),
                                              standard_qr_generator(512));
@@ -165,7 +163,6 @@ TEST(Concurrency, QueriesVerifyWhileEpochsSwap) {
   cfg.modulus_bits = 512;
   cfg.rep_bits = 64;
   cfg.interval_size = 8;
-  cfg.prime_mr_rounds = 24;
   cfg.bloom = BloomParams{.counters = 256, .hashes = 1, .domain = "swap"};
   auto owner_ctx = AccumulatorContext::owner(standard_accumulator_modulus(512),
                                              standard_qr_generator(512));
@@ -238,7 +235,6 @@ TEST(Concurrency, PostUpdateSnapshotEquivalentToFreshBuild) {
   cfg.modulus_bits = 512;
   cfg.rep_bits = 64;
   cfg.interval_size = 8;
-  cfg.prime_mr_rounds = 24;
   cfg.bloom = BloomParams{.counters = 256, .hashes = 1, .domain = "eqv"};
   auto owner_ctx = AccumulatorContext::owner(standard_accumulator_modulus(512),
                                              standard_qr_generator(512));

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "bigint/miller_rabin.hpp"
 #include "crypto/keygen.hpp"
 #include "crypto/signature.hpp"
 #include "crypto/standard_params.hpp"
@@ -15,7 +14,7 @@ TEST(Keygen, RandomPrimeHasExactWidthAndIsPrime) {
   for (std::size_t bits : {32u, 64u, 128u}) {
     Bigint p = random_prime(rng, bits);
     EXPECT_EQ(p.bit_length(), bits);
-    EXPECT_TRUE(is_probable_prime(p, rng));
+    EXPECT_TRUE(is_probable_prime(p));
   }
 }
 
@@ -23,17 +22,17 @@ TEST(Keygen, SafePrimeStructure) {
   DeterministicRng rng(22);
   Bigint p = random_safe_prime(rng, 64);
   EXPECT_EQ(p.bit_length(), 64u);
-  EXPECT_TRUE(is_probable_prime(p, rng));
+  EXPECT_TRUE(is_probable_prime(p));
   Bigint pp = Bigint::div_exact(p - Bigint(1), Bigint(2));
-  EXPECT_TRUE(is_probable_prime(pp, rng));
+  EXPECT_TRUE(is_probable_prime(pp));
 }
 
 TEST(Keygen, ModulusIsProductOfPrimes) {
   DeterministicRng rng(23);
   RsaModulus m = generate_modulus(rng, 128, /*safe=*/false);
   EXPECT_EQ(m.p * m.q, m.n);
-  EXPECT_TRUE(is_probable_prime(m.p, rng));
-  EXPECT_TRUE(is_probable_prime(m.q, rng));
+  EXPECT_TRUE(is_probable_prime(m.p));
+  EXPECT_TRUE(is_probable_prime(m.q));
   EXPECT_NE(m.p, m.q);
 }
 
@@ -52,16 +51,18 @@ TEST(Keygen, QrGeneratorIsSquare) {
 }
 
 TEST(StandardParams, PinnedSizesAreValid) {
-  for (std::size_t bits : {512u, 1024u}) {
+  // tools/gen_params no longer reproduces the pinned sets (see
+  // standard_params.cpp), so this is their only check.
+  for (std::size_t bits : {512u, 1024u, 2048u}) {
     const RsaModulus& m = standard_accumulator_modulus(bits);
     EXPECT_EQ(m.p * m.q, m.n);
     EXPECT_EQ(m.n.bit_length(), bits);
-    DeterministicRng rng(25);
-    EXPECT_TRUE(is_probable_prime(m.p, rng));
-    EXPECT_TRUE(is_probable_prime(m.q, rng));
+    EXPECT_NE(m.p, m.q);
+    EXPECT_TRUE(is_probable_prime(m.p));
+    EXPECT_TRUE(is_probable_prime(m.q));
     // Safe primes: (p-1)/2 prime.
-    EXPECT_TRUE(is_probable_prime(Bigint::div_exact(m.p - Bigint(1), Bigint(2)), rng));
-    EXPECT_TRUE(is_probable_prime(Bigint::div_exact(m.q - Bigint(1), Bigint(2)), rng));
+    EXPECT_TRUE(is_probable_prime(Bigint::div_exact(m.p - Bigint(1), Bigint(2))));
+    EXPECT_TRUE(is_probable_prime(Bigint::div_exact(m.q - Bigint(1), Bigint(2))));
     const Bigint& g = standard_qr_generator(bits);
     EXPECT_GT(g, Bigint(1));
     EXPECT_LT(g, m.n);

@@ -14,7 +14,7 @@ namespace vc {
 namespace {
 
 PrimeRepConfig test_prime_config() {
-  return PrimeRepConfig{.rep_bits = 64, .domain = "interval-test", .mr_rounds = 24};
+  return PrimeRepConfig{.rep_bits = 64, .domain = "interval-test"};
 }
 
 class IntervalIndexTest : public ::testing::Test {
@@ -304,22 +304,17 @@ TEST(IntervalDecode, HugeCountsAreTypedErrors) {
     ByteReader nr(parts.data());
     EXPECT_THROW((void)IntervalNonmembershipProof::read(nr), ParseError) << huge;
 
-    // An index header (tag, interval size, prime config, root), one
-    // interval, and that interval's descriptor followed by a member list of
-    // `huge` elements.
+    // An index blob (root, one interval) whose interval's descriptor is
+    // followed by a member list of `huge` elements.
     ByteWriter index;
-    index.str("vc.interval-index.v1");
-    index.varint(8);
-    index.varint(64);
-    index.str("interval-test");
-    index.varint(24);
     Bigint(4).write(index);
     index.varint(1);
     IntervalDescriptor{.lo = 0, .hi = ~std::uint64_t{0}, .b = Bigint(4)}.write(index);
     index.varint(huge);
     index.raw(Bytes(4, 0));
     ByteReader ir(index.data());
-    EXPECT_THROW((void)IntervalIndex::read(ir), ParseError) << huge;
+    EXPECT_THROW((void)IntervalIndex::read(ir, IntervalConfig{.interval_size = 8}), ParseError)
+        << huge;
   }
 }
 
@@ -328,18 +323,14 @@ TEST(IntervalDecode, HugeCountsAreTypedErrors) {
 // rejected before anything is reserved.
 TEST(IntervalDecode, HugeIntervalAndDictionaryCountsAreTypedErrors) {
   for (std::uint64_t huge : {std::uint64_t{1} << 62, std::uint64_t{1} << 28}) {
-    // Interval-index header, then `huge` intervals.
+    // Interval-index root, then `huge` intervals.
     ByteWriter index;
-    index.str("vc.interval-index.v1");
-    index.varint(8);
-    index.varint(64);
-    index.str("interval-test");
-    index.varint(24);
     Bigint(4).write(index);
     index.varint(huge);
     index.raw(Bytes(4, 0));
     ByteReader ir(index.data());
-    EXPECT_THROW((void)IntervalIndex::read(ir), ParseError) << huge;
+    EXPECT_THROW((void)IntervalIndex::read(ir, IntervalConfig{.interval_size = 8}), ParseError)
+        << huge;
 
     // Dictionary with `huge` words.
     ByteWriter words;

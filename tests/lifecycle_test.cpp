@@ -28,7 +28,6 @@ TEST(Lifecycle, EndToEnd) {
   cfg.modulus_bits = 512;
   cfg.rep_bits = 64;
   cfg.interval_size = 8;
-  cfg.prime_mr_rounds = 24;
   cfg.bloom = BloomParams{.counters = 256, .hashes = 1, .domain = "life"};
   auto owner_ctx = AccumulatorContext::owner(standard_accumulator_modulus(512),
                                              standard_qr_generator(512));

@@ -2,29 +2,26 @@
 
 #include <cstdio>
 
-#include "bigint/miller_rabin.hpp"
 #include "crypto/standard_params.hpp"
 #include "interval/interval_index.hpp"
 #include "primes/prime_cache.hpp"
 #include "primes/prime_rep.hpp"
 #include "support/errors.hpp"
-#include "support/rng.hpp"
 #include "support/threadpool.hpp"
 
 namespace vc {
 namespace {
 
 PrimeRepConfig small_config(std::string domain = "test") {
-  return PrimeRepConfig{.rep_bits = 64, .domain = std::move(domain), .mr_rounds = 24};
+  return PrimeRepConfig{.rep_bits = 64, .domain = std::move(domain)};
 }
 
 TEST(PrimeRep, ProducesPrimesOfExactWidth) {
   PrimeRepGenerator gen(small_config());
-  DeterministicRng rng(40);
   for (std::uint64_t e = 0; e < 32; ++e) {
     Bigint p = gen.representative(e);
     EXPECT_EQ(p.bit_length(), 64u) << e;
-    EXPECT_TRUE(is_probable_prime(p, rng)) << e;
+    EXPECT_TRUE(is_probable_prime(p)) << e;
   }
 }
 
@@ -50,9 +47,8 @@ TEST(PrimeRep, DomainSeparation) {
 
 TEST(PrimeRep, StringElements) {
   PrimeRepGenerator gen(small_config());
-  DeterministicRng rng(41);
   Bigint p = gen.representative("hello");
-  EXPECT_TRUE(is_probable_prime(p, rng));
+  EXPECT_TRUE(is_probable_prime(p));
   EXPECT_EQ(p, gen.representative(std::string_view("hello")));
   EXPECT_NE(p, gen.representative("hellp"));
 }
@@ -87,13 +83,12 @@ TEST(PrimeRep, PinnedRepresentatives) {
       {"vc.dict", ~0ULL, "96aeeb431ca38e62f7b1dc0ad24c4e8f"},
   };
   for (const Pin& pin : pins) {
-    PrimeRepGenerator gen(
-        PrimeRepConfig{.rep_bits = 128, .domain = pin.domain, .mr_rounds = 28});
+    PrimeRepGenerator gen(PrimeRepConfig{.rep_bits = 128, .domain = pin.domain});
     EXPECT_EQ(hex(gen.representative(pin.element)), pin.rep) << pin.domain << " " << pin.element;
   }
 
   // A real middle-layer descriptor: the first interval of a small tuple tree.
-  PrimeRepConfig tuples{.rep_bits = 128, .domain = "vc.tuples", .mr_rounds = 28};
+  PrimeRepConfig tuples{.rep_bits = 128, .domain = "vc.tuples"};
   PrimeCache tuple_primes(tuples);
   const std::vector<std::uint64_t> elems = {3, 10, 11, 500, 4096, 70000, 1ULL << 40};
   const AccumulatorContext ctx = AccumulatorContext::owner(standard_accumulator_modulus(512),

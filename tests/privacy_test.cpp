@@ -153,7 +153,6 @@ TEST(PrivateSearch, EndToEndWithProofs) {
   cfg.modulus_bits = 512;
   cfg.rep_bits = 64;
   cfg.interval_size = 4;
-  cfg.prime_mr_rounds = 24;
   cfg.bloom = BloomParams{.counters = 128, .hashes = 1, .domain = "priv"};
 
   Corpus tokenized = tokenize_corpus(corpus, key);

@@ -31,8 +31,7 @@ TEST_P(AccumulatorProperty, WitnessAlgebraHolds) {
   auto owner = AccumulatorContext::owner(standard_accumulator_modulus(p.modulus_bits),
                                          standard_qr_generator(p.modulus_bits));
   auto pub = AccumulatorContext::public_side(owner.params());
-  PrimeRepGenerator gen(PrimeRepConfig{
-      .rep_bits = p.rep_bits, .domain = "prop-acc", .mr_rounds = 24});
+  PrimeRepGenerator gen(PrimeRepConfig{.rep_bits = p.rep_bits, .domain = "prop-acc"});
 
   std::vector<Bigint> set;
   for (std::size_t i = 0; i < p.set_size; ++i) {
@@ -86,8 +85,7 @@ TEST_P(IntervalProperty, ProofsHoldAtEveryIntervalSize) {
   auto owner = AccumulatorContext::owner(standard_accumulator_modulus(512),
                                          standard_qr_generator(512));
   auto pub = AccumulatorContext::public_side(owner.params());
-  PrimeCache primes(
-      PrimeRepConfig{.rep_bits = 64, .domain = "prop-int", .mr_rounds = 24});
+  PrimeCache primes(PrimeRepConfig{.rep_bits = 64, .domain = "prop-int"});
 
   std::vector<std::uint64_t> elements;
   for (std::uint64_t i = 0; i < 57; ++i) elements.push_back(3 * i + 5);

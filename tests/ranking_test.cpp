@@ -18,7 +18,6 @@ VerifiableIndexConfig tiny_config() {
   cfg.modulus_bits = 512;
   cfg.rep_bits = 64;
   cfg.interval_size = 4;
-  cfg.prime_mr_rounds = 24;
   cfg.bloom = BloomParams{.counters = 128, .hashes = 1, .domain = "rank"};
   return cfg;
 }

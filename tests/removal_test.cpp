@@ -20,7 +20,6 @@ VerifiableIndexConfig small_config() {
   cfg.modulus_bits = 512;
   cfg.rep_bits = 64;
   cfg.interval_size = 8;
-  cfg.prime_mr_rounds = 24;
   cfg.bloom = BloomParams{.counters = 256, .hashes = 1, .domain = "rm"};
   return cfg;
 }
@@ -158,7 +157,7 @@ TEST_F(RemovalTest, RemovalRequiresTrapdoorAndIgnoresUnknownIds) {
 }
 
 TEST_F(RemovalTest, IntervalRemoveStandalone) {
-  PrimeCache primes(PrimeRepConfig{.rep_bits = 64, .domain = "rm-int", .mr_rounds = 24});
+  PrimeCache primes(PrimeRepConfig{.rep_bits = 64, .domain = "rm-int"});
   std::vector<std::uint64_t> elems;
   for (std::uint64_t i = 0; i < 30; ++i) elems.push_back(2 * i);
   IntervalIndex idx =

@@ -306,14 +306,14 @@ TEST_F(StoreTest, BadMagicIsCorrupt) {
   EXPECT_THROW(open_file(p), store::StoreCorruptError);
 }
 
-// A store written before entry blobs lost their raw Bloom filter and flat
-// member lists carries the previous magic; it is refused at open, never
-// misparsed.
+// A store written before the config section and the interval-tree blobs
+// lost their Miller–Rabin round counts carries the previous magic; it is
+// refused at open, never misparsed.
 TEST_F(StoreTest, PreviousFormatMagicIsCorrupt) {
-  fs::path p = scratch_copy("vcepoch1");
+  fs::path p = scratch_copy("vcepoch2");
   Bytes raw = read_file(p);
-  ASSERT_EQ(raw[7], '2');
-  raw[7] = '1';
+  ASSERT_EQ(raw[7], '3');
+  raw[7] = '2';
   write_file(p, raw);
   EXPECT_THROW(open_file(p), store::StoreCorruptError);
 }
@@ -411,6 +411,79 @@ TEST_F(StoreTest, CraftedHugeCountsAreTypedErrors) {
     store::OpenedEpoch opened = open_file(p);
     EXPECT_THROW((void)opened.snapshot->find("a"), ParseError) << huge;
   }
+}
+
+// Config values and the max posting count size allocations on the serving
+// side (the fixed-base table is (max_posting_count + 1)·rep_bits bits), so a
+// forged store that re-CRCs and re-fingerprints cleanly must still fail at
+// open with a typed error.
+TEST_F(StoreTest, CraftedConfigAndMaxPostingsAreTypedErrors) {
+  const Bytes raw = read_file(current_file());
+  fs::path p = *root_ / "crafted-config.vcs";
+  auto with_config = [&](const VerifiableIndexConfig& cfg) {
+    ByteWriter w;
+    cfg.write(w);
+    Bytes forged = replace_section(raw, store::SectionId::kConfig, w.data());
+    const Digest fp = Sha256::hash(w.data());
+    std::copy(fp.begin(), fp.end(), forged.begin() + store::kFingerprintOffset);
+    return forged;
+  };
+  write_file(p, with_config(bed_->config));
+  EXPECT_NO_THROW(open_file(p));  // the re-fingerprinting itself is sound
+  const std::vector<void (*)(VerifiableIndexConfig&)> forgeries = {
+      [](VerifiableIndexConfig& c) { c.rep_bits = std::size_t{1} << 40; },
+      [](VerifiableIndexConfig& c) { c.rep_bits = std::size_t{1} << 63; },  // 2·rep_bits wraps
+      [](VerifiableIndexConfig& c) { c.rep_bits = 16; },
+      [](VerifiableIndexConfig& c) { c.rep_bits = c.modulus_bits / 2; },
+      [](VerifiableIndexConfig& c) { c.modulus_bits = std::size_t{1} << 40; },
+      [](VerifiableIndexConfig& c) { c.modulus_bits += 1; },
+      [](VerifiableIndexConfig& c) { c.interval_size = 0; },
+  };
+  for (std::size_t i = 0; i < forgeries.size(); ++i) {
+    VerifiableIndexConfig cfg = bed_->config;
+    forgeries[i](cfg);
+    write_file(p, with_config(cfg));
+    EXPECT_THROW(open_file(p), store::StoreCorruptError) << "forgery " << i;
+  }
+
+  // A snapshot's max posting count above its entries bytes / 8.
+  Bytes dir;
+  for (const store::SectionInfo& sec :
+       store::inspect_file(store::MappedFile(current_file())).sections) {
+    if (sec.id == store::SectionId::kTermDirectory) {
+      dir = Bytes(raw.begin() + static_cast<std::ptrdiff_t>(sec.offset),
+                  raw.begin() + static_cast<std::ptrdiff_t>(sec.offset + sec.size));
+    }
+  }
+  store_le(dir, 0, std::uint64_t{1} << 40, 8);
+  write_file(p, replace_section(raw, store::SectionId::kTermDirectory, dir));
+  EXPECT_THROW(open_file(p), store::StoreCorruptError);
+
+  // A delta's max posting count is bounded by the whole chain's entries: an
+  // honest patch that keeps all its base postings passes, a forged count
+  // fails.
+  const SnapshotPtr& snap = *mem_snap_;
+  const fs::path chain_root = *root_ / "crafted-chain";
+  fs::remove_all(chain_root);
+  store::EpochStore chain(chain_root);
+  chain.publish(*snap, 1);
+  const std::string& term = snap->entries().begin()->first;
+  const std::shared_ptr<const IndexEntry> entry(snap, snap->find(term));
+  IndexDelta delta;
+  delta.epoch = snap->epoch() + 1;
+  delta.base_epoch = snap->epoch();
+  delta.config = snap->config();
+  delta.touched.emplace(term, entry);
+  delta.bases.emplace(term, entry);
+  delta.max_posting_count = snap->max_posting_count();
+  chain.publish_delta(delta, 1);
+  EXPECT_EQ(chain.open_current().snapshot->max_posting_count(), snap->max_posting_count());
+  delta.epoch += 1;
+  delta.base_epoch += 1;
+  delta.max_posting_count = std::size_t{1} << 40;
+  chain.publish_delta(delta, 1);
+  EXPECT_THROW((void)chain.open_current(), store::StoreCorruptError);
+  fs::remove_all(chain_root);
 }
 
 // An entry whose signed Bloom filter claims params other than the epoch

@@ -31,7 +31,6 @@ inline VerifiableIndexConfig small_config(std::uint32_t bloom_counters = 512,
   cfg.modulus_bits = 512;
   cfg.rep_bits = 64;
   cfg.interval_size = 8;
-  cfg.prime_mr_rounds = 24;
   cfg.bloom = BloomParams{.counters = bloom_counters, .hashes = 1,
                           .domain = std::move(bloom_domain)};
   return cfg;

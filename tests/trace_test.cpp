@@ -26,7 +26,6 @@ TestbedOptions trace_testbed_options() {
   opts.index.modulus_bits = 512;
   opts.index.rep_bits = 64;
   opts.index.interval_size = 8;
-  opts.index.prime_mr_rounds = 24;
   opts.index.bloom = BloomParams{.counters = 512, .hashes = 1, .domain = "vc.bloom.docs"};
   opts.pool_workers = 2;
   return opts;

@@ -17,7 +17,6 @@ VerifiableIndexConfig small_config() {
   cfg.modulus_bits = 512;
   cfg.rep_bits = 64;
   cfg.interval_size = 8;
-  cfg.prime_mr_rounds = 24;
   cfg.bloom = BloomParams{.counters = 512, .hashes = 1, .domain = "vc.bloom.docs"};
   return cfg;
 }

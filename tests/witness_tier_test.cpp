@@ -159,8 +159,7 @@ TierBuildResult* WitnessTierTest::built_ = nullptr;
 TEST(TieredSubsetWitness, MatchesDirectComplementWitness) {
   auto ctx = AccumulatorContext::public_side(AccumulatorParams{
       standard_accumulator_modulus(512).n, standard_qr_generator(512)});
-  PrimeCache primes(PrimeRepConfig{.rep_bits = 64, .domain = "vc.tiertest.unit",
-                                   .mr_rounds = 24});
+  PrimeCache primes(PrimeRepConfig{.rep_bits = 64, .domain = "vc.tiertest.unit"});
   constexpr std::size_t kSet = 24;
   WitnessSubTable table;
   std::vector<Bigint> reps;
@@ -199,8 +198,7 @@ TEST(TieredSubsetWitness, MatchesDirectComplementWitness) {
 TEST(TieredSubsetWitness, SingletonLookupIsZeroModexp) {
   auto ctx = AccumulatorContext::public_side(AccumulatorParams{
       standard_accumulator_modulus(512).n, standard_qr_generator(512)});
-  PrimeCache primes(PrimeRepConfig{.rep_bits = 64, .domain = "vc.tiertest.zero",
-                                   .mr_rounds = 24});
+  PrimeCache primes(PrimeRepConfig{.rep_bits = 64, .domain = "vc.tiertest.zero"});
   WitnessSubTable table;
   std::vector<Bigint> reps;
   for (std::uint64_t v = 0; v < 8; ++v) {

@@ -1,8 +1,11 @@
-// One-off generator for the pinned parameter sets in
+// Generator for seed-pinned accumulator parameter sets in the format of
 // src/crypto/standard_params.cpp.  Run: gen_params [--out PATH] <bits>...
 //
 // Output goes to stdout by default; --out writes to a scratch file instead
 // (the generated table is pasted into standard_params.cpp, not checked in).
+// The sets pinned there came from an earlier keygen whose RNG stream also
+// fed Miller–Rabin bases, so this tool's output differs from them for the
+// same seed; the StandardParams tests check the pinned sets.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

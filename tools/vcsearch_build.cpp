@@ -166,6 +166,12 @@ int main(int argc, char** argv) {
   config.rep_bits = std::strtoul(arg_value(argc, argv, "--rep-bits", "128"), nullptr, 10);
   config.interval_size = std::strtoul(arg_value(argc, argv, "--interval", "100"),
                                       nullptr, 10);
+  try {
+    config.validate();
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   std::uint64_t seed = std::strtoull(arg_value(argc, argv, "--seed", "1"), nullptr, 10);
 
   Corpus corpus("cli");
