@@ -70,6 +70,34 @@ void record_swap(std::uint64_t epoch) {
   served.set(static_cast<std::int64_t>(epoch));
 }
 
+// Pre-materializes the tiered terms' index entries and witness tables, in
+// the tier's sorted term order (alphabetical, not by hotness), until
+// `budget_bytes` of stored payload is resident, so the epoch's first
+// queries skip the lazy decode path.  Warming never changes a proof byte,
+// only when the decode cost is paid.
+void warm_epoch(const IndexSnapshot& snap, const WitnessTier& tier,
+                std::uint64_t budget_bytes) {
+  static obs::Counter& warm_terms_total = obs::MetricsRegistry::global().counter(
+      "vc_warm_terms_total", "", "Terms pre-materialized by the serving warm stage");
+  static obs::Counter& warm_bytes_total = obs::MetricsRegistry::global().counter(
+      "vc_warm_bytes_total", "", "Stored bytes pre-materialized by the serving warm stage");
+  static obs::Histogram& warm_stage = obs::MetricsRegistry::global().stage("warm_stage");
+  obs::Span span(warm_stage, "warm_stage");
+  std::uint64_t spent = 0;
+  std::size_t warmed = 0;
+  for (const std::string& term : tier.terms()) {
+    if (spent >= budget_bytes) break;
+    std::uint64_t bytes = snap.warm(term);
+    bytes += tier.warm(term);
+    spent += bytes;
+    ++warmed;
+    warm_bytes_total.inc(bytes);
+  }
+  warm_terms_total.inc(warmed);
+  obs::trace_attr("warm_terms", static_cast<std::int64_t>(warmed));
+  obs::trace_attr("warm_bytes", static_cast<std::int64_t>(spent));
+}
+
 }  // namespace
 
 CloudService::CloudService(SnapshotPtr snapshot, AccumulatorContext public_ctx,
@@ -128,6 +156,9 @@ CloudService::StatePtr CloudService::build_state(
     }
   }
   auto engine = std::make_shared<const SearchEngine>(snapshot, ctx_, key_, pool_);
+  if (auto tier = snapshot->witness_tier(); tier != nullptr && warm_budget_bytes_ > 0) {
+    warm_epoch(*snapshot, *tier, warm_budget_bytes_);
+  }
   return std::make_shared<const EpochState>(EpochState{snapshot, std::move(engine)});
 }
 
@@ -183,13 +214,6 @@ void CloudService::publish_loop() {
     std::exception_ptr failure;
     try {
       StatePtr state = build_state(next.snap, next.fixed_base);
-      // Warm stage: pre-materialize the tier's terms so the first post-swap
-      // queries skip the lazy decode path.  tier->terms() is sorted by term,
-      // not by hotness, so a budget smaller than the tier warms the
-      // alphabetically first tiered terms.
-      if (auto tier = next.snap->witness_tier(); tier != nullptr && warm_budget_bytes_ > 0) {
-        store::warm_epoch(*next.snap, tier.get(), tier->terms(), warm_budget_bytes_);
-      }
       {
         std::lock_guard lock(current_mu_);
         current_.swap(state);

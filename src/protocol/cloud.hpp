@@ -16,9 +16,10 @@
 //
 // Publication is asynchronous: publish() stages the epoch into a depth-1
 // newest-wins slot and returns; one publish worker builds the serving
-// state, runs the witness warm stage for the epoch's hot terms, and swaps
-// the pointer.  An epoch superseded while still staged is dropped instead
-// of queued, and so is one older than an epoch already staged.
+// state (including the witness warm stage for the epoch's tiered terms)
+// and swaps the pointer.  An epoch superseded while still staged is
+// dropped instead of queued, and so is one older than an epoch already
+// staged.
 // wait_published() blocks for callers that need the swap.
 #pragma once
 
@@ -46,10 +47,10 @@ struct CloudAccess;
 class CloudService {
  public:
   // Builds the serving state for `snapshot` before returning.  A non-zero
-  // `warm_budget_bytes` makes the publish worker pre-materialize each
-  // published epoch's tiered terms (in the tier's sorted term order, until
-  // that many stored bytes are resident) before swapping it in; 0 disables
-  // the warm stage.
+  // `warm_budget_bytes` pre-materializes the tiered terms of every epoch
+  // served — this boot snapshot and each published one, before its swap —
+  // in the tier's sorted term order until that many stored bytes are
+  // resident; 0 disables the warm stage.
   CloudService(SnapshotPtr snapshot, AccumulatorContext public_ctx,
                SigningKey cloud_key, VerifyKey owner_key, ThreadPool* pool = nullptr,
                SchemeKind scheme = SchemeKind::kHybrid, std::uint64_t warm_budget_bytes = 0);
@@ -66,9 +67,10 @@ class CloudService {
 
   // Opens the store's CURRENT epoch (mmap-backed, lazily materialized) and
   // stages it together with the epoch's persisted fixed-base table, which
-  // the publish worker adopts — the cold-restart entry point.  Throws the
-  // store's typed errors when the epoch is missing or damaged.  Returns the
-  // staged epoch number.
+  // the publish worker adopts — the cold-restart entry point.  A damaged
+  // witness tier stages the epoch untiered; any other damage, or a missing
+  // epoch, throws the store's typed errors.  Returns the staged epoch
+  // number.
   std::uint64_t publish_from(const store::EpochStore& store);
 
   // Blocks until every publish staged before the call has been swapped in
@@ -116,9 +118,10 @@ class CloudService {
     return current_;
   }
 
-  // Fixed-base adoption/sizing + engine construction for one epoch.  Runs
-  // in the constructor before the worker starts and on the worker after
-  // that, so one thread at a time owns ctx_ and fixed_base_bits_.
+  // Fixed-base adoption/sizing, engine construction and the warm stage for
+  // one epoch.  Runs in the constructor before the worker starts and on the
+  // worker after that, so one thread at a time owns ctx_ and
+  // fixed_base_bits_.
   [[nodiscard]] StatePtr build_state(const SnapshotPtr& snapshot,
                                      const std::optional<FixedBaseSnapshot>& fixed_base);
   void stage(SnapshotPtr snapshot, std::optional<FixedBaseSnapshot> fixed_base);

@@ -2,7 +2,8 @@
 // delta_codec.cpp): per-term entry blob (de)serialization, the
 // binary-searchable prime-section layout, the lazy mapped sources, and the
 // header/section-table parser.  Everything here is an implementation detail
-// of src/store — tools and tests go through the public codec headers.
+// of src/store — tools go through the public codec headers (tests also use
+// encode_sections to lay out forged files).
 #pragma once
 
 #include <algorithm>
@@ -339,8 +340,7 @@ struct ParsedLayout {
 // mismatches land in SectionInfo::crc_ok rather than throwing so the
 // inspect tool can dump a damaged file; the open paths turn them into
 // StoreCorruptError.
-inline ParsedLayout parse_layout(std::span<const std::uint8_t> data,
-                                 std::uint32_t max_format_version = kMaxFormatVersion) {
+inline ParsedLayout parse_layout(std::span<const std::uint8_t> data) {
   if (data.size() < kHeaderBytes) {
     throw StoreTruncatedError("file smaller than header (" +
                               std::to_string(data.size()) + " bytes)");
@@ -352,8 +352,7 @@ inline ParsedLayout parse_layout(std::span<const std::uint8_t> data,
   }
   ParsedLayout out;
   out.format_version = r.u32();
-  if (out.format_version < kFormatVersion ||
-      out.format_version > std::min(max_format_version, kMaxFormatVersion)) {
+  if (out.format_version != kFormatVersion && out.format_version != kFormatVersionDelta) {
     throw StoreCorruptError("unsupported format version " +
                             std::to_string(out.format_version));
   }

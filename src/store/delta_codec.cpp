@@ -74,9 +74,9 @@ Bytes encode_delta(const IndexDelta& delta, std::uint32_t shard_count) {
                                  param_fingerprint(delta.config), payloads);
 }
 
-OpenedDelta open_delta(std::shared_ptr<const MappedFile> file, const OpenOptions& options) {
+OpenedDelta open_delta(std::shared_ptr<const MappedFile> file) {
   auto data = file->bytes();
-  ParsedLayout layout = detail::parse_layout(data, options.max_format_version);
+  ParsedLayout layout = detail::parse_layout(data);
   if (layout.format_version != kFormatVersionDelta) {
     throw StoreCorruptError("file is not a delta record (format version " +
                             std::to_string(layout.format_version) + ")");
@@ -91,11 +91,6 @@ OpenedDelta open_delta(std::shared_ptr<const MappedFile> file, const OpenOptions
       throw StoreCorruptError(std::string("section ") + section_name(s.id) +
                               " CRC mismatch");
     }
-  }
-  if (options.expected_fingerprint != nullptr &&
-      *options.expected_fingerprint != layout.fingerprint) {
-    throw StoreParamMismatchError("delta " + file->path().string() +
-                                  " was written under different index parameters");
   }
 
   OpenedDelta out;

@@ -70,7 +70,6 @@ struct OpenedDelta {
 // Throws the StoreError subclasses on rejection; delta sections get no
 // degrade path — a damaged journal entry fails the open (the tier-cache
 // argument does not apply: every delta byte is data).
-OpenedDelta open_delta(std::shared_ptr<const MappedFile> file,
-                       const OpenOptions& options = {});
+OpenedDelta open_delta(std::shared_ptr<const MappedFile> file);
 
 }  // namespace vc::store

@@ -405,43 +405,31 @@ std::vector<std::uint64_t> EpochStore::epochs() const {
   return out;
 }
 
-OpenedEpoch EpochStore::open_current(const Digest* expected_fingerprint) const {
-  return open_current(OpenOptions{.expected_fingerprint = expected_fingerprint});
+OpenedEpoch EpochStore::open_current() const {
+  return open_epoch(*parse_epoch_dir(read_current_name()));
 }
 
-OpenedEpoch EpochStore::open_epoch(std::uint64_t epoch,
-                                   const Digest* expected_fingerprint) const {
-  return open_epoch(epoch, OpenOptions{.expected_fingerprint = expected_fingerprint});
-}
-
-OpenedEpoch EpochStore::open_current(const OpenOptions& options) const {
-  const std::string name = read_current_name();
-  return open_epoch(*parse_epoch_dir(name), options);
-}
-
-OpenedEpoch EpochStore::open_epoch(std::uint64_t epoch, const OpenOptions& options) const {
-  const fs::path snap_path = epoch_file(epoch);
-  if (fs::exists(snap_path)) {
-    // A compacted head keeps its delta alongside; the full snapshot wins.
-    auto file = std::make_shared<const MappedFile>(snap_path);
-    OpenedEpoch out = open_snapshot(std::move(file), options);
-    chain_length_gauge().set(0);
-    return out;
+OpenedEpoch EpochStore::open_epoch(std::uint64_t epoch) const {
+  if (!fs::exists(epoch_file(epoch)) && !fs::exists(delta_file(epoch))) {
+    throw StoreError("epoch " + std::to_string(epoch) + " is not in " + root_.string());
   }
-  if (fs::exists(delta_file(epoch))) return resolve_chain(epoch, options);
-  throw StoreError("epoch " + std::to_string(epoch) + " is not in " + root_.string());
+  return resolve_chain(epoch);
 }
 
-OpenedEpoch EpochStore::resolve_chain(std::uint64_t head, const OpenOptions& options) const {
-  // Walk base links down to a full snapshot, newest delta first.  Every
-  // layer must carry the same param fingerprint as the head; the walk must
-  // strictly descend and stay under the length cap.
+OpenedEpoch EpochStore::resolve_chain(std::uint64_t head) const {
+  // Walk base links down to a full snapshot, newest delta first; a
+  // compacted head keeps its delta alongside, and the snapshot wins.  The
+  // walk alone decides whether `head` is a chain: compaction may install
+  // its snapshot at any moment.  Every layer must carry the same param
+  // fingerprint as the head; the walk must strictly descend and stay under
+  // the length cap.
   std::vector<OpenedDelta> deltas;
-  Digest chain_fp{};
-  OpenOptions layer_options = options;
-  // Warming the base snapshot would prime entries the overlay may shadow;
-  // the overlay itself is warmed once, below.
-  layer_options.warm_budget_bytes = 0;
+  auto check_params = [&](const Digest& fingerprint, const fs::path& path) {
+    if (!deltas.empty() && fingerprint != deltas.front().fingerprint) {
+      throw StoreParamMismatchError(path.string() + " was written under other index "
+                                    "parameters than chain head " + std::to_string(head));
+    }
+  };
   std::uint64_t epoch = head;
   while (!fs::exists(epoch_file(epoch))) {
     const fs::path path = delta_file(epoch);
@@ -453,26 +441,23 @@ OpenedEpoch EpochStore::resolve_chain(std::uint64_t head, const OpenOptions& opt
       throw StoreChainError("chain from epoch " + std::to_string(head) + " exceeds " +
                             std::to_string(kMaxChainLength) + " deltas");
     }
-    OpenedDelta d = open_delta(std::make_shared<const MappedFile>(path), layer_options);
+    OpenedDelta d = open_delta(std::make_shared<const MappedFile>(path));
     delta_opens().inc();
     if (d.epoch != epoch) {
       throw StoreCorruptError("delta in " + epoch_dir_name(epoch) + " claims epoch " +
                               std::to_string(d.epoch));
     }
-    if (deltas.empty()) {
-      chain_fp = d.fingerprint;
-      // Deeper layers (and the base) must match the head's parameters even
-      // when the caller did not pin a fingerprint.
-      if (layer_options.expected_fingerprint == nullptr) {
-        layer_options.expected_fingerprint = &chain_fp;
-      }
-    }
+    check_params(d.fingerprint, path);
     epoch = d.base_epoch;  // open_delta guarantees base_epoch < epoch
     deltas.push_back(std::move(d));
   }
 
-  auto base_file = std::make_shared<const MappedFile>(epoch_file(epoch));
-  OpenedEpoch base = open_snapshot(std::move(base_file), layer_options);
+  OpenedEpoch base = open_snapshot(std::make_shared<const MappedFile>(epoch_file(epoch)));
+  if (deltas.empty()) {  // `head` is a full snapshot
+    chain_length_gauge().set(0);
+    return base;
+  }
+  check_params(param_fingerprint(base.snapshot->config()), epoch_file(epoch));
   std::reverse(deltas.begin(), deltas.end());  // oldest → newest
 
   // Merged term list: upsert touched, drop removed, oldest delta first.
@@ -568,23 +553,18 @@ OpenedEpoch EpochStore::resolve_chain(std::uint64_t head, const OpenOptions& opt
   out.base_epoch = base.snapshot->epoch();
   out.chain_length = static_cast<std::uint32_t>(deltas.size());
   chain_length_gauge().set(static_cast<std::int64_t>(deltas.size()));
-  if (options.warm_budget_bytes > 0 && out.tier != nullptr) {
-    warm_epoch(*out.snapshot, out.tier.get(), out.tier->terms(),
-               options.warm_budget_bytes);
-  }
   return out;
 }
 
-std::optional<std::uint64_t> EpochStore::compact(std::uint32_t min_chain_length,
-                                                 const OpenOptions& options) {
+std::optional<std::uint64_t> EpochStore::compact(std::uint32_t min_chain_length) {
   if (!has_current()) return std::nullopt;
-  OpenedEpoch head = open_current(options);
+  OpenedEpoch head = open_current();
   if (head.chain_length < std::max<std::uint32_t>(1, min_chain_length)) return std::nullopt;
 
   Stopwatch timer;
   obs::Span span(compaction_stage(), "store_compaction");
   // Materialize the overlay into one full snapshot.  The surviving witness
-  // tier and the base's fixed-base table ride along (format v2) so the
+  // tier and the base's fixed-base table ride along (tier sections) so the
   // compacted epoch keeps its zero-modexp hot path.
   TierArtifacts arts;
   const TierArtifacts* tier = nullptr;
@@ -672,7 +652,7 @@ void CompactionWorker::stop() {
 
 std::optional<std::uint64_t> CompactionWorker::run_once() {
   try {
-    auto compacted = store_.compact(options_.max_chain_length, options_.open);
+    auto compacted = store_.compact(options_.max_chain_length);
     if (compacted.has_value()) runs_.fetch_add(1, std::memory_order_relaxed);
     return compacted;
   } catch (const std::exception& e) {

@@ -5,7 +5,7 @@
 //   root/
 //     CURRENT                      -> "epoch-00000000000000000042\n"
 //     epoch-00000000000000000042/
-//       snapshot.vcs               (format v1/v2: full snapshot)
+//       snapshot.vcs               (format v1: full snapshot)
 //     epoch-00000000000000000043/
 //       delta.vcd                  (format v3: journal of one mutation)
 //     epoch-00000000000000000044/
@@ -60,8 +60,9 @@ class EpochStore {
   // the pointer (the existing file is trusted — it was fsynced before its
   // rename), and when CURRENT already points at it the call is a true no-op
   // (counted in vc_store_noop_publishes_total).  A non-null `tier` persists
-  // the materialized witness tier and fixed-base table alongside (format
-  // v2; see snapshot_codec.hpp).  Returns the epoch directory.
+  // the materialized witness tier and fixed-base table alongside (the
+  // optional tier sections; see snapshot_codec.hpp).  Returns the epoch
+  // directory.
   std::filesystem::path publish(const IndexSnapshot& snap, std::uint32_t shard_count,
                                 const TierArtifacts* tier = nullptr);
 
@@ -84,16 +85,13 @@ class EpochStore {
   [[nodiscard]] std::vector<std::uint64_t> epochs() const;
 
   // Opens the epoch CURRENT points at / a specific epoch, fully validated
-  // (see open_snapshot), resolving a delta chain into an overlay snapshot
-  // when the epoch is a delta head.  Throws StoreCurrentError when the
-  // pointer is missing or stale, StoreChainError when a chain cannot be
-  // resolved.
-  [[nodiscard]] OpenedEpoch open_current(const Digest* expected_fingerprint = nullptr) const;
-  [[nodiscard]] OpenedEpoch open_epoch(std::uint64_t epoch,
-                                       const Digest* expected_fingerprint = nullptr) const;
-  // Full-option forms (max_format_version, tier degradation; see OpenOptions).
-  [[nodiscard]] OpenedEpoch open_current(const OpenOptions& options) const;
-  [[nodiscard]] OpenedEpoch open_epoch(std::uint64_t epoch, const OpenOptions& options) const;
+  // (see open_snapshot: a damaged tier opens untiered), resolving a delta
+  // chain into an overlay snapshot when the epoch is a delta head.  Every
+  // layer of a chain must carry the head's param fingerprint
+  // (StoreParamMismatchError).  Throws StoreCurrentError when the pointer
+  // is missing or stale, StoreChainError when a chain cannot be resolved.
+  [[nodiscard]] OpenedEpoch open_current() const;
+  [[nodiscard]] OpenedEpoch open_epoch(std::uint64_t epoch) const;
 
   // Folds CURRENT's delta chain into a full snapshot when it is at least
   // `min_chain_length` deltas long, writing snapshot.vcs into the head
@@ -101,8 +99,7 @@ class EpochStore {
   // never blocked — readers keep resolving the chain until the rename
   // lands, and both routes produce byte-identical proofs).  Returns the
   // compacted epoch, or nullopt when there was nothing to do.
-  std::optional<std::uint64_t> compact(std::uint32_t min_chain_length = 1,
-                                       const OpenOptions& options = {});
+  std::optional<std::uint64_t> compact(std::uint32_t min_chain_length = 1);
 
   // One link of CURRENT's chain, head first, base last (tooling; see
   // vcsearch-inspect --store).  A compacted head carries both files and
@@ -130,7 +127,9 @@ class EpochStore {
  private:
   [[nodiscard]] std::string read_current_name() const;  // throws if missing/bad
   void advance_current(const std::string& dir_name);
-  [[nodiscard]] OpenedEpoch resolve_chain(std::uint64_t head, const OpenOptions& options) const;
+  // Opens `head`: its snapshot when it has one, else the overlay of its
+  // delta chain over the base snapshot the chain walks down to.
+  [[nodiscard]] OpenedEpoch resolve_chain(std::uint64_t head) const;
 
   std::filesystem::path root_;
 };
@@ -145,7 +144,6 @@ class CompactionWorker {
   struct Options {
     std::uint32_t max_chain_length = 4;          // compact at this many deltas
     std::uint64_t poll_interval_ms = 2000;
-    OpenOptions open;                            // degrade flags etc.
   };
 
   CompactionWorker(EpochStore& store, Options options);

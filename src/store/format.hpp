@@ -15,22 +15,20 @@
 // rejected before any payload is trusted.
 //
 // Format stability: readers reject any file whose magic or format_version
-// they do not know.  Additive evolution bumps the version: v1 is the base
-// layout (sections 1–6), v2 adds the materialized witness-tier sections
-// (7–9).  Untiered epochs are still written as v1 — byte-identical to what
-// a v1 writer produces — so the bump only ever gates files that actually
-// carry tier payloads; a v1-only reader rejects those with a typed error
-// instead of misparsing them.
+// they do not know.  A snapshot is version 1: the base sections (1–6),
+// optionally followed by all three witness-tier sections (7–9) — a file
+// carries the whole tier or none of it.  Version 2 (an earlier tiered
+// layout) is not read; such stores must be rebuilt.
 //
 // Format v3 is a *delta record* (`delta.vcd`): not a snapshot but a journal
 // entry of one committed mutation — the touched terms' re-signed entries,
 // the removed terms, the prime representatives the new postings introduced,
 // and the dictionary when it changed — chained to a predecessor epoch via
-// `base_epoch` in its meta section.  A delta file reuses the v1/v2 header,
-// section-table and CRC machinery wholesale (sections 10–16) so the same
-// parse_layout validates it; it must never contain base-snapshot or tier
-// sections, and CURRENT may point at a delta whose chain resolves through
-// earlier deltas down to a full v1/v2 snapshot.
+// `base_epoch` in its meta section.  A delta file reuses the snapshot's
+// header, section-table and CRC machinery wholesale (sections 10–16) so the
+// same parse_layout validates it; it must never contain base-snapshot or
+// tier sections, and CURRENT may point at a delta whose chain resolves
+// through earlier deltas down to a full snapshot.
 #pragma once
 
 #include <array>
@@ -99,10 +97,8 @@ class StoreChainError : public StoreError {
 // must be rebuilt.
 inline constexpr std::array<std::uint8_t, 8> kMagic = {'V', 'C', 'E', 'P',
                                                        'O', 'C', 'H', '3'};
-inline constexpr std::uint32_t kFormatVersion = 1;        // base layout
-inline constexpr std::uint32_t kFormatVersionTiered = 2;  // + witness-tier sections
-inline constexpr std::uint32_t kFormatVersionDelta = 3;   // delta record (journal entry)
-inline constexpr std::uint32_t kMaxFormatVersion = kFormatVersionDelta;
+inline constexpr std::uint32_t kFormatVersion = 1;       // snapshot, tiered or not
+inline constexpr std::uint32_t kFormatVersionDelta = 3;  // delta record (journal entry)
 inline constexpr std::size_t kHeaderBytes = 96;
 inline constexpr std::size_t kSectionEntryBytes = 32;
 inline constexpr std::size_t kFingerprintOffset = 32;  // 32-byte SHA-256 digest
@@ -115,7 +111,7 @@ enum class SectionId : std::uint32_t {
   kEntries = 4,      // concatenated per-term entry blobs (lazy-parsed)
   kTuplePrimes = 5,  // sorted (u64 key, prime) arrays for binary search
   kDocPrimes = 6,
-  // Format v2 only (materialized witness tiers):
+  // Optional witness tier (all three or none):
   kWitnessTierDir = 7,  // total bytes + per-term (name, offset, size) into 8
   kWitnessTables = 8,   // concatenated TermWitnessTable blobs (lazy-parsed)
   kFixedBase = 9,       // public-side BGMW fixed-base table for g
@@ -151,8 +147,7 @@ inline const char* section_name(SectionId id) {
   return "unknown";
 }
 
-// The sections introduced by format v2; a v1 file must not contain them and
-// a v2 file must contain all of them.
+// The witness-tier sections; a snapshot holds all of them or none.
 inline bool is_tier_section(SectionId id) {
   return id == SectionId::kWitnessTierDir || id == SectionId::kWitnessTables ||
          id == SectionId::kFixedBase;

@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "store/codec_detail.hpp"
 #include "store/crc32.hpp"
-#include "obs/trace.hpp"
 #include "support/stopwatch.hpp"
 
 namespace vc::store {
@@ -66,7 +65,7 @@ Digest param_fingerprint(const VerifiableIndexConfig& config) {
 
 Bytes encode_snapshot(const IndexSnapshot& snap, std::uint32_t shard_count,
                       const TierArtifacts* tier) {
-  if (tier != nullptr && tier->tier == nullptr) tier = nullptr;  // empty tier → v1
+  if (tier != nullptr && tier->tier == nullptr) tier = nullptr;  // empty tier → untiered
   // Section payloads first; the header needs their sizes and CRCs.
   ByteWriter config_w;
   snap.config().write(config_w);
@@ -98,7 +97,7 @@ Bytes encode_snapshot(const IndexSnapshot& snap, std::uint32_t shard_count,
   ByteWriter doc_w;
   detail::write_primes(doc_w, snap.doc_primes().merged_entries());
 
-  // v2 payloads: witness-table blobs, the directory locating them, and the
+  // Tier payloads: witness-table blobs, the directory locating them, and the
   // fixed-base image.  Lazy tiers materialize table-by-table here — the
   // publish path hands in eager tiers, and re-encoding an opened epoch
   // round-trips the mapped one.
@@ -135,39 +134,36 @@ Bytes encode_snapshot(const IndexSnapshot& snap, std::uint32_t shard_count,
     payloads.push_back({SectionId::kFixedBase, &fixed_w.data()});
   }
 
-  return detail::encode_sections(
-      tier != nullptr ? kFormatVersionTiered : kFormatVersion, snap.epoch(), shard_count,
-      param_fingerprint(snap.config()), payloads);
+  return detail::encode_sections(kFormatVersion, snap.epoch(), shard_count,
+                                 param_fingerprint(snap.config()), payloads);
 }
 
-OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file, OpenOptions options) {
+OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file) {
   Stopwatch timer;
   auto data = file->bytes();
-  ParsedLayout layout = parse_layout(data, options.max_format_version);
+  ParsedLayout layout = parse_layout(data);
   if (layout.format_version == kFormatVersionDelta) {
     throw StoreCorruptError("file is a delta record, not a snapshot (open it via "
                             "open_delta / the chain-resolving store open)");
   }
-  // Version/section coherence: tier sections exist exactly in v2 files, and
-  // no snapshot carries delta sections.
-  bool has_tier_sections = false;
+  // Section coherence: the tier sections come all together or not at all,
+  // and no snapshot carries delta sections.
+  std::size_t tier_sections = 0;
   for (const SectionInfo& s : layout.sections) {
-    if (is_tier_section(s.id)) has_tier_sections = true;
+    if (is_tier_section(s.id)) ++tier_sections;
     if (is_delta_section(s.id)) {
       throw StoreCorruptError("snapshot file contains delta sections");
     }
   }
-  if (layout.format_version == kFormatVersion && has_tier_sections) {
-    throw StoreCorruptError("v1 file contains witness-tier sections");
-  }
-  if (layout.format_version == kFormatVersionTiered && !has_tier_sections) {
-    throw StoreCorruptError("v2 file is missing its witness-tier sections");
+  if (tier_sections != 0 && tier_sections != 3) {
+    throw StoreCorruptError("snapshot carries " + std::to_string(tier_sections) +
+                            " of the 3 witness-tier sections");
   }
   bool tier_degraded = false;
   for (const SectionInfo& s : layout.sections) {
     if (s.crc_ok) continue;
     detail::crc_failures().inc();
-    if (is_tier_section(s.id) && options.degrade_tier_on_corruption) {
+    if (is_tier_section(s.id)) {
       // The tier is a pure cache over the base sections; serve untiered
       // rather than refuse the epoch.
       tier_degraded = true;
@@ -175,11 +171,6 @@ OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file, OpenOptions op
     }
     throw StoreCorruptError(std::string("section ") + section_name(s.id) +
                             " CRC mismatch");
-  }
-  if (options.expected_fingerprint != nullptr &&
-      *options.expected_fingerprint != layout.fingerprint) {
-    throw StoreParamMismatchError("epoch " + file->path().string() +
-                                  " was written under different index parameters");
   }
 
   VerifiableIndexConfig config = detail::read_config(
@@ -227,7 +218,7 @@ OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file, OpenOptions op
       static_cast<std::size_t>(max_posting_count), std::move(dict), std::move(dict_att),
       std::move(tuple_primes), std::move(doc_primes));
 
-  if (layout.format_version >= kFormatVersionTiered && !tier_degraded) {
+  if (tier_sections != 0 && !tier_degraded) {
     // Tier directory: total table bytes + per-term blob locations.  The tier
     // itself stays lazy — reopening a tiered epoch never recomputes (or even
     // parses) a witness until a query touches its term.
@@ -264,37 +255,7 @@ OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file, OpenOptions op
   out.file = std::move(file);
   open_seconds().add(timer.seconds());
   mapped_bytes().set(static_cast<std::int64_t>(data.size()));
-  if (options.warm_budget_bytes > 0 && out.tier != nullptr) {
-    warm_epoch(*out.snapshot, out.tier.get(), out.tier->terms(),
-               options.warm_budget_bytes);
-  }
   return out;
-}
-
-std::size_t warm_epoch(const IndexSnapshot& snap, const WitnessTier* tier,
-                       const std::vector<std::string>& warm_terms,
-                       std::uint64_t budget_bytes) {
-  static obs::Counter& warm_terms_total = obs::MetricsRegistry::global().counter(
-      "vc_warm_terms_total", "",
-      "Terms pre-materialized by a warm stage (publish pipeline or warm-on-open)");
-  static obs::Counter& warm_bytes_total = obs::MetricsRegistry::global().counter(
-      "vc_warm_bytes_total", "", "Stored bytes pre-materialized by warm stages");
-  static obs::Histogram& warm_stage = obs::MetricsRegistry::global().stage("warm_stage");
-  obs::Span span(warm_stage, "warm_stage");
-  std::uint64_t spent = 0;
-  std::size_t warmed = 0;
-  for (const std::string& term : warm_terms) {
-    if (spent >= budget_bytes) break;
-    std::uint64_t bytes = snap.warm(term);
-    if (tier != nullptr) bytes += tier->warm(term);
-    spent += bytes;
-    ++warmed;
-    warm_bytes_total.inc(bytes);
-  }
-  warm_terms_total.inc(warmed);
-  obs::trace_attr("warm_terms", static_cast<std::int64_t>(warmed));
-  obs::trace_attr("warm_bytes", static_cast<std::int64_t>(spent));
-  return warmed;
 }
 
 StoreFileInfo inspect_file(const MappedFile& file) {

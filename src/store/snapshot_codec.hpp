@@ -28,9 +28,9 @@ namespace vc::store {
 // parse.
 Digest param_fingerprint(const VerifiableIndexConfig& config);
 
-// Publish-time witness-tier payloads riding along with a snapshot.  Their
-// presence switches the file to format v2 (sections 7–9); a null tier keeps
-// the file at v1, byte-identical to a tier-unaware writer.
+// Publish-time witness-tier payloads riding along with a snapshot, written
+// as its optional sections 7–9; a null tier writes none of them, so the
+// file is byte-identical to an untiered publish.
 struct TierArtifacts {
   std::shared_ptr<const WitnessTier> tier;
   FixedBaseSnapshot fixed_base;
@@ -48,12 +48,12 @@ struct OpenedEpoch {
   SnapshotPtr snapshot;
   std::uint32_t shard_count = 0;
   std::shared_ptr<const MappedFile> file;
-  // v2 files only: the lazy mapped witness tier (already attached to the
-  // snapshot) and the persisted fixed-base table for the serving context to
-  // adopt instead of rebuilding.
+  // Tiered files only: the lazy mapped witness tier (already attached to
+  // the snapshot) and the persisted fixed-base table for the serving
+  // context to adopt instead of rebuilding.
   std::shared_ptr<const WitnessTier> tier;
   std::optional<FixedBaseSnapshot> fixed_base;
-  // True when tier sections were dropped under degrade_tier_on_corruption.
+  // True when a tier section failed its CRC and the epoch opened untiered.
   bool tier_degraded = false;
   // Entries-section bytes of every layer the snapshot was resolved from;
   // the snapshot's max_posting_count is at most a posting per 8 of them.
@@ -66,43 +66,13 @@ struct OpenedEpoch {
   std::uint32_t chain_length = 0;
 };
 
-struct OpenOptions {
-  // Non-null: the file's param fingerprint must match (StoreParamMismatchError).
-  const Digest* expected_fingerprint = nullptr;
-  // Reject files newer than this (tests use it to emulate a pre-v2 reader;
-  // a real old binary takes the same StoreCorruptError path).
-  std::uint32_t max_format_version = kMaxFormatVersion;
-  // On a tier-section CRC failure, serve the epoch untiered (compute path)
-  // instead of failing the open — the tier is a cache, the base sections
-  // are the data.  Base-section corruption still throws.
-  bool degrade_tier_on_corruption = false;
-  // Warm-on-open: pre-materialize tiered terms' witness tables and index
-  // entries (in the tier's sorted term order — alphabetical, not by
-  // hotness) until this many bytes are resident, so a cold restart's first
-  // queries skip the lazy call_once path.  0 disables.  Warming is an optimization — it
-  // never affects what the open returns, only when the decode cost is paid.
-  std::uint64_t warm_budget_bytes = 0;
-};
-
-// Pre-materializes tier tables and entries of `warm_terms` (in order) from
-// an already-opened epoch until `budget_bytes` of stored payload is
-// resident; returns the terms warmed.  Shared by the open path above and
-// CloudService's publish-pipeline warm stage.
-std::size_t warm_epoch(const IndexSnapshot& snap, const WitnessTier* tier,
-                       const std::vector<std::string>& warm_terms,
-                       std::uint64_t budget_bytes);
-
 // Validates every structural invariant (magic, version, size, table CRC,
 // section bounds, per-section CRCs, fingerprint-vs-config) and returns the
-// lazy snapshot.  Throws the distinct StoreError subclasses on rejection;
-// when `expected_fingerprint` is non-null it must additionally match the
-// file's (StoreParamMismatchError otherwise).
-OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file, OpenOptions options);
-inline OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file,
-                                 const Digest* expected_fingerprint = nullptr) {
-  return open_snapshot(std::move(file),
-                       OpenOptions{.expected_fingerprint = expected_fingerprint});
-}
+// lazy snapshot.  Throws the distinct StoreError subclasses on rejection.
+// A tier section that fails its CRC does not fail the open: the tier is a
+// cache over the base sections, so the epoch opens untiered (proofs come
+// from the compute path, byte-identical) with `tier_degraded` set.
+OpenedEpoch open_snapshot(std::shared_ptr<const MappedFile> file);
 
 // Header/section dump for tooling (vcsearch-inspect).  Checks structure and
 // CRCs but never decodes payloads; `crc_ok` is per-section.
@@ -120,8 +90,8 @@ struct StoreFileInfo {
   Digest param_fingerprint{};
   std::uint64_t file_bytes = 0;
   std::vector<SectionInfo> sections;
-  // v2 files with an intact tier directory: tiered term count and the total
-  // encoded witness-table bytes it declares.
+  // Tiered files with an intact tier directory: tiered term count and the
+  // total encoded witness-table bytes it declares.
   std::uint64_t tier_terms = 0;
   std::uint64_t tier_table_bytes = 0;
   // v3 delta records with intact meta/directory sections: the chain

@@ -117,8 +117,8 @@ class IndexSnapshot {
 
   [[nodiscard]] const IndexEntry* find(std::string_view term) const;
 
-  // Pre-materializes `term`'s entry off the query path (publish-pipeline
-  // warm stage, store warm-on-open).  Returns the entry's stored encoded
+  // Pre-materializes `term`'s entry off the query path (CloudService's
+  // warm stage).  Returns the entry's stored encoded
   // bytes when the source knows them (warm-budget accounting), 0 for an
   // unknown size or an eager snapshot (already resident), and leaves the
   // snapshot untouched when the term is absent.

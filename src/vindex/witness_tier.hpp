@@ -13,10 +13,10 @@
 // byte-identical to computed ones; the tier is purely a latency structure
 // and misses fall back to the compute path.
 //
-// Tiers ride inside the epoch store (store/snapshot_codec.hpp, format v2) as
-// checksummed mmap'd sections and re-attach lazily on cold restart; hotness
-// comes from an explicit term list, else document frequency, greedily
-// packed under a byte budget.
+// Tiers ride inside the epoch store (store/snapshot_codec.hpp, snapshot
+// sections 7–9) as checksummed mmap'd sections and re-attach lazily on cold
+// restart; hotness comes from an explicit term list, else document
+// frequency, greedily packed under a byte budget.
 #pragma once
 
 #include <atomic>
@@ -91,9 +91,9 @@ class WitnessTier {
   // first touch and are shared by every later call.
   [[nodiscard]] const TermWitnessTable* find(std::string_view term) const;
 
-  // Pre-materializes `term`'s table off the query path (the publish
-  // pipeline's warm stage and the store's warm-on-open both call this), so
-  // the first post-swap query pays a plain lookup instead of the cold
+  // Pre-materializes `term`'s table off the query path (CloudService's warm
+  // stage calls this for the boot epoch and every published one), so the
+  // first query on the epoch pays a plain lookup instead of the cold
   // call_once decode.  Returns the table's encoded bytes (0 when the term
   // is not tiered).  Subsequent find() calls served from a warmed slot
   // count into vc_warm_hits_total.

@@ -18,6 +18,15 @@ RC=$?
 set -e
 test "$RC" -eq 2 || { echo "build accepted rep_bits 300 at 512 bits (rc $RC)"; exit 1; }
 grep -q "rep_bits" "$WORK/bad.log"
+# A refused build leaves no output directory (and so no empty store) behind.
+test ! -e "$WORK/bad" || { echo "refused build left $WORK/bad behind"; exit 1; }
+# So does an update with no published epoch to extend (exit 2).
+set +e
+"$BUILD/tools/vcsearch-build" --out "$WORK/noupd" --update-synth 5 > "$WORK/noupd.log" 2>&1
+RC=$?
+set -e
+test "$RC" -eq 2 || { echo "update without a store was not refused (rc $RC)"; exit 1; }
+test ! -e "$WORK/noupd" || { echo "refused update left $WORK/noupd behind"; exit 1; }
 
 "$BUILD/tools/vcsearch-build" --out "$WORK" --synth 60 --seed 9 \
     --modulus-bits 512 --rep-bits 64 --interval 8 > "$WORK/build.log"

@@ -19,9 +19,9 @@ fi
     --modulus-bits 512 --rep-bits 64 --interval 8 > "$WORK/build.log"
 grep -q "built verifiable index" "$WORK/build.log"
 
-# Every boot warms under a small budget (warm-on-open plus the publish
-# worker's warm stage) — the proof byte-identity assertions then also
-# prove the warm stage never changes a proof byte.
+# Every boot warms under a small budget (the serving core's warm stage runs
+# on the boot epoch and on every published one) — the proof byte-identity
+# assertions then also prove the warm stage never changes a proof byte.
 SERVE_FLAGS="--warm-budget-mb 4"
 
 wait_serving() {
@@ -84,10 +84,10 @@ kill -9 $SERVE_PID
 wait $SERVE_PID 2>/dev/null || true
 
 # --- Tiered phase: a publish-time witness tier must survive the same crash. ---
-# vcsearch-build publishes a format-v2 epoch with materialized witness
-# tables; the server must restore the tier and the persisted fixed-base
-# table from the mapping (no witness recompute) and keep proofs
-# byte-identical across a SIGKILL.
+# vcsearch-build publishes an epoch carrying the witness-tier sections
+# (materialized witness tables); the server must restore the tier and the
+# persisted fixed-base table from the mapping (no witness recompute) and
+# keep proofs byte-identical across a SIGKILL.
 mkdir -p "$WORK/t"
 "$BUILD/tools/vcsearch-build" --out "$WORK/t" --synth 60 --seed 9 \
     --modulus-bits 512 --rep-bits 64 --interval 8 \
@@ -95,9 +95,9 @@ mkdir -p "$WORK/t"
 grep -q "terms tiered" "$WORK/t/build.log"
 grep -q "store: published epoch 1" "$WORK/t/build.log"
 
-# The tiered epoch passes structural validation: v2, tier sections, CRCs OK.
+# The tiered epoch passes structural validation: v1, tier sections, CRCs OK.
 "$BUILD/tools/vcsearch-inspect" --store "$WORK/t/store" > "$WORK/t/inspect.log"
-grep -q "format version 2" "$WORK/t/inspect.log"
+grep -q "format version 1" "$WORK/t/inspect.log"
 grep -q "section witness-tier-dir" "$WORK/t/inspect.log"
 grep -q "section witness-tables" "$WORK/t/inspect.log"
 grep -q "section fixed-base" "$WORK/t/inspect.log"
@@ -139,6 +139,36 @@ PORT=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' "$WORK/t/serve2.log" | head -
 grep -q "VERIFIED" "$WORK/t/q2.log"
 cmp "$WORK/t/proof1.bin" "$WORK/t/proof2.bin" || {
   echo "tiered proofs differ across restart"; exit 1; }
+
+kill -9 $SERVE_PID
+wait $SERVE_PID 2>/dev/null || true
+
+# A damaged tier never stops a boot: flip one byte inside witness-tables
+# (offset and size from inspect) in a copy of the store; the server must
+# come up untiered and serve the intact boot's proof byte for byte.
+cp -r "$WORK/t/store" "$WORK/t/store-bad"
+TABLES=$(grep "section witness-tables" "$WORK/t/inspect.log")
+OFF=$(echo "$TABLES" | sed -n 's/.*offset=\([0-9]*\).*/\1/p')
+SIZE=$(echo "$TABLES" | sed -n 's/.*size=\([0-9]*\).*/\1/p')
+test -n "$OFF" && test "$SIZE" -gt 0
+EPOCH_FILE=$(ls "$WORK/t/store-bad"/epoch-*/snapshot.vcs)
+POS=$((OFF + SIZE / 2))
+BYTE=$(od -An -tu1 -j "$POS" -N1 "$EPOCH_FILE" | tr -d ' ')
+printf "$(printf '\\%03o' $(( (BYTE + 1) % 256 )))" |
+    dd of="$EPOCH_FILE" bs=1 seek="$POS" count=1 conv=notrunc 2>/dev/null
+"$BUILD/tools/vcsearch-inspect" --store "$WORK/t/store-bad" > "$WORK/t/inspect-bad.log" || true
+grep -q "section witness-tables .*BAD" "$WORK/t/inspect-bad.log"
+"$BUILD/tools/vcsearch-serve" --dir "$WORK/t" --store "$WORK/t/store-bad" --port 0 $SERVE_FLAGS \
+    > "$WORK/t/serve-bad.log" 2>&1 &
+SERVE_PID=$!
+wait_serving "$WORK/t/serve-bad.log"
+grep -q "serving untiered" "$WORK/t/serve-bad.log"
+PORT=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' "$WORK/t/serve-bad.log" | head -1)
+"$BUILD/tools/vcsearch-query" --dir "$WORK/t" --port "$PORT" \
+    --dump "$WORK/t/proof-bad.bin" $TWORDS > "$WORK/t/q-bad.log"
+grep -q "VERIFIED" "$WORK/t/q-bad.log"
+cmp "$WORK/t/proof1.bin" "$WORK/t/proof-bad.bin" || {
+  echo "untiered proofs differ from the intact tier's"; exit 1; }
 
 kill -9 $SERVE_PID
 wait $SERVE_PID 2>/dev/null || true

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "obs/metrics.hpp"
 #include "store/delta_codec.hpp"
@@ -299,6 +301,41 @@ TEST_F(DeltaStoreTest, CompactionPreservesProofsAndShortensChain) {
   fs::remove_all(root);
 }
 
+// Compaction installs the head's snapshot while serving keeps opening the
+// head (vcsearch-serve's worker next to publish_from).  An open whose
+// first look found only the delta must still resolve once the snapshot
+// lands mid-walk.
+TEST_F(DeltaStoreTest, CompactionLandingDuringOpenIsServed) {
+  fs::path root = fresh_root("landing");
+  store::EpochStore store(root);
+  publish_base(store);
+  add_doc();
+  auto delta = bed_->vidx.publish_delta();
+  ASSERT_TRUE(delta.has_value());
+  store.publish_delta(*delta, /*shard_count=*/2);
+  ASSERT_EQ(store.compact(1), delta->epoch);
+  const fs::path snap = store.epoch_file(delta->epoch);
+  const fs::path aside = root / "compacted.aside";
+  fs::rename(snap, aside);
+
+  for (int i = 0; i < 500; ++i) {
+    std::atomic<bool> go{false};
+    std::thread lander([&] {
+      while (!go.load()) {
+      }
+      fs::copy_file(aside, root / "staged.tmp", fs::copy_options::overwrite_existing);
+      fs::rename(root / "staged.tmp", snap);
+    });
+    go = true;
+    for (int k = 0; k < 20; ++k) {
+      EXPECT_EQ(store.open_current().snapshot->epoch(), delta->epoch);
+    }
+    lander.join();
+    fs::remove(snap);
+  }
+  fs::remove_all(root);
+}
+
 TEST_F(DeltaStoreTest, NoopRepublishIsCountedAndSkipped) {
   fs::path root = fresh_root("noop");
   store::EpochStore store(root);
@@ -334,6 +371,48 @@ TEST_F(DeltaStoreTest, DanglingDeltaIsRejected) {
   EXPECT_THROW((void)store.open_current(), store::StoreChainError);
   EXPECT_THROW((void)store.current_chain(), store::StoreChainError);
   fs::remove_all(root);
+}
+
+// Every layer of a chain must carry the head's parameters.  Store A holds
+// a base epoch under the suite's config, store B a base plus a delta under
+// another interval size; B's delta transplanted onto A's base is refused,
+// not stacked.
+TEST_F(DeltaStoreTest, ChainLayerUnderOtherParamsIsParamMismatch) {
+  SynthSpec spec{.name = "mix", .num_docs = 12, .min_doc_words = 10,
+                 .max_doc_words = 20, .vocab_size = 60, .zipf_s = 0.9, .seed = 5};
+  const Corpus corpus = generate_corpus(spec);
+  auto build = [&](const VerifiableIndexConfig& cfg) {
+    return IndexBuilder::build(InvertedIndex::build(corpus), bed_->owner_ctx,
+                               bed_->owner_key, cfg, bed_->pool);
+  };
+  VerifiableIndexConfig other = bed_->config;
+  other.interval_size += 1;
+
+  const fs::path root_a = fresh_root("params_a");
+  const fs::path root_b = fresh_root("params_b");
+  store::EpochStore a(root_a);
+  store::EpochStore b(root_b);
+  IndexBuilder va = build(bed_->config);
+  a.publish(*va.snapshot(), /*shard_count=*/2);
+  IndexBuilder vb = build(other);
+  b.publish(*vb.snapshot(), /*shard_count=*/2);
+  vb.note_full_publish();
+  std::vector<Document> docs = {Document{spec.num_docs + 100, "mix-doc",
+                                         synth_word(spec, 0) + " " + synth_word(spec, 1)}};
+  vb.add_documents(docs, bed_->owner_ctx, bed_->owner_key);
+  auto delta = vb.publish_delta();
+  ASSERT_TRUE(delta.has_value());
+  ASSERT_EQ(delta->base_epoch, va.snapshot()->epoch());
+  b.publish_delta(*delta, /*shard_count=*/2);
+  ASSERT_NO_THROW((void)b.open_current());  // over its own base it resolves
+
+  const std::string head = store::EpochStore::epoch_dir_name(delta->epoch);
+  fs::copy(root_b / head, root_a / head, fs::copy_options::recursive);
+  std::ofstream(root_a / store::EpochStore::kCurrentFile, std::ios::trunc) << head << "\n";
+  ASSERT_EQ(a.current_epoch(), delta->epoch);
+  EXPECT_THROW((void)a.open_current(), store::StoreParamMismatchError);
+  fs::remove_all(root_a);
+  fs::remove_all(root_b);
 }
 
 TEST_F(DeltaStoreTest, CorruptDeltaRecordIsRejected) {

@@ -146,9 +146,8 @@ TEST(PublishPipeline, WarmStageAvoidsColdPathForHotTerms) {
   store.publish(*snap, /*shard_count=*/1, &artifacts);
 
   // Serve the in-memory snapshot first, then republish the same epoch from
-  // the store: publish_from opens it lazily with NO warm-on-open budget, so
-  // every entry and tier table starts cold — exactly the state the publish
-  // worker's warm stage is for.
+  // the store: publish_from opens it lazily, so every entry and tier table
+  // starts cold — exactly the state the publish worker's warm stage is for.
   auto pub_ctx = AccumulatorContext::public_side(owner_ctx.params());
   pub_ctx.set_pool(&pool);
   CloudService cloud(snap, pub_ctx, cloud_key, owner_key.verify_key(), /*pool=*/nullptr,

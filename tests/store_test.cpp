@@ -160,9 +160,8 @@ class StoreTest : public ::testing::Test {
     return dst;
   }
 
-  static store::OpenedEpoch open_file(const fs::path& p,
-                                      const Digest* expected = nullptr) {
-    return store::open_snapshot(std::make_shared<const store::MappedFile>(p), expected);
+  static store::OpenedEpoch open_file(const fs::path& p) {
+    return store::open_snapshot(std::make_shared<const store::MappedFile>(p));
   }
 
   static testbed::TestBed* bed_;
@@ -288,16 +287,6 @@ TEST_F(StoreTest, FlippedFingerprintIsParamMismatch) {
   fs::path p = scratch_copy("fp");
   flip_byte(p, store::kFingerprintOffset);
   EXPECT_THROW(open_file(p), store::StoreParamMismatchError);
-}
-
-TEST_F(StoreTest, WrongExpectedFingerprintIsParamMismatch) {
-  VerifiableIndexConfig other = bed_->config;
-  other.interval_size += 1;
-  Digest expected = store::param_fingerprint(other);
-  EXPECT_THROW(open_file(current_file(), &expected), store::StoreParamMismatchError);
-  // The matching fingerprint passes the same gate.
-  Digest right = store::param_fingerprint(bed_->config);
-  EXPECT_NO_THROW(open_file(current_file(), &right));
 }
 
 TEST_F(StoreTest, BadMagicIsCorrupt) {

@@ -1,7 +1,7 @@
 // Witness-tier subsystem: Shamir aggregation correctness, byte-identity of
-// tiered proofs across every scheme, hotness/budget policy, store format v2
-// round trips, tier-section corruption handling, and concurrent lazy
-// materialization (run under TSan in CI).
+// tiered proofs across every scheme, hotness/budget policy, tiered epoch
+// round trips through the store, tier-section corruption handling, and
+// concurrent lazy materialization (run under TSan in CI).
 //
 // The load-bearing property mirrors the store suite's: witness residues are
 // unique, so a proof served from materialized tables must equal the
@@ -19,6 +19,8 @@
 #include "accumulator/batch_witness.hpp"
 #include "accumulator/witness.hpp"
 #include "primes/prime_cache.hpp"
+#include "protocol/cloud.hpp"
+#include "store/codec_detail.hpp"
 #include "store/epoch_store.hpp"
 #include "test_fixtures.hpp"
 #include "text/tokenizer.hpp"
@@ -43,6 +45,9 @@ std::uint64_t tier_hits() {
 }
 std::uint64_t tier_misses() {
   return obs::MetricsRegistry::global().counter("vc_witness_tier_misses", "").value();
+}
+std::uint64_t crc_failures() {
+  return obs::MetricsRegistry::global().counter("vc_store_crc_failures_total", "").value();
 }
 
 // Hand-built corpus with full control over posting lists: `kHot` hot terms
@@ -310,7 +315,7 @@ TEST_F(WitnessTierTest, BudgetCapsGreedilyByHotness) {
   EXPECT_EQ(none.terms_skipped, kHot);
 }
 
-// --- persistence (format v2) -------------------------------------------------
+// --- persistence (tier sections) ---------------------------------------------
 
 class TieredStoreTest : public WitnessTierTest {
  protected:
@@ -415,16 +420,19 @@ TEST_F(TieredStoreTest, LazyTierMaterializesWithoutRecompute) {
 TEST_F(TieredStoreTest, InspectReportsTierSections) {
   store::MappedFile file(published_file());
   store::StoreFileInfo info = store::inspect_file(file);
-  EXPECT_EQ(info.format_version, store::kFormatVersionTiered);
-  ASSERT_EQ(info.sections.size(), 9u);
-  bool saw_dir = false, saw_tables = false, saw_fb = false;
+  // The six base sections, then all three tier sections, in file order.
+  std::vector<store::SectionId> ids;
   for (const auto& s : info.sections) {
     EXPECT_TRUE(s.crc_ok) << store::section_name(s.id);
-    saw_dir = saw_dir || s.id == store::SectionId::kWitnessTierDir;
-    saw_tables = saw_tables || s.id == store::SectionId::kWitnessTables;
-    saw_fb = saw_fb || s.id == store::SectionId::kFixedBase;
+    ids.push_back(s.id);
   }
-  EXPECT_TRUE(saw_dir && saw_tables && saw_fb);
+  const std::vector<store::SectionId> want = {
+      store::SectionId::kConfig,         store::SectionId::kDictionary,
+      store::SectionId::kTermDirectory,  store::SectionId::kEntries,
+      store::SectionId::kTuplePrimes,    store::SectionId::kDocPrimes,
+      store::SectionId::kWitnessTierDir, store::SectionId::kWitnessTables,
+      store::SectionId::kFixedBase};
+  EXPECT_EQ(ids, want);
   EXPECT_EQ(info.tier_terms, built_->tier->term_count());
   EXPECT_EQ(info.tier_table_bytes, built_->tier->table_bytes());
 }
@@ -436,9 +444,11 @@ TEST_F(TieredStoreTest, UntieredPublishStaysFormatV1) {
   store.publish(**snap_, 1);  // no tier artifacts
   store::MappedFile file(store.epoch_file(store.current_epoch().value()));
   store::StoreFileInfo info = store::inspect_file(file);
-  EXPECT_EQ(info.format_version, store::kFormatVersion);
-  EXPECT_EQ(info.sections.size(), 6u);
-  // A null tier inside artifacts normalizes to v1 too.
+  ASSERT_EQ(info.sections.size(), 6u);
+  for (const auto& s : info.sections) {
+    EXPECT_FALSE(store::is_tier_section(s.id)) << store::section_name(s.id);
+  }
+  // A null tier inside artifacts writes the same untiered file.
   store::TierArtifacts empty{nullptr, built_->fixed_base};
   Bytes with_null = store::encode_snapshot(**snap_, 1, &empty);
   Bytes without = store::encode_snapshot(**snap_, 1, nullptr);
@@ -446,46 +456,111 @@ TEST_F(TieredStoreTest, UntieredPublishStaysFormatV1) {
   fs::remove_all(root);
 }
 
-TEST_F(TieredStoreTest, PreTierReaderRejectsTieredFileWithTypedError) {
-  auto file = std::make_shared<const store::MappedFile>(published_file());
-  store::OpenOptions old_reader;
-  old_reader.max_format_version = store::kFormatVersion;  // a v1-era binary
-  EXPECT_THROW(store::open_snapshot(file, old_reader), store::StoreCorruptError);
-  // The same file opens fine at the current ceiling.
-  EXPECT_NO_THROW(store::open_snapshot(
-      std::make_shared<const store::MappedFile>(published_file()), store::OpenOptions{}));
+// Tiered snapshots used to be stamped format version 2.  That layout is no
+// longer read: such a file is a typed error (the store must be rebuilt),
+// never misparsed.
+TEST_F(TieredStoreTest, FormatVersion2FileIsCorrupt) {
+  fs::path p = scratch_copy("v2");
+  {
+    std::fstream f(p, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    const std::uint32_t v2 = 2;  // little-endian, right after the 8-byte magic
+    f.seekp(static_cast<std::streamoff>(store::kMagic.size()));
+    f.write(reinterpret_cast<const char*>(&v2), sizeof(v2));
+  }
+  try {
+    (void)store::open_snapshot(std::make_shared<const store::MappedFile>(p));
+    ADD_FAILURE() << "a version-2 file opened";
+  } catch (const store::StoreCorruptError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 2"), std::string::npos)
+        << e.what();
+  }
 }
 
+// The tier sections come all together or not at all: a file re-laid out
+// with intact CRCs but without its fixed-base section is corrupt.
+TEST_F(TieredStoreTest, PartialTierSectionsAreCorrupt) {
+  store::MappedFile file(published_file());
+  store::StoreFileInfo info = store::inspect_file(file);
+  std::vector<Bytes> kept;
+  kept.reserve(info.sections.size());
+  std::vector<store::detail::SectionPayload> payloads;
+  for (const auto& s : info.sections) {
+    if (s.id == store::SectionId::kFixedBase) continue;
+    auto bytes = file.bytes().subspan(s.offset, s.size);
+    kept.emplace_back(bytes.begin(), bytes.end());
+    payloads.push_back({s.id, &kept.back()});
+  }
+  ASSERT_EQ(payloads.size(), 8u);
+  Bytes forged = store::detail::encode_sections(store::kFormatVersion, info.epoch,
+                                                info.shard_count, info.param_fingerprint,
+                                                payloads);
+  fs::path p = store_root() / "scratch-partial-tier.vcs";
+  {
+    std::ofstream out(p, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(forged.data()),
+              static_cast<std::streamsize>(forged.size()));
+  }
+  try {
+    (void)store::open_snapshot(std::make_shared<const store::MappedFile>(p));
+    ADD_FAILURE() << "a file with 2 of the 3 tier sections opened";
+  } catch (const store::StoreCorruptError& e) {
+    EXPECT_NE(std::string(e.what()).find("of the 3 witness-tier sections"), std::string::npos)
+        << e.what();
+  }
+}
+
+// A damaged tier never fails an open: the tier is a cache over the base
+// sections, so every open path serves the epoch untiered — counting the
+// CRC failure, with proofs byte-identical.  Base-section damage still throws.
 TEST_F(TieredStoreTest, TierSectionCorruptionThrowsTypedOrDegrades) {
-  fs::path p = scratch_copy("tiercorrupt");
+  const fs::path root = store_root() / "tiercorrupt";
+  fs::remove_all(root);
+  store::EpochStore damaged(root);
+  store::TierArtifacts artifacts{built_->tier, built_->fixed_base};
+  damaged.publish(**snap_, /*shard_count=*/1, &artifacts);
+  const fs::path p = damaged.epoch_file((*snap_)->epoch());
   flip_byte(p, section_mid(store::SectionId::kWitnessTables));
-  // Default open: corruption anywhere is a hard typed error.
-  EXPECT_THROW(
-      store::open_snapshot(std::make_shared<const store::MappedFile>(p), store::OpenOptions{}),
-      store::StoreCorruptError);
-  // Degraded open: the tier is a cache over the base sections, so serving
-  // may continue untiered — with proofs still byte-identical.
-  store::OpenedEpoch degraded = store::open_snapshot(
-      std::make_shared<const store::MappedFile>(p),
-      store::OpenOptions{.degrade_tier_on_corruption = true});
-  EXPECT_TRUE(degraded.tier_degraded);
-  EXPECT_EQ(degraded.tier, nullptr);
-  EXPECT_EQ(degraded.snapshot->witness_tier(), nullptr);
-  EXPECT_FALSE(degraded.fixed_base.has_value());
 
   auto plain = make_engine(nullptr);
-  SearchEngine fallback(degraded.snapshot, *pub_ctx_, *cloud_key_, pool_);
   Query q{.id = 21, .keywords = {hot(0), sel(0)}};
-  EXPECT_EQ(encode_response(plain->search(q, SchemeKind::kAccumulator)),
-            encode_response(fallback.search(q, SchemeKind::kAccumulator)));
+  const Bytes want = encode_response(plain->search(q, SchemeKind::kHybrid));
+  auto expect_untiered = [&](const store::OpenedEpoch& opened, const char* path) {
+    EXPECT_TRUE(opened.tier_degraded) << path;
+    EXPECT_EQ(opened.tier, nullptr) << path;
+    EXPECT_EQ(opened.snapshot->witness_tier(), nullptr) << path;
+    EXPECT_FALSE(opened.fixed_base.has_value()) << path;
+    SearchEngine fallback(opened.snapshot, *pub_ctx_, *cloud_key_, pool_);
+    EXPECT_EQ(encode_response(fallback.search(q, SchemeKind::kHybrid)), want) << path;
+  };
+
+  std::uint64_t crc0 = crc_failures();
+  expect_untiered(store::open_snapshot(std::make_shared<const store::MappedFile>(p)),
+                  "open_snapshot");
+  EXPECT_EQ(crc_failures(), crc0 + 1);
+
+  crc0 = crc_failures();
+  expect_untiered(damaged.open_current(), "open_current");
+  EXPECT_EQ(crc_failures(), crc0 + 1);
+
+  // The serving core takes the same path through publish_from.
+  auto& swaps = obs::MetricsRegistry::global().counter("vc_snapshot_swaps_total", "");
+  CloudService cloud(*snap_, *pub_ctx_, *cloud_key_, owner_key_->verify_key(), pool_,
+                     SchemeKind::kHybrid, /*warm_budget_bytes=*/1ull << 20);
+  crc0 = crc_failures();
+  const std::uint64_t swaps0 = swaps.value();
+  cloud.wait_published(cloud.publish_from(damaged));
+  EXPECT_EQ(crc_failures(), crc0 + 1);
+  EXPECT_EQ(swaps.value(), swaps0 + 1);
+  SignedQuery sq{q, owner_key_->sign(q.encode())};
+  EXPECT_EQ(encode_response(cloud.handle(sq)), want);
 
   // Base-section corruption is never degradable.
   fs::path base_bad = scratch_copy("basecorrupt");
   flip_byte(base_bad, section_mid(store::SectionId::kEntries));
-  EXPECT_THROW(store::open_snapshot(
-                   std::make_shared<const store::MappedFile>(base_bad),
-                   store::OpenOptions{.degrade_tier_on_corruption = true}),
+  EXPECT_THROW(store::open_snapshot(std::make_shared<const store::MappedFile>(base_bad)),
                store::StoreCorruptError);
+  fs::remove_all(root);
 }
 
 TEST_F(TieredStoreTest, ConcurrentHitMissHammerOverLazyTier) {

@@ -95,20 +95,18 @@ int main(int argc, char** argv) {
                  "       [--modulus-bits B] [--rep-bits B] [--interval N] [--store DIR]\n");
     return 2;
   }
-  std::filesystem::create_directories(out_dir);
   std::filesystem::path out(out_dir);
-  store::EpochStore store(store_dir);
 
   if (const char* update = arg_value(argc, argv, "--update-synth", nullptr)) {
-    if (!store.has_current()) {
+    if (!std::filesystem::exists(store_dir / store::EpochStore::kCurrentFile)) {
       std::fprintf(stderr, "store %s has no published epoch; run vcsearch-build first\n",
                    store_dir.c_str());
       return 2;
     }
+    store::EpochStore store(store_dir);
     // The store's CURRENT epoch is the owner's state: reopen the builder
     // over it, so the delta below chains to exactly the epoch being served.
-    IndexBuilder vidx = IndexBuilder::from_snapshot(
-        store.open_current(store::OpenOptions{.degrade_tier_on_corruption = true}).snapshot);
+    IndexBuilder vidx = IndexBuilder::from_snapshot(store.open_current().snapshot);
     SigningKey owner_key = SigningKey::load((out / "owner.key").string());
     auto owner_ctx = AccumulatorContext::owner(
         standard_accumulator_modulus(vidx.config().modulus_bits),
@@ -149,17 +147,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // A fresh build commits epoch 1; publishing it over an existing history
-  // would leave the old epoch-1 file in place (republish trusts the file on
-  // disk) next to freshly generated keys.
-  if (store.has_current()) {
-    std::fprintf(stderr,
-                 "store %s already holds a published index; extend it with "
-                 "--update-synth, or build into an empty --out / --store\n",
-                 store_dir.c_str());
-    return 2;
-  }
-
+  // Refused parameters leave nothing behind: validate before creating the
+  // output or store directory.
   VerifiableIndexConfig config;
   config.modulus_bits = std::strtoul(arg_value(argc, argv, "--modulus-bits", "1024"),
                                      nullptr, 10);
@@ -172,8 +161,21 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  std::uint64_t seed = std::strtoull(arg_value(argc, argv, "--seed", "1"), nullptr, 10);
 
+  // A fresh build commits epoch 1; publishing it over an existing history
+  // would leave the old epoch-1 file in place (republish trusts the file on
+  // disk) next to freshly generated keys.
+  std::filesystem::create_directories(out);
+  store::EpochStore store(store_dir);
+  if (store.has_current()) {
+    std::fprintf(stderr,
+                 "store %s already holds a published index; extend it with "
+                 "--update-synth, or build into an empty --out / --store\n",
+                 store_dir.c_str());
+    return 2;
+  }
+
+  std::uint64_t seed = std::strtoull(arg_value(argc, argv, "--seed", "1"), nullptr, 10);
   Corpus corpus("cli");
   if (const char* dir = arg_value(argc, argv, "--docs", nullptr)) {
     std::size_t loaded = corpus.load_directory(dir);

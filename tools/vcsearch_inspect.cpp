@@ -122,7 +122,9 @@ int inspect_store(const char* store_dir, int argc, char** argv) {
                 static_cast<unsigned long long>(info.delta_base_epoch),
                 static_cast<unsigned long long>(info.delta_touched_terms),
                 static_cast<unsigned long long>(info.delta_removed_terms));
-  } else if (info.format_version >= store::kFormatVersionTiered) {
+  } else if (std::any_of(info.sections.begin(), info.sections.end(), [](const auto& s) {
+               return store::is_tier_section(s.id);
+             })) {
     std::printf("    witness tier   %llu terms, %llu table bytes\n",
                 static_cast<unsigned long long>(info.tier_terms),
                 static_cast<unsigned long long>(info.tier_table_bytes));

@@ -14,11 +14,11 @@
 // `vcsearch-inspect --dir DIR --validate`.  An empty store exits 2: run
 // vcsearch-build first.  --dir holds the signing keys.
 //
-// --warm-budget-mb (default 16; 0 disables) sizes the witness warm stage:
-// the boot epoch's tiered terms are pre-materialized straight off the
-// mapping (warm-on-open), and the publish worker warms every later epoch
-// the same way before swapping it in, so the first post-swap query never
-// pays the cold lazy-materialization path.
+// --warm-budget-mb (default 16; 0 disables) sizes the serving core's
+// witness warm stage: the boot epoch's tiered terms are pre-materialized
+// off the mapping before the server starts listening, and every later
+// epoch the same way before it is swapped in, so the first query on an
+// epoch never pays the cold lazy-materialization path.
 //
 // Requests are dispatched onto the worker pool (up to --max-inflight
 // concurrently; excess gets 503).  SIGINT/SIGTERM drain in-flight requests
@@ -120,8 +120,7 @@ int main(int argc, char** argv) {
   // cache over the base sections); base-section corruption still fails.
   store::OpenedEpoch opened;
   try {
-    opened = store.open_current(store::OpenOptions{.degrade_tier_on_corruption = true,
-                                                   .warm_budget_bytes = warm_budget_bytes});
+    opened = store.open_current();
   } catch (const store::StoreError& e) {
     std::fprintf(stderr, "vcsearch-serve: %s\n", e.what());
     return 1;
@@ -169,10 +168,7 @@ int main(int argc, char** argv) {
   std::uint32_t compact_chain = static_cast<std::uint32_t>(
       std::strtoul(arg_value(argc, argv, "--compact-chain", "4"), nullptr, 10));
   if (compact_chain > 0) {
-    compactor.emplace(store,
-                      store::CompactionWorker::Options{
-                          .max_chain_length = compact_chain,
-                          .open = store::OpenOptions{.degrade_tier_on_corruption = true}});
+    compactor.emplace(store, store::CompactionWorker::Options{.max_chain_length = compact_chain});
     compactor->start();
     std::printf("store: background compaction at chain length %u\n", compact_chain);
   }
