@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "support/errors.hpp"
 #include "support/threadpool.hpp"
 
 namespace vc {
@@ -94,43 +93,6 @@ std::vector<Bigint> root_factor(const AccumulatorContext& ctx, std::span<const B
 std::vector<Bigint> batch_membership_witnesses(const AccumulatorContext& ctx,
                                                std::span<const Bigint> primes) {
   return root_factor(ctx, primes);
-}
-
-std::vector<Bigint> batch_group_witnesses(const AccumulatorContext& ctx,
-                                          std::span<const Bigint> primes,
-                                          std::span<const std::size_t> group_sizes) {
-  std::size_t total = 0;
-  for (std::size_t s : group_sizes) total += s;
-  if (total != primes.size()) {
-    throw UsageError("batch_group_witnesses: group sizes do not partition the primes");
-  }
-  // Fold each group into one super-exponent; an empty group contributes 1,
-  // so its witness is the accumulator of everything outside it.
-  const PowerContext& power = ctx.power();
-  const Bigint* phi = power.has_trapdoor() ? &power.phi() : nullptr;
-  std::vector<std::size_t> offsets(group_sizes.size());
-  std::size_t at = 0;
-  for (std::size_t k = 0; k < group_sizes.size(); ++k) {
-    offsets[k] = at;
-    at += group_sizes[k];
-  }
-  std::vector<Bigint> group_exps(group_sizes.size());
-  auto fold = [&](std::size_t k) {
-    auto part = primes.subspan(offsets[k], group_sizes[k]);
-    if (phi != nullptr) {
-      Bigint e(1);
-      for (const Bigint& x : part) e = Bigint::mod(e * x, *phi);
-      group_exps[k] = std::move(e);
-    } else {
-      group_exps[k] = Bigint::product(part);
-    }
-  };
-  if (ThreadPool* pool = ctx.pool(); pool != nullptr && group_sizes.size() > 1) {
-    pool->parallel_for(0, group_sizes.size(), fold);
-  } else {
-    for (std::size_t k = 0; k < group_sizes.size(); ++k) fold(k);
-  }
-  return root_factor(ctx, group_exps);
 }
 
 }  // namespace vc

@@ -33,13 +33,4 @@ namespace vc {
 [[nodiscard]] std::vector<Bigint> batch_membership_witnesses(
     const AccumulatorContext& ctx, std::span<const Bigint> primes);
 
-// Grouped form: `group_sizes` partitions `primes` into consecutive groups
-// (sizes must sum to primes.size(); zero-sized groups are allowed and get
-// the full-set accumulator as their witness).  out[k] = g^(Π of primes
-// outside group k) — one witness per interval piece, the shape the interval
-// middle layer and per-interval refresh paths consume.
-[[nodiscard]] std::vector<Bigint> batch_group_witnesses(
-    const AccumulatorContext& ctx, std::span<const Bigint> primes,
-    std::span<const std::size_t> group_sizes);
-
 }  // namespace vc

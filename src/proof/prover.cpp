@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "accumulator/batch_witness.hpp"
 #include "bloom/compressed_bloom.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -95,16 +94,6 @@ Prover::Prover(SnapshotPtr snapshot, AccumulatorContext ctx, ThreadPool* pool)
 
 const TermWitnessTable* Prover::tier_for(std::string_view term) const {
   return tier_ == nullptr ? nullptr : tier_->find(term);
-}
-
-std::vector<Bigint> Prover::prove_all_tuple_memberships(
-    const IndexEntry& entry) const {
-  std::vector<Bigint> reps;
-  reps.reserve(entry.postings.size());
-  for (const Posting& p : entry.postings) {
-    reps.push_back(snap_->tuple_primes().get(InvertedIndex::encode_tuple(p)));
-  }
-  return batch_membership_witnesses(ctx_, reps);
 }
 
 std::vector<const IndexEntry*> Prover::lookup(const SearchResult& result) const {

@@ -45,14 +45,6 @@ class Prover {
   // the ablation benchmarks).
   [[nodiscard]] HybridEstimate hybrid_estimate(const SearchResult& result) const;
 
-  // Batched flat path (Eq 4 at scale): one per-element membership witness for
-  // every tuple of `entry`'s posting list, in posting order, computed with the
-  // RootFactor remainder tree — O(n log n) modexps instead of the O(n²) of n
-  // single-subset calls.  Byte-identical to calling the singleton flat path
-  // per tuple.  Used by the precompute/refresh workloads and benchmarks.
-  [[nodiscard]] std::vector<Bigint> prove_all_tuple_memberships(
-      const IndexEntry& entry) const;
-
  private:
   // Narrow test-only hook: the adversarial soundness harness (src/advtest)
   // uses the private witness builders to construct evidence for sets an

@@ -1,13 +1,15 @@
-// Shared building blocks of the epoch-file codecs (snapshot_codec.cpp and
-// delta_codec.cpp): per-term entry blob (de)serialization, the
-// binary-searchable prime-section layout, the lazy mapped sources, and the
-// header/section-table parser.  Everything here is an implementation detail
-// of src/store — tools go through the public codec headers (tests also use
-// encode_sections to lay out forged files).
+// Building blocks of the epoch-record codec (epoch_codec.cpp) and the
+// store's chain walk (epoch_store.cpp): per-term entry blob
+// (de)serialization, the binary-searchable prime-section layout, the lazy
+// mapped sources, the header/section-table parser, and the one-record
+// decoder plus the stacking of records into a snapshot.  Everything here is
+// an implementation detail of src/store — tools go through the public codec
+// header (tests also use encode_sections to lay out forged files).
 #pragma once
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -16,9 +18,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "store/crc32.hpp"
+#include "store/epoch_codec.hpp"
 #include "store/mapped_file.hpp"
-#include "store/delta_codec.hpp"
-#include "store/snapshot_codec.hpp"
 
 namespace vc::store::detail {
 
@@ -130,22 +131,23 @@ inline std::shared_ptr<const IndexEntry> read_entry(ByteReader& r,
   return e;
 }
 
-// Delta entry blobs open with a kind byte.  A term the base epoch did not
-// hold ships in full (write_entry).  A term it held ships as a patch
-// against that entry: the postings past their common prefix, both interval
-// indexes via IntervalIndex::write_patch, and the re-signed attestations.
-// An update rebuilds only the few intervals its postings land in, so a
-// patch is mostly the refreshed middle witnesses: roughly a third of the
-// hot terms' full bytes, which dominate a Zipf workload's delta.
-enum class DeltaEntryKind : std::uint8_t { kFull = 0, kPatch = 1 };
+// Entry blobs open with a kind byte.  A full blob is the whole entry
+// (write_entry); a full record holds only these.  A layered record ships a
+// term its base held as a patch against that entry: the postings past
+// their common prefix, both interval indexes via IntervalIndex::write_patch,
+// and the re-signed attestations.  An update rebuilds only the few
+// intervals its postings land in, so a patch is mostly the refreshed middle
+// witnesses: roughly a third of the hot terms' full bytes, which dominate a
+// Zipf workload's delta.
+enum class EntryKind : std::uint8_t { kFull = 0, kPatch = 1 };
 
-inline void write_delta_entry(ByteWriter& w, const IndexEntry& e, const IndexEntry* base) {
+inline void write_entry_blob(ByteWriter& w, const IndexEntry& e, const IndexEntry* base) {
   if (base == nullptr) {
-    w.u8(static_cast<std::uint8_t>(DeltaEntryKind::kFull));
+    w.u8(static_cast<std::uint8_t>(EntryKind::kFull));
     write_entry(w, e);
     return;
   }
-  w.u8(static_cast<std::uint8_t>(DeltaEntryKind::kPatch));
+  w.u8(static_cast<std::uint8_t>(EntryKind::kPatch));
   const auto [diverge, unused] = std::mismatch(e.postings.begin(), e.postings.end(),
                                                base->postings.begin(), base->postings.end());
   w.varint(static_cast<std::size_t>(diverge - e.postings.begin()));  // kept base prefix
@@ -156,25 +158,32 @@ inline void write_delta_entry(ByteWriter& w, const IndexEntry& e, const IndexEnt
   e.bloom_attestation.write(w);
 }
 
-// `base` is the term's entry at the delta's base epoch (null when absent);
-// only a patch consults it.
-inline std::shared_ptr<const IndexEntry> read_delta_entry(
-    ByteReader& r, const VerifiableIndexConfig& config, std::string_view term,
-    const DeltaEntrySource::BaseLookup& base_lookup) {
+// The term's entry as the layers below the record being read hold it; null
+// when none of them does.
+using BaseLookup = std::function<std::shared_ptr<const IndexEntry>(std::string_view term)>;
+
+// `below` is empty for a full record, which has nothing to patch against.
+inline std::shared_ptr<const IndexEntry> read_entry_blob(ByteReader& r,
+                                                         const VerifiableIndexConfig& config,
+                                                         std::string_view term,
+                                                         const BaseLookup& below) {
   const std::uint8_t kind = r.u8();
-  if (kind == static_cast<std::uint8_t>(DeltaEntryKind::kFull)) return read_entry(r, config);
-  if (kind != static_cast<std::uint8_t>(DeltaEntryKind::kPatch)) {
-    throw StoreCorruptError("unknown delta entry kind " + std::to_string(kind));
+  if (kind == static_cast<std::uint8_t>(EntryKind::kFull)) return read_entry(r, config);
+  if (kind != static_cast<std::uint8_t>(EntryKind::kPatch)) {
+    throw StoreCorruptError("unknown entry kind " + std::to_string(kind));
   }
-  std::shared_ptr<const IndexEntry> base = base_lookup ? base_lookup(term) : nullptr;
+  if (!below) {
+    throw StoreCorruptError("full record holds a patch for term " + std::string(term));
+  }
+  std::shared_ptr<const IndexEntry> base = below(term);
   if (base == nullptr) {
-    throw StoreChainError("delta patches term " + std::string(term) +
+    throw StoreChainError("record patches term " + std::string(term) +
                           ", which its base epoch does not hold");
   }
   auto e = std::make_shared<IndexEntry>();
   const std::size_t keep = r.varint();
   if (keep > base->postings.size()) {
-    throw StoreCorruptError("delta patch keeps more postings than its base holds");
+    throw StoreCorruptError("patch keeps more postings than its base holds");
   }
   e->postings.assign(base->postings.begin(),
                      base->postings.begin() + static_cast<std::ptrdiff_t>(keep));
@@ -284,25 +293,23 @@ inline bool extent_fits(std::uint64_t offset, std::uint64_t size, std::uint64_t 
   return offset <= limit && size <= limit - offset;
 }
 
-// Lazy parse of one mapped entries section.  Delta records open each blob
-// with a kind byte and may patch it over the base version `base` supplies
-// (read_delta_entry); snapshot blobs are always full and ignore `base`.
-class MappedEntrySource final : public DeltaEntrySource {
+// Lazy parse of one record's mapped entries section; `rank` is the term's
+// position in the record's term directory, and `below` serves patch blobs
+// (read_entry_blob).
+class MappedEntrySource {
  public:
   MappedEntrySource(std::shared_ptr<const MappedFile> file, VerifiableIndexConfig config,
-                    std::span<const std::uint8_t> entries, std::vector<TermLoc> locs,
-                    bool delta_blobs)
+                    std::span<const std::uint8_t> entries, std::vector<TermLoc> locs)
       : file_(std::move(file)),
         config_(std::move(config)),
         entries_(entries),
-        locs_(std::move(locs)),
-        delta_blobs_(delta_blobs) {}
+        locs_(std::move(locs)) {}
 
-  [[nodiscard]] std::shared_ptr<const IndexEntry> load_over(
-      std::size_t rank, std::string_view term, const BaseLookup& base) const override {
+  [[nodiscard]] std::shared_ptr<const IndexEntry> load(std::size_t rank, std::string_view term,
+                                                       const BaseLookup& below) const {
     const TermLoc& loc = locs_[rank];
     ByteReader r(entries_.subspan(loc.offset, loc.size));
-    auto entry = delta_blobs_ ? read_delta_entry(r, config_, term, base) : read_entry(r, config_);
+    auto entry = read_entry_blob(r, config_, term, below);
     entries_materialized().inc();
     // Cold first touch of a mapped term — the trace attribute is what tells
     // a slow first-query-after-restart apart from a warm one.
@@ -312,7 +319,7 @@ class MappedEntrySource final : public DeltaEntrySource {
 
   // The term directory records every entry's encoded extent, so the warm
   // budget can be charged without parsing anything.
-  [[nodiscard]] std::uint64_t stored_bytes(std::size_t rank) const override {
+  [[nodiscard]] std::uint64_t stored_bytes(std::size_t rank) const {
     return locs_[rank].size;
   }
 
@@ -321,7 +328,6 @@ class MappedEntrySource final : public DeltaEntrySource {
   VerifiableIndexConfig config_;
   std::span<const std::uint8_t> entries_;
   std::vector<TermLoc> locs_;
-  bool delta_blobs_;
 };
 
 // --- layout parsing ----------------------------------------------------------
@@ -352,7 +358,7 @@ inline ParsedLayout parse_layout(std::span<const std::uint8_t> data) {
   }
   ParsedLayout out;
   out.format_version = r.u32();
-  if (out.format_version != kFormatVersion && out.format_version != kFormatVersionDelta) {
+  if (out.format_version != kFormatVersion) {
     throw StoreCorruptError("unsupported format version " +
                             std::to_string(out.format_version));
   }
@@ -415,10 +421,10 @@ inline std::span<const std::uint8_t> section_bytes(std::span<const std::uint8_t>
   throw StoreCorruptError(std::string("missing section ") + section_name(id));
 }
 
-// Encodes `payloads` (already in file order) into the common header +
-// section-table + butt-joined-sections layout shared by every format
-// version.  The caller picks the version; everything else — CRCs, offsets,
-// the param fingerprint — is derived here.
+// Encodes `payloads` (already in file order) into the header +
+// section-table + butt-joined-sections layout.  The caller picks the format
+// version (tests forge other ones); everything else — CRCs, offsets, the
+// param fingerprint — is derived here.
 struct SectionPayload {
   SectionId id;
   const Bytes* bytes;
@@ -459,5 +465,44 @@ inline Bytes encode_sections(std::uint32_t format_version, std::uint64_t epoch,
   for (const SectionPayload& p : payloads) out.raw(*p.bytes);
   return std::move(out).take();
 }
+
+// --- records -----------------------------------------------------------------
+
+// One validated, opened record: the layer EpochStore stacks.  Its views
+// keep the mapping alive through `file`; entries parse lazily via `entries`
+// (rank is the position in `terms`).
+struct Record {
+  std::uint64_t epoch = 0;
+  std::uint64_t base_epoch = 0;  // 0: a full record, the bottom of every stack
+  std::uint32_t shard_count = 0;
+  std::size_t max_posting_count = 0;  // whole-index max at `epoch`
+  std::uint64_t entries_bytes = 0;    // size of the entries section
+  VerifiableIndexConfig config;
+  Digest fingerprint{};
+  std::shared_ptr<const DictionaryIntervals> dict;          // null: unchanged
+  std::shared_ptr<const DictAttestation> dict_attestation;  // null: unchanged
+  std::vector<std::string> terms;                           // sorted
+  std::shared_ptr<const MappedEntrySource> entries;
+  std::vector<std::string> removed;  // sorted
+  std::shared_ptr<const PrimeBacking> tuple_primes;
+  std::shared_ptr<const PrimeBacking> doc_primes;
+  // Tiered full records: the lazy mapped tier and the fixed-base table,
+  // both absent when a tier section failed its CRC (`tier_degraded`).
+  std::shared_ptr<const WitnessTier> tier;
+  std::optional<FixedBaseSnapshot> fixed_base;
+  bool tier_degraded = false;
+  std::shared_ptr<const MappedFile> file;
+};
+
+// Validates one record (every invariant open_snapshot lists) and returns
+// its lazy views.
+Record open_record(std::shared_ptr<const MappedFile> file);
+
+// Stacks `layers` (a full record first, then each record layered on the one
+// before it) into one lazy snapshot at the last layer's epoch.  Every layer
+// must carry the head's param fingerprint.  Per-term lookups dispatch to the
+// newest layer holding the term; a patch applies over the term's version in
+// the layers below it.
+OpenedEpoch stack_records(std::vector<Record> layers);
 
 }  // namespace vc::store::detail

@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 
 #include "obs/metrics.hpp"
 #include "store/codec_detail.hpp"
@@ -140,119 +139,6 @@ std::optional<std::uint64_t> parse_epoch_dir(const std::string& name) {
   return v;
 }
 
-// --- chain overlay -----------------------------------------------------------
-//
-// The overlay snapshot's term list is the base's with every delta applied
-// oldest→newest (touched terms upserted, removed terms dropped); each term
-// remembers which layer serves it.  Entry loads dispatch to the newest
-// delta that touched the term (lazy parse of its mapped blob) or fall back
-// to the base snapshot's own lazy find() — so an overlay open stays
-// O(terms) string work, exactly like a plain snapshot open.
-
-struct OverlayProvider {
-  int delta = -1;        // -1: base snapshot; otherwise index into deltas
-  std::size_t rank = 0;  // rank within that delta's touched_terms
-};
-
-class OverlayEntrySource final : public EntrySource {
- public:
-  OverlayEntrySource(SnapshotPtr base, std::vector<OpenedDelta> deltas,
-                     std::vector<OverlayProvider> providers)
-      : base_(std::move(base)), deltas_(std::move(deltas)), providers_(std::move(providers)) {}
-
-  [[nodiscard]] std::shared_ptr<const IndexEntry> load(
-      std::size_t rank, std::string_view term) const override {
-    const OverlayProvider& p = providers_[rank];
-    if (p.delta >= 0) return load_layer(p.delta, p.rank, term);
-    auto e = below(0, term);
-    if (e == nullptr) {
-      throw StoreCorruptError("chain base lost term " + std::string(term));
-    }
-    return e;
-  }
-
- private:
-  // `term` as delta `layer` ships it (rank: its position in that delta's
-  // touched terms); a patch applies over the version just below the layer.
-  std::shared_ptr<const IndexEntry> load_layer(int layer, std::size_t rank,
-                                               std::string_view term) const {
-    return deltas_[static_cast<std::size_t>(layer)].source->load_over(
-        rank, term, [this, layer](std::string_view t) { return below(layer, t); });
-  }
-
-  // `term` as the chain held it before delta `layer`: the newest older delta
-  // that touched or removed it, else the base snapshot; null when absent.
-  std::shared_ptr<const IndexEntry> below(int layer, std::string_view term) const {
-    for (int l = layer - 1; l >= 0; --l) {
-      const OpenedDelta& d = deltas_[static_cast<std::size_t>(l)];
-      auto it = std::lower_bound(d.touched_terms.begin(), d.touched_terms.end(), term);
-      if (it != d.touched_terms.end() && *it == term) {
-        return load_layer(l, static_cast<std::size_t>(it - d.touched_terms.begin()), term);
-      }
-      if (std::binary_search(d.removed_terms.begin(), d.removed_terms.end(), term)) {
-        return nullptr;
-      }
-    }
-    const IndexEntry* e = base_->find(term);
-    if (e == nullptr) return nullptr;
-    // Alias the base snapshot's cached entry; the overlay keeps the base
-    // alive, so no copy and no second parse.
-    return {base_, e};
-  }
-
-  SnapshotPtr base_;
-  std::vector<OpenedDelta> deltas_;
-  std::vector<OverlayProvider> providers_;
-};
-
-// Prime lookups consult the delta sections newest-first, then the base
-// epoch's mapped sections.  Representatives are deterministic, so overlap
-// between layers is harmless — the first hit wins.
-class ChainedPrimeBacking final : public PrimeBacking {
- public:
-  explicit ChainedPrimeBacking(std::vector<std::shared_ptr<const PrimeBacking>> tiers)
-      : tiers_(std::move(tiers)) {}
-
-  [[nodiscard]] bool lookup(std::uint64_t element, Bigint& out) const override {
-    for (const auto& t : tiers_) {
-      if (t != nullptr && t->lookup(element, out)) return true;
-    }
-    return false;
-  }
-
-  void for_each(
-      const std::function<void(std::uint64_t, const Bigint&)>& fn) const override {
-    for (const auto& t : tiers_) {
-      if (t != nullptr) t->for_each(fn);
-    }
-  }
-
- private:
-  std::vector<std::shared_ptr<const PrimeBacking>> tiers_;
-};
-
-// Serves the surviving subset of the base epoch's witness tier: tables load
-// through the base tier's own lazy path and are shared via aliasing
-// pointers.  Terms a delta touched or removed are filtered out before
-// construction — their persisted witnesses are stale — which is the
-// per-term degradation the chain wants instead of dropping the tier whole.
-class SubsetTierSource final : public TierSource {
- public:
-  explicit SubsetTierSource(std::shared_ptr<const WitnessTier> base) : base_(std::move(base)) {}
-
-  [[nodiscard]] std::shared_ptr<const TermWitnessTable> load(
-      std::size_t /*rank*/, std::string_view term) const override {
-    const TermWitnessTable* t = base_->find(term);
-    if (t == nullptr) {
-      throw StoreCorruptError("base witness tier lost term " + std::string(term));
-    }
-    return {base_, t};
-  }
-
- private:
-  std::shared_ptr<const WitnessTier> base_;
-};
-
 }  // namespace
 
 EpochStore::EpochStore(fs::path root) : root_(std::move(root)) {
@@ -305,7 +191,7 @@ fs::path EpochStore::publish(const IndexSnapshot& snap, std::uint32_t shard_coun
   }
 
   if (!fs::exists(target / kSnapshotFile)) {
-    Bytes data = encode_snapshot(snap, shard_count, tier);
+    Bytes data = encode_epoch(snap, shard_count, tier);
     // Stage in a hidden temp directory; the pid suffix keeps concurrent
     // publishers (two owner processes on one store) from colliding.
     const fs::path tmp =
@@ -344,7 +230,7 @@ fs::path EpochStore::publish_delta(const IndexDelta& delta, std::uint32_t shard_
   const fs::path target = root_ / dir_name;
 
   if (!fs::exists(target / kDeltaFile) && !fs::exists(target / kSnapshotFile)) {
-    Bytes data = encode_delta(delta, shard_count);
+    Bytes data = encode_epoch(delta, shard_count);
     const fs::path tmp =
         root_ / (".tmp-" + dir_name + "-" + std::to_string(::getpid()));
     fs::remove_all(tmp);
@@ -416,143 +302,48 @@ OpenedEpoch EpochStore::open_epoch(std::uint64_t epoch) const {
   return resolve_chain(epoch);
 }
 
-OpenedEpoch EpochStore::resolve_chain(std::uint64_t head) const {
-  // Walk base links down to a full snapshot, newest delta first; a
-  // compacted head keeps its delta alongside, and the snapshot wins.  The
-  // walk alone decides whether `head` is a chain: compaction may install
-  // its snapshot at any moment.  Every layer must carry the same param
-  // fingerprint as the head; the walk must strictly descend and stay under
-  // the length cap.
-  std::vector<OpenedDelta> deltas;
-  auto check_params = [&](const Digest& fingerprint, const fs::path& path) {
-    if (!deltas.empty() && fingerprint != deltas.front().fingerprint) {
-      throw StoreParamMismatchError(path.string() + " was written under other index "
-                                    "parameters than chain head " + std::to_string(head));
-    }
-  };
+void EpochStore::walk_chain(
+    std::uint64_t head,
+    const std::function<std::uint64_t(std::uint64_t, const fs::path&)>& visit) const {
   std::uint64_t epoch = head;
-  while (!fs::exists(epoch_file(epoch))) {
-    const fs::path path = delta_file(epoch);
-    if (!fs::exists(path)) {
-      throw StoreChainError("epoch " + std::to_string(epoch) +
-                            " is missing (chain head " + std::to_string(head) + ")");
+  for (std::uint32_t layered = 0;; ++layered) {
+    fs::path file = epoch_file(epoch);
+    if (!fs::exists(file)) file = delta_file(epoch);
+    if (!fs::exists(file)) {
+      throw StoreChainError("epoch " + std::to_string(epoch) + " is missing (chain head " +
+                            std::to_string(head) + ")");
     }
-    if (deltas.size() >= kMaxChainLength) {
+    const std::uint64_t base = visit(epoch, file);
+    if (base == 0) return;
+    if (base >= epoch) {
+      throw StoreChainError("record in " + epoch_dir_name(epoch) + " has base epoch " +
+                            std::to_string(base) + ", which does not precede it");
+    }
+    if (layered >= kMaxChainLength) {
       throw StoreChainError("chain from epoch " + std::to_string(head) + " exceeds " +
                             std::to_string(kMaxChainLength) + " deltas");
     }
-    OpenedDelta d = open_delta(std::make_shared<const MappedFile>(path));
-    delta_opens().inc();
-    if (d.epoch != epoch) {
-      throw StoreCorruptError("delta in " + epoch_dir_name(epoch) + " claims epoch " +
-                              std::to_string(d.epoch));
+    epoch = base;
+  }
+}
+
+OpenedEpoch EpochStore::resolve_chain(std::uint64_t head) const {
+  // The walk alone decides how deep `head` goes: compaction may install a
+  // snapshot at any moment, and a walk that meets one stops there.
+  std::vector<detail::Record> layers;
+  walk_chain(head, [&](std::uint64_t epoch, const fs::path& file) {
+    detail::Record r = detail::open_record(std::make_shared<const MappedFile>(file));
+    if (r.epoch != epoch) {
+      throw StoreCorruptError("record in " + epoch_dir_name(epoch) + " claims epoch " +
+                              std::to_string(r.epoch));
     }
-    check_params(d.fingerprint, path);
-    epoch = d.base_epoch;  // open_delta guarantees base_epoch < epoch
-    deltas.push_back(std::move(d));
-  }
-
-  OpenedEpoch base = open_snapshot(std::make_shared<const MappedFile>(epoch_file(epoch)));
-  if (deltas.empty()) {  // `head` is a full snapshot
-    chain_length_gauge().set(0);
-    return base;
-  }
-  check_params(param_fingerprint(base.snapshot->config()), epoch_file(epoch));
-  std::reverse(deltas.begin(), deltas.end());  // oldest → newest
-
-  // Merged term list: upsert touched, drop removed, oldest delta first.
-  std::map<std::string, OverlayProvider, std::less<>> merged;
-  for (const auto& [term, unused] : base.snapshot->entries()) {
-    merged.emplace(term, OverlayProvider{});
-  }
-  for (std::size_t di = 0; di < deltas.size(); ++di) {
-    const OpenedDelta& d = deltas[di];
-    for (std::size_t r = 0; r < d.touched_terms.size(); ++r) {
-      merged[d.touched_terms[r]] = OverlayProvider{static_cast<int>(di), r};
-    }
-    for (const std::string& term : d.removed_terms) merged.erase(term);
-  }
-  std::vector<std::string> terms;
-  std::vector<OverlayProvider> providers;
-  terms.reserve(merged.size());
-  providers.reserve(merged.size());
-  for (auto& [term, p] : merged) {
-    terms.push_back(term);
-    providers.push_back(p);
-  }
-
-  // Newest-first prime resolution: delta sections, then the base mapping.
-  std::vector<std::shared_ptr<const PrimeBacking>> tuple_tiers, doc_tiers;
-  for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
-    tuple_tiers.push_back(it->tuple_primes);
-    doc_tiers.push_back(it->doc_primes);
-  }
-  tuple_tiers.push_back(base.snapshot->tuple_primes().backing());
-  doc_tiers.push_back(base.snapshot->doc_primes().backing());
-  const VerifiableIndexConfig& config = base.snapshot->config();
-  auto tuple_primes = std::make_shared<PrimeCache>(config.tuple_prime_config());
-  tuple_primes->set_backing(std::make_shared<const ChainedPrimeBacking>(std::move(tuple_tiers)));
-  auto doc_primes = std::make_shared<PrimeCache>(config.doc_prime_config());
-  doc_primes->set_backing(std::make_shared<const ChainedPrimeBacking>(std::move(doc_tiers)));
-
-  // Dictionary: the newest delta that rebuilt it, else the base's (aliased —
-  // the base snapshot keeps it alive).
-  std::shared_ptr<const DictionaryIntervals> dict;
-  std::shared_ptr<const DictAttestation> dict_att;
-  for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
-    if (it->dict_changed) {
-      dict = it->dict;
-      dict_att = it->dict_attestation;
-      break;
-    }
-  }
-  if (dict == nullptr) {
-    dict = {base.snapshot, &base.snapshot->dictionary()};
-    dict_att = {base.snapshot, &base.snapshot->dict_attestation()};
-  }
-
-  const OpenedDelta& newest = deltas.back();
-  OpenedEpoch out;
-  out.entries_bytes = base.entries_bytes;
-  for (const OpenedDelta& d : deltas) out.entries_bytes += d.entries_bytes;
-  detail::check_max_posting_count(newest.max_posting_count, out.entries_bytes);
-  out.snapshot = std::make_shared<const IndexSnapshot>(
-      config, head, std::move(terms),
-      std::make_shared<const OverlayEntrySource>(base.snapshot, deltas, std::move(providers)),
-      newest.max_posting_count, std::move(dict), std::move(dict_att),
-      std::move(tuple_primes), std::move(doc_primes));
-
-  // Witness tier: keep the base's tables for terms no delta touched or
-  // removed — their sets are unchanged, so the persisted witnesses are
-  // still the unique residues.  Touched terms degrade to the compute path.
-  out.tier_degraded = base.tier_degraded;
-  if (base.tier != nullptr) {
-    std::vector<std::string> surviving;
-    for (const std::string& term : base.tier->terms()) {
-      bool stale = false;
-      for (const OpenedDelta& d : deltas) {
-        if (std::binary_search(d.touched_terms.begin(), d.touched_terms.end(), term) ||
-            std::binary_search(d.removed_terms.begin(), d.removed_terms.end(), term)) {
-          stale = true;
-          break;
-        }
-      }
-      if (!stale) surviving.push_back(term);
-    }
-    if (!surviving.empty()) {
-      out.tier = std::make_shared<const WitnessTier>(
-          std::move(surviving), std::make_shared<const SubsetTierSource>(base.tier),
-          base.tier->table_bytes());
-      out.snapshot->attach_tier(out.tier);
-    }
-    out.fixed_base = base.fixed_base;
-  }
-
-  out.shard_count = newest.shard_count;
-  out.file = base.file;
-  out.base_epoch = base.snapshot->epoch();
-  out.chain_length = static_cast<std::uint32_t>(deltas.size());
-  chain_length_gauge().set(static_cast<std::int64_t>(deltas.size()));
+    if (r.base_epoch != 0) delta_opens().inc();
+    layers.push_back(std::move(r));
+    return layers.back().base_epoch;
+  });
+  std::reverse(layers.begin(), layers.end());  // full record first
+  OpenedEpoch out = detail::stack_records(std::move(layers));
+  chain_length_gauge().set(out.chain_length);
   return out;
 }
 
@@ -573,7 +364,7 @@ std::optional<std::uint64_t> EpochStore::compact(std::uint32_t min_chain_length)
     arts.fixed_base = *head.fixed_base;
     tier = &arts;
   }
-  Bytes data = encode_snapshot(*head.snapshot, head.shard_count, tier);
+  Bytes data = encode_epoch(*head.snapshot, head.shard_count, tier);
 
   // File-level atomic: stage next to the target and rename.  CURRENT never
   // moves; the open path simply starts preferring the snapshot over the
@@ -601,29 +392,20 @@ std::optional<std::uint64_t> EpochStore::compact(std::uint32_t min_chain_length)
 
 std::vector<EpochStore::ChainLink> EpochStore::current_chain() const {
   std::vector<ChainLink> out;
-  std::uint64_t epoch = *parse_epoch_dir(read_current_name());
-  while (true) {
-    const fs::path snap = epoch_file(epoch);
-    const fs::path delta = delta_file(epoch);
-    if (fs::exists(snap)) {
-      out.push_back(ChainLink{.epoch = epoch, .is_delta = false,
-                              .compacted = fs::exists(delta), .file = snap});
-      return out;
-    }
-    if (!fs::exists(delta)) {
-      throw StoreChainError("epoch " + std::to_string(epoch) + " is missing");
-    }
-    if (out.size() >= kMaxChainLength) {
-      throw StoreChainError("chain exceeds " + std::to_string(kMaxChainLength) + " deltas");
-    }
-    out.push_back(ChainLink{.epoch = epoch, .is_delta = true, .file = delta});
-    StoreFileInfo info = inspect_file(MappedFile(delta));
-    if (info.delta_base_epoch == 0 || info.delta_base_epoch >= epoch) {
-      throw StoreChainError("delta in " + epoch_dir_name(epoch) +
-                            " has unreadable or non-descending base epoch");
-    }
-    epoch = info.delta_base_epoch;
-  }
+  walk_chain(*parse_epoch_dir(read_current_name()),
+             [&](std::uint64_t epoch, const fs::path& file) {
+               const bool is_delta = file.filename() == kDeltaFile;
+               out.push_back(ChainLink{.epoch = epoch, .is_delta = is_delta,
+                                       .compacted = !is_delta && fs::exists(delta_file(epoch)),
+                                       .file = file});
+               const std::uint64_t base = inspect_file(MappedFile(file)).base_epoch;
+               if (is_delta && base == 0) {
+                 throw StoreChainError("delta in " + epoch_dir_name(epoch) +
+                                       " has an unreadable base epoch");
+               }
+               return base;
+             });
+  return out;
 }
 
 // --- background compaction ---------------------------------------------------

@@ -5,9 +5,9 @@
 //   root/
 //     CURRENT                      -> "epoch-00000000000000000042\n"
 //     epoch-00000000000000000042/
-//       snapshot.vcs               (format v1: full snapshot)
+//       snapshot.vcs               (full record: base epoch 0)
 //     epoch-00000000000000000043/
-//       delta.vcd                  (format v3: journal of one mutation)
+//       delta.vcd                  (record of one mutation over epoch 42)
 //     epoch-00000000000000000044/
 //       delta.vcd
 //       snapshot.vcs               (written later by compaction)
@@ -21,12 +21,12 @@
 // always finds a complete, checksummed epoch (or an empty store).
 //
 // Log-structured deltas: publish_delta() ships one mutation's touched terms
-// as a format-v3 record chained to its base epoch, so publish cost is
-// O(touched) instead of O(index).  open_current()/open_epoch() resolve a
-// delta head transparently — walk base_epoch links down to a full snapshot
-// (strictly descending, length-capped) and serve a lazy overlay
-// IndexSnapshot whose per-term lookups dispatch to the newest delta that
-// touched the term, falling back to the base mapping.  compact() folds a
+// as a record layered on its base epoch, so publish cost is O(touched)
+// instead of O(index).  Both files hold the same record format
+// (epoch_codec.hpp).  open_current()/open_epoch() walk base_epoch links
+// down to a full record (strictly descending, length-capped) and stack the
+// records into one lazy IndexSnapshot whose per-term lookups dispatch to
+// the newest record that holds the term.  compact() folds a
 // chain back into a full snapshot written *into the head epoch's directory*
 // (file-level atomic rename; CURRENT never moves), which the open path then
 // prefers over re-walking the chain — crash-safe because until the rename
@@ -37,14 +37,14 @@
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "store/delta_codec.hpp"
-#include "store/snapshot_codec.hpp"
+#include "store/epoch_codec.hpp"
 
 namespace vc::store {
 
@@ -61,7 +61,7 @@ class EpochStore {
   // rename), and when CURRENT already points at it the call is a true no-op
   // (counted in vc_store_noop_publishes_total).  A non-null `tier` persists
   // the materialized witness tier and fixed-base table alongside (the
-  // optional tier sections; see snapshot_codec.hpp).  Returns the epoch
+  // optional tier sections; see epoch_codec.hpp).  Returns the epoch
   // directory.
   std::filesystem::path publish(const IndexSnapshot& snap, std::uint32_t shard_count,
                                 const TierArtifacts* tier = nullptr);
@@ -85,9 +85,9 @@ class EpochStore {
   [[nodiscard]] std::vector<std::uint64_t> epochs() const;
 
   // Opens the epoch CURRENT points at / a specific epoch, fully validated
-  // (see open_snapshot: a damaged tier opens untiered), resolving a delta
-  // chain into an overlay snapshot when the epoch is a delta head.  Every
-  // layer of a chain must carry the head's param fingerprint
+  // (see open_snapshot: a damaged tier opens untiered), stacking its chain
+  // of records from the full one up.  Every layer of a chain must carry
+  // the head's param fingerprint
   // (StoreParamMismatchError).  Throws StoreCurrentError when the pointer
   // is missing or stale, StoreChainError when a chain cannot be resolved.
   [[nodiscard]] OpenedEpoch open_current() const;
@@ -127,8 +127,16 @@ class EpochStore {
  private:
   [[nodiscard]] std::string read_current_name() const;  // throws if missing/bad
   void advance_current(const std::string& dir_name);
-  // Opens `head`: its snapshot when it has one, else the overlay of its
-  // delta chain over the base snapshot the chain walks down to.
+  // Walks base links from `head` down to a full record, newest first.  At
+  // each epoch `visit` reads its file (the snapshot wins over the delta in
+  // a compacted directory) and returns the record's base epoch; 0 ends the
+  // walk.  Throws StoreChainError on a missing epoch, a base that does not
+  // descend, or more than kMaxChainLength layered records.
+  void walk_chain(std::uint64_t head,
+                  const std::function<std::uint64_t(std::uint64_t epoch,
+                                                    const std::filesystem::path& file)>&
+                      visit) const;
+  // Opens `head`: its chain of records, stacked.
   [[nodiscard]] OpenedEpoch resolve_chain(std::uint64_t head) const;
 
   std::filesystem::path root_;

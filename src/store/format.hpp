@@ -1,6 +1,7 @@
 // On-disk format of a persisted epoch (docs/PERSISTENCE.md).
 //
-// One file per epoch, `snapshot.vcs`, inside its per-epoch directory:
+// Every epoch file is one *record*, `snapshot.vcs` or `delta.vcd` inside its
+// per-epoch directory:
 //
 //   [ header          | kHeaderBytes, fixed-width little-endian ]
 //   [ section table   | section_count × kSectionEntryBytes      ]
@@ -14,21 +15,17 @@
 // match the config section, so a header transplanted from another store is
 // rejected before any payload is trusted.
 //
-// Format stability: readers reject any file whose magic or format_version
-// they do not know.  A snapshot is version 1: the base sections (1–6),
-// optionally followed by all three witness-tier sections (7–9) — a file
-// carries the whole tier or none of it.  Version 2 (an earlier tiered
-// layout) is not read; such stores must be rebuilt.
+// A record holds the terms its epoch changed over the record it layers on:
+// the meta section names that `base_epoch`.  A full record (`snapshot.vcs`,
+// base epoch 0) is the layer with no base: it holds every term as a full
+// blob, the dictionary, and optionally the three witness-tier sections (all
+// or none).  A layered record (`delta.vcd`) holds its touched terms as full
+// or patch blobs over the term's entry below it, the removed terms, and the
+// dictionary only when it changed.  Readers stack a chain of records from
+// the full one up.
 //
-// Format v3 is a *delta record* (`delta.vcd`): not a snapshot but a journal
-// entry of one committed mutation — the touched terms' re-signed entries,
-// the removed terms, the prime representatives the new postings introduced,
-// and the dictionary when it changed — chained to a predecessor epoch via
-// `base_epoch` in its meta section.  A delta file reuses the snapshot's
-// header, section-table and CRC machinery wholesale (sections 10–16) so the
-// same parse_layout validates it; it must never contain base-snapshot or
-// tier sections, and CURRENT may point at a delta whose chain resolves
-// through earlier deltas down to a full snapshot.
+// Format stability: readers reject any file whose magic or format_version
+// they do not know; there is one format version.
 #pragma once
 
 #include <array>
@@ -80,9 +77,10 @@ class StoreCurrentError : public StoreError {
       : StoreError("CURRENT pointer: " + what) {}
 };
 
-// A delta chain cannot be resolved to a full snapshot: a delta's base epoch
-// is missing from the store, the chain does not strictly descend, or it
-// exceeds the resolution length cap.
+// A chain of records cannot be stacked on a full record: a record's base
+// epoch is missing from the store, the chain does not strictly descend, it
+// exceeds the resolution length cap, or a layered record is opened on its
+// own.
 class StoreChainError : public StoreError {
  public:
   explicit StoreChainError(const std::string& what)
@@ -91,73 +89,53 @@ class StoreChainError : public StoreError {
 
 // --- layout constants --------------------------------------------------------
 
-// "VCEPOCH3": the config section has no Miller–Rabin round count and
-// interval-tree blobs carry no copy of the epoch config.  Stores written
-// under an earlier magic ("VCEPOCH1", "VCEPOCH2") fail the magic check and
-// must be rebuilt.
+// "VCEPOCH4": snapshots and deltas share one record layout.  Stores
+// written under an earlier magic ("VCEPOCH1" to "VCEPOCH3") fail the magic
+// check and must be rebuilt.
 inline constexpr std::array<std::uint8_t, 8> kMagic = {'V', 'C', 'E', 'P',
-                                                       'O', 'C', 'H', '3'};
-inline constexpr std::uint32_t kFormatVersion = 1;       // snapshot, tiered or not
-inline constexpr std::uint32_t kFormatVersionDelta = 3;  // delta record (journal entry)
+                                                       'O', 'C', 'H', '4'};
+inline constexpr std::uint32_t kFormatVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 96;
 inline constexpr std::size_t kSectionEntryBytes = 32;
 inline constexpr std::size_t kFingerprintOffset = 32;  // 32-byte SHA-256 digest
 
 // Section identifiers.  Order in the file follows this enumeration.
 enum class SectionId : std::uint32_t {
-  kConfig = 1,       // VerifiableIndexConfig, canonical encoding
-  kDictionary = 2,   // DictionaryIntervals + DictAttestation
-  kTermDirectory = 3,  // max_posting_count + per-term (name, offset, size)
-  kEntries = 4,      // concatenated per-term entry blobs (lazy-parsed)
-  kTuplePrimes = 5,  // sorted (u64 key, prime) arrays for binary search
-  kDocPrimes = 6,
-  // Optional witness tier (all three or none):
-  kWitnessTierDir = 7,  // total bytes + per-term (name, offset, size) into 8
-  kWitnessTables = 8,   // concatenated TermWitnessTable blobs (lazy-parsed)
-  kFixedBase = 9,       // public-side BGMW fixed-base table for g
-  // Format v3 only (delta records; kConfig rides along for the fingerprint):
-  kDeltaMeta = 10,           // base_epoch + max_posting_count + dict flag
-  kDeltaTermDirectory = 11,  // per touched term (name, offset, size) into 12
-  kDeltaEntries = 12,        // concatenated re-signed entry blobs (lazy-parsed)
-  kDeltaRemoved = 13,        // terms whose posting lists emptied out
-  kDeltaDictionary = 14,     // rebuilt dictionary + attestation (empty if unchanged)
-  kDeltaTuplePrimes = 15,    // representatives introduced by the new postings
-  kDeltaDocPrimes = 16,
+  kConfig = 1,         // VerifiableIndexConfig, canonical encoding
+  kMeta = 2,           // base_epoch + max_posting_count + dictionary flag
+  kDictionary = 3,     // DictionaryIntervals + DictAttestation (empty if unchanged)
+  kTermDirectory = 4,  // per term (name, offset, size) into kEntries
+  kEntries = 5,        // concatenated kind-prefixed entry blobs (lazy-parsed)
+  kRemoved = 6,        // terms whose posting lists emptied out
+  kTuplePrimes = 7,    // sorted (u64 key, prime) arrays for binary search
+  kDocPrimes = 8,
+  // Optional witness tier, full records only (all three or none):
+  kWitnessTierDir = 9,   // total bytes + per-term (name, offset, size) into 10
+  kWitnessTables = 10,   // concatenated TermWitnessTable blobs (lazy-parsed)
+  kFixedBase = 11,       // public-side BGMW fixed-base table for g
 };
 
 inline const char* section_name(SectionId id) {
   switch (id) {
     case SectionId::kConfig: return "config";
+    case SectionId::kMeta: return "meta";
     case SectionId::kDictionary: return "dictionary";
     case SectionId::kTermDirectory: return "term-directory";
     case SectionId::kEntries: return "entries";
+    case SectionId::kRemoved: return "removed";
     case SectionId::kTuplePrimes: return "tuple-primes";
     case SectionId::kDocPrimes: return "doc-primes";
     case SectionId::kWitnessTierDir: return "witness-tier-dir";
     case SectionId::kWitnessTables: return "witness-tables";
     case SectionId::kFixedBase: return "fixed-base";
-    case SectionId::kDeltaMeta: return "delta-meta";
-    case SectionId::kDeltaTermDirectory: return "delta-term-directory";
-    case SectionId::kDeltaEntries: return "delta-entries";
-    case SectionId::kDeltaRemoved: return "delta-removed";
-    case SectionId::kDeltaDictionary: return "delta-dictionary";
-    case SectionId::kDeltaTuplePrimes: return "delta-tuple-primes";
-    case SectionId::kDeltaDocPrimes: return "delta-doc-primes";
   }
   return "unknown";
 }
 
-// The witness-tier sections; a snapshot holds all of them or none.
+// The witness-tier sections; a full record holds all of them or none.
 inline bool is_tier_section(SectionId id) {
   return id == SectionId::kWitnessTierDir || id == SectionId::kWitnessTables ||
          id == SectionId::kFixedBase;
-}
-
-// The sections exclusive to format-v3 delta records; a snapshot file must
-// not contain any of them and a delta file must contain all of them.
-inline bool is_delta_section(SectionId id) {
-  return static_cast<std::uint32_t>(id) >= static_cast<std::uint32_t>(SectionId::kDeltaMeta) &&
-         static_cast<std::uint32_t>(id) <= static_cast<std::uint32_t>(SectionId::kDeltaDocPrimes);
 }
 
 }  // namespace vc::store

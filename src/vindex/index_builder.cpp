@@ -108,6 +108,7 @@ IndexBuilder IndexBuilder::build(InvertedIndex index, const AccumulatorContext& 
     }
   });
   for (std::size_t t = 0; t < built.size(); ++t) {
+    vidx.max_posting_count_ = std::max(vidx.max_posting_count_, lists[t]->size());
     vidx.entries_.emplace(*term_names[t],
                           std::make_shared<const IndexEntry>(std::move(built[t])));
   }
@@ -183,9 +184,7 @@ std::optional<IndexDelta> IndexBuilder::publish_delta() {
     d.dict = dict_;
     d.dict_attestation = dict_attestation_;
   }
-  for (const auto& [term, e] : entries_) {
-    d.max_posting_count = std::max(d.max_posting_count, e->postings.size());
-  }
+  d.max_posting_count = max_posting_count_;
 
   // Representatives only for postings new since the last publish.  Older
   // postings already had their primes referenced by the base epoch (docIDs
@@ -244,6 +243,7 @@ IndexBuilder IndexBuilder::from_snapshot(const SnapshotPtr& snap) {
       std::shared_ptr<const DictAttestation>(snap, &snap->dict_attestation());
   vidx.tuple_primes_ = std::shared_ptr<PrimeCache>(snap, &snap->tuple_primes());
   vidx.doc_primes_ = std::shared_ptr<PrimeCache>(snap, &snap->doc_primes());
+  vidx.max_posting_count_ = snap->max_posting_count();
   vidx.note_full_publish();
   return vidx;
 }
@@ -315,6 +315,7 @@ UpdateTimings IndexBuilder::add_documents(const std::vector<Document>& docs,
     note_delta_base(term);
     dirty_terms_.insert(term);
     removed_terms_.erase(term);  // a re-appearing term is an upsert again
+    max_posting_count_ = std::max(max_posting_count_, index_.find(term)->size());
     auto it = entries_.find(term);
     if (it == entries_.end()) {
       // Brand-new term: build its entry from scratch (small list).
@@ -398,11 +399,13 @@ UpdateTimings IndexBuilder::remove_documents(std::span<const std::uint64_t> doc_
   auto removed = index_.remove_documents(sorted_ids);
   t.touched_terms = removed.size();
   bool terms_vanished = false;
+  bool max_shrank = false;  // a term holding the longest list lost postings
 
   for (auto& [term, gone] : removed) {
     auto it = entries_.find(term);
     if (it == entries_.end()) continue;  // defensive; should not happen
     note_delta_base(term);
+    max_shrank = max_shrank || it->second->postings.size() == max_posting_count_;
     t.added_postings += gone.size();  // postings *changed* by this update
 
     if (index_.find(term) == nullptr) {
@@ -463,6 +466,12 @@ UpdateTimings IndexBuilder::remove_documents(std::span<const std::uint64_t> doc_
     it->second = std::move(clone);
   }
 
+  if (max_shrank) {
+    max_posting_count_ = 0;
+    for (const auto& [term, e] : entries_) {
+      max_posting_count_ = std::max(max_posting_count_, e->postings.size());
+    }
+  }
   if (rebuild_dict && terms_vanished) {
     t.dictionary_seconds = rebuild_dictionary(owner_ctx, owner_key);
   }

@@ -64,15 +64,16 @@ struct UpdateTimings {
 };
 
 // One publish's worth of committed changes, ready for the epoch store's
-// format-v3 delta record (store/delta_codec.hpp): the touched terms'
-// re-signed entries (accumulators already advanced via Eq 5/6), the terms
-// whose posting lists emptied out, the rebuilt dictionary when it changed,
-// and the prime representatives the touched postings reference — everything
-// a reader needs to overlay this epoch on top of `base_epoch` without the
-// O(index) payload of a full snapshot.
+// record format (store/epoch_codec.hpp): the touched terms' re-signed
+// entries (accumulators already advanced via Eq 5/6), the terms whose
+// posting lists emptied out, the rebuilt dictionary when it changed, and
+// the prime representatives the touched postings reference — everything a
+// reader needs to overlay this epoch on top of `base_epoch` without the
+// O(index) payload of a full snapshot.  The store writes a snapshot as the
+// same record with no base (base_epoch 0, every term touched).
 struct IndexDelta {
   std::uint64_t epoch = 0;       // the epoch this delta commits
-  std::uint64_t base_epoch = 0;  // the chain predecessor it applies to
+  std::uint64_t base_epoch = 0;  // the chain predecessor it applies to; 0: none
   VerifiableIndexConfig config;
   std::map<std::string, std::shared_ptr<const IndexEntry>, std::less<>> touched;
   // The entries at `base_epoch` of the touched terms it already held.  The
@@ -213,6 +214,9 @@ class IndexBuilder {
   std::shared_ptr<PrimeCache> tuple_primes_;  // stable identity across moves
   std::shared_ptr<PrimeCache> doc_primes_;
   std::uint64_t epoch_ = 0;
+  // Longest posting list, kept exact across mutations so publish_delta()
+  // need not scan every entry.
+  std::size_t max_posting_count_ = 0;
   mutable SnapshotPtr cached_snapshot_;
 
   // Delta-publication dirty tracking (see publish_delta).  A term is in at

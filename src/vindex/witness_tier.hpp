@@ -13,8 +13,8 @@
 // byte-identical to computed ones; the tier is purely a latency structure
 // and misses fall back to the compute path.
 //
-// Tiers ride inside the epoch store (store/snapshot_codec.hpp, snapshot
-// sections 7–9) as checksummed mmap'd sections and re-attach lazily on cold
+// Tiers ride inside the epoch store (store/epoch_codec.hpp, a full
+// record's optional tier sections) as checksummed mmap'd sections and re-attach lazily on cold
 // restart; hotness comes from an explicit term list, else document
 // frequency, greedily packed under a byte budget.
 #pragma once

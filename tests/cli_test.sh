@@ -207,12 +207,12 @@ grep -q 'vc_snapshot_swaps_total' "$WORK/metrics2.txt"
 kill $SERVE_PID
 wait $SERVE_PID 2>/dev/null || true
 
-# A store in the previous on-disk format (magic VCEPOCH2: the config
-# section and every interval-tree blob still carried a Miller–Rabin round
-# count) is refused with the typed store error: serve exits non-zero
-# without serving, and inspect --store reports the error.
+# A store in the previous on-disk format (magic VCEPOCH3: snapshots and
+# deltas were two codecs with their own section ids) is refused with the
+# typed store error: serve exits non-zero without serving, and inspect
+# --store reports the error.
 for f in $(find "$WORK/store" -name 'snapshot.vcs' -o -name 'delta.vcd'); do
-  printf '2' | dd of="$f" bs=1 seek=7 conv=notrunc 2>/dev/null
+  printf '3' | dd of="$f" bs=1 seek=7 conv=notrunc 2>/dev/null
 done
 set +e
 timeout 60 "$BUILD/tools/vcsearch-serve" --dir "$WORK" --port 0 $SERVE_FLAGS \
@@ -221,13 +221,13 @@ RC=$?
 "$BUILD/tools/vcsearch-inspect" --store "$WORK/store" > "$WORK/inspect3.log" 2>&1
 IRC=$?
 set -e
-test "$RC" -ne 0 || { echo "serve accepted a VCEPOCH2 store"; cat "$WORK/serve3.log"; exit 1; }
+test "$RC" -ne 0 || { echo "serve accepted a VCEPOCH3 store"; cat "$WORK/serve3.log"; exit 1; }
 if grep -q "serving" "$WORK/serve3.log"; then
-  echo "serve came up on a VCEPOCH2 store"; cat "$WORK/serve3.log"; exit 1
+  echo "serve came up on a VCEPOCH3 store"; cat "$WORK/serve3.log"; exit 1
 fi
 grep -q "corrupt epoch: bad magic" "$WORK/serve3.log" || {
   echo "serve did not report the store error"; cat "$WORK/serve3.log"; exit 1; }
-test "$IRC" -ne 0 || { echo "inspect accepted a VCEPOCH2 store"; cat "$WORK/inspect3.log"; exit 1; }
+test "$IRC" -ne 0 || { echo "inspect accepted a VCEPOCH3 store"; cat "$WORK/inspect3.log"; exit 1; }
 grep -q "corrupt epoch: bad magic" "$WORK/inspect3.log" || {
   echo "inspect did not report the store error"; cat "$WORK/inspect3.log"; exit 1; }
 echo "cli_test OK"

@@ -17,7 +17,6 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
-#include "store/delta_codec.hpp"
 #include "store/epoch_store.hpp"
 #include "store/mapped_file.hpp"
 #include "test_fixtures.hpp"
@@ -191,7 +190,7 @@ TEST_F(DeltaStoreTest, DeltaChainProofsAreByteIdentical) {
 
 // A touched term the base epoch already held ships as a patch over its
 // base entry: the blob undercuts the term's full interval encoding, a lone
-// delta record cannot serve it (typed StoreChainError), and the chain
+// layered record cannot be served (typed StoreChainError), and the chain
 // rebuilds the builder's entry exactly.
 TEST_F(DeltaStoreTest, TouchedTermsShipAsPatchesOverTheirBase) {
   fs::path root = fresh_root("patch");
@@ -205,19 +204,17 @@ TEST_F(DeltaStoreTest, TouchedTermsShipAsPatchesOverTheirBase) {
   ASSERT_TRUE(delta->bases.contains(hot));
   const fs::path dir = store.publish_delta(*delta, /*shard_count=*/2);
 
-  store::OpenedDelta opened = store::open_delta(
-      std::make_shared<const store::MappedFile>(dir / store::EpochStore::kDeltaFile));
-  auto it = std::lower_bound(opened.touched_terms.begin(), opened.touched_terms.end(), hot);
-  ASSERT_TRUE(it != opened.touched_terms.end() && *it == hot);
-  const auto rank = static_cast<std::size_t>(it - opened.touched_terms.begin());
+  EXPECT_THROW((void)store::open_snapshot(std::make_shared<const store::MappedFile>(
+                   dir / store::EpochStore::kDeltaFile)),
+               store::StoreChainError);
+
+  store::OpenedEpoch chain = store.open_current();
   const IndexEntry& want = *bed_->vidx.find(hot);
   ByteWriter intervals;
   want.tuple_intervals.write(intervals);
   want.doc_intervals.write(intervals);
-  EXPECT_LT(opened.source->stored_bytes(rank), intervals.size());
-  EXPECT_THROW((void)opened.source->load(rank, hot), store::StoreChainError);
-
-  store::OpenedEpoch chain = store.open_current();
+  // warm() materializes the term and reports its stored blob: the patch.
+  EXPECT_LT(chain.snapshot->warm(hot), intervals.size());
   const IndexEntry* got = chain.snapshot->find(hot);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->postings, want.postings);

@@ -488,24 +488,6 @@ TEST_F(BatchWitnessTest, BatchedEdgeCases) {
   EXPECT_EQ(batch[0], membership_witness(pub_, {}));
 }
 
-TEST_F(BatchWitnessTest, GroupWitnessesMatchPerGroup) {
-  auto xs = reps(12);
-  std::vector<std::size_t> sizes = {5, 0, 3, 1, 3};  // includes an empty group
-  for (const AccumulatorContext* ctx : {&owner_, &pub_}) {
-    auto batch = batch_group_witnesses(*ctx, xs, sizes);
-    ASSERT_EQ(batch.size(), sizes.size());
-    std::size_t lo = 0;
-    for (std::size_t k = 0; k < sizes.size(); ++k) {
-      std::vector<Bigint> rest(xs.begin(), xs.begin() + lo);
-      rest.insert(rest.end(), xs.begin() + lo + sizes[k], xs.end());
-      EXPECT_EQ(batch[k], membership_witness(*ctx, rest)) << "group " << k;
-      lo += sizes[k];
-    }
-  }
-  std::vector<std::size_t> bad = {5, 5};
-  EXPECT_THROW(batch_group_witnesses(pub_, xs, bad), UsageError);
-}
-
 TEST_F(BatchWitnessTest, PooledBatchMatchesSerial) {
   auto xs = reps(40);
   auto serial = batch_membership_witnesses(pub_, xs);

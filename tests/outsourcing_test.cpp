@@ -9,7 +9,7 @@
 #include <fstream>
 #include <string>
 
-#include "store/delta_codec.hpp"
+#include "store/epoch_codec.hpp"
 #include "store/epoch_store.hpp"
 #include "support/errors.hpp"
 #include "test_fixtures.hpp"
@@ -158,7 +158,7 @@ TEST_F(OutsourcingTest, ReopenedBuilderPublishesByteIdenticalDelta) {
     ASSERT_TRUE(want.has_value());
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->base_epoch, want->base_epoch);
-    EXPECT_EQ(store::encode_delta(*got, 1), store::encode_delta(*want, 1));
+    EXPECT_EQ(store::encode_epoch(*got, 1), store::encode_epoch(*want, 1));
   }
 }
 

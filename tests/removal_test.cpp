@@ -147,6 +147,51 @@ TEST_F(RemovalTest, AddThenRemoveRestoresAccumulators) {
   EXPECT_NO_THROW(vidx_->validate(owner_key_.verify_key()));
 }
 
+// publish_delta()'s max posting count is a running maximum kept by the
+// mutations, not a scan: it must equal a full scan after additions, after
+// removals from the longest list, and after a term vanishes.
+TEST_F(RemovalTest, DeltaMaxPostingCountMatchesFullScan) {
+  auto scan = [&] {
+    std::size_t m = 0;
+    for (const auto& [term, list] : vidx_->index().terms()) m = std::max(m, list.size());
+    return m;
+  };
+  auto delta_max = [&] {
+    auto d = vidx_->publish_delta();
+    EXPECT_TRUE(d.has_value());
+    return d.has_value() ? d->max_posting_count : std::size_t{0};
+  };
+  vidx_->note_full_publish();
+
+  const std::string hot = synth_word(spec_, 0) + " " + synth_word(spec_, 1);
+  std::vector<Document> docs = {Document{41, "a", hot}, Document{42, "b", hot}};
+  vidx_->add_documents(docs, owner_ctx_, owner_key_);
+  EXPECT_EQ(delta_max(), scan());
+
+  // Twice: every other document of the current longest list (keeping doc
+  // 40, the unique term's, for the vanishing case below).
+  for (int round = 0; round < 2; ++round) {
+    const PostingList* longest = nullptr;
+    for (const auto& [term, list] : vidx_->index().terms()) {
+      if (longest == nullptr || list.size() > longest->size()) longest = &list;
+    }
+    ASSERT_NE(longest, nullptr);
+    U64Set ids;
+    for (std::size_t i = 0; i < longest->size(); i += 2) {
+      if ((*longest)[i].doc_id != 40) ids.push_back((*longest)[i].doc_id);
+    }
+    vidx_->remove_documents(ids, owner_ctx_, owner_key_);
+    EXPECT_EQ(delta_max(), scan()) << "round " << round;
+  }
+
+  ASSERT_NE(vidx_->find("onlyhereterm"), nullptr);
+  U64Set unique = {40};
+  vidx_->remove_documents(unique, owner_ctx_, owner_key_);
+  ASSERT_EQ(vidx_->find("onlyhereterm"), nullptr);
+  EXPECT_EQ(delta_max(), scan());
+  EXPECT_EQ(vidx_->snapshot()->max_posting_count(), scan());
+}
+
 TEST_F(RemovalTest, RemovalRequiresTrapdoorAndIgnoresUnknownIds) {
   U64Set ids = {0};
   EXPECT_THROW(vidx_->remove_documents(ids, pub_ctx_, owner_key_), UsageError);

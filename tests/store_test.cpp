@@ -14,7 +14,6 @@
 #include <limits>
 
 #include "store/crc32.hpp"
-#include "store/delta_codec.hpp"
 #include "store/epoch_store.hpp"
 #include "test_fixtures.hpp"
 #include "text/stemmer.hpp"
@@ -103,11 +102,19 @@ Bytes replace_section(const Bytes& file, store::SectionId id, const Bytes& paylo
   return out;
 }
 
-// A term directory of one entry: the snapshot header's max posting count,
-// then (name, offset, size).
+// A full record's meta section: base epoch 0, the max posting count, and
+// the flag that the record carries its dictionary.
+Bytes full_meta(std::uint64_t max_posting_count) {
+  ByteWriter w;
+  w.u64(0);
+  w.u64(max_posting_count);
+  w.u8(1);
+  return std::move(w).take();
+}
+
+// A term directory of one entry: (name, offset, size).
 Bytes one_term_directory(std::uint64_t offset, std::uint64_t size) {
   ByteWriter w;
-  w.u64(1);
   w.varint(1);
   w.str("a");
   w.varint(offset);
@@ -295,14 +302,13 @@ TEST_F(StoreTest, BadMagicIsCorrupt) {
   EXPECT_THROW(open_file(p), store::StoreCorruptError);
 }
 
-// A store written before the config section and the interval-tree blobs
-// lost their Miller–Rabin round counts carries the previous magic; it is
-// refused at open, never misparsed.
+// A store written before snapshots and deltas shared one record layout
+// carries the previous magic; it is refused at open, never misparsed.
 TEST_F(StoreTest, PreviousFormatMagicIsCorrupt) {
-  fs::path p = scratch_copy("vcepoch2");
+  fs::path p = scratch_copy("vcepoch3");
   Bytes raw = read_file(p);
-  ASSERT_EQ(raw[7], '3');
-  raw[7] = '2';
+  ASSERT_EQ(raw[7], '4');
+  raw[7] = '3';
   write_file(p, raw);
   EXPECT_THROW(open_file(p), store::StoreCorruptError);
 }
@@ -332,8 +338,11 @@ TEST_F(StoreTest, InspectReportsLayoutAndCrcVerdicts) {
   EXPECT_EQ(info.epoch, (*mem_snap_)->epoch());
   EXPECT_EQ(info.file_bytes, file.size());
   EXPECT_EQ(info.param_fingerprint, store::param_fingerprint(bed_->config));
-  ASSERT_EQ(info.sections.size(), 6u);
+  ASSERT_EQ(info.sections.size(), 8u);
   for (const auto& s : info.sections) EXPECT_TRUE(s.crc_ok) << store::section_name(s.id);
+  EXPECT_EQ(info.base_epoch, 0u);  // a full record
+  EXPECT_EQ(info.terms, (*mem_snap_)->term_count());
+  EXPECT_EQ(info.removed_terms, 0u);
 
   // inspect_file flags payload damage instead of throwing.
   fs::path p = scratch_copy("inspect");
@@ -384,18 +393,19 @@ TEST_F(StoreTest, CraftedHugeCountsAreTypedErrors) {
   fs::path p = *root_ / "crafted-count.vcs";
   for (std::uint64_t huge : {std::uint64_t{1} << 62, std::uint64_t{1} << 28}) {
     ByteWriter dir;
-    dir.u64(1);
     dir.varint(huge);
     dir.raw(Bytes(4, 0));
     write_file(p, replace_section(raw, store::SectionId::kTermDirectory, dir.data()));
     EXPECT_THROW(open_file(p), ParseError) << huge;
 
     ByteWriter entry;
+    entry.u8(0);         // a full blob
     entry.varint(huge);  // posting count
     entry.raw(Bytes(4, 0));
     Bytes forged = replace_section(raw, store::SectionId::kEntries, entry.data());
     forged = replace_section(forged, store::SectionId::kTermDirectory,
                              one_term_directory(0, entry.size()));
+    forged = replace_section(forged, store::SectionId::kMeta, full_meta(1));
     write_file(p, forged);
     store::OpenedEpoch opened = open_file(p);
     EXPECT_THROW((void)opened.snapshot->find("a"), ParseError) << huge;
@@ -435,17 +445,8 @@ TEST_F(StoreTest, CraftedConfigAndMaxPostingsAreTypedErrors) {
     EXPECT_THROW(open_file(p), store::StoreCorruptError) << "forgery " << i;
   }
 
-  // A snapshot's max posting count above its entries bytes / 8.
-  Bytes dir;
-  for (const store::SectionInfo& sec :
-       store::inspect_file(store::MappedFile(current_file())).sections) {
-    if (sec.id == store::SectionId::kTermDirectory) {
-      dir = Bytes(raw.begin() + static_cast<std::ptrdiff_t>(sec.offset),
-                  raw.begin() + static_cast<std::ptrdiff_t>(sec.offset + sec.size));
-    }
-  }
-  store_le(dir, 0, std::uint64_t{1} << 40, 8);
-  write_file(p, replace_section(raw, store::SectionId::kTermDirectory, dir));
+  // A full record's max posting count above its entries bytes / 8.
+  write_file(p, replace_section(raw, store::SectionId::kMeta, full_meta(std::uint64_t{1} << 40)));
   EXPECT_THROW(open_file(p), store::StoreCorruptError);
 
   // A delta's max posting count is bounded by the whole chain's entries: an
@@ -497,11 +498,25 @@ TEST_F(StoreTest, CraftedBloomParamsInSnapshotEntryAreTypedErrors) {
                        std::shared_ptr<PrimeCache>(snap, &snap->tuple_primes()),
                        std::shared_ptr<PrimeCache>(snap, &snap->doc_primes()));
   fs::path p = *root_ / "crafted-bloom.vcs";
-  write_file(p, store::encode_snapshot(forged, 1));
+  write_file(p, store::encode_epoch(forged, 1));
   store::OpenedEpoch opened = open_file(p);
   EXPECT_THROW((void)opened.snapshot->find(term), store::StoreParamMismatchError);
   const std::string& other = std::next(snap->entries().begin())->first;
   EXPECT_NE(opened.snapshot->find(other), nullptr);
+}
+
+// A store holding the published epoch as its full record and `delta` as
+// the layered record over it.  `bytes` (when given) replace the layered
+// record's file, which only the store can open: it stacks over its base.
+store::OpenedEpoch open_layered(const fs::path& root, const SnapshotPtr& base,
+                                const IndexDelta& delta, const Bytes* bytes = nullptr) {
+  store::EpochStore chain(root);
+  if (!chain.has_current()) {
+    chain.publish(*base, 1);
+    chain.publish_delta(delta, 1);
+  }
+  if (bytes != nullptr) write_file(chain.delta_file(delta.epoch), *bytes);
+  return chain.open_current();
 }
 
 TEST_F(StoreTest, CraftedBloomParamsInDeltaEntryAreTypedErrors) {
@@ -514,14 +529,15 @@ TEST_F(StoreTest, CraftedBloomParamsInDeltaEntryAreTypedErrors) {
   delta.touched.emplace(term, std::make_shared<const IndexEntry>(with_bloom_counters(
                                   *snap->find(term), snap->config().bloom.counters - 1)));
   delta.max_posting_count = snap->max_posting_count();
-  fs::path p = *root_ / "crafted-bloom.vcd";
-  write_file(p, store::encode_delta(delta, 1));
-  store::OpenedDelta opened = store::open_delta(std::make_shared<const store::MappedFile>(p));
-  EXPECT_THROW((void)opened.source->load(0, term), store::StoreParamMismatchError);
+  const fs::path root = *root_ / "crafted-bloom-chain";
+  fs::remove_all(root);
+  store::OpenedEpoch opened = open_layered(root, snap, delta);
+  EXPECT_THROW((void)opened.snapshot->find(term), store::StoreParamMismatchError);
+  fs::remove_all(root);
 }
 
-// The delta record's touched-term directory and removed-term list get the
-// same treatment.
+// A layered record's term directory and removed-term list get the same
+// treatment.
 TEST_F(StoreTest, CraftedDeltaDirectoriesAreTypedErrors) {
   const SnapshotPtr& snap = *mem_snap_;
   const std::string& term = snap->entries().begin()->first;
@@ -532,38 +548,28 @@ TEST_F(StoreTest, CraftedDeltaDirectoriesAreTypedErrors) {
   delta.touched.emplace(term, std::shared_ptr<const IndexEntry>(snap, snap->find(term)));
   delta.removed = {"zzzgone"};
   delta.max_posting_count = snap->max_posting_count();
-  const Bytes raw = store::encode_delta(delta, 1);
-  fs::path p = *root_ / "crafted.vcd";
-  auto open = [&](const Bytes& bytes) {
-    write_file(p, bytes);
-    return store::open_delta(std::make_shared<const store::MappedFile>(p));
-  };
+  const Bytes raw = store::encode_epoch(delta, 1);
+  const fs::path root = *root_ / "crafted-chain-dirs";
+  fs::remove_all(root);
+  auto open = [&](const Bytes& bytes) { return open_layered(root, snap, delta, &bytes); };
   ASSERT_NO_THROW(open(raw));
 
-  auto touched_dir = [](std::uint64_t offset, std::uint64_t size) {
-    ByteWriter w;
-    w.varint(1);
-    w.str("a");
-    w.varint(offset);
-    w.varint(size);
-    return std::move(w).take();
-  };
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  EXPECT_THROW(open(replace_section(raw, store::SectionId::kDeltaTermDirectory,
-                                    touched_dir(kMax, 2))),
+  EXPECT_THROW(open(replace_section(raw, store::SectionId::kTermDirectory,
+                                    one_term_directory(kMax, 2))),
                store::StoreCorruptError);
   for (std::uint64_t huge : {std::uint64_t{1} << 62, std::uint64_t{1} << 28}) {
     ByteWriter count;
     count.varint(huge);
     count.raw(Bytes(4, 0));
-    EXPECT_THROW(open(replace_section(raw, store::SectionId::kDeltaTermDirectory,
-                                      count.data())),
+    EXPECT_THROW(open(replace_section(raw, store::SectionId::kTermDirectory, count.data())),
                  ParseError)
         << huge;
-    EXPECT_THROW(open(replace_section(raw, store::SectionId::kDeltaRemoved, count.data())),
+    EXPECT_THROW(open(replace_section(raw, store::SectionId::kRemoved, count.data())),
                  ParseError)
         << huge;
   }
+  fs::remove_all(root);
 }
 
 }  // namespace

@@ -420,15 +420,16 @@ TEST_F(TieredStoreTest, LazyTierMaterializesWithoutRecompute) {
 TEST_F(TieredStoreTest, InspectReportsTierSections) {
   store::MappedFile file(published_file());
   store::StoreFileInfo info = store::inspect_file(file);
-  // The six base sections, then all three tier sections, in file order.
+  // The eight record sections, then all three tier sections, in file order.
   std::vector<store::SectionId> ids;
   for (const auto& s : info.sections) {
     EXPECT_TRUE(s.crc_ok) << store::section_name(s.id);
     ids.push_back(s.id);
   }
   const std::vector<store::SectionId> want = {
-      store::SectionId::kConfig,         store::SectionId::kDictionary,
-      store::SectionId::kTermDirectory,  store::SectionId::kEntries,
+      store::SectionId::kConfig,         store::SectionId::kMeta,
+      store::SectionId::kDictionary,     store::SectionId::kTermDirectory,
+      store::SectionId::kEntries,        store::SectionId::kRemoved,
       store::SectionId::kTuplePrimes,    store::SectionId::kDocPrimes,
       store::SectionId::kWitnessTierDir, store::SectionId::kWitnessTables,
       store::SectionId::kFixedBase};
@@ -444,14 +445,14 @@ TEST_F(TieredStoreTest, UntieredPublishStaysFormatV1) {
   store.publish(**snap_, 1);  // no tier artifacts
   store::MappedFile file(store.epoch_file(store.current_epoch().value()));
   store::StoreFileInfo info = store::inspect_file(file);
-  ASSERT_EQ(info.sections.size(), 6u);
+  ASSERT_EQ(info.sections.size(), 8u);
   for (const auto& s : info.sections) {
     EXPECT_FALSE(store::is_tier_section(s.id)) << store::section_name(s.id);
   }
   // A null tier inside artifacts writes the same untiered file.
   store::TierArtifacts empty{nullptr, built_->fixed_base};
-  Bytes with_null = store::encode_snapshot(**snap_, 1, &empty);
-  Bytes without = store::encode_snapshot(**snap_, 1, nullptr);
+  Bytes with_null = store::encode_epoch(**snap_, 1, &empty);
+  Bytes without = store::encode_epoch(**snap_, 1, nullptr);
   EXPECT_EQ(with_null, without);
   fs::remove_all(root);
 }
@@ -491,7 +492,7 @@ TEST_F(TieredStoreTest, PartialTierSectionsAreCorrupt) {
     kept.emplace_back(bytes.begin(), bytes.end());
     payloads.push_back({s.id, &kept.back()});
   }
-  ASSERT_EQ(payloads.size(), 8u);
+  ASSERT_EQ(payloads.size(), 10u);
   Bytes forged = store::detail::encode_sections(store::kFormatVersion, info.epoch,
                                                 info.shard_count, info.param_fingerprint,
                                                 payloads);

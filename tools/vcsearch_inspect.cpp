@@ -37,8 +37,8 @@ bool has_flag(int argc, char** argv, const char* name) {
   return false;
 }
 // Dumps the store root, the CURRENT delta chain, then the header + section
-// table of one epoch file (--epoch N, defaulting to CURRENT; delta records
-// are dumped like snapshots).  Exits non-zero when any chain record or the
+// table of one epoch file (--epoch N, defaulting to CURRENT; snapshots and
+// deltas are the same record format).  Exits non-zero when any chain record or the
 // chosen epoch fails structural validation so scripts can gate on it.
 int inspect_store(const char* store_dir, int argc, char** argv) {
   store::EpochStore store(store_dir);
@@ -78,9 +78,9 @@ int inspect_store(const char* store_dir, int argc, char** argv) {
           std::printf("    epoch %-8llu delta     base=%-8llu touched=%-6llu "
                       "removed=%-4llu crc=%s\n",
                       static_cast<unsigned long long>(link.epoch),
-                      static_cast<unsigned long long>(info.delta_base_epoch),
-                      static_cast<unsigned long long>(info.delta_touched_terms),
-                      static_cast<unsigned long long>(info.delta_removed_terms),
+                      static_cast<unsigned long long>(info.base_epoch),
+                      static_cast<unsigned long long>(info.terms),
+                      static_cast<unsigned long long>(info.removed_terms),
                       crc_ok ? "OK" : "BAD");
         } else {
           std::printf("    epoch %-8llu snapshot  %-38s crc=%s\n",
@@ -117,14 +117,13 @@ int inspect_store(const char* store_dir, int argc, char** argv) {
                 static_cast<unsigned long long>(s.size), s.crc, s.crc_ok ? "OK" : "BAD");
     all_ok = all_ok && s.crc_ok;
   }
-  if (info.format_version == store::kFormatVersionDelta) {
-    std::printf("    delta          base epoch %llu, %llu touched, %llu removed\n",
-                static_cast<unsigned long long>(info.delta_base_epoch),
-                static_cast<unsigned long long>(info.delta_touched_terms),
-                static_cast<unsigned long long>(info.delta_removed_terms));
-  } else if (std::any_of(info.sections.begin(), info.sections.end(), [](const auto& s) {
-               return store::is_tier_section(s.id);
-             })) {
+  std::printf("    record         base epoch %llu, %llu touched, %llu removed\n",
+              static_cast<unsigned long long>(info.base_epoch),
+              static_cast<unsigned long long>(info.terms),
+              static_cast<unsigned long long>(info.removed_terms));
+  if (std::any_of(info.sections.begin(), info.sections.end(), [](const auto& s) {
+        return store::is_tier_section(s.id);
+      })) {
     std::printf("    witness tier   %llu terms, %llu table bytes\n",
                 static_cast<unsigned long long>(info.tier_terms),
                 static_cast<unsigned long long>(info.tier_table_bytes));
