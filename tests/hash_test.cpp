@@ -57,6 +57,27 @@ TEST(Sha256, ExactBlockBoundaries) {
   }
 }
 
+// Digests at the padding and block boundaries, pinned from Python's
+// hashlib.  The bytes vary within each 32-bit word, so a message word loaded
+// in the wrong byte order cannot go unnoticed.
+TEST(Sha256, PinnedBoundaryDigests) {
+  const std::pair<std::size_t, const char*> pins[] = {
+      {55, "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b"},
+      {56, "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63"},
+      {63, "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076"},
+      {64, "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd"},
+      {65, "788367c73c7ddf4c53f65e68cc0d943e6227ab55b0e78ba63ace822b1c6301c0"},
+      {119, "3d610547d68216dedf7435a4fb6260353911f6b3fd3f18805ddb8be285d726fe"},
+      {120, "1f80156a804cb7862ad113e8200e9d74499723e7c7854d5f48776d3148e09656"},
+      {128, "cc548ca2dec1f6fe4f58b2e27aa9c7521607df1130d140b55a4dad0665302356"},
+  };
+  for (const auto& [len, hex] : pins) {
+    Bytes msg(len);
+    for (std::size_t i = 0; i < len; ++i) msg[i] = static_cast<std::uint8_t>(i * 31 + 7);
+    EXPECT_EQ(digest_hex(Sha256::hash(msg)), hex) << len;
+  }
+}
+
 TEST(Hmac, Rfc4231Case1) {
   Bytes key(20, 0x0b);
   std::string data = "Hi There";

@@ -100,6 +100,39 @@ TEST(PrimeRep, PinnedRepresentatives) {
             "ac03a3e79d685953b4d20aa053bd91ff");
 }
 
+// Byte-string elements whose lengths straddle the HMAC block boundaries:
+// with the 4-byte counter, 51 and 52 bytes sit either side of the last
+// length that pads within one block, 59/60 either side of a full block, and
+// 64 fills one on its own.  147 bytes is a 1024-bit middle-layer descriptor.
+TEST(PrimeRep, PinnedByteStringRepresentatives) {
+  auto hex = [](const Bigint& p) { return to_hex(p.to_bytes()); };
+  const PrimeRepConfig tuples{.rep_bits = 128, .domain = "vc.tuples"};
+  const PrimeRepGenerator mid = IntervalIndex::middle_generator(tuples);
+  const std::pair<std::size_t, const char*> pins[] = {
+      {0, "d48982e9fc1e258a97e45db5ef99b4c7"},
+      {51, "eae831fa673a42a961a4dd29356bdd45"},
+      {52, "d68c07b72df635d1ccb587e45cbfa113"},
+      {59, "b1ce42037c65f8fccd5c5247a90ec7b1"},
+      {60, "a954d406a635125b218684a63baf6603"},
+      {64, "99f65d896c633de7527dbb9085e93ef7"},
+  };
+  for (const auto& [len, rep] : pins) {
+    Bytes element(len);
+    for (std::size_t i = 0; i < len; ++i) element[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    EXPECT_EQ(hex(mid.representative(element)), rep) << len;
+  }
+
+  PrimeCache tuple_primes(tuples);
+  const std::vector<std::uint64_t> elems = {5, 17, 900, 1ULL << 33, 1ULL << 50};
+  const AccumulatorContext ctx = AccumulatorContext::owner(standard_accumulator_modulus(1024),
+                                                           standard_qr_generator(1024));
+  IntervalIndex idx =
+      IntervalIndex::build(ctx, elems, tuple_primes, IntervalConfig{.interval_size = 3});
+  const Bytes desc = idx.descriptor(0).encode();
+  ASSERT_EQ(desc.size(), 147u);
+  EXPECT_EQ(hex(mid.representative(desc)), "df6b066eeaea998014a2fa46aa98c827");
+}
+
 TEST(PrimeCache, ComputesAndCaches) {
   PrimeCache cache(small_config());
   Bigint p1 = cache.get(42);
