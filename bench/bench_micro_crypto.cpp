@@ -10,6 +10,7 @@
 #include "crypto/signature.hpp"
 #include "crypto/standard_params.hpp"
 #include "hash/sha256.hpp"
+#include "interval/interval_index.hpp"
 #include "primes/prime_rep.hpp"
 #include "support/rng.hpp"
 
@@ -26,6 +27,27 @@ void BM_Sha256_1KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1KiB);
 
+// One 64-byte block through the block function Sha256 picked at start-up
+// (SHA-NI where the CPU has it); Arg 1 forces the portable one.
+void BM_Sha256Block(benchmark::State& state) {
+  DeterministicRng rng(6);
+  const Bytes block = rng.bytes(64);
+  std::uint32_t chain[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  const bool hardware = state.range(0) == 0 && detail::sha256_has_sha_ni();
+  for (auto _ : state) {
+    if (hardware) {
+      detail::sha256_blocks_sha_ni(chain, block.data(), 1);
+    } else {
+      detail::sha256_blocks_portable(chain, block.data(), 1);
+    }
+    benchmark::DoNotOptimize(chain);
+  }
+  state.SetLabel(hardware ? "sha-ni" : "portable");
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+BENCHMARK(BM_Sha256Block)->Arg(0)->Arg(1);  // 0=chosen at start-up, 1=portable
+
 void BM_PrimeRepresentative(benchmark::State& state) {
   PrimeRepGenerator gen(PrimeRepConfig{
       .rep_bits = static_cast<std::size_t>(state.range(0)), .domain = "bm"});
@@ -35,6 +57,24 @@ void BM_PrimeRepresentative(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrimeRepresentative)->Arg(64)->Arg(128)->Arg(256);
+
+// The verifier's middle-layer derivation: a 147-byte 1024-bit interval
+// descriptor mapped to a 128-bit representative.  The range bounds change
+// every iteration, so each one searches a fresh candidate stream.
+void BM_PrimeRepresentativeDescriptor(benchmark::State& state) {
+  const PrimeRepGenerator gen = IntervalIndex::middle_generator(
+      PrimeRepConfig{.rep_bits = 128, .domain = "vc.tuples"});
+  DeterministicRng rng(7);
+  IntervalDescriptor desc{.lo = 0, .hi = 0,
+                          .b = Bigint::random_bits(rng, 1024) % standard_accumulator_modulus(1024).n};
+  for (auto _ : state) {
+    desc.hi = desc.lo + 99;
+    benchmark::DoNotOptimize(gen.representative(desc.encode()));
+    desc.lo += 100;
+  }
+  state.SetLabel(std::to_string(desc.encode().size()) + "-byte descriptor");
+}
+BENCHMARK(BM_PrimeRepresentativeDescriptor)->Unit(benchmark::kMicrosecond);
 
 void BM_PowOwnerVsCloud(benchmark::State& state) {
   const bool owner_side = state.range(0) == 1;

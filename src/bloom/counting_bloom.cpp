@@ -22,7 +22,8 @@ BloomParams BloomParams::read(ByteReader& r) {
   return p;
 }
 
-CountingBloom::CountingBloom(BloomParams params) : params_(std::move(params)) {
+CountingBloom::CountingBloom(BloomParams params)
+    : params_(std::move(params)), hmac_(params_.domain) {
   if (params_.counters == 0) throw UsageError("Bloom filter needs at least one counter");
   if (params_.hashes == 0) throw UsageError("Bloom filter needs at least one hash");
   counters_.assign(params_.counters, 0);
@@ -40,13 +41,12 @@ std::vector<std::uint32_t> CountingBloom::positions(std::uint64_t element) const
   // a counter if k > 8 (never in practice: the paper uses k = 1).
   std::vector<std::uint32_t> out;
   out.reserve(params_.hashes);
-  std::uint32_t block = 0;
-  while (out.size() < params_.hashes) {
-    ByteWriter w;
-    w.u64(element);
-    w.u32(block++);
-    Digest d = hmac_sha256(params_.domain, std::string_view(reinterpret_cast<const char*>(
-                                               w.data().data()), w.size()));
+  // HMAC message: u64le(element) || u32le(block).
+  std::uint8_t msg[12];
+  for (int i = 0; i < 8; ++i) msg[i] = static_cast<std::uint8_t>(element >> (8 * i));
+  for (std::uint32_t block = 0; out.size() < params_.hashes; ++block) {
+    for (int i = 0; i < 4; ++i) msg[8 + i] = static_cast<std::uint8_t>(block >> (8 * i));
+    const Digest d = hmac_.mac(msg);
     for (std::size_t i = 0; i + 4 <= d.size() && out.size() < params_.hashes; i += 4) {
       std::uint32_t v = static_cast<std::uint32_t>(d[i]) << 24 |
                         static_cast<std::uint32_t>(d[i + 1]) << 16 |

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "hash/hmac.hpp"
 #include "support/bytes.hpp"
 
 namespace vc {
@@ -55,7 +56,11 @@ class CountingBloom {
   // Element-wise minimum B̂ of two filters with identical params.
   static CountingBloom elementwise_min(const CountingBloom& a, const CountingBloom& b);
 
-  friend bool operator==(const CountingBloom&, const CountingBloom&) = default;
+  // The keyed hash is a function of the params, so it takes no part.
+  friend bool operator==(const CountingBloom& a, const CountingBloom& b) {
+    return a.params_ == b.params_ && a.counters_ == b.counters_ &&
+           a.elements_added_ == b.elements_added_;
+  }
 
  private:
   // Narrow test-only hook: the adversarial soundness harness (src/advtest)
@@ -67,6 +72,7 @@ class CountingBloom {
   friend CountingBloom decompress_bloom(const CompressedBloom& compressed);
 
   BloomParams params_;
+  HmacSha256 hmac_;  // keyed by params_.domain
   std::vector<std::uint32_t> counters_;
   std::uint64_t elements_added_ = 0;
 };

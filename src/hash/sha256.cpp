@@ -1,7 +1,16 @@
 #include "hash/sha256.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+
+#if defined(__x86_64__) || defined(__i386__)
+#define VC_SHA256_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#else
+#define VC_SHA256_X86 0
+#endif
 
 namespace vc {
 
@@ -35,32 +44,120 @@ inline std::uint32_t small_sigma1(std::uint32_t x) {
 
 }  // namespace
 
+namespace detail {
+
+void sha256_blocks_portable(std::uint32_t* state, const std::uint8_t* blocks,
+                            std::size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = static_cast<std::uint32_t>(blocks[4 * i]) << 24 |
+             static_cast<std::uint32_t>(blocks[4 * i + 1]) << 16 |
+             static_cast<std::uint32_t>(blocks[4 * i + 2]) << 8 |
+             static_cast<std::uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      w[i] = small_sigma1(w[i - 2]) + w[i - 7] + small_sigma0(w[i - 15]) + w[i - 16];
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t t1 = h + big_sigma1(e) + ((e & f) ^ (~e & g)) + kK[i] + w[i];
+      std::uint32_t t2 = big_sigma0(a) + ((a & b) ^ (a & c) ^ (b & c));
+      h = g; g = f; f = e;
+      e = d + t1;
+      d = c; c = b; b = a;
+      a = t1 + t2;
+    }
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+  }
+}
+
+#if VC_SHA256_X86
+
+// The SHA extensions keep the eight working variables as two vectors, ABEF
+// and CDGH; each sha256rnds2 does two rounds, and msg1/msg2 extend the
+// message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void sha256_blocks_sha_ni(std::uint32_t* state,
+                                                                const std::uint8_t* blocks,
+                                                                std::size_t count) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // msg[g % 4] holds schedule words 4g..4g+3 once group g is reached.
+    __m128i msg[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i m;
+      if (g < 4) {
+        m = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * g)), byte_swap);
+      } else {
+        const __m128i& w16 = msg[g & 3];        // words 4g-16 ..
+        const __m128i& w12 = msg[(g + 1) & 3];  // words 4g-12 ..
+        const __m128i& w8 = msg[(g + 2) & 3];   // words 4g-8 ..
+        const __m128i& w4 = msg[(g + 3) & 3];   // words 4g-4 ..
+        m = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12), _mm_alignr_epi8(w4, w8, 4)), w4);
+      }
+      msg[g & 3] = m;
+      const __m128i wk =
+          _mm_add_epi32(m, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * g])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool sha256_has_sha_ni() {
+  static const bool kHas = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+    const bool ssse3_sse41 = (ecx & bit_SSSE3) != 0 && (ecx & bit_SSE4_1) != 0;
+    if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+    return ssse3_sse41 && (ebx & (1u << 29)) != 0;  // leaf 7 EBX bit 29: SHA
+  }();
+  return kHas;
+}
+
+#else
+
+// No SHA-NI off x86: sha256_has_sha_ni() is false, so this is never chosen.
+void sha256_blocks_sha_ni(std::uint32_t* state, const std::uint8_t* blocks, std::size_t count) {
+  sha256_blocks_portable(state, blocks, count);
+}
+
+bool sha256_has_sha_ni() { return false; }
+
+#endif
+
+}  // namespace detail
+
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
-void Sha256::compress(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<std::uint32_t>(block[4 * i]) << 24 |
-           static_cast<std::uint32_t>(block[4 * i + 1]) << 16 |
-           static_cast<std::uint32_t>(block[4 * i + 2]) << 8 |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    w[i] = small_sigma1(w[i - 2]) + w[i - 7] + small_sigma0(w[i - 15]) + w[i - 16];
-  }
-  auto [a, b, c, d, e, f, g, h] = state_;
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t t1 = h + big_sigma1(e) + ((e & f) ^ (~e & g)) + kK[i] + w[i];
-    std::uint32_t t2 = big_sigma0(a) + ((a & b) ^ (a & c) ^ (b & c));
-    h = g; g = f; f = e;
-    e = d + t1;
-    d = c; c = b; b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-  state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
+void Sha256::compress(const std::uint8_t* blocks, std::size_t count) {
+  using BlockFn = void (*)(std::uint32_t*, const std::uint8_t*, std::size_t);
+  static const BlockFn kBlocks = detail::sha256_has_sha_ni() ? detail::sha256_blocks_sha_ni
+                                                             : detail::sha256_blocks_portable;
+  kBlocks(state_.data(), blocks, count);
 }
 
 Sha256& Sha256::update(std::span<const std::uint8_t> data) {
@@ -72,13 +169,13 @@ Sha256& Sha256::update(std::span<const std::uint8_t> data) {
     buf_len_ += take;
     off = take;
     if (buf_len_ == 64) {
-      compress(buf_.data());
+      compress(buf_.data(), 1);
       buf_len_ = 0;
     }
   }
-  while (off + 64 <= data.size()) {
-    compress(data.data() + off);
-    off += 64;
+  if (const std::size_t whole = (data.size() - off) / 64; whole > 0) {
+    compress(data.data() + off, whole);
+    off += 64 * whole;
   }
   if (off < data.size()) {
     std::memcpy(buf_.data(), data.data() + off, data.size() - off);
@@ -93,15 +190,16 @@ Sha256& Sha256::update(std::string_view s) {
 }
 
 Digest Sha256::finish() {
-  std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad = 0x80;
-  update(std::span<const std::uint8_t>(&pad, 1));
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  // Manual tail: update() would grow total_len_, harmless since we finish now.
-  update(std::span<const std::uint8_t>(len_be, 8));
+  const std::uint64_t bit_len = total_len_ * 8;
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {  // no room for the length: pad out this block first
+    std::memset(buf_.data() + buf_len_, 0, 64 - buf_len_);
+    compress(buf_.data(), 1);
+    buf_len_ = 0;
+  }
+  std::memset(buf_.data() + buf_len_, 0, 56 - buf_len_);
+  for (int i = 0; i < 8; ++i) buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  compress(buf_.data(), 1);
   Digest out;
   for (int i = 0; i < 8; ++i) {
     out[4 * i + 0] = static_cast<std::uint8_t>(state_[i] >> 24);
@@ -125,22 +223,22 @@ Digest Sha256::hash(std::string_view s) {
 }
 
 Bytes mgf1_sha256(std::span<const std::uint8_t> seed, std::size_t len) {
-  Bytes out;
-  out.reserve(len + 32);
+  Bytes out(len);
+  mgf1_sha256(seed, out);
+  return out;
+}
+
+void mgf1_sha256(std::span<const std::uint8_t> seed, std::span<std::uint8_t> out) {
   std::uint32_t counter = 0;
-  while (out.size() < len) {
-    Sha256 h;
-    h.update(seed);
-    std::uint8_t ctr_be[4] = {
+  for (std::size_t at = 0; at < out.size(); at += 32, ++counter) {
+    const std::uint8_t ctr_be[4] = {
         static_cast<std::uint8_t>(counter >> 24), static_cast<std::uint8_t>(counter >> 16),
         static_cast<std::uint8_t>(counter >> 8), static_cast<std::uint8_t>(counter)};
-    h.update(std::span<const std::uint8_t>(ctr_be, 4));
-    Digest d = h.finish();
-    out.insert(out.end(), d.begin(), d.end());
-    ++counter;
+    Sha256 h;
+    h.update(seed).update(std::span<const std::uint8_t>(ctr_be, 4));
+    const Digest d = h.finish();
+    std::memcpy(out.data() + at, d.data(), std::min<std::size_t>(32, out.size() - at));
   }
-  out.resize(len);
-  return out;
 }
 
 }  // namespace vc

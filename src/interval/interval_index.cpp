@@ -430,17 +430,44 @@ void IntervalIndex::remove(const AccumulatorContext& ctx,
 
 namespace {
 
-// Shared verification plumbing: checks the descriptor is authenticated by
-// the root and collects the values claimed for this part.
+// Checks that the descriptor is authenticated by the root.
 bool verify_descriptor(const AccumulatorContext& ctx, const Bigint& root,
                        const IntervalDescriptor& desc, const Bigint& mid_witness,
                        const PrimeRepGenerator& mid_gen) {
   static obs::Histogram& stage = obs::MetricsRegistry::global().stage("hash_to_prime");
-  std::vector<Bigint> mid_rep = [&] {
+  const Bigint mid_rep = [&] {
     obs::Span span(stage, "hash_to_prime");  // the derivation, not the modexp check
-    return std::vector<Bigint>{mid_gen.representative(desc.encode())};
+    return mid_gen.representative(desc.encode());
   }();
-  return verify_membership(ctx, root, mid_witness, mid_rep);
+  return verify_membership(ctx, root, mid_witness, std::span<const Bigint>(&mid_rep, 1));
+}
+
+// The part loop both proof kinds share: every part's descriptor must be
+// authenticated by the root and claim at least one value, no value may be
+// claimed twice, every value must be claimed, and `check_part` must accept
+// the part's accumulator check over the representatives of its values.
+template <typename Part, typename CheckPart>
+bool verify_parts(const AccumulatorContext& ctx, const Bigint& root,
+                  const std::vector<Part>& parts, std::span<const std::uint64_t> values,
+                  PrimeCache& element_primes, CheckPart check_part) {
+  if (values.empty()) return parts.empty();
+  const PrimeRepGenerator mid_gen =
+      IntervalIndex::middle_generator(element_primes.generator().config());
+  std::vector<bool> covered(values.size(), false);
+  for (const Part& part : parts) {
+    if (!verify_descriptor(ctx, root, part.desc, part.mid_witness, mid_gen)) return false;
+    std::vector<Bigint> reps;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (values[i] >= part.desc.lo && values[i] <= part.desc.hi) {
+        if (covered[i]) return false;  // duplicated coverage
+        covered[i] = true;
+        reps.push_back(element_primes.get(values[i]));
+      }
+    }
+    if (reps.empty()) return false;  // vacuous part
+    if (!check_part(part, reps)) return false;
+  }
+  return std::all_of(covered.begin(), covered.end(), [](bool c) { return c; });
 }
 
 }  // namespace
@@ -559,46 +586,20 @@ bool IntervalIndex::verify_membership(const AccumulatorContext& ctx, const Bigin
                                       const IntervalMembershipProof& proof,
                                       std::span<const std::uint64_t> values,
                                       PrimeCache& element_primes) {
-  if (values.empty()) return proof.parts.empty();
-  PrimeRepGenerator mid_gen = middle_generator(element_primes.generator().config());
-  std::vector<bool> covered(values.size(), false);
-  for (const auto& part : proof.parts) {
-    if (!verify_descriptor(ctx, root, part.desc, part.mid_witness, mid_gen)) return false;
-    std::vector<Bigint> reps;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (values[i] >= part.desc.lo && values[i] <= part.desc.hi) {
-        if (covered[i]) return false;  // duplicated coverage
-        covered[i] = true;
-        reps.push_back(element_primes.get(values[i]));
-      }
-    }
-    if (reps.empty()) return false;  // vacuous part
-    if (!vc::verify_membership(ctx, part.desc.b, part.chat, reps)) return false;
-  }
-  return std::all_of(covered.begin(), covered.end(), [](bool c) { return c; });
+  return verify_parts(ctx, root, proof.parts, values, element_primes,
+                      [&](const IntervalMembershipPart& part, std::span<const Bigint> reps) {
+                        return vc::verify_membership(ctx, part.desc.b, part.chat, reps);
+                      });
 }
 
 bool IntervalIndex::verify_nonmembership(const AccumulatorContext& ctx, const Bigint& root,
                                          const IntervalNonmembershipProof& proof,
                                          std::span<const std::uint64_t> values,
                                          PrimeCache& element_primes) {
-  if (values.empty()) return proof.parts.empty();
-  PrimeRepGenerator mid_gen = middle_generator(element_primes.generator().config());
-  std::vector<bool> covered(values.size(), false);
-  for (const auto& part : proof.parts) {
-    if (!verify_descriptor(ctx, root, part.desc, part.mid_witness, mid_gen)) return false;
-    std::vector<Bigint> reps;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (values[i] >= part.desc.lo && values[i] <= part.desc.hi) {
-        if (covered[i]) return false;
-        covered[i] = true;
-        reps.push_back(element_primes.get(values[i]));
-      }
-    }
-    if (reps.empty()) return false;
-    if (!vc::verify_nonmembership(ctx, part.desc.b, part.nmw, reps)) return false;
-  }
-  return std::all_of(covered.begin(), covered.end(), [](bool c) { return c; });
+  return verify_parts(ctx, root, proof.parts, values, element_primes,
+                      [&](const IntervalNonmembershipPart& part, std::span<const Bigint> reps) {
+                        return vc::verify_nonmembership(ctx, part.desc.b, part.nmw, reps);
+                      });
 }
 
 }  // namespace vc

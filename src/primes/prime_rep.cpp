@@ -5,11 +5,11 @@
 
 namespace vc {
 
-PrimeRepGenerator::PrimeRepGenerator(PrimeRepConfig config) : config_(std::move(config)) {
+PrimeRepGenerator::PrimeRepGenerator(PrimeRepConfig config)
+    : config_(std::move(config)),
+      // Key the hash by the domain so different domains give independent streams.
+      hmac_(Sha256::hash("vc.prime-rep.key/" + config_.domain)) {
   if (config_.rep_bits < 32) throw UsageError("rep_bits must be >= 32");
-  // Key the hash by the domain so different domains give independent streams.
-  Digest key = Sha256::hash("vc.prime-rep.key/" + config_.domain);
-  hmac_key_.assign(key.begin(), key.end());
 }
 
 Bigint PrimeRepGenerator::representative(std::uint64_t element) const {
@@ -29,16 +29,23 @@ Bigint PrimeRepGenerator::representative(std::string_view element) const {
 
 Bigint PrimeRepGenerator::search(std::span<const std::uint8_t> element) const {
   const std::size_t nbytes = (config_.rep_bits + 7) / 8;
+  const std::size_t excess = nbytes * 8 - config_.rep_bits;
+  // Candidate c is HMAC(key, element || u32le(c)) expanded by MGF1: absorb
+  // the element once and let each candidate append only its counter.
+  Sha256 keyed_element = hmac_.inner();
+  keyed_element.update(element);
+  Bytes candidate_bytes(nbytes);
+  Bigint candidate;
   for (std::uint32_t counter = 0;; ++counter) {
-    ByteWriter w;
-    w.raw(element);
-    w.u32(counter);
-    Digest d = hmac_sha256(hmac_key_, w.data());
-    Bytes candidate_bytes = mgf1_sha256(d, nbytes);
+    const std::uint8_t counter_le[4] = {
+        static_cast<std::uint8_t>(counter), static_cast<std::uint8_t>(counter >> 8),
+        static_cast<std::uint8_t>(counter >> 16), static_cast<std::uint8_t>(counter >> 24)};
+    Sha256 inner = keyed_element;
+    inner.update(std::span<const std::uint8_t>(counter_le, 4));
+    mgf1_sha256(hmac_.finish(inner), candidate_bytes);
     // Trim to width, force exact bit length and oddness.
-    std::size_t excess = nbytes * 8 - config_.rep_bits;
     candidate_bytes[0] &= static_cast<std::uint8_t>(0xFF >> excess);
-    Bigint candidate = Bigint::from_bytes(candidate_bytes);
+    mpz_import(candidate.raw_mut(), nbytes, 1, 1, 0, 0, candidate_bytes.data());
     mpz_setbit(candidate.raw_mut(), config_.rep_bits - 1);
     mpz_setbit(candidate.raw_mut(), 0);
     if (is_probable_prime(candidate)) return candidate;

@@ -22,6 +22,7 @@
 #include <string_view>
 
 #include "bigint/bigint.hpp"
+#include "hash/hmac.hpp"
 #include "support/bytes.hpp"
 
 namespace vc {
@@ -51,7 +52,7 @@ class PrimeRepGenerator {
   [[nodiscard]] Bigint search(std::span<const std::uint8_t> element) const;
 
   PrimeRepConfig config_;
-  Bytes hmac_key_;
+  HmacSha256 hmac_;  // keyed by the domain
 };
 
 }  // namespace vc

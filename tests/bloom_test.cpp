@@ -59,6 +59,19 @@ TEST(CountingBloom, PositionsDeterministicAndSpread) {
   EXPECT_GT(slots.size(), 40u);
 }
 
+// Slot positions are part of the proof format (both sides rebuild filters
+// from element lists).  k = 10 spans two HMAC blocks per element.
+TEST(CountingBloom, PinnedPositions) {
+  const CountingBloom b(BloomParams{.counters = 1000003, .hashes = 10, .domain = "vc.bloom"});
+  EXPECT_EQ(b.positions(0), (std::vector<std::uint32_t>{700360, 618304, 798979, 117829, 427986,
+                                                        501095, 706708, 536597, 117573, 824894}));
+  EXPECT_EQ(b.positions(42), (std::vector<std::uint32_t>{945794, 917843, 51370, 283695, 61462,
+                                                         28731, 578134, 878623, 554056, 516978}));
+  EXPECT_EQ(b.positions(0x0123456789abcdefULL),
+            (std::vector<std::uint32_t>{544393, 530092, 302134, 628770, 956713, 476954, 767989,
+                                        658230, 788285, 85972}));
+}
+
 TEST(CountingBloom, MultiHashUsesKSlots) {
   CountingBloom b(small_params(1024, 4));
   EXPECT_EQ(b.positions(1).size(), 4u);

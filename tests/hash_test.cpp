@@ -78,6 +78,23 @@ TEST(Sha256, PinnedBoundaryDigests) {
   }
 }
 
+TEST(Sha256, HardwareAndPortableBlocksAgree) {
+  if (!detail::sha256_has_sha_ni()) GTEST_SKIP() << "CPU has no SHA-NI";
+  DeterministicRng rng(20);
+  for (std::size_t trial = 0; trial < 2000; ++trial) {
+    std::uint32_t portable[8];
+    for (std::uint32_t& word : portable) word = rng.next_u32();
+    std::uint32_t hardware[8];
+    std::copy(std::begin(portable), std::end(portable), std::begin(hardware));
+    const std::size_t blocks = 1 + trial % 3;  // multi-block calls carry state between blocks
+    const Bytes data = rng.bytes(64 * blocks);
+    detail::sha256_blocks_portable(portable, data.data(), blocks);
+    detail::sha256_blocks_sha_ni(hardware, data.data(), blocks);
+    ASSERT_TRUE(std::equal(std::begin(portable), std::end(portable), std::begin(hardware)))
+        << "trial " << trial;
+  }
+}
+
 TEST(Hmac, Rfc4231Case1) {
   Bytes key(20, 0x0b);
   std::string data = "Hi There";
