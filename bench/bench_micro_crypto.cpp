@@ -124,6 +124,49 @@ BENCHMARK(BM_FixedBasePow)
     ->ArgsProduct({{64, 128, 1024, 12800, 25600}, {0, 1}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
+// The 258 terms of one flagship verify batch (1024-bit modulus, 128-bit
+// representatives), every exponent already scaled by a 64-bit batch
+// coefficient: 84 descriptor witnesses (one representative each), 69
+// membership chats (a part's product of 1-100 representatives), 15
+// nonmembership parts (b^a and d^v over 1-3 outsiders), and the
+// right-hand sides: the 69 membership parts' b, g and five signed roots
+// (coefficient sums).  `multi` 1 evaluates the product with one multi_pow,
+// 0 with one pow per term; `owner` picks the trapdoor context.
+void BM_MultiPow(benchmark::State& state) {
+  const bool multi = state.range(0) == 1;
+  const bool owner = state.range(1) == 1;
+  const auto& mod = standard_accumulator_modulus(1024);
+  const PowerContext ctx = owner ? PowerContext(mod.n, mod.p, mod.q) : PowerContext(mod.n);
+  DeterministicRng rng(8);
+  std::vector<Bigint> bases, exps;
+  auto term = [&](std::size_t exp_bits) {
+    bases.push_back(Bigint::random_below(rng, mod.n));
+    exps.push_back(Bigint::random_bits(rng, exp_bits));
+  };
+  const std::size_t reps_per_part[] = {1, 1, 2, 3, 8, 30, 100};
+  for (int i = 0; i < 84; ++i) term(128 + 64);
+  for (std::size_t i = 0; i < 69; ++i) term(128 * reps_per_part[i % 7] + 64);
+  for (std::size_t i = 0; i < 15; ++i) {
+    term(128 * (1 + i % 3) + 64);  // b^a: |a| is below the outsider product
+    term(128 * (1 + i % 3) + 64);  // d^v
+  }
+  for (int i = 0; i < 69 + 1 + 5; ++i) term(64 + 7);
+  for (auto _ : state) {
+    if (multi) {
+      benchmark::DoNotOptimize(ctx.multi_pow(bases, exps));
+    } else {
+      Bigint acc(1);
+      for (std::size_t i = 0; i < bases.size(); ++i) acc = ctx.mul(acc, ctx.pow(bases[i], exps[i]));
+      benchmark::DoNotOptimize(acc);
+    }
+  }
+  state.SetLabel(std::to_string(bases.size()) + " terms");
+}
+BENCHMARK(BM_MultiPow)
+    ->ArgNames({"multi", "owner"})
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SignVerify(benchmark::State& state) {
   DeterministicRng rng(3);
   SigningKey sk = generate_signing_key(rng, 1024);

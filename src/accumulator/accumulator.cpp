@@ -32,6 +32,10 @@ AccumulatorContext AccumulatorContext::public_side(AccumulatorParams params) {
 Bigint AccumulatorContext::pow_product(const Bigint& base,
                                        std::span<const Bigint> primes) const {
   if (primes.empty()) return Bigint::mod(base, params_.n);
+  return power_.pow(base, product_exponent(primes));
+}
+
+Bigint AccumulatorContext::product_exponent(std::span<const Bigint> primes) const {
   if (power_.has_trapdoor()) {
     // Fold the product mod phi(n): one short exponent at the end.
     const Bigint& phi = power_.phi();
@@ -39,13 +43,12 @@ Bigint AccumulatorContext::pow_product(const Bigint& base,
     for (const Bigint& x : primes) {
       e = Bigint::mod(e * x, phi);
     }
-    return power_.pow(base, e);
+    return e;
   }
   // Public side: the exponent is the genuine integer product.  With a pool
   // attached, the product tree's independent chunks build concurrently (the
   // final pow dominates, but the product of thousands of reps is not free).
   constexpr std::size_t kPooledProductThreshold = 256;
-  Bigint u;
   if (pool_ != nullptr && primes.size() >= kPooledProductThreshold) {
     std::size_t chunks = std::min(primes.size() / (kPooledProductThreshold / 2),
                                   pool_->worker_count() + 1);
@@ -55,11 +58,9 @@ Bigint AccumulatorContext::pow_product(const Bigint& base,
       std::size_t lo = c * per, hi = std::min(primes.size(), lo + per);
       if (lo < hi) partial[c] = Bigint::product(primes.subspan(lo, hi - lo));
     });
-    u = Bigint::product(partial);
-  } else {
-    u = Bigint::product(primes);
+    return Bigint::product(partial);
   }
-  return power_.pow(base, u);
+  return Bigint::product(primes);
 }
 
 Bigint AccumulatorContext::delete_elements(const Bigint& c,
@@ -67,12 +68,7 @@ Bigint AccumulatorContext::delete_elements(const Bigint& c,
   if (!power_.has_trapdoor()) {
     throw UsageError("delete_elements requires the accumulator trapdoor");
   }
-  const Bigint& phi = power_.phi();
-  Bigint e(1);
-  for (const Bigint& x : removed) {
-    e = Bigint::mod(e * x, phi);
-  }
-  return power_.pow(c, Bigint::invert_mod(e, phi));
+  return power_.pow(c, Bigint::invert_mod(product_exponent(removed), power_.phi()));
 }
 
 }  // namespace vc

@@ -79,6 +79,10 @@ class AccumulatorContext {
   // the paper's Fig 2 measures.
   [[nodiscard]] Bigint pow_product(const Bigint& base, std::span<const Bigint> primes) const;
 
+  // Π primes as an exponent: folded mod φ(n) with the trapdoor (which is
+  // all an exponentiation needs), the integer product otherwise.
+  [[nodiscard]] Bigint product_exponent(std::span<const Bigint> primes) const;
+
   // The accumulator of a set of primes: c = g^(Π x) mod n  (Eq 1).
   [[nodiscard]] Bigint accumulate(std::span<const Bigint> primes) const {
     return pow_product(params_.g, primes);

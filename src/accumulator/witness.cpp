@@ -1,5 +1,6 @@
 #include "accumulator/witness.hpp"
 
+#include "accumulator/verify_batch.hpp"
 #include "support/errors.hpp"
 
 namespace vc {
@@ -10,7 +11,9 @@ Bigint membership_witness(const AccumulatorContext& ctx, std::span<const Bigint>
 
 bool verify_membership(const AccumulatorContext& ctx, const Bigint& c, const Bigint& witness,
                        std::span<const Bigint> subset) {
-  return ctx.pow_product(witness, subset) == c;
+  VerifyBatch batch(ctx);
+  batch.add_membership(c, witness, subset, "membership witness invalid");
+  return batch.holds();
 }
 
 namespace {
@@ -109,10 +112,9 @@ NonmembershipWitness nonmembership_witness(const AccumulatorContext& ctx,
 
 bool verify_nonmembership(const AccumulatorContext& ctx, const Bigint& c,
                           const NonmembershipWitness& w, std::span<const Bigint> outsiders) {
-  const PowerContext& power = ctx.power();
-  Bigint lhs = power.pow(c, w.a);
-  Bigint rhs = power.mul(ctx.pow_product(w.d, outsiders), ctx.g());
-  return lhs == rhs;
+  VerifyBatch batch(ctx);
+  batch.add_nonmembership(c, w, outsiders, "nonmembership witness invalid");
+  return batch.holds();
 }
 
 }  // namespace vc

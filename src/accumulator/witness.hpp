@@ -27,7 +27,7 @@ namespace vc {
 [[nodiscard]] Bigint membership_witness(const AccumulatorContext& ctx,
                                         std::span<const Bigint> rest);
 
-// Checks (witness)^(Π subset) == c  (mod n).
+// Checks (witness)^(Π subset) == c  (mod n): a VerifyBatch of one.
 [[nodiscard]] bool verify_membership(const AccumulatorContext& ctx, const Bigint& c,
                                      const Bigint& witness, std::span<const Bigint> subset);
 
@@ -72,7 +72,7 @@ struct NonmembershipWitness {
                                                          std::span<const Bigint> set_primes,
                                                          std::span<const Bigint> outsiders);
 
-// Checks c^a == d^(Π outsiders) · g  (mod n).
+// Checks c^a == d^(Π outsiders) · g  (mod n): a VerifyBatch of one.
 [[nodiscard]] bool verify_nonmembership(const AccumulatorContext& ctx, const Bigint& c,
                                         const NonmembershipWitness& w,
                                         std::span<const Bigint> outsiders);

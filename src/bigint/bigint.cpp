@@ -14,7 +14,8 @@ namespace {
 // Big-endian magnitude <-> limbs, a whole 64-bit limb at a time.  mpz_import
 // and mpz_export walk byte-sized words (~0.3 us for a 512-bit value), and the
 // epoch store converts three group elements per interval on every encode and
-// every lazy parse.
+// every lazy parse; prime-representative search loads ~45 candidates per
+// prime (~72 ns each through mpz_import for 16 bytes).
 static_assert(GMP_LIMB_BITS == 64 && GMP_NAIL_BITS == 0, "64-bit nail-free limbs");
 
 std::uint64_t load_be(const std::uint8_t* p, std::size_t n) {
@@ -63,17 +64,24 @@ Bigint Bigint::from_decimal(std::string_view s) {
 
 Bigint Bigint::from_bytes(std::span<const std::uint8_t> be) {
   Bigint r;
-  if (be.empty()) return r;
+  r.set_bytes(be);
+  return r;
+}
+
+void Bigint::set_bytes(std::span<const std::uint8_t> be) {
+  if (be.empty()) {
+    mpz_set_ui(z_, 0);
+    return;
+  }
   const std::size_t n = (be.size() + 7) / 8;
-  mp_limb_t* limbs = mpz_limbs_write(r.z_, static_cast<mp_size_t>(n));
+  mp_limb_t* limbs = mpz_limbs_write(z_, static_cast<mp_size_t>(n));
   std::size_t end = be.size();
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t take = std::min<std::size_t>(8, end);
     limbs[i] = load_be(be.data() + end - take, take);
     end -= take;
   }
-  mpz_limbs_finish(r.z_, static_cast<mp_size_t>(n));  // strips leading zero limbs
-  return r;
+  mpz_limbs_finish(z_, static_cast<mp_size_t>(n));  // strips leading zero limbs
 }
 
 Bigint Bigint::random_bits(DeterministicRng& rng, std::size_t bits) {

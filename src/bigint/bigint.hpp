@@ -46,6 +46,8 @@ class Bigint {
   static Bigint from_decimal(std::string_view s);  // throws ParseError
   // Big-endian magnitude (no sign); empty span gives 0.
   static Bigint from_bytes(std::span<const std::uint8_t> be);
+  // from_bytes into this value, reusing its limbs.
+  void set_bytes(std::span<const std::uint8_t> be);
   // Uniform in [0, 2^bits).
   static Bigint random_bits(DeterministicRng& rng, std::size_t bits);
   // Uniform in [0, bound).

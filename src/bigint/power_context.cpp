@@ -186,6 +186,208 @@ Bigint eval_fixed(const FixedSub& sub, const Bigint& exp, std::size_t v) {
   return result;
 }
 
+// --- multi-exponentiation ------------------------------------------------------
+//
+// Montgomery arithmetic on raw limbs mod an odd m of N limbs, R = 2^(64N).
+// A residue x is held as the N-limb value x·R mod m, kept below R but not
+// necessarily below m: for inputs below R, word-by-word REDC of their
+// product returns a value below R again, so only from_mont() reduces fully.
+class Montgomery {
+ public:
+  explicit Montgomery(const Bigint& m)
+      : n_(mpz_size(m.raw())),
+        m_(mpz_limbs_read(m.raw()), mpz_limbs_read(m.raw()) + n_),
+        r2_(n_),
+        t_(2 * n_),
+        mod_(m) {
+    // -m^-1 mod 2^64 by Newton's iteration: an odd m0 is its own inverse
+    // mod 8, and each step doubles the correct low bits (3 -> 96).
+    const mp_limb_t m0 = m_[0];
+    mp_limb_t inv = m0;
+    for (int i = 0; i < 5; ++i) inv *= 2 - m0 * inv;
+    minv_ = 0 - inv;
+    Bigint r2;
+    mpz_setbit(r2.raw_mut(), 2 * GMP_NUMB_BITS * n_);
+    mpz_tdiv_r(r2.raw_mut(), r2.raw(), m.raw());
+    copy_padded(r2_.data(), r2.raw());
+  }
+
+  [[nodiscard]] std::size_t limbs() const { return n_; }
+
+  // out = a·b·R^-1 mod m; out may alias a or b.
+  void mul(mp_limb_t* out, const mp_limb_t* a, const mp_limb_t* b) {
+    if (a == b) {
+      mpn_sqr(t_.data(), a, static_cast<mp_size_t>(n_));
+    } else {
+      mpn_mul_n(t_.data(), a, b, static_cast<mp_size_t>(n_));
+    }
+    redc(out);
+  }
+
+  // out = (x mod m)·R mod m.
+  void to_mont(mp_limb_t* out, const Bigint& x) {
+    Bigint reduced;
+    mpz_srcptr src = x.raw();
+    // m's top limb is nonzero, so a value of fewer limbs is below it.
+    if (mpz_sgn(src) < 0 || mpz_size(src) > n_ ||
+        (mpz_size(src) == n_ &&
+         mpn_cmp(mpz_limbs_read(src), m_.data(), static_cast<mp_size_t>(n_)) >= 0)) {
+      mpz_mod(reduced.raw_mut(), src, mod_.raw());
+      src = reduced.raw();
+    }
+    std::vector<mp_limb_t> plain(n_);
+    copy_padded(plain.data(), src);
+    mul(out, plain.data(), r2_.data());
+  }
+
+  // The canonical residue in [0, m) of a Montgomery-form value.
+  [[nodiscard]] Bigint from_mont(const mp_limb_t* a) {
+    std::copy(a, a + n_, t_.begin());
+    std::fill(t_.begin() + static_cast<std::ptrdiff_t>(n_), t_.end(), 0);
+    std::vector<mp_limb_t> out(n_);
+    redc(out.data());  // a < R, so the result is at most m
+    if (mpn_cmp(out.data(), m_.data(), static_cast<mp_size_t>(n_)) >= 0) {
+      mpn_sub_n(out.data(), out.data(), m_.data(), static_cast<mp_size_t>(n_));
+    }
+    Bigint r;
+    std::copy(out.begin(), out.end(), mpz_limbs_write(r.raw_mut(), static_cast<mp_size_t>(n_)));
+    mpz_limbs_finish(r.raw_mut(), static_cast<mp_size_t>(n_));
+    return r;
+  }
+
+ private:
+  // out = t_·R^-1 mod m for the 2N-limb t_ (clobbered), below R whenever
+  // t_ < R^2.  Step i adds the multiple of m that clears limb i and parks the
+  // step's carry in that cleared limb, so one final addition folds all the
+  // carries in (the layout of GMP's redc_1); the sum is below R + m, so one
+  // conditional subtraction brings it below R.
+  void redc(mp_limb_t* out) {
+    mp_limb_t* t = t_.data();
+    const auto n = static_cast<mp_size_t>(n_);
+    for (std::size_t i = 0; i < n_; ++i) t[i] = mpn_addmul_1(t + i, m_.data(), n, t[i] * minv_);
+    if (mpn_add_n(out, t + n_, t, n) != 0) mpn_sub_n(out, out, m_.data(), n);
+  }
+
+  void copy_padded(mp_limb_t* out, mpz_srcptr z) const {
+    const std::size_t size = mpz_size(z);
+    std::copy(mpz_limbs_read(z), mpz_limbs_read(z) + size, out);
+    std::fill(out + size, out + n_, 0);
+  }
+
+  std::size_t n_;
+  std::vector<mp_limb_t> m_;
+  std::vector<mp_limb_t> r2_;  // R^2 mod m
+  std::vector<mp_limb_t> t_;   // 2N-limb product scratch
+  mp_limb_t minv_ = 0;         // -m^-1 mod 2^64
+  Bigint mod_;
+};
+
+// Sliding-window width for one base of a Straus evaluation: its table holds
+// the 2^(w-1) odd powers (one squaring and 2^(w-1) - 1 multiplications to
+// build), and its exponent then costs about bits/(w+1) multiplications.
+unsigned straus_window(std::size_t bits) {
+  unsigned best_w = 1;
+  double best_cost = static_cast<double>(bits) / 2;
+  for (unsigned w = 2; w <= 7; ++w) {
+    const double cost = static_cast<double>(1u << (w - 1)) +
+                        static_cast<double>(bits) / static_cast<double>(w + 1);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best_w = w;
+    }
+  }
+  return best_w;
+}
+
+// Π bases[i]^exps[i] mod the odd m, exps >= 0.  Every exponent is recoded
+// into sliding windows, each an event "multiply by the odd power v at bit
+// position pos"; events are grouped by position, and one scan from the top
+// bit squares the accumulator once per position and applies the position's
+// events.
+Bigint straus(const Bigint& m, std::span<const Bigint> bases, std::span<const Bigint> exps) {
+  Montgomery mont(m);
+  const std::size_t n = mont.limbs();
+  struct Term {
+    const Bigint* base;
+    mpz_srcptr exp;
+    std::size_t bits;
+    unsigned window;
+    std::size_t table;  // limb offset of its odd powers
+  };
+  std::vector<Term> terms;
+  std::size_t table_limbs = 0;
+  std::size_t top = 0;
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    const std::size_t bits = exps[i].bit_length();
+    if (bits == 0) continue;
+    const unsigned w = straus_window(bits);
+    terms.push_back(Term{&bases[i], exps[i].raw(), bits, w, table_limbs});
+    table_limbs += (std::size_t{1} << (w - 1)) * n;
+    top = std::max(top, bits);
+  }
+  if (terms.empty()) return Bigint(1);
+
+  std::vector<mp_limb_t> table(table_limbs);
+  std::vector<mp_limb_t> square(n);
+  for (const Term& term : terms) {
+    mp_limb_t* odd = table.data() + term.table;
+    mont.to_mont(odd, *term.base);
+    if (term.window == 1) continue;
+    mont.mul(square.data(), odd, odd);
+    for (std::size_t j = 1; j < (std::size_t{1} << (term.window - 1)); ++j) {
+      mont.mul(odd + j * n, odd + (j - 1) * n, square.data());
+    }
+  }
+
+  struct Event {
+    std::size_t pos;    // bit position the window ends at (its lowest bit)
+    std::size_t power;  // limb offset of the odd power to multiply in
+  };
+  std::vector<Event> events;
+  for (const Term& term : terms) {
+    const mp_limb_t* e = mpz_limbs_read(term.exp);
+    std::size_t j = term.bits;  // bits [0, j) are still to recode
+    while (j > 0) {
+      if (((e[(j - 1) / GMP_NUMB_BITS] >> ((j - 1) % GMP_NUMB_BITS)) & 1) == 0) {
+        --j;
+        continue;
+      }
+      const std::size_t lo = j > term.window ? j - term.window : 0;
+      std::uint32_t v = bits_at(term.exp, lo, j - lo);
+      const auto zeros = static_cast<std::size_t>(__builtin_ctz(v));
+      v >>= zeros;
+      j = lo + zeros;
+      events.push_back(Event{j, term.table + (v >> 1) * n});
+    }
+  }
+  // Counting sort by position, so the scan below reads the powers it
+  // multiplies in from one contiguous run per position.
+  std::vector<std::size_t> first(top + 1, 0);
+  for (const Event& ev : events) ++first[ev.pos + 1];
+  for (std::size_t pos = 0; pos < top; ++pos) first[pos + 1] += first[pos];
+  std::vector<std::size_t> powers(events.size());
+  {
+    std::vector<std::size_t> fill(first.begin(), first.end() - 1);
+    for (const Event& ev : events) powers[fill[ev.pos]++] = ev.power;
+  }
+
+  std::vector<mp_limb_t> acc(n);
+  bool one = true;
+  for (std::size_t pos = top; pos-- > 0;) {
+    if (!one) mont.mul(acc.data(), acc.data(), acc.data());
+    for (std::size_t k = first[pos]; k < first[pos + 1]; ++k) {
+      const mp_limb_t* power = table.data() + powers[k];
+      if (one) {
+        std::copy(power, power + n, acc.begin());
+        one = false;
+      } else {
+        mont.mul(acc.data(), acc.data(), power);
+      }
+    }
+  }
+  return one ? Bigint(1) : mont.from_mont(acc.data());
+}
+
 }  // namespace
 
 PowerContext::PowerContext(Bigint n) : n_(std::move(n)) {
@@ -294,8 +496,7 @@ Bigint PowerContext::pow(const Bigint& base, const Bigint& exp) const {
   }
   const Trapdoor& t = *trapdoor_;
   // Reduce the exponent per prime factor, exponentiate mod p and mod q,
-  // recombine with Garner's formula:
-  //   m = m_q + q * ((m_p - m_q) * q^{-1} mod p)
+  // recombine with Garner's formula.
   Bigint ep = Bigint::mod(exp, t.p_minus_1);
   Bigint eq = Bigint::mod(exp, t.q_minus_1);
   Bigint mp, mq;
@@ -311,6 +512,34 @@ Bigint PowerContext::pow(const Bigint& base, const Bigint& exp) const {
     mp = Bigint::pow_mod(Bigint::mod(base, t.p), ep, t.p);
     mq = Bigint::pow_mod(Bigint::mod(base, t.q), eq, t.q);
   }
+  return crt_combine(mp, mq);
+}
+
+Bigint PowerContext::multi_pow(std::span<const Bigint> bases,
+                               std::span<const Bigint> exps) const {
+  if (bases.size() != exps.size()) {
+    throw UsageError("multi_pow: bases and exponents differ in count");
+  }
+  if (std::any_of(exps.begin(), exps.end(), [](const Bigint& e) { return e.is_negative(); })) {
+    throw UsageError("multi_pow: negative exponent");
+  }
+  if (!n_.is_odd()) throw UsageError("multi_pow: Montgomery form needs an odd modulus");
+  pow_calls().inc();
+  if (!trapdoor_) return straus(n_, bases, exps);
+  const Trapdoor& t = *trapdoor_;
+  std::vector<Bigint> ep, eq;
+  ep.reserve(exps.size());
+  eq.reserve(exps.size());
+  for (const Bigint& e : exps) {
+    ep.push_back(Bigint::mod(e, t.p_minus_1));
+    eq.push_back(Bigint::mod(e, t.q_minus_1));
+  }
+  return crt_combine(straus(t.p, bases, ep), straus(t.q, bases, eq));
+}
+
+// Garner's formula: m = m_q + q * ((m_p - m_q) * q^{-1} mod p).
+Bigint PowerContext::crt_combine(const Bigint& mp, const Bigint& mq) const {
+  const Trapdoor& t = *trapdoor_;
   Bigint h = Bigint::mod((mp - mq) * t.q_inv_mod_p, t.p);
   return mq + t.q * h;
 }

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bigint/bigint.hpp"
@@ -48,6 +49,18 @@ class PowerContext {
   // prepared for `base`, in which case the windowed evaluation below takes
   // over.
   [[nodiscard]] Bigint pow(const Bigint& base, const Bigint& exp) const;
+
+  // Π bases[i]^exps[i] mod n as one interleaved sliding-window (Straus)
+  // evaluation in Montgomery form: every base gets a table of odd powers
+  // sized to its own exponent, and all of them share one squaring chain as
+  // long as the widest exponent, so k exponentiations cost one chain plus
+  // ~bits/(w+1) multiplications each instead of k chains.  Exponents must
+  // be >= 0 and n odd (UsageError otherwise); bases may be >= n.  With the
+  // trapdoor each exponent is reduced mod p-1 / q-1 as in pow(), one
+  // evaluation runs per prime and Garner recombines them.  Fixed-base tables
+  // are not consulted.  Equal to the product of pow() over the terms.
+  [[nodiscard]] Bigint multi_pow(std::span<const Bigint> bases,
+                                 std::span<const Bigint> exps) const;
 
   // Precomputes a windowed fixed-base table (BGMW bucket method): powers
   // base^(2^(w·i)) are stored so a later exponentiation by an e of up to
@@ -100,6 +113,7 @@ class PowerContext {
   struct FixedBase;  // defined in power_context.cpp
 
   [[nodiscard]] bool fixed_base_matches(const Bigint& base) const;
+  [[nodiscard]] Bigint crt_combine(const Bigint& mp, const Bigint& mq) const;
 
   Bigint n_;
   std::optional<Trapdoor> trapdoor_;

@@ -128,15 +128,25 @@ GapProof DictionaryIntervals::prove_unknown(std::string_view word) const {
   return p;
 }
 
-bool DictionaryIntervals::verify_unknown(const AccumulatorContext& ctx, const Bigint& root,
-                                         std::string_view word, const GapProof& proof,
-                                         const PrimeRepConfig& base_config) {
+bool DictionaryIntervals::verify_unknown(const Bigint& root, std::string_view word,
+                                         const GapProof& proof,
+                                         const PrimeRepConfig& base_config, VerifyBatch& batch,
+                                         const char* failure) {
   // The word must lie strictly inside the disclosed gap...
   if (!(proof.lo < word && word < proof.hi)) return false;
   // ...and the gap must be one the owner accumulated.
   PrimeRepGenerator gen = gap_generator(base_config);
-  std::vector<Bigint> rep = {gap_representative(gen, proof.lo, proof.hi)};
-  return verify_membership(ctx, root, proof.witness, rep);
+  const Bigint rep = gap_representative(gen, proof.lo, proof.hi);
+  batch.add_membership(root, proof.witness, std::span<const Bigint>(&rep, 1), failure);
+  return true;
+}
+
+bool DictionaryIntervals::verify_unknown(const AccumulatorContext& ctx, const Bigint& root,
+                                         std::string_view word, const GapProof& proof,
+                                         const PrimeRepConfig& base_config) {
+  VerifyBatch batch(ctx);
+  return verify_unknown(root, word, proof, base_config, batch, "gap proof invalid") &&
+         batch.holds();
 }
 
 }  // namespace vc

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "accumulator/accumulator.hpp"
+#include "accumulator/verify_batch.hpp"
 #include "accumulator/witness.hpp"
 #include "primes/prime_rep.hpp"
 
@@ -54,7 +55,11 @@ class DictionaryIntervals {
   [[nodiscard]] GapProof prove_unknown(std::string_view word) const;
 
   // Public-side check: word strictly inside (lo, hi) and the gap belongs to
-  // the signed root.
+  // the signed root.  The batch form returns false when the word is outside
+  // the gap and records the gap's membership in `batch` under `failure`.
+  static bool verify_unknown(const Bigint& root, std::string_view word, const GapProof& proof,
+                             const PrimeRepConfig& base_config, VerifyBatch& batch,
+                             const char* failure);
   static bool verify_unknown(const AccumulatorContext& ctx, const Bigint& root,
                              std::string_view word, const GapProof& proof,
                              const PrimeRepConfig& base_config);

@@ -430,32 +430,33 @@ void IntervalIndex::remove(const AccumulatorContext& ctx,
 
 namespace {
 
-// Checks that the descriptor is authenticated by the root.
-bool verify_descriptor(const AccumulatorContext& ctx, const Bigint& root,
-                       const IntervalDescriptor& desc, const Bigint& mid_witness,
-                       const PrimeRepGenerator& mid_gen) {
+// Records the check that the descriptor is authenticated by the root.
+void add_descriptor(VerifyBatch& batch, const Bigint& root, const IntervalDescriptor& desc,
+                    const Bigint& mid_witness, const PrimeRepGenerator& mid_gen,
+                    const char* failure) {
   static obs::Histogram& stage = obs::MetricsRegistry::global().stage("hash_to_prime");
   const Bigint mid_rep = [&] {
     obs::Span span(stage, "hash_to_prime");  // the derivation, not the modexp check
     return mid_gen.representative(desc.encode());
   }();
-  return verify_membership(ctx, root, mid_witness, std::span<const Bigint>(&mid_rep, 1));
+  batch.add_membership(root, mid_witness, std::span<const Bigint>(&mid_rep, 1), failure);
 }
 
-// The part loop both proof kinds share: every part's descriptor must be
-// authenticated by the root and claim at least one value, no value may be
-// claimed twice, every value must be claimed, and `check_part` must accept
-// the part's accumulator check over the representatives of its values.
-template <typename Part, typename CheckPart>
-bool verify_parts(const AccumulatorContext& ctx, const Bigint& root,
-                  const std::vector<Part>& parts, std::span<const std::uint64_t> values,
-                  PrimeCache& element_primes, CheckPart check_part) {
+// The part loop both proof kinds share: every part must claim at least one
+// value, no value may be claimed twice, and every value must be claimed.
+// Each part's descriptor check against the root and the check `add_part`
+// records over the representatives of its values go into `batch` under
+// `failure`; the return value covers only the structural checks.
+template <typename Part, typename AddPart>
+bool verify_parts(const Bigint& root, const std::vector<Part>& parts,
+                  std::span<const std::uint64_t> values, PrimeCache& element_primes,
+                  VerifyBatch& batch, const char* failure, AddPart add_part) {
   if (values.empty()) return parts.empty();
   const PrimeRepGenerator mid_gen =
       IntervalIndex::middle_generator(element_primes.generator().config());
   std::vector<bool> covered(values.size(), false);
   for (const Part& part : parts) {
-    if (!verify_descriptor(ctx, root, part.desc, part.mid_witness, mid_gen)) return false;
+    add_descriptor(batch, root, part.desc, part.mid_witness, mid_gen, failure);
     std::vector<Bigint> reps;
     for (std::size_t i = 0; i < values.size(); ++i) {
       if (values[i] >= part.desc.lo && values[i] <= part.desc.hi) {
@@ -465,7 +466,7 @@ bool verify_parts(const AccumulatorContext& ctx, const Bigint& root,
       }
     }
     if (reps.empty()) return false;  // vacuous part
-    if (!check_part(part, reps)) return false;
+    add_part(part, reps);
   }
   return std::all_of(covered.begin(), covered.end(), [](bool c) { return c; });
 }
@@ -582,24 +583,45 @@ bool operator==(const IntervalIndex& a, const IntervalIndex& b) {
          a.intervals_ == b.intervals_;
 }
 
+bool IntervalIndex::verify_membership(const Bigint& root, const IntervalMembershipProof& proof,
+                                      std::span<const std::uint64_t> values,
+                                      PrimeCache& element_primes, VerifyBatch& batch,
+                                      const char* failure) {
+  return verify_parts(root, proof.parts, values, element_primes, batch, failure,
+                      [&](const IntervalMembershipPart& part, std::span<const Bigint> reps) {
+                        batch.add_membership(part.desc.b, part.chat, reps, failure);
+                      });
+}
+
+bool IntervalIndex::verify_nonmembership(const Bigint& root,
+                                         const IntervalNonmembershipProof& proof,
+                                         std::span<const std::uint64_t> values,
+                                         PrimeCache& element_primes, VerifyBatch& batch,
+                                         const char* failure) {
+  return verify_parts(root, proof.parts, values, element_primes, batch, failure,
+                      [&](const IntervalNonmembershipPart& part, std::span<const Bigint> reps) {
+                        batch.add_nonmembership(part.desc.b, part.nmw, reps, failure);
+                      });
+}
+
 bool IntervalIndex::verify_membership(const AccumulatorContext& ctx, const Bigint& root,
                                       const IntervalMembershipProof& proof,
                                       std::span<const std::uint64_t> values,
                                       PrimeCache& element_primes) {
-  return verify_parts(ctx, root, proof.parts, values, element_primes,
-                      [&](const IntervalMembershipPart& part, std::span<const Bigint> reps) {
-                        return vc::verify_membership(ctx, part.desc.b, part.chat, reps);
-                      });
+  VerifyBatch batch(ctx);
+  return verify_membership(root, proof, values, element_primes, batch,
+                           "interval membership proof invalid") &&
+         batch.holds();
 }
 
 bool IntervalIndex::verify_nonmembership(const AccumulatorContext& ctx, const Bigint& root,
                                          const IntervalNonmembershipProof& proof,
                                          std::span<const std::uint64_t> values,
                                          PrimeCache& element_primes) {
-  return verify_parts(ctx, root, proof.parts, values, element_primes,
-                      [&](const IntervalNonmembershipPart& part, std::span<const Bigint> reps) {
-                        return vc::verify_nonmembership(ctx, part.desc.b, part.nmw, reps);
-                      });
+  VerifyBatch batch(ctx);
+  return verify_nonmembership(root, proof, values, element_primes, batch,
+                              "interval nonmembership proof invalid") &&
+         batch.holds();
 }
 
 }  // namespace vc

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "accumulator/accumulator.hpp"
+#include "accumulator/verify_batch.hpp"
 #include "accumulator/witness.hpp"
 #include "primes/prime_cache.hpp"
 
@@ -164,12 +165,24 @@ class IntervalIndex {
   // --- verification (public side) ----------------------------------------
   // Checks that `values` ⊆ X given the signed root.  `values` must be
   // grouped exactly as the prover grouped them; the function re-derives the
-  // grouping from the disclosed interval ranges.
+  // grouping from the disclosed interval ranges.  The batch forms return
+  // false when the parts' structure (value coverage) already fails and
+  // record every accumulator equation — each part's descriptor against the
+  // root and its (non)membership check within b — in `batch` under
+  // `failure`; the forms without a batch check one of their own.
+  static bool verify_membership(const Bigint& root, const IntervalMembershipProof& proof,
+                                std::span<const std::uint64_t> values,
+                                PrimeCache& element_primes, VerifyBatch& batch,
+                                const char* failure);
   static bool verify_membership(const AccumulatorContext& ctx, const Bigint& root,
                                 const IntervalMembershipProof& proof,
                                 std::span<const std::uint64_t> values,
                                 PrimeCache& element_primes);
 
+  static bool verify_nonmembership(const Bigint& root, const IntervalNonmembershipProof& proof,
+                                   std::span<const std::uint64_t> values,
+                                   PrimeCache& element_primes, VerifyBatch& batch,
+                                   const char* failure);
   static bool verify_nonmembership(const AccumulatorContext& ctx, const Bigint& root,
                                    const IntervalNonmembershipProof& proof,
                                    std::span<const std::uint64_t> values,

@@ -45,7 +45,7 @@ Bigint PrimeRepGenerator::search(std::span<const std::uint8_t> element) const {
     mgf1_sha256(hmac_.finish(inner), candidate_bytes);
     // Trim to width, force exact bit length and oddness.
     candidate_bytes[0] &= static_cast<std::uint8_t>(0xFF >> excess);
-    mpz_import(candidate.raw_mut(), nbytes, 1, 1, 0, 0, candidate_bytes.data());
+    candidate.set_bytes(candidate_bytes);  // two whole-limb loads at 128 bits
     mpz_setbit(candidate.raw_mut(), config_.rep_bits - 1);
     mpz_setbit(candidate.raw_mut(), 0);
     if (is_probable_prime(candidate)) return candidate;

@@ -2,17 +2,35 @@
 
 namespace vc {
 
+namespace {
+
+std::vector<Bigint> representatives(std::span<const std::uint64_t> values, PrimeCache& primes) {
+  std::vector<Bigint> reps;
+  reps.reserve(values.size());
+  for (std::uint64_t v : values) reps.push_back(primes.get(v));
+  return reps;
+}
+
+}  // namespace
+
+bool MembershipEvidence::verify(const Bigint& flat_acc, const Bigint& interval_root,
+                                std::span<const std::uint64_t> values, PrimeCache& primes,
+                                VerifyBatch& batch, const char* failure) const {
+  if (interval_form) {
+    return IntervalIndex::verify_membership(interval_root, interval, values, primes, batch,
+                                            failure);
+  }
+  batch.add_membership(flat_acc, flat_witness, representatives(values, primes), failure);
+  return true;
+}
+
 bool MembershipEvidence::verify(const AccumulatorContext& ctx, const Bigint& flat_acc,
                                 const Bigint& interval_root,
                                 std::span<const std::uint64_t> values,
                                 PrimeCache& primes) const {
-  if (interval_form) {
-    return IntervalIndex::verify_membership(ctx, interval_root, interval, values, primes);
-  }
-  std::vector<Bigint> reps;
-  reps.reserve(values.size());
-  for (std::uint64_t v : values) reps.push_back(primes.get(v));
-  return verify_membership(ctx, flat_acc, flat_witness, reps);
+  VerifyBatch batch(ctx);
+  return verify(flat_acc, interval_root, values, primes, batch, "membership evidence invalid") &&
+         batch.holds();
 }
 
 void MembershipEvidence::write(ByteWriter& w) const {
@@ -41,17 +59,25 @@ std::size_t MembershipEvidence::encoded_size() const {
   return w.size();
 }
 
+bool NonmembershipEvidence::verify(const Bigint& flat_acc, const Bigint& interval_root,
+                                   std::span<const std::uint64_t> values, PrimeCache& primes,
+                                   VerifyBatch& batch, const char* failure) const {
+  if (interval_form) {
+    return IntervalIndex::verify_nonmembership(interval_root, interval, values, primes, batch,
+                                               failure);
+  }
+  batch.add_nonmembership(flat_acc, flat, representatives(values, primes), failure);
+  return true;
+}
+
 bool NonmembershipEvidence::verify(const AccumulatorContext& ctx, const Bigint& flat_acc,
                                    const Bigint& interval_root,
                                    std::span<const std::uint64_t> values,
                                    PrimeCache& primes) const {
-  if (interval_form) {
-    return IntervalIndex::verify_nonmembership(ctx, interval_root, interval, values, primes);
-  }
-  std::vector<Bigint> reps;
-  reps.reserve(values.size());
-  for (std::uint64_t v : values) reps.push_back(primes.get(v));
-  return verify_nonmembership(ctx, flat_acc, flat, reps);
+  VerifyBatch batch(ctx);
+  return verify(flat_acc, interval_root, values, primes, batch,
+                "nonmembership evidence invalid") &&
+         batch.holds();
 }
 
 void NonmembershipEvidence::write(ByteWriter& w) const {

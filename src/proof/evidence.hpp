@@ -20,7 +20,13 @@ struct MembershipEvidence {
   IntervalMembershipProof interval;  // when interval_form
 
   // Checks the evidence against the appropriate signed accumulator value.
-  // `values` are the claimed members (element encodings).
+  // `values` are the claimed members (element encodings).  The batch form
+  // returns false on a structural failure and records the accumulator
+  // equations in `batch` under `failure`; the other checks a batch of its
+  // own.
+  [[nodiscard]] bool verify(const Bigint& flat_acc, const Bigint& interval_root,
+                            std::span<const std::uint64_t> values, PrimeCache& primes,
+                            VerifyBatch& batch, const char* failure) const;
   [[nodiscard]] bool verify(const AccumulatorContext& ctx, const Bigint& flat_acc,
                             const Bigint& interval_root,
                             std::span<const std::uint64_t> values,
@@ -36,6 +42,9 @@ struct NonmembershipEvidence {
   NonmembershipWitness flat;          // when !interval_form (§II-B2)
   IntervalNonmembershipProof interval;  // when interval_form
 
+  [[nodiscard]] bool verify(const Bigint& flat_acc, const Bigint& interval_root,
+                            std::span<const std::uint64_t> values, PrimeCache& primes,
+                            VerifyBatch& batch, const char* failure) const;
   [[nodiscard]] bool verify(const AccumulatorContext& ctx, const Bigint& flat_acc,
                             const Bigint& interval_root,
                             std::span<const std::uint64_t> values,

@@ -23,7 +23,8 @@ ResultVerifier::ResultVerifier(AccumulatorContext ctx, VerifyKey owner_key,
       cloud_key_(std::move(cloud_key)),
       config_(config),
       tuple_primes_(std::make_unique<PrimeCache>(config.tuple_prime_config())),
-      doc_primes_(std::make_unique<PrimeCache>(config.doc_prime_config())) {}
+      doc_primes_(std::make_unique<PrimeCache>(config.doc_prime_config())),
+      batch_key_(random_batch_key()) {}
 
 void ResultVerifier::reset_prime_caches() const {
   tuple_primes_->clear();
@@ -34,26 +35,28 @@ void ResultVerifier::verify(const SearchResponse& response) const {
   static obs::Histogram& stage = obs::MetricsRegistry::global().stage("verify");
   obs::Span span(stage, "verify");
   // Check 1 (§III-E): results and proofs signed by the cloud.
-  require(cloud_key_.verify(response.payload_bytes(), response.cloud_sig),
-          "cloud signature invalid");
+  const Bytes payload = response.payload_bytes();
+  require(cloud_key_.verify(payload, response.cloud_sig), "cloud signature invalid");
   // Epoch pin: an owner who knows the current epoch rejects responses
   // served from any other snapshot (rollback/stale serving).
   if (pinned_epoch_.has_value()) {
     require(response.epoch == *pinned_epoch_, "response epoch does not match pinned epoch");
   }
+  VerifyBatch batch(ctx_, batch_key_, Sha256::hash(payload));
   if (const auto* multi = std::get_if<MultiKeywordResponse>(&response.body)) {
-    verify_multi(*multi, response.epoch);
+    verify_multi(*multi, response.epoch, batch);
   } else if (const auto* single = std::get_if<SingleKeywordResponse>(&response.body)) {
     verify_single(*single, response.epoch);
   } else if (const auto* unknown = std::get_if<UnknownKeywordResponse>(&response.body)) {
-    verify_unknown(*unknown, response.epoch);
+    verify_unknown(*unknown, response.epoch, batch);
   } else {
-    verify_boolean(std::get<BooleanQueryResponse>(response.body), response.epoch);
+    verify_boolean(std::get<BooleanQueryResponse>(response.body), response.epoch, batch);
   }
+  batch.check();
 }
 
 void ResultVerifier::verify_multi(const MultiKeywordResponse& multi,
-                                  std::uint64_t response_epoch) const {
+                                  std::uint64_t response_epoch, VerifyBatch& batch) const {
   const SearchResult& result = multi.result;
   const QueryProof& proof = multi.proof;
   const std::size_t q = result.keywords.size();
@@ -105,18 +108,19 @@ void ResultVerifier::verify_multi(const MultiKeywordResponse& multi,
   for (std::size_t i = 0; i < q; ++i) {
     U64Set tuples = InvertedIndex::tuple_set(result.postings[i]);
     std::sort(tuples.begin(), tuples.end());
-    require(proof.correctness.keywords[i].verify(ctx_, proof.terms[i].stmt.tuple_acc,
+    const char* what = "correctness proof invalid";
+    require(proof.correctness.keywords[i].verify(proof.terms[i].stmt.tuple_acc,
                                                  proof.terms[i].stmt.tuple_root, tuples,
-                                                 *tuple_primes_),
-            "correctness proof invalid");
+                                                 *tuple_primes_, batch, what),
+            what);
   }
 
   // Check 4: integrity.
   if (const auto* acc = std::get_if<AccumulatorIntegrity>(&proof.integrity)) {
-    verify_accumulator_integrity(multi, *acc);
+    verify_accumulator_integrity(multi, *acc, batch);
   } else {
-    verify_bloom_integrity(multi, std::get<BloomIntegrity>(proof.integrity),
-                           response_epoch);
+    verify_bloom_integrity(multi, std::get<BloomIntegrity>(proof.integrity), response_epoch,
+                           batch);
   }
 }
 
@@ -140,7 +144,7 @@ void ResultVerifier::verify_multi(const MultiKeywordResponse& multi,
 //       correctness the tf values are the owner's, so the tf-sum scores are
 //       exact and the top-k claim is checked by recomputation.
 void ResultVerifier::verify_boolean(const BooleanQueryResponse& boolean,
-                                    std::uint64_t response_epoch) const {
+                                    std::uint64_t response_epoch, VerifyBatch& batch) const {
   const BooleanProof& proof = boolean.proof;
   const std::size_t q = boolean.terms.size();
   require(boolean.postings.size() == q, "postings/term count mismatch");
@@ -266,18 +270,22 @@ void ResultVerifier::verify_boolean(const BooleanQueryResponse& boolean,
   for (std::size_t i = 0; i < q; ++i) {
     const TermStatement& stmt = proof.terms[i].stmt;
     const BooleanTermFacts& f = proof.facts[i];
-    require(f.membership.verify(ctx_, stmt.doc_acc, stmt.doc_root, f.members, *doc_primes_),
-            "member fact proof invalid");
+    const char* member = "member fact proof invalid";
+    require(f.membership.verify(stmt.doc_acc, stmt.doc_root, f.members, *doc_primes_, batch,
+                                member),
+            member);
     if (!f.nonmembers.empty()) {
-      require(f.nonmembership.verify(ctx_, stmt.doc_acc, stmt.doc_root, f.nonmembers,
-                                     *doc_primes_),
-              "nonmember fact proof invalid");
+      const char* nonmember = "nonmember fact proof invalid";
+      require(f.nonmembership.verify(stmt.doc_acc, stmt.doc_root, f.nonmembers, *doc_primes_,
+                                     batch, nonmember),
+              nonmember);
     }
     U64Set tuples = InvertedIndex::tuple_set(boolean.postings[i]);
     std::sort(tuples.begin(), tuples.end());
-    require(proof.correctness.keywords[i].verify(ctx_, stmt.tuple_acc, stmt.tuple_root,
-                                                 tuples, *tuple_primes_),
-            "correctness proof invalid");
+    const char* correctness = "correctness proof invalid";
+    require(proof.correctness.keywords[i].verify(stmt.tuple_acc, stmt.tuple_root, tuples,
+                                                 *tuple_primes_, batch, correctness),
+            correctness);
   }
 
   // Unknown leaves: gap proofs against the owner's dictionary attestation.
@@ -285,10 +293,11 @@ void ResultVerifier::verify_boolean(const BooleanQueryResponse& boolean,
     require(proof.dict.verify(owner_key_), "dictionary attestation signature invalid");
     require(proof.dict.stmt.epoch <= response_epoch,
             "dictionary attestation epoch newer than response epoch");
+    const char* what = "unknown-term gap proof invalid";
     for (const UnknownTermProof& u : proof.unknowns) {
-      require(DictionaryIntervals::verify_unknown(ctx_, proof.dict.stmt.gap_root, u.term,
-                                                  u.gap, config_.dict_prime_config()),
-              "unknown-term gap proof invalid");
+      require(DictionaryIntervals::verify_unknown(proof.dict.stmt.gap_root, u.term, u.gap,
+                                                  config_.dict_prime_config(), batch, what),
+              what);
     }
   }
 
@@ -328,7 +337,8 @@ void ResultVerifier::verify_boolean(const BooleanQueryResponse& boolean,
 }
 
 void ResultVerifier::verify_accumulator_integrity(const MultiKeywordResponse& multi,
-                                                  const AccumulatorIntegrity& integrity) const {
+                                                  const AccumulatorIntegrity& integrity,
+                                                  VerifyBatch& batch) const {
   const SearchResult& result = multi.result;
   const QueryProof& proof = multi.proof;
   const std::size_t q = result.keywords.size();
@@ -347,9 +357,10 @@ void ResultVerifier::verify_accumulator_integrity(const MultiKeywordResponse& mu
   // can have been silently dropped.
   require(result.docs.size() + integrity.check_docs.size() == base.posting_count,
           "integrity proof does not cover the whole base posting list");
-  require(integrity.check_membership.verify(ctx_, base.doc_acc, base.doc_root,
-                                            integrity.check_docs, *doc_primes_),
-          "check-doc membership proof invalid");
+  const char* check_what = "check-doc membership proof invalid";
+  require(integrity.check_membership.verify(base.doc_acc, base.doc_root, integrity.check_docs,
+                                            *doc_primes_, batch, check_what),
+          check_what);
 
   // Every check doc must be proven absent from exactly one other keyword.
   U64Set covered;
@@ -365,15 +376,17 @@ void ResultVerifier::verify_accumulator_integrity(const MultiKeywordResponse& mu
     require(sets_disjoint(g.docs, covered), "check doc covered twice");
     covered = set_union(covered, g.docs);
     const TermStatement& target = proof.terms[g.keyword].stmt;
-    require(g.evidence.verify(ctx_, target.doc_acc, target.doc_root, g.docs, *doc_primes_),
-            "nonmembership proof invalid");
+    const char* what = "nonmembership proof invalid";
+    require(g.evidence.verify(target.doc_acc, target.doc_root, g.docs, *doc_primes_, batch, what),
+            what);
   }
   require(covered == integrity.check_docs, "not all check docs proven absent");
 }
 
 void ResultVerifier::verify_bloom_integrity(const MultiKeywordResponse& multi,
                                             const BloomIntegrity& integrity,
-                                            std::uint64_t response_epoch) const {
+                                            std::uint64_t response_epoch,
+                                            VerifyBatch& batch) const {
   const SearchResult& result = multi.result;
   const QueryProof& proof = multi.proof;
   const std::size_t q = result.keywords.size();
@@ -436,10 +449,11 @@ void ResultVerifier::verify_bloom_integrity(const MultiKeywordResponse& multi,
   // C_i ⊆ X_i via membership evidence on the doc accumulator.
   for (std::size_t i = 0; i < q; ++i) {
     const BloomKeywordPart& part = integrity.parts[i];
-    require(part.check_membership.verify(ctx_, proof.terms[i].stmt.doc_acc,
-                                         proof.terms[i].stmt.doc_root,
-                                         part.check_elements, *doc_primes_),
-            "check-element membership proof invalid");
+    const char* what = "check-element membership proof invalid";
+    require(part.check_membership.verify(proof.terms[i].stmt.doc_acc,
+                                         proof.terms[i].stmt.doc_root, part.check_elements,
+                                         *doc_primes_, batch, what),
+            what);
   }
 }
 
@@ -456,14 +470,15 @@ void ResultVerifier::verify_single(const SingleKeywordResponse& single,
 }
 
 void ResultVerifier::verify_unknown(const UnknownKeywordResponse& unknown,
-                                    std::uint64_t response_epoch) const {
+                                    std::uint64_t response_epoch, VerifyBatch& batch) const {
   require(unknown.dict.verify(owner_key_), "dictionary attestation signature invalid");
   require(unknown.dict.stmt.epoch <= response_epoch,
           "dictionary attestation epoch newer than response epoch");
-  require(DictionaryIntervals::verify_unknown(ctx_, unknown.dict.stmt.gap_root,
-                                              unknown.keyword, unknown.gap,
-                                              config_.dict_prime_config()),
-          "unknown-keyword gap proof invalid");
+  const char* what = "unknown-keyword gap proof invalid";
+  require(DictionaryIntervals::verify_unknown(unknown.dict.stmt.gap_root, unknown.keyword,
+                                              unknown.gap, config_.dict_prime_config(), batch,
+                                              what),
+          what);
 }
 
 }  // namespace vc

@@ -14,6 +14,7 @@
 #include "proof/proof_types.hpp"
 #include <optional>
 
+#include "accumulator/verify_batch.hpp"
 #include "vindex/index_snapshot.hpp"
 
 namespace vc {
@@ -26,6 +27,12 @@ class ResultVerifier {
   // Performs every check of §III-E; throws VerifyError naming the first
   // failed check.  The response's raw keywords are not interpreted — the
   // response body names the normalized keywords the proofs are about.
+  //
+  // Every structural check runs first; the accumulator equations of all
+  // the response's evidence are recorded in one VerifyBatch and checked
+  // together at the end, with coefficients keyed by this verifier's own
+  // random secret and bound to the signed payload.  A failed accumulator
+  // check is reported with the message of the first failing equation.
   //
   // Epoch discipline: every owner attestation in the response must carry an
   // epoch no newer than the (cloud-signed) response epoch — a response can
@@ -46,15 +53,19 @@ class ResultVerifier {
   void reset_prime_caches() const;
 
  private:
-  void verify_multi(const MultiKeywordResponse& multi, std::uint64_t response_epoch) const;
-  void verify_boolean(const BooleanQueryResponse& boolean, std::uint64_t response_epoch) const;
+  void verify_multi(const MultiKeywordResponse& multi, std::uint64_t response_epoch,
+                    VerifyBatch& batch) const;
+  void verify_boolean(const BooleanQueryResponse& boolean, std::uint64_t response_epoch,
+                      VerifyBatch& batch) const;
   void verify_single(const SingleKeywordResponse& single, std::uint64_t response_epoch) const;
-  void verify_unknown(const UnknownKeywordResponse& unknown, std::uint64_t response_epoch) const;
+  void verify_unknown(const UnknownKeywordResponse& unknown, std::uint64_t response_epoch,
+                      VerifyBatch& batch) const;
   void verify_accumulator_integrity(const MultiKeywordResponse& multi,
-                                    const AccumulatorIntegrity& integrity) const;
+                                    const AccumulatorIntegrity& integrity,
+                                    VerifyBatch& batch) const;
   void verify_bloom_integrity(const MultiKeywordResponse& multi,
-                              const BloomIntegrity& integrity,
-                              std::uint64_t response_epoch) const;
+                              const BloomIntegrity& integrity, std::uint64_t response_epoch,
+                              VerifyBatch& batch) const;
 
   AccumulatorContext ctx_;
   VerifyKey owner_key_;
@@ -63,6 +74,7 @@ class ResultVerifier {
   mutable std::unique_ptr<PrimeCache> tuple_primes_;
   mutable std::unique_ptr<PrimeCache> doc_primes_;
   std::optional<std::uint64_t> pinned_epoch_;
+  HmacSha256 batch_key_;  // keys the batch coefficients; drawn at construction
 };
 
 }  // namespace vc

@@ -6,6 +6,7 @@
 #include "bigint/bigint.hpp"
 #include "bigint/power_context.hpp"
 #include "crypto/keygen.hpp"
+#include "crypto/standard_params.hpp"
 #include "obs/metrics.hpp"
 #include "support/errors.hpp"
 #include "support/rng.hpp"
@@ -43,6 +44,17 @@ TEST(Bigint, BytesRoundtripBigEndian) {
   EXPECT_EQ(b.to_bytes(), be);
   EXPECT_TRUE(Bigint::from_bytes({}).is_zero());
   EXPECT_TRUE(Bigint(0).to_bytes().empty());
+}
+
+TEST(Bigint, SetBytesOverwritesAWiderValue) {
+  DeterministicRng rng(4);
+  Bigint b = Bigint::random_bits(rng, 1024);
+  const Bytes be = {0x80, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0x0F};
+  b.set_bytes(be);
+  EXPECT_EQ(b, Bigint::from_bytes(be));
+  EXPECT_EQ(b.bit_length(), 128u);
+  b.set_bytes({});
+  EXPECT_TRUE(b.is_zero());
 }
 
 TEST(Bigint, ArithmeticBasics) {
@@ -398,6 +410,72 @@ TEST(FixedBase, NegativeExponentOfTableBaseIsAHit) {
   EXPECT_EQ(pub.pow(g, -e), reference_pow(g, -e, n));
   EXPECT_EQ(fixedbase_count("hit"), hits + 1);
   EXPECT_EQ(fixedbase_count("miss"), misses);
+}
+
+// --- multi-exponentiation ----------------------------------------------------
+
+// Π pow(b_i, e_i), the product multi_pow must equal.
+Bigint product_of_pows(const PowerContext& ctx, const std::vector<Bigint>& bases,
+                       const std::vector<Bigint>& exps) {
+  Bigint acc(1);
+  for (std::size_t i = 0; i < bases.size(); ++i) acc = ctx.mul(acc, ctx.pow(bases[i], exps[i]));
+  return acc;
+}
+
+TEST(PowerContext, MultiPowMatchesSeparatePows) {
+  DeterministicRng rng(31);
+  // Exponent widths cycle through zero, single bits, representative and
+  // product widths, up to a 100-representative interval (12,800 bits) plus a
+  // 64-bit batch coefficient; bases cycle through reduced values, values
+  // past n, multiples of n and values narrower than n.
+  const std::vector<std::size_t> widths = {0, 1, 2, 5, 64, 128, 192, 700, 1000, 13000};
+  for (std::size_t modulus_bits : {512, 1024}) {
+    const RsaModulus& mod = standard_accumulator_modulus(modulus_bits);
+    const PowerContext pub(mod.n);
+    const PowerContext owner(mod.n, mod.p, mod.q);
+    for (std::size_t count : {1, 2, 3, 17, 258, 300}) {
+      std::vector<Bigint> bases, exps;
+      for (std::size_t i = 0; i < count; ++i) {
+        Bigint base = Bigint::random_below(rng, mod.n);
+        if (i % 7 == 3) base += mod.n * Bigint(static_cast<long>(i));  // >= n
+        if (i % 11 == 5) base = mod.n;                                 // 0 mod n
+        if (i % 13 == 6) base = Bigint(static_cast<long>(i) + 2);      // one limb
+        const std::size_t bits = widths[(i * 7 + count) % widths.size()];
+        Bigint e = Bigint::random_bits(rng, bits);
+        if (bits > 0) mpz_setbit(e.raw_mut(), bits - 1);
+        bases.push_back(std::move(base));
+        exps.push_back(std::move(e));
+      }
+      SCOPED_TRACE(std::to_string(modulus_bits) + " bits, " + std::to_string(count) + " terms");
+      const Bigint expected = product_of_pows(pub, bases, exps);
+      EXPECT_EQ(pub.multi_pow(bases, exps), expected);
+      EXPECT_EQ(owner.multi_pow(bases, exps), product_of_pows(owner, bases, exps));
+      EXPECT_EQ(owner.multi_pow(bases, exps), expected);
+    }
+    // One term of every width, and a batch whose exponents are all zero.
+    for (std::size_t bits : widths) {
+      const std::vector<Bigint> base = {Bigint::random_below(rng, mod.n)};
+      const std::vector<Bigint> exp = {Bigint::random_bits(rng, bits)};
+      EXPECT_EQ(pub.multi_pow(base, exp), pub.pow(base[0], exp[0])) << bits;
+      EXPECT_EQ(owner.multi_pow(base, exp), pub.pow(base[0], exp[0])) << bits;
+    }
+    const std::vector<Bigint> bases = {Bigint(5), Bigint(7)};
+    const std::vector<Bigint> zeros = {Bigint(0), Bigint(0)};
+    EXPECT_EQ(pub.multi_pow(bases, zeros), Bigint(1));
+    EXPECT_EQ(owner.multi_pow(bases, zeros), Bigint(1));
+    EXPECT_EQ(pub.multi_pow({}, {}), Bigint(1));
+  }
+}
+
+TEST(PowerContext, MultiPowRejectsNegativeExponentsAndEvenModuli) {
+  const PowerContext pub(kP * kQ);
+  const std::vector<Bigint> bases = {Bigint(5), Bigint(7)};
+  EXPECT_THROW((void)pub.multi_pow(bases, std::vector<Bigint>{Bigint(3), Bigint(-1)}),
+               UsageError);
+  EXPECT_THROW((void)pub.multi_pow(bases, std::vector<Bigint>{Bigint(3)}), UsageError);
+  const PowerContext even(Bigint(1009) * Bigint(1012));
+  EXPECT_THROW((void)even.multi_pow(bases, std::vector<Bigint>{Bigint(3), Bigint(1)}),
+               UsageError);
 }
 
 }  // namespace
