@@ -18,6 +18,7 @@
 
 #include "accumulator/batch_witness.hpp"
 #include "accumulator/witness.hpp"
+#include "hash/sha256.hpp"
 #include "primes/prime_cache.hpp"
 #include "protocol/cloud.hpp"
 #include "store/codec_detail.hpp"
@@ -620,6 +621,55 @@ TEST(WitnessTierDecode, HugeCountsAreTypedErrors) {
   sub.raw(Bytes(4, 0));
   ByteReader sr(sub.data());
   EXPECT_THROW((void)WitnessSubTable::read(sr), ParseError);
+}
+
+// The persisted fixed-base image and the powers the table serves, pinned for
+// one modulus, base and capacity: the Hybrid table size at the paper's
+// parameters, (2·100 + 1)·128 bits.  Any change to the table's evaluator or
+// its in-memory form must keep these bytes, and export -> import -> export
+// must reproduce them.
+TEST(FixedBaseTable, PinnedImageAndPowers) {
+  auto digest_hex = [](std::span<const std::uint8_t> bytes) {
+    return to_hex(Sha256::hash(bytes));
+  };
+  const RsaModulus& mod = standard_accumulator_modulus(1024);
+  const Bigint& g = standard_qr_generator(1024);
+  PowerContext ctx(mod.n);
+  ctx.prepare_fixed_base(g, 201 * 128);
+
+  std::optional<FixedBaseSnapshot> image = ctx.export_fixed_base();
+  ASSERT_TRUE(image.has_value());
+  EXPECT_EQ(image->window, 9u);
+  EXPECT_EQ(image->capacity_bits, 25'728u);
+  ByteWriter w;
+  write_fixed_base(w, *image);
+  const Bytes bytes = std::move(w).take();
+  EXPECT_EQ(digest_hex(bytes),
+            "7b2f9200f34a9667400bf2526e9000d031cc85fe590b21d9fc123a476552dade");
+
+  const std::pair<std::size_t, const char*> pins[] = {
+      {128, "6a4819d2068fed2e0b83b75ff5ff9ec33ab5ebc8b76ae07fd25b9a1d9fad9143"},
+      {12'800, "e33645892b5e5a2772085f2b585b129b536f2ba7aac36a5bc6fe3dd7924e43c4"},
+      {25'600, "83f380119d248c63ba39faf6ad2fea3d03bdf5ff8963149103f9ad80df02b526"},
+  };
+  for (const auto& [bits, pin] : pins) {
+    Bytes be(bits / 8);
+    for (std::size_t i = 0; i < be.size(); ++i) be[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    be[0] |= 0x80;
+    const Bigint e = Bigint::from_bytes(be);
+    ASSERT_EQ(e.bit_length(), bits);
+    const Bigint got = ctx.pow(g, e);
+    EXPECT_EQ(got, Bigint::pow_mod(g, e, mod.n)) << bits;
+    EXPECT_EQ(digest_hex(got.to_bytes()), pin) << bits;
+  }
+
+  PowerContext adopted(mod.n);
+  adopted.import_fixed_base(*image);
+  std::optional<FixedBaseSnapshot> again = adopted.export_fixed_base();
+  ASSERT_TRUE(again.has_value());
+  ByteWriter w2;
+  write_fixed_base(w2, *again);
+  EXPECT_EQ(std::move(w2).take(), bytes);
 }
 
 TEST_F(WitnessTierTest, FixedBaseSnapshotRoundTrips) {
