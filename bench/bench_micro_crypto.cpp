@@ -94,24 +94,28 @@ void BM_PowOwnerVsCloud(benchmark::State& state) {
 }
 BENCHMARK(BM_PowOwnerVsCloud)->Arg(0)->Arg(1);  // 0=cloud, 1=owner
 
-// g^±e on the prover's table (2M-bit capacity, the widest a table gets)
-// against plain powm, at representative widths: a single representative
-// (64/128), a short product (1024), one interval of 100 x 128-bit
-// representatives (12800) and two (25600).  Every width the profitability
-// rule routes to the table should come out ahead of powm here.
+// g^±e against plain powm (table 0) at representative widths: a single
+// representative (64/128), a short product (1024), one interval of 100 x
+// 128-bit representatives (12800) and two (25600).  Table 1 is the flat
+// schemes' widest table (2M-bit capacity, w = 12); table 2 is the interval
+// schemes' table, sized to one split-free interval at the paper's
+// parameters ((2·100 + 1)·128 bits, w = 9).  Every width the profitability
+// rule routes to a table should come out ahead of powm here.
 void BM_FixedBasePow(benchmark::State& state) {
   const auto bits = static_cast<std::size_t>(state.range(0));
   const bool negative = state.range(1) == 1;
-  const bool table = state.range(2) == 1;
+  const auto table = state.range(2);
   const auto& mod = standard_accumulator_modulus(1024);
   const Bigint& g = standard_qr_generator(1024);
-  static const PowerContext kTable = [&] {
+  auto with_table = [&](std::size_t capacity_bits) {
     PowerContext ctx(mod.n);
-    ctx.prepare_fixed_base(g, 2'000'000);
+    ctx.prepare_fixed_base(g, capacity_bits);
     return ctx;
-  }();
+  };
+  static const PowerContext kFlat = with_table(2'000'000);
+  static const PowerContext kInterval = with_table((2 * 100 + 1) * 128);
   const PowerContext plain(mod.n);
-  const PowerContext& ctx = table ? kTable : plain;
+  const PowerContext& ctx = table == 1 ? kFlat : table == 2 ? kInterval : plain;
   DeterministicRng rng(5);
   Bigint e = Bigint::random_bits(rng, bits);
   if (negative) e = -e;
@@ -121,7 +125,7 @@ void BM_FixedBasePow(benchmark::State& state) {
 }
 BENCHMARK(BM_FixedBasePow)
     ->ArgNames({"bits", "neg", "table"})
-    ->ArgsProduct({{64, 128, 1024, 12800, 25600}, {0, 1}, {0, 1}})
+    ->ArgsProduct({{64, 128, 1024, 12800, 25600}, {0, 1}, {0, 1, 2}})
     ->Unit(benchmark::kMicrosecond);
 
 // The 258 terms of one flagship verify batch (1024-bit modulus, 128-bit

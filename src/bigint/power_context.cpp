@@ -30,24 +30,152 @@ obs::Counter& pow_calls() {
       "vc_pow_total", "", "Modular exponentiations through PowerContext");
   return c;
 }
+// Time of the table-served exponentiations (the hits): a histogram-only
+// stage, since a traced span per exponentiation would swamp a trace.
+obs::Histogram& fixed_pow_stage() {
+  static obs::Histogram& h = obs::MetricsRegistry::global().stage("fixed_base_pow");
+  return h;
+}
 
 }  // namespace
+
+// --- Montgomery arithmetic ----------------------------------------------------
+//
+// Montgomery arithmetic on raw limbs mod an odd m of N limbs, R = 2^(64N).
+// A residue x is held as the N-limb value x·R mod m, kept below R but not
+// necessarily below m: for inputs below R, word-by-word REDC of their
+// product returns a value below R again, so only from_mont() reduces fully.
+//
+// MontModulus holds what depends on m alone (its limbs, -m^-1 mod 2^64 and
+// R^2 mod m), so a fixed-base table keeps one beside its powers and shares it
+// across threads; Montgomery adds the per-call product scratch.
+namespace {
+
+struct MontModulus {
+  explicit MontModulus(const Bigint& m)
+      : n(mpz_size(m.raw())), limbs(mpz_limbs_read(m.raw()), mpz_limbs_read(m.raw()) + n),
+        r2(n), mod(m) {
+    if (!m.is_odd()) throw UsageError("PowerContext: Montgomery form needs an odd modulus");
+    // -m^-1 mod 2^64 by Newton's iteration: an odd m0 is its own inverse
+    // mod 8, and each step doubles the correct low bits (3 -> 96).
+    const mp_limb_t m0 = limbs[0];
+    mp_limb_t inv = m0;
+    for (int i = 0; i < 5; ++i) inv *= 2 - m0 * inv;
+    minv = 0 - inv;
+    Bigint r2_value;
+    mpz_setbit(r2_value.raw_mut(), 2 * GMP_NUMB_BITS * n);
+    mpz_tdiv_r(r2_value.raw_mut(), r2_value.raw(), m.raw());
+    copy_padded(r2.data(), r2_value.raw());
+  }
+
+  // The N-limb image of 0 <= z < R.
+  void copy_padded(mp_limb_t* out, mpz_srcptr z) const {
+    const std::size_t size = mpz_size(z);
+    std::copy(mpz_limbs_read(z), mpz_limbs_read(z) + size, out);
+    std::fill(out + size, out + n, 0);
+  }
+
+  std::size_t n;
+  std::vector<mp_limb_t> limbs;
+  std::vector<mp_limb_t> r2;  // R^2 mod m
+  mp_limb_t minv = 0;         // -m^-1 mod 2^64
+  Bigint mod;
+};
+
+class Montgomery {
+ public:
+  explicit Montgomery(const MontModulus& m) : m_(m), t_(2 * m.n) {}
+
+  [[nodiscard]] std::size_t limbs() const { return m_.n; }
+
+  // out = a·b·R^-1 mod m; out may alias a or b.
+  void mul(mp_limb_t* out, const mp_limb_t* a, const mp_limb_t* b) {
+    if (a == b) {
+      mpn_sqr(t_.data(), a, static_cast<mp_size_t>(m_.n));
+    } else {
+      mpn_mul_n(t_.data(), a, b, static_cast<mp_size_t>(m_.n));
+    }
+    redc(out);
+  }
+
+  // out = (x mod m)·R mod m.
+  void to_mont(mp_limb_t* out, const Bigint& x) {
+    const std::size_t n = m_.n;
+    Bigint reduced;
+    mpz_srcptr src = x.raw();
+    // m's top limb is nonzero, so a value of fewer limbs is below it.
+    if (mpz_sgn(src) < 0 || mpz_size(src) > n ||
+        (mpz_size(src) == n &&
+         mpn_cmp(mpz_limbs_read(src), m_.limbs.data(), static_cast<mp_size_t>(n)) >= 0)) {
+      mpz_mod(reduced.raw_mut(), src, m_.mod.raw());
+      src = reduced.raw();
+    }
+    m_.copy_padded(out, src);
+    mul(out, out, m_.r2.data());
+  }
+
+  // The canonical residue in [0, m) of a Montgomery-form value.
+  [[nodiscard]] Bigint from_mont(const mp_limb_t* a) {
+    const std::size_t n = m_.n;
+    const auto size = static_cast<mp_size_t>(n);
+    std::copy(a, a + n, t_.begin());
+    std::fill(t_.begin() + static_cast<std::ptrdiff_t>(n), t_.end(), 0);
+    Bigint r;
+    mp_limb_t* out = mpz_limbs_write(r.raw_mut(), size);
+    redc(out);  // a < R, so the result is at most m
+    if (mpn_cmp(out, m_.limbs.data(), size) >= 0) mpn_sub_n(out, out, m_.limbs.data(), size);
+    mpz_limbs_finish(r.raw_mut(), size);
+    return r;
+  }
+
+ private:
+  // out = t_·R^-1 mod m for the 2N-limb t_ (clobbered), below R whenever
+  // t_ < R^2.  Step i adds the multiple of m that clears limb i and parks the
+  // step's carry in that cleared limb, so one final addition folds all the
+  // carries in (the layout of GMP's redc_1); the sum is below R + m, so one
+  // conditional subtraction brings it below R.
+  void redc(mp_limb_t* out) {
+    mp_limb_t* t = t_.data();
+    const std::size_t n = m_.n;
+    const auto size = static_cast<mp_size_t>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      t[i] = mpn_addmul_1(t + i, m_.limbs.data(), size, t[i] * m_.minv);
+    }
+    if (mpn_add_n(out, t + n, t, size) != 0) mpn_sub_n(out, out, m_.limbs.data(), size);
+  }
+
+  const MontModulus& m_;
+  std::vector<mp_limb_t> t_;  // 2N-limb product scratch
+};
+
+// Bits [pos, pos+width) of |z| (width <= 32); limbs past the top read as 0.
+std::uint32_t bits_at(mpz_srcptr z, std::size_t pos, std::size_t width) {
+  constexpr std::size_t kLimbBits = GMP_NUMB_BITS;
+  const auto limb = static_cast<mp_size_t>(pos / kLimbBits);
+  const std::size_t shift = pos % kLimbBits;
+  mp_limb_t v = mpz_getlimbn(z, limb) >> shift;
+  if (shift + width > kLimbBits) v |= mpz_getlimbn(z, limb + 1) << (kLimbBits - shift);
+  return static_cast<std::uint32_t>(v & ((mp_limb_t{1} << width) - 1));
+}
 
 // --- fixed-base tables -------------------------------------------------------
 //
 // One sub-table per residue ring the exponentiation runs in: a single table
 // mod n on the public side, tables mod p and mod q on the trapdoor side
 // (whose exponents arrive already reduced mod p-1 / q-1).  Sub-table i
-// stores powers[j] = base^(2^(window·j)) mod `mod`; the BGMW bucket scan in
-// eval_fixed combines them, squaring only to join digit columns when the
-// exponent is narrow enough to profit from a smaller digit width.
-namespace {
+// stores powers[j] = base^(2^(window·j)) mod `mod` in Montgomery form, one
+// flat run of limbs; the BGMW bucket scan in eval_fixed combines them,
+// squaring only to join digit columns when the exponent is narrow enough to
+// profit from a smaller digit width.
 
 struct FixedSub {
-  Bigint mod;
+  MontModulus mod;
   std::size_t window = 0;         // digit width w in bits
   std::size_t capacity_bits = 0;  // widest exponent the table serves
-  std::vector<Bigint> powers;     // ceil(capacity/window) entries
+  std::vector<mp_limb_t> powers;  // ceil(capacity/window) entries of mod.n limbs
+
+  [[nodiscard]] std::size_t entries() const { return powers.size() / mod.n; }
+  [[nodiscard]] const mp_limb_t* power(std::size_t j) const { return powers.data() + j * mod.n; }
 };
 
 }  // namespace
@@ -79,18 +207,23 @@ std::size_t pick_window(std::size_t capacity_bits) {
   return best_w;
 }
 
+std::size_t table_entries(std::size_t capacity_bits, std::size_t window) {
+  return (capacity_bits + window - 1) / window;
+}
+
 FixedSub build_sub(const Bigint& base, const Bigint& mod, std::size_t capacity_bits) {
-  FixedSub sub;
-  sub.mod = mod;
+  FixedSub sub{.mod = MontModulus(mod), .window = 0, .capacity_bits = 0, .powers = {}};
   sub.capacity_bits = std::max<std::size_t>(1, std::min(capacity_bits, kMaxFixedCapacityBits));
   sub.window = pick_window(sub.capacity_bits);
-  std::size_t entries = (sub.capacity_bits + sub.window - 1) / sub.window;
-  sub.powers.reserve(entries);
-  sub.powers.push_back(Bigint::mod(base, mod));
-  for (std::size_t i = 1; i < entries; ++i) {
-    // powers[i] = powers[i-1]^(2^window): `window` squarings via one powm.
-    sub.powers.push_back(
-        Bigint::pow_mod(sub.powers.back(), Bigint(long{1} << sub.window), mod));
+  const std::size_t n = sub.mod.n;
+  sub.powers.resize(table_entries(sub.capacity_bits, sub.window) * n);
+  Montgomery mont(sub.mod);
+  mont.to_mont(sub.powers.data(), base);
+  for (std::size_t j = 1; j < sub.entries(); ++j) {
+    // powers[j] = powers[j-1]^(2^window): `window` squarings.
+    mp_limb_t* out = sub.powers.data() + j * n;
+    std::copy(sub.power(j - 1), sub.power(j - 1) + n, out);
+    for (std::size_t k = 0; k < sub.window; ++k) mont.mul(out, out, out);
   }
   return sub;
 }
@@ -104,16 +237,18 @@ FixedSub build_sub(const Bigint& base, const Bigint& mod, std::size_t capacity_b
 //   cost(v) = digits·s + s·2^v + (s-1)·v   multiplications.
 // v = W is the single-column scan (digits + 2^W).  Returns the cheapest v
 // (the widest on ties), or 0 when no v beats a generic powm.  A table
-// multiplication (plain mul + remainder) costs at least one powm bit (GMP
-// squares in Montgomery form), so the break-even in BM_FixedBasePow sits
-// near 64-bit exponents, where a plan needs about one multiplication per
-// bit; the 0.9 keeps the table off that knife edge.
+// multiplication is one Montgomery product, as are powm's, but powm pays a
+// squaring per bit plus its window multiplications: fitted against
+// BM_FixedBasePow-style timings (512- and 1024-bit moduli, 16-25,600-bit
+// exponents), one powm bit costs 1.1-1.5 table multiplications for
+// exponents of 48-1,024 bits, and the two paths tie near 32 bits, where a
+// plan needs about 1.2 multiplications per bit.
 std::size_t fixed_digit_width(const FixedSub& sub, std::size_t exp_bits) {
   if (exp_bits == 0 || exp_bits > sub.capacity_bits) return 0;
   const std::size_t w = sub.window;
   const double digits = static_cast<double>((exp_bits + w - 1) / w);
   std::size_t best_v = 0;
-  double best_cost = 0.9 * static_cast<double>(exp_bits);
+  double best_cost = 1.2 * static_cast<double>(exp_bits);
   for (std::size_t v = w; v >= 1; --v) {
     const double s = static_cast<double>((w + v - 1) / v);
     const double cost = digits * s + s * static_cast<double>(std::size_t{1} << v) +
@@ -126,23 +261,14 @@ std::size_t fixed_digit_width(const FixedSub& sub, std::size_t exp_bits) {
   return best_v;
 }
 
-// Bits [pos, pos+width) of |z| (width <= 32); limbs past the top read as 0.
-std::uint32_t bits_at(mpz_srcptr z, std::size_t pos, std::size_t width) {
-  constexpr std::size_t kLimbBits = GMP_NUMB_BITS;
-  const auto limb = static_cast<mp_size_t>(pos / kLimbBits);
-  const std::size_t shift = pos % kLimbBits;
-  mp_limb_t v = mpz_getlimbn(z, limb) >> shift;
-  if (shift + width > kLimbBits) v |= mpz_getlimbn(z, limb + 1) << (kLimbBits - shift);
-  return static_cast<std::uint32_t>(v & ((mp_limb_t{1} << width) - 1));
-}
-
 // BGMW bucket evaluation at digit width v (see above).  Within one column,
 // digit positions are grouped by digit value d and
 //   column = Π_d (Π_{i: e_{i,c} = d} powers[i])^d
 // is computed with the running-product trick (B accumulates the buckets
 // from the largest d downward, A accumulates B once per d): (#nonzero
-// digits + max digit) multiplications, zero squarings.  All products run in
-// place through one scratch value.
+// digits + max digit) multiplications, zero squarings.  Accumulators that
+// still hold 1 take their first factor by copy, so 1 never needs a
+// Montgomery image.
 Bigint eval_fixed(const FixedSub& sub, const Bigint& exp, std::size_t v) {
   const std::size_t bits = exp.bit_length();
   if (bits == 0) return Bigint(1);
@@ -152,20 +278,30 @@ Bigint eval_fixed(const FixedSub& sub, const Bigint& exp, std::size_t v) {
   std::vector<std::uint32_t> digit(digits);
   for (std::size_t i = 0; i < digits; ++i) digit[i] = bits_at(exp.raw(), i * w, w);
 
-  mpz_srcptr mod = sub.mod.raw();
-  Bigint scratch;
-  auto mul_into = [&](Bigint& acc, const Bigint& x) {
-    mpz_mul(scratch.raw_mut(), acc.raw(), x.raw());
-    mpz_tdiv_r(acc.raw_mut(), scratch.raw(), mod);
+  Montgomery mont(sub.mod);
+  const std::size_t n = mont.limbs();
+  std::vector<mp_limb_t> scratch(3 * n);
+  mp_limb_t* result = scratch.data();
+  mp_limb_t* a = result + n;
+  mp_limb_t* b = a + n;
+  bool result_one = true;
+  auto mul_into = [&](mp_limb_t* acc, bool& one, const mp_limb_t* x) {
+    if (one) {
+      std::copy(x, x + n, acc);
+      one = false;
+    } else {
+      mont.mul(acc, acc, x);
+    }
   };
 
   constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
   const std::uint32_t mask = (std::uint32_t{1} << v) - 1;
   std::vector<std::uint32_t> head(std::size_t{1} << v);
   std::vector<std::uint32_t> next(digits);
-  Bigint result(1), a, b;
   for (std::size_t c = columns; c-- > 0;) {
-    for (std::size_t k = 0; c + 1 < columns && k < v; ++k) mul_into(result, result);
+    for (std::size_t k = 0; !result_one && c + 1 < columns && k < v; ++k) {
+      mont.mul(result, result, result);
+    }
     std::fill(head.begin(), head.end(), kEmpty);
     std::uint32_t max_digit = 0;
     for (std::size_t i = 0; i < digits; ++i) {
@@ -175,112 +311,19 @@ Bigint eval_fixed(const FixedSub& sub, const Bigint& exp, std::size_t v) {
       head[d] = static_cast<std::uint32_t>(i);
       max_digit = std::max(max_digit, d);
     }
-    mpz_set_ui(a.raw_mut(), 1);
-    mpz_set_ui(b.raw_mut(), 1);
+    if (max_digit == 0) continue;
+    bool a_one = true;
+    bool b_one = true;
     for (std::uint32_t d = max_digit; d >= 1; --d) {
-      for (std::uint32_t j = head[d]; j != kEmpty; j = next[j]) mul_into(b, sub.powers[j]);
-      mul_into(a, b);
+      for (std::uint32_t j = head[d]; j != kEmpty; j = next[j]) mul_into(b, b_one, sub.power(j));
+      mul_into(a, a_one, b);
     }
-    mul_into(result, a);
+    mul_into(result, result_one, a);
   }
-  return result;
+  return mont.from_mont(result);
 }
 
 // --- multi-exponentiation ------------------------------------------------------
-//
-// Montgomery arithmetic on raw limbs mod an odd m of N limbs, R = 2^(64N).
-// A residue x is held as the N-limb value x·R mod m, kept below R but not
-// necessarily below m: for inputs below R, word-by-word REDC of their
-// product returns a value below R again, so only from_mont() reduces fully.
-class Montgomery {
- public:
-  explicit Montgomery(const Bigint& m)
-      : n_(mpz_size(m.raw())),
-        m_(mpz_limbs_read(m.raw()), mpz_limbs_read(m.raw()) + n_),
-        r2_(n_),
-        t_(2 * n_),
-        mod_(m) {
-    // -m^-1 mod 2^64 by Newton's iteration: an odd m0 is its own inverse
-    // mod 8, and each step doubles the correct low bits (3 -> 96).
-    const mp_limb_t m0 = m_[0];
-    mp_limb_t inv = m0;
-    for (int i = 0; i < 5; ++i) inv *= 2 - m0 * inv;
-    minv_ = 0 - inv;
-    Bigint r2;
-    mpz_setbit(r2.raw_mut(), 2 * GMP_NUMB_BITS * n_);
-    mpz_tdiv_r(r2.raw_mut(), r2.raw(), m.raw());
-    copy_padded(r2_.data(), r2.raw());
-  }
-
-  [[nodiscard]] std::size_t limbs() const { return n_; }
-
-  // out = a·b·R^-1 mod m; out may alias a or b.
-  void mul(mp_limb_t* out, const mp_limb_t* a, const mp_limb_t* b) {
-    if (a == b) {
-      mpn_sqr(t_.data(), a, static_cast<mp_size_t>(n_));
-    } else {
-      mpn_mul_n(t_.data(), a, b, static_cast<mp_size_t>(n_));
-    }
-    redc(out);
-  }
-
-  // out = (x mod m)·R mod m.
-  void to_mont(mp_limb_t* out, const Bigint& x) {
-    Bigint reduced;
-    mpz_srcptr src = x.raw();
-    // m's top limb is nonzero, so a value of fewer limbs is below it.
-    if (mpz_sgn(src) < 0 || mpz_size(src) > n_ ||
-        (mpz_size(src) == n_ &&
-         mpn_cmp(mpz_limbs_read(src), m_.data(), static_cast<mp_size_t>(n_)) >= 0)) {
-      mpz_mod(reduced.raw_mut(), src, mod_.raw());
-      src = reduced.raw();
-    }
-    std::vector<mp_limb_t> plain(n_);
-    copy_padded(plain.data(), src);
-    mul(out, plain.data(), r2_.data());
-  }
-
-  // The canonical residue in [0, m) of a Montgomery-form value.
-  [[nodiscard]] Bigint from_mont(const mp_limb_t* a) {
-    std::copy(a, a + n_, t_.begin());
-    std::fill(t_.begin() + static_cast<std::ptrdiff_t>(n_), t_.end(), 0);
-    std::vector<mp_limb_t> out(n_);
-    redc(out.data());  // a < R, so the result is at most m
-    if (mpn_cmp(out.data(), m_.data(), static_cast<mp_size_t>(n_)) >= 0) {
-      mpn_sub_n(out.data(), out.data(), m_.data(), static_cast<mp_size_t>(n_));
-    }
-    Bigint r;
-    std::copy(out.begin(), out.end(), mpz_limbs_write(r.raw_mut(), static_cast<mp_size_t>(n_)));
-    mpz_limbs_finish(r.raw_mut(), static_cast<mp_size_t>(n_));
-    return r;
-  }
-
- private:
-  // out = t_·R^-1 mod m for the 2N-limb t_ (clobbered), below R whenever
-  // t_ < R^2.  Step i adds the multiple of m that clears limb i and parks the
-  // step's carry in that cleared limb, so one final addition folds all the
-  // carries in (the layout of GMP's redc_1); the sum is below R + m, so one
-  // conditional subtraction brings it below R.
-  void redc(mp_limb_t* out) {
-    mp_limb_t* t = t_.data();
-    const auto n = static_cast<mp_size_t>(n_);
-    for (std::size_t i = 0; i < n_; ++i) t[i] = mpn_addmul_1(t + i, m_.data(), n, t[i] * minv_);
-    if (mpn_add_n(out, t + n_, t, n) != 0) mpn_sub_n(out, out, m_.data(), n);
-  }
-
-  void copy_padded(mp_limb_t* out, mpz_srcptr z) const {
-    const std::size_t size = mpz_size(z);
-    std::copy(mpz_limbs_read(z), mpz_limbs_read(z) + size, out);
-    std::fill(out + size, out + n_, 0);
-  }
-
-  std::size_t n_;
-  std::vector<mp_limb_t> m_;
-  std::vector<mp_limb_t> r2_;  // R^2 mod m
-  std::vector<mp_limb_t> t_;   // 2N-limb product scratch
-  mp_limb_t minv_ = 0;         // -m^-1 mod 2^64
-  Bigint mod_;
-};
 
 // Sliding-window width for one base of a Straus evaluation: its table holds
 // the 2^(w-1) odd powers (one squaring and 2^(w-1) - 1 multiplications to
@@ -305,7 +348,8 @@ unsigned straus_window(std::size_t bits) {
 // bit squares the accumulator once per position and applies the position's
 // events.
 Bigint straus(const Bigint& m, std::span<const Bigint> bases, std::span<const Bigint> exps) {
-  Montgomery mont(m);
+  const MontModulus modulus(m);
+  Montgomery mont(modulus);
   const std::size_t n = mont.limbs();
   struct Term {
     const Bigint* base;
@@ -444,7 +488,9 @@ std::optional<FixedBaseSnapshot> PowerContext::export_fixed_base() const {
   out.base = fixed_->base;
   out.window = sub.window;
   out.capacity_bits = sub.capacity_bits;
-  out.powers = sub.powers;
+  out.powers.reserve(sub.entries());
+  Montgomery mont(sub.mod);
+  for (std::size_t j = 0; j < sub.entries(); ++j) out.powers.push_back(mont.from_mont(sub.power(j)));
   return out;
 }
 
@@ -456,7 +502,7 @@ void PowerContext::import_fixed_base(const FixedBaseSnapshot& snap) {
       snap.capacity_bits > kMaxFixedCapacityBits) {
     throw UsageError("import_fixed_base: window/capacity out of range");
   }
-  std::size_t entries = (snap.capacity_bits + snap.window - 1) / snap.window;
+  const std::size_t entries = table_entries(snap.capacity_bits, snap.window);
   if (snap.powers.size() != entries) {
     throw UsageError("import_fixed_base: entry count does not match window/capacity");
   }
@@ -470,12 +516,23 @@ void PowerContext::import_fixed_base(const FixedBaseSnapshot& snap) {
           Bigint::pow_mod(snap.powers[0], Bigint(long{1} << snap.window), n_)) {
     throw UsageError("import_fixed_base: power chain mismatch");
   }
+  // Entries are canonical residues, so the exported image is the one read.
+  if (std::any_of(snap.powers.begin(), snap.powers.end(),
+                  [&](const Bigint& p) { return p.is_negative() || !(p < n_); })) {
+    throw UsageError("import_fixed_base: entry outside [0, n)");
+  }
+  FixedSub sub{.mod = MontModulus(n_),
+               .window = snap.window,
+               .capacity_bits = snap.capacity_bits,
+               .powers = {}};
+  sub.powers.resize(entries * sub.mod.n);
+  Montgomery mont(sub.mod);
+  for (std::size_t j = 0; j < entries; ++j) {
+    mont.to_mont(sub.powers.data() + j * sub.mod.n, snap.powers[j]);
+  }
   auto fixed = std::make_shared<FixedBase>();
   fixed->base = snap.base;
-  fixed->subs.push_back(FixedSub{.mod = n_,
-                                 .window = snap.window,
-                                 .capacity_bits = snap.capacity_bits,
-                                 .powers = snap.powers});
+  fixed->subs.push_back(std::move(sub));
   fixed_ = std::move(fixed);
 }
 
@@ -488,6 +545,7 @@ Bigint PowerContext::pow(const Bigint& base, const Bigint& exp) const {
       const FixedSub& sub = fixed_->subs[0];
       if (std::size_t v = fixed_digit_width(sub, exp.bit_length())) {
         fixed_hits().inc();
+        obs::Span span(fixed_pow_stage());
         return eval_fixed(sub, exp, v);
       }
       fixed_misses().inc();
@@ -499,20 +557,18 @@ Bigint PowerContext::pow(const Bigint& base, const Bigint& exp) const {
   // recombine with Garner's formula.
   Bigint ep = Bigint::mod(exp, t.p_minus_1);
   Bigint eq = Bigint::mod(exp, t.q_minus_1);
-  Bigint mp, mq;
   if (fixed_base_matches(base)) {
-    std::size_t vp = fixed_digit_width(fixed_->subs[0], ep.bit_length());
-    std::size_t vq = fixed_digit_width(fixed_->subs[1], eq.bit_length());
-    (vp != 0 && vq != 0 ? fixed_hits() : fixed_misses()).inc();
-    mp = vp != 0 ? eval_fixed(fixed_->subs[0], ep, vp)
-                 : Bigint::pow_mod(Bigint::mod(base, t.p), ep, t.p);
-    mq = vq != 0 ? eval_fixed(fixed_->subs[1], eq, vq)
-                 : Bigint::pow_mod(Bigint::mod(base, t.q), eq, t.q);
-  } else {
-    mp = Bigint::pow_mod(Bigint::mod(base, t.p), ep, t.p);
-    mq = Bigint::pow_mod(Bigint::mod(base, t.q), eq, t.q);
+    const std::size_t vp = fixed_digit_width(fixed_->subs[0], ep.bit_length());
+    const std::size_t vq = fixed_digit_width(fixed_->subs[1], eq.bit_length());
+    if (vp != 0 && vq != 0) {
+      fixed_hits().inc();
+      obs::Span span(fixed_pow_stage());
+      return crt_combine(eval_fixed(fixed_->subs[0], ep, vp), eval_fixed(fixed_->subs[1], eq, vq));
+    }
+    fixed_misses().inc();
   }
-  return crt_combine(mp, mq);
+  return crt_combine(Bigint::pow_mod(Bigint::mod(base, t.p), ep, t.p),
+                     Bigint::pow_mod(Bigint::mod(base, t.q), eq, t.q));
 }
 
 Bigint PowerContext::multi_pow(std::span<const Bigint> bases,

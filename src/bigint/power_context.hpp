@@ -74,10 +74,12 @@ class PowerContext {
   // exponentiation, which is what makes one table pay for thousands of
   // calls.  With the trapdoor, exponents are served after reduction mod
   // p-1 / q-1, so the two CRT tables are modulus-sized and `max_exp_bits`
-  // is irrelevant to their memory.  The table is immutable once built and
-  // shared by copies of this context; prepare it before publishing the
-  // context to other threads.  Results are identical to the generic path
-  // bit for bit.
+  // is irrelevant to their memory.  The powers are held in Montgomery form
+  // and multiplied with the same REDC kernel as multi_pow, so the modulus
+  // (p and q on the trapdoor side) must be odd: UsageError otherwise.  The
+  // table is immutable once built and shared by copies of this context;
+  // prepare it before publishing the context to other threads.  Results are
+  // identical to the generic path bit for bit.
   void prepare_fixed_base(const Bigint& base, std::size_t max_exp_bits);
   [[nodiscard]] bool has_fixed_base(const Bigint& base) const {
     return fixed_ != nullptr && fixed_base_matches(base);
@@ -88,13 +90,15 @@ class PowerContext {
   // never limits them).
   [[nodiscard]] std::size_t fixed_base_capacity_bits() const;
 
-  // Public side only.  export_fixed_base() images the current table (nullopt
-  // when there is none or the context holds the trapdoor); import_fixed_base()
-  // adopts a previously exported image after validating it against this
-  // modulus — powers[0] must equal base mod n, the chain is spot-checked, and
-  // entry count must match window/capacity.  A damaged image throws
-  // UsageError; an adopted table is byte-for-byte the one prepare_fixed_base
-  // would have rebuilt.
+  // Public side only.  export_fixed_base() images the current table as
+  // canonical residues in [0, n) (nullopt when there is none or the context
+  // holds the trapdoor); import_fixed_base() adopts a previously exported
+  // image after validating it against this modulus — powers[0] must equal
+  // base mod n, the chain is spot-checked, every entry must lie in [0, n),
+  // and entry count must match window/capacity — and converts it to
+  // Montgomery form.  A damaged image or an even modulus throws UsageError;
+  // an adopted table exports byte-for-byte the image prepare_fixed_base
+  // would have built.
   [[nodiscard]] std::optional<FixedBaseSnapshot> export_fixed_base() const;
   void import_fixed_base(const FixedBaseSnapshot& snap);
 

@@ -128,38 +128,40 @@ CloudService::~CloudService() {
 
 CloudService::StatePtr CloudService::build_state(
     const SnapshotPtr& snapshot, const std::optional<FixedBaseSnapshot>& fixed_base) {
-  // A persisted table for g makes the cold restart skip the capacity_bits
-  // squarings a rebuild would spend.  The witness tier itself is already
-  // attached to the snapshot (lazy, mmap-backed) — no per-term witness is
-  // recomputed on reopen.
-  if (fixed_base && fixed_base->base == ctx_.g()) {
-    ctx_.adopt_fixed_base(*fixed_base);
-    fixed_base_bits_ = std::max(fixed_base_bits_, fixed_base->capacity_bits);
-  }
-  // Keep the shared fixed-base table for g wide enough for this snapshot's
-  // longest posting list: every epoch's engine then reuses the same table
-  // (it is shared through context copies) instead of rebuilding it.
-  std::size_t need = (std::max<std::size_t>(1, snapshot->max_posting_count()) + 1) *
-                     snapshot->config().rep_bits;
-  if (need > fixed_base_bits_) {
-    // A table already on the context (adopted from a persisted epoch, or
-    // handed in by the embedder) that covers this width is kept as-is — the
-    // whole point of persisting it is to not pay the rebuild squarings here.
-    std::size_t have = ctx_.power().has_fixed_base(ctx_.g())
-                           ? ctx_.power().fixed_base_capacity_bits()
-                           : 0;
-    if (have >= need) {
-      fixed_base_bits_ = have;
+  // Keep the shared fixed-base table for g as wide as this scheme's widest
+  // g-exponent: every epoch's engine then reuses the same table (it is
+  // shared through context copies) instead of rebuilding it.  The interval
+  // schemes raise g to one interval's product at most: IntervalIndex::insert
+  // splits any interval above 2·interval_size members, so no chat exponent
+  // and no Bézout b is wider.  The flat schemes raise it to the complement
+  // of the longest posting list.
+  const VerifiableIndexConfig& config = snapshot->config();
+  const bool interval_form =
+      scheme_ == SchemeKind::kHybrid || scheme_ == SchemeKind::kIntervalAccumulator;
+  const std::size_t need =
+      (interval_form ? 2 * config.interval_size + 1
+                     : std::max<std::size_t>(1, snapshot->max_posting_count()) + 1) *
+      config.rep_bits;
+  const PowerContext& power = ctx_.power();
+  if (!power.has_fixed_base(ctx_.g()) || power.fixed_base_capacity_bits() < need) {
+    // A persisted table for g makes the cold restart skip the squarings a
+    // rebuild would spend; a table already on the context that covers
+    // `need` (built for an earlier epoch, adopted, or handed in by the
+    // embedder) is kept as-is, so an epoch pays no import either.  The
+    // witness tier itself is already attached to the snapshot (lazy,
+    // mmap-backed): no per-term witness is recomputed on reopen.
+    if (fixed_base && fixed_base->base == ctx_.g() && fixed_base->capacity_bits >= need) {
+      ctx_.adopt_fixed_base(*fixed_base);
     } else {
       ctx_.enable_fixed_base(need);
-      fixed_base_bits_ = need;
     }
   }
   auto engine = std::make_shared<const SearchEngine>(snapshot, ctx_, key_, pool_);
   if (auto tier = snapshot->witness_tier(); tier != nullptr && warm_budget_bytes_ > 0) {
     warm_epoch(*snapshot, *tier, warm_budget_bytes_);
   }
-  return std::make_shared<const EpochState>(EpochState{snapshot, std::move(engine)});
+  return std::make_shared<const EpochState>(
+      EpochState{snapshot, std::move(engine), power.fixed_base_capacity_bits()});
 }
 
 void CloudService::publish(SnapshotPtr snapshot) {
@@ -246,6 +248,10 @@ void CloudService::wait_published(std::uint64_t epoch) const {
 }
 
 std::uint64_t CloudService::epoch() const { return current_state()->snap->epoch(); }
+
+std::size_t CloudService::fixed_base_capacity_bits() const {
+  return current_state()->fixed_base_bits;
+}
 
 SearchResponse CloudService::handle(const SignedQuery& query) {
   static obs::Histogram& handle_stage = obs::MetricsRegistry::global().stage("handle");

@@ -67,7 +67,8 @@ class CloudService {
 
   // Opens the store's CURRENT epoch (mmap-backed, lazily materialized) and
   // stages it together with the epoch's persisted fixed-base table, which
-  // the publish worker adopts — the cold-restart entry point.  A damaged
+  // the publish worker adopts when the serving table for g does not already
+  // cover the epoch — the cold-restart entry point.  A damaged
   // witness tier stages the epoch untiered; any other damage, or a missing
   // epoch, throws the store's typed errors.  Returns the staged epoch
   // number.
@@ -88,6 +89,11 @@ class CloudService {
   }
   // Epoch of the snapshot currently served.
   [[nodiscard]] std::uint64_t epoch() const;
+  // Exponent capacity in bits of the fixed-base table for g the current
+  // epoch proves with: (2·interval_size + 1)·rep_bits for the interval
+  // schemes, (longest posting list + 1)·rep_bits for the flat ones, or more
+  // when a wider table was already on the context.
+  [[nodiscard]] std::size_t fixed_base_capacity_bits() const;
 
  private:
   // Narrow test-only hook: the adversarial soundness harness (src/advtest)
@@ -96,11 +102,13 @@ class CloudService {
   // by the cloud, exactly what a malicious operator would produce.
   friend struct advtest::CloudAccess;
 
-  // One epoch's serving state: the snapshot and the engine (prover) built
-  // over it.  Immutable once published.
+  // One epoch's serving state: the snapshot, the engine (prover) built
+  // over it and the capacity of the g-table it proves with.  Immutable once
+  // published.
   struct EpochState {
     SnapshotPtr snap;
     std::shared_ptr<const SearchEngine> engine;
+    std::size_t fixed_base_bits = 0;
   };
   using StatePtr = std::shared_ptr<const EpochState>;
 
@@ -120,8 +128,7 @@ class CloudService {
 
   // Fixed-base adoption/sizing, engine construction and the warm stage for
   // one epoch.  Runs in the constructor before the worker starts and on the
-  // worker after that, so one thread at a time owns ctx_ and
-  // fixed_base_bits_.
+  // worker after that, so one thread at a time owns ctx_.
   [[nodiscard]] StatePtr build_state(const SnapshotPtr& snapshot,
                                      const std::optional<FixedBaseSnapshot>& fixed_base);
   void stage(SnapshotPtr snapshot, std::optional<FixedBaseSnapshot> fixed_base);
@@ -134,7 +141,6 @@ class CloudService {
   ThreadPool* pool_;
   std::uint64_t warm_budget_bytes_;
   std::atomic<std::uint64_t> served_{0};
-  std::size_t fixed_base_bits_ = 0;  // capacity of the shared g-base table
   mutable std::mutex current_mu_;
   StatePtr current_;  // guarded by current_mu_
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "bigint/bigint.hpp"
@@ -410,6 +411,108 @@ TEST(FixedBase, NegativeExponentOfTableBaseIsAHit) {
   EXPECT_EQ(pub.pow(g, -e), reference_pow(g, -e, n));
   EXPECT_EQ(fixedbase_count("hit"), hits + 1);
   EXPECT_EQ(fixedbase_count("miss"), misses);
+}
+
+// Bases of fewer limbs than the modulus (one limb, a few limbs), bases >= n
+// and a negative base all pass through the table's Montgomery conversion;
+// a one-limb base once made that conversion read past the base's limbs.
+TEST(FixedBase, ShortAndUnreducedBasesMatchPowm) {
+  const RsaModulus& mod = standard_accumulator_modulus(1024);
+  DeterministicRng rng(25);
+  const std::vector<Bigint> bases = {Bigint(2),
+                                     Bigint(3),
+                                     Bigint::random_bits(rng, 70),
+                                     Bigint::random_bits(rng, 600),
+                                     mod.n + Bigint(5),
+                                     mod.n * Bigint(3) + Bigint(7),
+                                     Bigint(-7)};
+  const std::vector<std::size_t> widths = {1, 2, 31, 32, 63, 64, 65, 128, 1000, 2048};
+  for (const Bigint& base : bases) {
+    SCOPED_TRACE(base.bit_length());
+    PowerContext pub(mod.n);
+    pub.prepare_fixed_base(base, 2048);
+    expect_pow_matches(pub, base, widths, rng);
+    PowerContext owner(mod.n, mod.p, mod.q);
+    owner.prepare_fixed_base(base, 0);
+    expect_pow_matches(owner, base, widths, rng);
+
+    // The exported image is canonical and survives a round trip.
+    const std::optional<FixedBaseSnapshot> image = pub.export_fixed_base();
+    ASSERT_TRUE(image.has_value());
+    EXPECT_EQ(image->powers[0], Bigint::mod(base, mod.n));
+    PowerContext adopted(mod.n);
+    adopted.import_fixed_base(*image);
+    EXPECT_EQ(adopted.export_fixed_base()->powers, image->powers);
+    expect_pow_matches(adopted, base, {64, 2048}, rng);
+  }
+}
+
+// An exponent as wide as the capacity is served by the table; one bit
+// wider falls back to powm and counts as a miss.  Only the table-served
+// exponentiations are timed in the fixed_base_pow stage.
+TEST(FixedBase, CapacityEdgeHitsAndOnePastIsAMiss) {
+  obs::set_enabled(true);
+  const RsaModulus& mod = standard_accumulator_modulus(1024);
+  const Bigint& g = standard_qr_generator(1024);
+  PowerContext pub(mod.n);
+  pub.prepare_fixed_base(g, 201 * 128);
+  ASSERT_EQ(pub.fixed_base_capacity_bits(), 25'728u);
+  const obs::Histogram& stage = obs::MetricsRegistry::global().stage("fixed_base_pow");
+  DeterministicRng rng(26);
+  for (std::size_t bits : {25'727u, 25'728u, 25'729u}) {
+    SCOPED_TRACE(bits);
+    Bigint e = Bigint::random_bits(rng, bits);
+    mpz_setbit(e.raw_mut(), bits - 1);
+    const std::uint64_t hits = fixedbase_count("hit");
+    const std::uint64_t misses = fixedbase_count("miss");
+    const std::uint64_t timed = stage.snapshot().count;
+    EXPECT_EQ(pub.pow(g, e), reference_pow(g, e, mod.n));
+    const bool inside = bits <= pub.fixed_base_capacity_bits();
+    EXPECT_EQ(fixedbase_count("hit"), hits + (inside ? 1 : 0));
+    EXPECT_EQ(fixedbase_count("miss"), misses + (inside ? 0 : 1));
+    EXPECT_EQ(stage.snapshot().count, timed + (inside ? 1 : 0));
+  }
+}
+
+// The owner's tables live mod p and mod q at the paper's modulus size:
+// every exponent, however wide, is served by them after reduction, and
+// they never leave the context.
+TEST(FixedBase, TrapdoorTablesServeEveryWidthAndAreNeverExported) {
+  obs::set_enabled(true);
+  const RsaModulus& mod = standard_accumulator_modulus(1024);
+  const Bigint& g = standard_qr_generator(1024);
+  PowerContext owner(mod.n, mod.p, mod.q);
+  owner.prepare_fixed_base(g, 0);
+  EXPECT_EQ(owner.fixed_base_capacity_bits(), static_cast<std::size_t>(-1));
+  DeterministicRng rng(27);
+  for (std::size_t bits : {128u, 12'800u, 100'000u}) {
+    SCOPED_TRACE(bits);
+    Bigint e = Bigint::random_bits(rng, bits);
+    mpz_setbit(e.raw_mut(), bits - 1);
+    const std::uint64_t hits = fixedbase_count("hit");
+    EXPECT_EQ(owner.pow(g, e), reference_pow(g, e, mod.n));
+    EXPECT_EQ(owner.pow(g, -e), reference_pow(g, -e, mod.n));
+    EXPECT_EQ(fixedbase_count("hit"), hits + 2);
+  }
+  EXPECT_FALSE(owner.export_fixed_base().has_value());
+  PowerContext pub(mod.n);
+  pub.prepare_fixed_base(g, 1000);
+  EXPECT_THROW(owner.import_fixed_base(*pub.export_fixed_base()), UsageError);
+}
+
+// The table runs in Montgomery form, which needs an odd modulus: an even
+// one is refused, as multi_pow refuses it, and leaves no table behind.
+TEST(FixedBase, EvenModulusIsRefused) {
+  const Bigint even = Bigint(1009) * Bigint(1012);
+  const Bigint base(5);
+  PowerContext pub(even);
+  EXPECT_THROW(pub.prepare_fixed_base(base, 256), UsageError);
+  EXPECT_THROW(pub.import_fixed_base(snapshot_with_window(base, even, 4, 64)), UsageError);
+  EXPECT_FALSE(pub.has_fixed_base(base));
+  EXPECT_EQ(pub.pow(base, Bigint(1000)), Bigint::pow_mod(base, Bigint(1000), even));
+  PowerContext owner(Bigint(2) * Bigint(1009), Bigint(2), Bigint(1009));
+  EXPECT_THROW(owner.prepare_fixed_base(base, 0), UsageError);
+  EXPECT_FALSE(owner.has_fixed_base(base));
 }
 
 // --- multi-exponentiation ----------------------------------------------------

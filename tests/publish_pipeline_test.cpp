@@ -184,6 +184,56 @@ TEST(PublishPipeline, WarmStageAvoidsColdPathForHotTerms) {
   fs::remove_all(root);
 }
 
+// The serving core sizes its g-table by the widest exponent its scheme
+// takes: one interval's product for the interval schemes (no interval holds
+// more than 2·interval_size members), the complement of the longest posting
+// list for the flat ones.  A persisted table from publish_from is adopted
+// only when the serving table does not already cover that width, so the
+// interval schemes keep their narrow table across tiered epochs.
+TEST(PublishPipeline, FixedBaseTableSizedPerScheme) {
+  SynthSpec spec{.name = "fbsize", .num_docs = 40, .min_doc_words = 20,
+                 .max_doc_words = 40, .vocab_size = 120, .zipf_s = 0.9, .seed = 27};
+  testbed::TestBed bed(spec, testbed::small_config(256, "fbsize"), /*key_seed=*/704,
+                       /*threads=*/2);
+  fs::path root = fs::path(::testing::TempDir()) /
+                  ("vc_fixed_base_size." + std::to_string(::getpid()));
+  fs::remove_all(root);
+  store::EpochStore store(root);
+  TierPolicy policy;
+  policy.top_k = 2;
+  TierBuildResult tier = build_witness_tier(*bed.vidx.snapshot(), bed.owner_ctx, policy);
+  ASSERT_NE(tier.tier, nullptr);
+  store::TierArtifacts artifacts{tier.tier, tier.fixed_base};
+  store.publish(*bed.vidx.snapshot(), /*shard_count=*/1, &artifacts);
+
+  const VerifiableIndexConfig& cfg = bed.config;
+  const std::size_t interval_bits = (2 * cfg.interval_size + 1) * cfg.rep_bits;
+  const std::size_t flat_bits = (bed.vidx.snapshot()->max_posting_count() + 1) * cfg.rep_bits;
+  ASSERT_GT(flat_bits, interval_bits) << "the corpus must tell the two sizes apart";
+  ASSERT_EQ(tier.fixed_base.capacity_bits, flat_bits);
+
+  const std::vector<std::string> words = bed.frequent_terms(2);
+  ResultVerifier verifier = bed.owner_verifier();
+  const std::pair<SchemeKind, std::size_t> cases[] = {
+      {SchemeKind::kHybrid, interval_bits},
+      {SchemeKind::kIntervalAccumulator, interval_bits},
+      {SchemeKind::kAccumulator, flat_bits},
+      {SchemeKind::kBloom, flat_bits},
+  };
+  for (const auto& [scheme, bits] : cases) {
+    SCOPED_TRACE(scheme_name(scheme));
+    CloudService cloud(bed.vidx.snapshot(), bed.pub_ctx, bed.cloud_key,
+                       bed.owner_key.verify_key(), /*pool=*/nullptr, scheme);
+    EXPECT_EQ(cloud.fixed_base_capacity_bits(), bits);
+    cloud.wait_published(cloud.publish_from(store));
+    EXPECT_EQ(cloud.fixed_base_capacity_bits(), bits);
+    Query q{.id = 7, .keywords = words};
+    SignedQuery sq{q, bed.owner_key.sign(q.encode())};
+    ASSERT_NO_THROW(verifier.verify(cloud.handle(sq)));
+  }
+  fs::remove_all(root);
+}
+
 // TSan target: the owner's publishes race a second thread reopening the
 // store through publish_from (whose persisted fixed-base table the worker
 // adopts), verifying queries pinning monotonically increasing epochs,
