@@ -70,10 +70,6 @@ std::size_t pick_base(std::span<const IndexEntry* const> entries) {
   return best;
 }
 
-bool wants_interval_form(SchemeKind scheme) {
-  return scheme == SchemeKind::kIntervalAccumulator || scheme == SchemeKind::kHybrid;
-}
-
 void insert_sorted(U64Set& set, std::uint64_t v) {
   set.insert(std::lower_bound(set.begin(), set.end(), v), v);
 }
@@ -217,7 +213,7 @@ ForgedResponse MaliciousCloud::forge_drop(const SearchResponse& base, SchemeKind
   }
 
   auto entries = entries_for(result);
-  const bool interval_form = wants_interval_form(scheme);
+  const bool interval_form = uses_interval_witnesses(scheme);
   QueryProof proof;
   proof.scheme = scheme;
   for (const auto* e : entries) proof.terms.push_back(e->attestation);
@@ -316,7 +312,7 @@ ForgedResponse MaliciousCloud::forge_add(const SearchResponse& base, SchemeKind 
                     p);
   }
 
-  const bool interval_form = wants_interval_form(scheme);
+  const bool interval_form = uses_interval_witnesses(scheme);
   QueryProof proof;
   proof.scheme = scheme;
   for (const auto* e : entries) proof.terms.push_back(e->attestation);
@@ -413,7 +409,7 @@ ForgedResponse MaliciousCloud::forge_stale(const SignedQuery& query, SchemeKind 
     if (e == nullptr) return out;  // term born after the snapshot
     stale_entries.push_back(e);
   }
-  const bool interval_form = wants_interval_form(scheme);
+  const bool interval_form = uses_interval_witnesses(scheme);
   std::size_t base_kw = pick_base(stale_entries);
   U64Set stale_base_docs = InvertedIndex::doc_set(stale_entries[base_kw]->postings);
   // The lazy-cloud lie is only a lie when the fresh result strayed beyond
@@ -492,7 +488,7 @@ ForgedResponse MaliciousCloud::forge_epoch_chain_splice(const SignedQuery& query
 
   // A keyword is spliceable when the stale layer knows it but cannot cover
   // the live claim — otherwise stale and live coincide and there is no lie.
-  const bool interval_form = wants_interval_form(scheme);
+  const bool interval_form = uses_interval_witnesses(scheme);
   std::vector<std::size_t> candidates;
   for (std::size_t i = 0; i < result.keywords.size(); ++i) {
     const auto* stale_e = stale_snap_->find(result.keywords[i]);
@@ -701,7 +697,7 @@ ForgedResponse MaliciousCloud::forge_epoch_mixing(const SearchResponse& base) {
 
 void MaliciousCloud::rebuild_boolean_facts(BooleanQueryResponse& body) const {
   BooleanProof& proof = body.proof;
-  const bool interval_form = wants_interval_form(proof.scheme);
+  const bool interval_form = uses_interval_witnesses(proof.scheme);
   U64Set universe = set_union(body.docs, body.check_docs);
   proof.facts.clear();
   proof.facts.resize(body.terms.size());

@@ -26,6 +26,11 @@ enum class SchemeKind : std::uint8_t {
   kHybrid = 3,               // interval witnesses + per-query integrity choice
 };
 const char* scheme_name(SchemeKind scheme);
+// The schemes whose correctness and accumulator integrity use interval
+// witnesses, so a g-exponent spans one interval at most.
+[[nodiscard]] constexpr bool uses_interval_witnesses(SchemeKind scheme) {
+  return scheme == SchemeKind::kIntervalAccumulator || scheme == SchemeKind::kHybrid;
+}
 
 // --- search result ------------------------------------------------------------
 

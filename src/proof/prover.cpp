@@ -375,8 +375,7 @@ QueryProof Prover::prove(const SearchResult& result, SchemeKind scheme) const {
   static obs::Histogram& prove_stage = obs::MetricsRegistry::global().stage("prove");
   obs::Span prove_span(prove_stage, "prove");
   auto entries = lookup(result);
-  const bool interval_form =
-      scheme == SchemeKind::kIntervalAccumulator || scheme == SchemeKind::kHybrid;
+  const bool interval_form = uses_interval_witnesses(scheme);
 
   QueryProof proof;
   proof.scheme = scheme;
@@ -447,8 +446,7 @@ void Prover::prove_boolean(BooleanQueryResponse& body,
                            SchemeKind scheme) const {
   static obs::Histogram& prove_stage = obs::MetricsRegistry::global().stage("prove");
   obs::Span prove_span(prove_stage, "prove");
-  const bool interval_form =
-      scheme == SchemeKind::kIntervalAccumulator || scheme == SchemeKind::kHybrid;
+  const bool interval_form = uses_interval_witnesses(scheme);
 
   std::vector<const IndexEntry*> entries;
   std::vector<U64Set> doc_sets;

@@ -70,8 +70,7 @@ void ResultVerifier::verify_multi(const MultiKeywordResponse& multi,
   // encoding and the evidence form.  Without these pins a forger could
   // relabel a proof into an encoding whose checks it can satisfy (e.g.
   // attach Bloom integrity while claiming the accumulator scheme).
-  const bool interval_scheme = proof.scheme == SchemeKind::kIntervalAccumulator ||
-                               proof.scheme == SchemeKind::kHybrid;
+  const bool interval_scheme = uses_interval_witnesses(proof.scheme);
   if (proof.scheme == SchemeKind::kAccumulator ||
       proof.scheme == SchemeKind::kIntervalAccumulator) {
     require(std::holds_alternative<AccumulatorIntegrity>(proof.integrity),
@@ -186,8 +185,7 @@ void ResultVerifier::verify_boolean(const BooleanQueryResponse& boolean,
   }
 
   // Scheme pins the evidence form, as in verify_multi.
-  const bool interval_scheme = proof.scheme == SchemeKind::kIntervalAccumulator ||
-                               proof.scheme == SchemeKind::kHybrid;
+  const bool interval_scheme = uses_interval_witnesses(proof.scheme);
   for (std::size_t i = 0; i < q; ++i) {
     require(proof.correctness.keywords[i].interval_form == interval_scheme,
             "correctness evidence form does not match declared scheme");
@@ -343,8 +341,7 @@ void ResultVerifier::verify_accumulator_integrity(const MultiKeywordResponse& mu
   const QueryProof& proof = multi.proof;
   const std::size_t q = result.keywords.size();
   require(integrity.base_keyword < q, "integrity base keyword out of range");
-  const bool interval_scheme = proof.scheme == SchemeKind::kIntervalAccumulator ||
-                               proof.scheme == SchemeKind::kHybrid;
+  const bool interval_scheme = uses_interval_witnesses(proof.scheme);
   require(integrity.check_membership.interval_form == interval_scheme,
           "integrity evidence form does not match declared scheme");
   const TermStatement& base = proof.terms[integrity.base_keyword].stmt;

@@ -136,12 +136,10 @@ CloudService::StatePtr CloudService::build_state(
   // and no Bézout b is wider.  The flat schemes raise it to the complement
   // of the longest posting list.
   const VerifiableIndexConfig& config = snapshot->config();
-  const bool interval_form =
-      scheme_ == SchemeKind::kHybrid || scheme_ == SchemeKind::kIntervalAccumulator;
-  const std::size_t need =
-      (interval_form ? 2 * config.interval_size + 1
-                     : std::max<std::size_t>(1, snapshot->max_posting_count()) + 1) *
-      config.rep_bits;
+  const std::size_t widest_set = uses_interval_witnesses(scheme_)
+                                     ? 2 * config.interval_size
+                                     : std::max<std::size_t>(1, snapshot->max_posting_count());
+  const std::size_t need = (widest_set + 1) * config.rep_bits;
   const PowerContext& power = ctx_.power();
   if (!power.has_fixed_base(ctx_.g()) || power.fixed_base_capacity_bits() < need) {
     // A persisted table for g makes the cold restart skip the squarings a

@@ -500,6 +500,41 @@ TEST(FixedBase, TrapdoorTablesServeEveryWidthAndAreNeverExported) {
   EXPECT_THROW(owner.import_fixed_base(*pub.export_fixed_base()), UsageError);
 }
 
+// import_fixed_base takes bytes from the store: each damaged image is
+// refused with UsageError and leaves the context without a table.
+TEST(FixedBase, ImportRefusesDamagedImages) {
+  const Bigint n = kP * kQ;
+  const Bigint base(7);
+  const FixedBaseSnapshot good = snapshot_with_window(base, n, 4, 64);
+  auto refused = [&](FixedBaseSnapshot snap) {
+    PowerContext pub(n);
+    EXPECT_THROW(pub.import_fixed_base(snap), UsageError);
+    return !pub.has_fixed_base(base);
+  };
+  FixedBaseSnapshot snap = good;
+  snap.window = 13;
+  EXPECT_TRUE(refused(snap)) << "window";
+  snap = good;
+  snap.powers.pop_back();
+  EXPECT_TRUE(refused(snap)) << "entry count";
+  snap = good;
+  snap.powers[0] = Bigint(8);
+  EXPECT_TRUE(refused(snap)) << "powers[0]";
+  snap = good;
+  snap.powers[1] = snap.powers[1] + Bigint(1);
+  EXPECT_TRUE(refused(snap)) << "chain link";
+  snap = good;
+  snap.powers[5] = snap.powers[5] + n;
+  EXPECT_TRUE(refused(snap)) << "entry >= n";
+  snap = good;
+  snap.powers[5] = snap.powers[5] - n;
+  EXPECT_TRUE(refused(snap)) << "negative entry";
+
+  PowerContext pub(n);
+  pub.import_fixed_base(good);
+  EXPECT_EQ(pub.export_fixed_base()->powers, good.powers);
+}
+
 // The table runs in Montgomery form, which needs an odd modulus: an even
 // one is refused, as multi_pow refuses it, and leaves no table behind.
 TEST(FixedBase, EvenModulusIsRefused) {
