@@ -490,7 +490,9 @@ std::optional<FixedBaseSnapshot> PowerContext::export_fixed_base() const {
   out.capacity_bits = sub.capacity_bits;
   out.powers.reserve(sub.entries());
   Montgomery mont(sub.mod);
-  for (std::size_t j = 0; j < sub.entries(); ++j) out.powers.push_back(mont.from_mont(sub.power(j)));
+  for (std::size_t j = 0; j < sub.entries(); ++j) {
+    out.powers.push_back(mont.from_mont(sub.power(j)));
+  }
   return out;
 }
 
