@@ -9,34 +9,31 @@ namespace {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-// Range-product tree over the witness exponents.  With the trapdoor every
-// product lives mod φ(n) (short numbers, owner-side build); without it the
-// genuine integer products are kept — those are RootFactor's exponents.
+// Range-product tree over the witness exponents: genuine integer
+// products, RootFactor's exponents.
 struct Node {
   std::size_t begin, end;  // exponent index range [begin, end)
   std::size_t left = kNone, right = kNone;
-  Bigint prod;  // Π exps[begin..end), reduced mod φ(n) when held
+  Bigint prod;  // Π exps[begin..end)
   Bigint base;  // filled during the top-down witness sweep
 };
 
 struct Tree {
   std::vector<Node> nodes;
 
-  std::size_t build(std::span<const Bigint> exps, std::size_t begin, std::size_t end,
-                    const Bigint* phi) {
+  std::size_t build(std::span<const Bigint> exps, std::size_t begin, std::size_t end) {
     std::size_t id = nodes.size();
     nodes.push_back(Node{.begin = begin, .end = end});
     if (end - begin == 1) {
-      nodes[id].prod = phi != nullptr ? Bigint::mod(exps[begin], *phi) : exps[begin];
+      nodes[id].prod = exps[begin];
       return id;
     }
     std::size_t mid = begin + (end - begin) / 2;
-    std::size_t l = build(exps, begin, mid, phi);
-    std::size_t r = build(exps, mid, end, phi);
+    std::size_t l = build(exps, begin, mid);
+    std::size_t r = build(exps, mid, end);
     nodes[id].left = l;
     nodes[id].right = r;
-    Bigint p = nodes[l].prod * nodes[r].prod;
-    nodes[id].prod = phi != nullptr ? Bigint::mod(p, *phi) : std::move(p);
+    nodes[id].prod = nodes[l].prod * nodes[r].prod;
     return id;
   }
 };
@@ -48,12 +45,10 @@ std::vector<Bigint> root_factor(const AccumulatorContext& ctx, std::span<const B
   std::vector<Bigint> out(exps.size());
   if (exps.empty()) return out;
   const PowerContext& power = ctx.power();
-  const Bigint* phi = power.has_trapdoor() ? &power.phi() : nullptr;
-  ThreadPool* pool = ctx.pool();
 
   Tree t;
   t.nodes.reserve(2 * exps.size());
-  std::size_t root = t.build(exps, 0, exps.size(), phi);
+  std::size_t root = t.build(exps, 0, exps.size());
   // Matches membership_witness(ctx, {}) for a singleton set: g reduced, no
   // exponentiation.
   t.nodes[root].base = Bigint::mod(ctx.g(), ctx.n());
@@ -75,11 +70,7 @@ std::vector<Bigint> root_factor(const AccumulatorContext& ctx, std::span<const B
       next[2 * i] = nd.left;
       next[2 * i + 1] = nd.right;
     };
-    if (pool != nullptr && level.size() > 1) {
-      pool->parallel_for(0, level.size(), step);
-    } else {
-      for (std::size_t i = 0; i < level.size(); ++i) step(i);
-    }
+    for_each_index(ctx.pool(), level.size(), step);
     level.clear();
     for (std::size_t id : next) {
       if (id != kNone) level.push_back(id);
@@ -88,10 +79,30 @@ std::vector<Bigint> root_factor(const AccumulatorContext& ctx, std::span<const B
   return out;
 }
 
+// Owner side: out[i] = g^(Π_{j≠i} exps[j]) from one prefix/suffix sweep
+// whose partial products live mod φ(n) (short numbers), then one short
+// exponentiation per element, fanned over the pool.
+std::vector<Bigint> prefix_suffix(const AccumulatorContext& ctx, std::span<const Bigint> exps) {
+  const PowerContext& power = ctx.power();
+  const Bigint& phi = power.phi();
+  const std::size_t k = exps.size();
+  std::vector<Bigint> suffix(k + 1, Bigint(1));
+  for (std::size_t i = k; i-- > 0;) suffix[i] = Bigint::mod(suffix[i + 1] * exps[i], phi);
+  std::vector<Bigint> out(k);
+  Bigint prefix(1);
+  for (std::size_t i = 0; i < k; ++i) {
+    out[i] = Bigint::mod(prefix * suffix[i + 1], phi);
+    prefix = Bigint::mod(prefix * exps[i], phi);
+  }
+  for_each_index(ctx.pool(), k, [&](std::size_t i) { out[i] = power.pow(ctx.g(), out[i]); });
+  return out;
+}
+
 }  // namespace
 
 std::vector<Bigint> batch_membership_witnesses(const AccumulatorContext& ctx,
                                                std::span<const Bigint> primes) {
+  if (ctx.power().has_trapdoor()) return prefix_suffix(ctx, primes);
   return root_factor(ctx, primes);
 }
 

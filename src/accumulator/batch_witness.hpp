@@ -15,9 +15,16 @@
 // Each of the O(log n) levels exponentiates by ~n·rep_bits total exponent
 // bits, so the whole batch costs O(n log n) instead of O(n²) — the engine
 // behind fast interval-witness refresh and the bench_batch_witness numbers.
-// All witnesses are byte-identical to what per-element membership_witness
+//
+// With the trapdoor (owner side) the exponents can be reduced mod φ(n), so
+// one prefix/suffix sweep gives every Π_{j≠i} x_j as a short number and
+// the batch costs one short exponentiation per element instead.
+//
+// This is the one all-witnesses routine: the interval middle layer, the
+// dictionary gap witnesses and the witness tier all call it.  All
+// witnesses are byte-identical to what per-element membership_witness
 // returns (the witness value g^(Π rest) mod n is unique), and the tree
-// levels fan out over ctx.pool() when one is attached.
+// levels / per-element powers fan out over ctx.pool() when one is attached.
 #pragma once
 
 #include <span>

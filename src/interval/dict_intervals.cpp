@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "accumulator/batch_witness.hpp"
 #include "support/errors.hpp"
 
 namespace vc {
@@ -70,19 +71,7 @@ DictionaryIntervals DictionaryIntervals::build(const AccumulatorContext& ctx,
   }
   dict.root_ = ctx.accumulate(reps);
 
-  // Prefix/suffix sweep for all gap witnesses (same technique as the
-  // interval middle layer).
-  const bool trapdoor = ctx.power().has_trapdoor();
-  auto reduce = [&](const Bigint& x) {
-    return trapdoor ? Bigint::mod(x, ctx.power().phi()) : x;
-  };
-  std::vector<Bigint> prefix(gaps + 1, Bigint(1)), suffix(gaps + 1, Bigint(1));
-  for (std::size_t i = 0; i < gaps; ++i) prefix[i + 1] = reduce(prefix[i] * reps[i]);
-  for (std::size_t i = gaps; i-- > 0;) suffix[i] = reduce(suffix[i + 1] * reps[i]);
-  dict.gap_witnesses_.reserve(gaps);
-  for (std::size_t i = 0; i < gaps; ++i) {
-    dict.gap_witnesses_.push_back(ctx.power().pow(ctx.g(), reduce(prefix[i] * suffix[i + 1])));
-  }
+  dict.gap_witnesses_ = batch_membership_witnesses(ctx, reps);
   return dict;
 }
 

@@ -11,23 +11,6 @@
 namespace vc {
 
 namespace {
-
-// Fan-out helper for the per-interval work in this file: uses the pool the
-// context carries when one is attached, otherwise runs the loop inline.
-// Bodies write to disjoint slots, so proof part order (and bytes) never
-// depends on scheduling.
-void for_each_index(const AccumulatorContext& ctx, std::size_t n,
-                    const std::function<void(std::size_t)>& body) {
-  if (ThreadPool* pool = ctx.pool(); pool != nullptr && n > 1) {
-    pool->parallel_for(0, n, body);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-  }
-}
-
-}  // namespace
-
-namespace {
 constexpr std::uint64_t kU64Max = ~std::uint64_t{0};
 
 std::uint64_t fresh_stamp() {
@@ -186,7 +169,7 @@ IntervalIndex IntervalIndex::build(const AccumulatorContext& ctx,
     iv.stamp = fresh_stamp();
   }
   // Interval accumulators are independent of one another: fan out.
-  for_each_index(ctx, idx.intervals_.size(), [&](std::size_t i) {
+  for_each_index(ctx.pool(), idx.intervals_.size(), [&](std::size_t i) {
     Interval& iv = idx.intervals_[i];
     iv.desc.b = ctx.accumulate(idx.member_reps(iv, element_primes));
   });
@@ -207,32 +190,17 @@ void IntervalIndex::rebuild_middle_layer(const AccumulatorContext& ctx,
   PrimeRepGenerator mid_gen = middle_generator(element_primes.generator().config());
   std::vector<Bigint> mid_reps(intervals_.size());
   // Each representative hashes and BPSW-tests dozens of candidates: fan out.
-  for_each_index(ctx, intervals_.size(), [&](std::size_t i) {
+  for_each_index(ctx.pool(), intervals_.size(), [&](std::size_t i) {
     intervals_[i].mid_rep = mid_gen.representative(intervals_[i].desc.encode());
     mid_reps[i] = intervals_[i].mid_rep;
   });
   root_ = ctx.accumulate(mid_reps);
 
-  const std::size_t k = mid_reps.size();
-  if (ctx.power().has_trapdoor()) {
-    // All K witnesses c_{b_k} = g^(Π_{j≠k} m_j) in one prefix/suffix sweep
-    // with the partial products living mod φ(n) (short), then K short
-    // exponentiations fanned over the pool.
-    const Bigint& phi = ctx.power().phi();
-    auto reduce = [&](const Bigint& x) { return Bigint::mod(x, phi); };
-    std::vector<Bigint> prefix(k + 1, Bigint(1)), suffix(k + 1, Bigint(1));
-    for (std::size_t i = 0; i < k; ++i) prefix[i + 1] = reduce(prefix[i] * mid_reps[i]);
-    for (std::size_t i = k; i-- > 0;) suffix[i] = reduce(suffix[i + 1] * mid_reps[i]);
-    for_each_index(ctx, k, [&](std::size_t i) {
-      intervals_[i].mid_witness = ctx.power().pow(ctx.g(), reduce(prefix[i] * suffix[i + 1]));
-    });
-    return;
-  }
-  // Public side: the prefix/suffix products are genuine (K·rep_bits)-bit
-  // integers, so the sweep degenerates to K full-width exponentiations —
-  // the O(K²) cost the RootFactor tree avoids (O(K log K), pool-parallel).
+  // The middle-layer witnesses c_{b_k} = g^(Π_{j≠k} m_j), all in one batch.
   std::vector<Bigint> witnesses = batch_membership_witnesses(ctx, mid_reps);
-  for (std::size_t i = 0; i < k; ++i) intervals_[i].mid_witness = std::move(witnesses[i]);
+  for (std::size_t i = 0; i < intervals_.size(); ++i) {
+    intervals_[i].mid_witness = std::move(witnesses[i]);
+  }
 }
 
 std::size_t IntervalIndex::element_count() const {
@@ -280,7 +248,7 @@ IntervalMembershipProof IntervalIndex::prove_membership(
   }
   IntervalMembershipProof proof;
   proof.parts.resize(touched.size());
-  for_each_index(ctx, touched.size(), [&](std::size_t t) {
+  for_each_index(ctx.pool(), touched.size(), [&](std::size_t t) {
     std::size_t k = touched[t];
     std::sort(grouped[k].begin(), grouped[k].end());
     const Interval& iv = intervals_[k];
@@ -325,7 +293,7 @@ IntervalNonmembershipProof IntervalIndex::prove_nonmembership(
   }
   IntervalNonmembershipProof proof;
   proof.parts.resize(touched.size());
-  for_each_index(ctx, touched.size(), [&](std::size_t t) {
+  for_each_index(ctx.pool(), touched.size(), [&](std::size_t t) {
     std::size_t k = touched[t];
     const Interval& iv = intervals_[k];
     std::vector<Bigint> outsider_reps;
@@ -387,7 +355,7 @@ void IntervalIndex::insert(const AccumulatorContext& ctx,
       next.push_back(std::move(sub));
     }
   }
-  for_each_index(ctx, stale.size(), [&](std::size_t i) {
+  for_each_index(ctx.pool(), stale.size(), [&](std::size_t i) {
     Interval& iv = next[stale[i]];
     iv.desc.b = ctx.accumulate(member_reps(iv, element_primes));
   });
@@ -420,7 +388,7 @@ void IntervalIndex::remove(const AccumulatorContext& ctx,
   // interval is small, so a fresh accumulation is as cheap as the
   // modular-inverse update and avoids carrying extra state).  Touched
   // intervals refresh concurrently.
-  for_each_index(ctx, stale.size(), [&](std::size_t i) {
+  for_each_index(ctx.pool(), stale.size(), [&](std::size_t i) {
     std::size_t k = stale[i];
     intervals_[k].desc.b = ctx.accumulate(member_reps(intervals_[k], element_primes));
   });

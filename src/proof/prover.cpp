@@ -33,17 +33,6 @@ obs::Counter& tier_misses() {
   return c;
 }
 
-// Fan-out helper: pool when present, inline otherwise.  Bodies fill
-// disjoint slots, so proof bytes are independent of scheduling.
-void for_each_index(ThreadPool* pool, std::size_t n,
-                    const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr && n > 1) {
-    pool->parallel_for(0, n, body);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-  }
-}
-
 // Hybrid-policy accounting (§III-D2): how often each integrity encoding is
 // chosen, and how far the cost model's estimate was from the measured
 // generation time.  The delta is signed (estimate minus actual), so a

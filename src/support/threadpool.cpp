@@ -168,4 +168,13 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
+void for_each_index(ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& body) {
+  if (pool != nullptr && n > 1) {
+    pool->parallel_for(0, n, body);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+  }
+}
+
 }  // namespace vc

@@ -88,4 +88,10 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+// Runs body(i) for i in [0, n): over `pool` when one is given and n > 1,
+// inline otherwise.  Callers' bodies fill disjoint slots, so results (and
+// proof bytes) never depend on scheduling.
+void for_each_index(ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& body);
+
 }  // namespace vc

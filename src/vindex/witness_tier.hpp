@@ -1,8 +1,8 @@
 // Publish-time materialized witness tiers (ROADMAP: "witness tiers").
 //
-// The RootFactor batch engine (accumulator/batch_witness.hpp) computes every
-// per-element membership witness of a term's sets in one O(n log n) sweep —
-// work the online prover otherwise redoes one full-width modexp at a time.
+// The batch engine (accumulator/batch_witness.hpp) computes every
+// per-element membership witness of a term's sets in one sweep — work the
+// online prover otherwise redoes one full-width modexp at a time.
 // A WitnessTier materializes that sweep for a hot subset of terms at publish
 // time: per-term tables of per-element witnesses for the flat tuple/doc sets
 // and per-member chats for every interval of the two interval trees.  Online,

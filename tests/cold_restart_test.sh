@@ -85,9 +85,11 @@ wait $SERVE_PID 2>/dev/null || true
 
 # --- Tiered phase: a publish-time witness tier must survive the same crash. ---
 # vcsearch-build publishes an epoch carrying the witness-tier sections
-# (materialized witness tables); the server must restore the tier and the
-# persisted fixed-base table from the mapping (no witness recompute) and
-# keep proofs byte-identical across a SIGKILL.
+# (materialized witness tables); the server must restore the tier from the
+# mapping (no witness recompute) and keep proofs byte-identical across a
+# SIGKILL.  The persisted fixed-base table has the flat schemes' width, so
+# only a flat-scheme server adopts it; Hybrid sizes its own table to one
+# interval.
 mkdir -p "$WORK/t"
 "$BUILD/tools/vcsearch-build" --out "$WORK/t" --synth 60 --seed 9 \
     --modulus-bits 512 --rep-bits 64 --interval 8 \
@@ -113,7 +115,9 @@ SERVE_PID=$!
 wait_serving "$WORK/t/serve1.log"
 grep -q "store: restored witness tier" "$WORK/t/serve1.log"
 grep -q "no witness recompute" "$WORK/t/serve1.log"
-grep -q "store: adopted persisted fixed-base table" "$WORK/t/serve1.log"
+if grep -q "store: adopted persisted fixed-base table" "$WORK/t/serve1.log"; then
+  echo "hybrid server adopted the flat-width fixed-base table"; exit 1
+fi
 PORT=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' "$WORK/t/serve1.log" | head -1)
 
 TWORDS=$("$BUILD/tools/vcsearch-inspect" --dir "$WORK/t" --top 2 | grep ' docs' | awk '{print $1}')
@@ -125,13 +129,15 @@ test -s "$WORK/t/proof1.bin"
 kill -9 $SERVE_PID
 wait $SERVE_PID 2>/dev/null || true
 
-# Restart: tier intact, fixed base adopted, proof byte-identical.
+# Restart: tier intact, flat table still not adopted, proof byte-identical.
 "$BUILD/tools/vcsearch-serve" --dir "$WORK/t" --store "$WORK/t/store" --port 0 $SERVE_FLAGS \
     > "$WORK/t/serve2.log" 2>&1 &
 SERVE_PID=$!
 wait_serving "$WORK/t/serve2.log"
 grep -q "store: restored witness tier" "$WORK/t/serve2.log"
-grep -q "store: adopted persisted fixed-base table" "$WORK/t/serve2.log"
+if grep -q "store: adopted persisted fixed-base table" "$WORK/t/serve2.log"; then
+  echo "hybrid server adopted the flat-width fixed-base table"; exit 1
+fi
 PORT=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' "$WORK/t/serve2.log" | head -1)
 
 "$BUILD/tools/vcsearch-query" --dir "$WORK/t" --port "$PORT" \
@@ -142,6 +148,26 @@ cmp "$WORK/t/proof1.bin" "$WORK/t/proof2.bin" || {
 
 kill -9 $SERVE_PID
 wait $SERVE_PID 2>/dev/null || true
+
+# A flat-scheme server adopts the persisted table on every boot and
+# proves byte-identically across a SIGKILL.
+for boot in 1 2; do
+  "$BUILD/tools/vcsearch-serve" --dir "$WORK/t" --store "$WORK/t/store" --port 0 \
+      --scheme accumulator $SERVE_FLAGS > "$WORK/t/serve-acc$boot.log" 2>&1 &
+  SERVE_PID=$!
+  wait_serving "$WORK/t/serve-acc$boot.log"
+  grep -q "store: adopted persisted fixed-base table" "$WORK/t/serve-acc$boot.log"
+  PORT=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' "$WORK/t/serve-acc$boot.log" | head -1)
+  "$BUILD/tools/vcsearch-query" --dir "$WORK/t" --port "$PORT" \
+      --dump "$WORK/t/proof-acc$boot.bin" $TWORDS > "$WORK/t/q-acc$boot.log"
+  grep -q "VERIFIED" "$WORK/t/q-acc$boot.log"
+  grep -q ", Accumulator scheme" "$WORK/t/q-acc$boot.log"
+  kill -9 $SERVE_PID
+  wait $SERVE_PID 2>/dev/null || true
+done
+test -s "$WORK/t/proof-acc1.bin"
+cmp "$WORK/t/proof-acc1.bin" "$WORK/t/proof-acc2.bin" || {
+  echo "accumulator proofs differ across restart"; exit 1; }
 
 # A damaged tier never stops a boot: flip one byte inside witness-tables
 # (offset and size from inspect) in a copy of the store; the server must

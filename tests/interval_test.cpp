@@ -481,20 +481,24 @@ TEST_F(BatchWitnessTest, BatchedWitnessesByteIdenticalToPerElement) {
 }
 
 TEST_F(BatchWitnessTest, BatchedEdgeCases) {
-  EXPECT_TRUE(batch_membership_witnesses(pub_, {}).empty());
   auto one = reps(1);
-  auto batch = batch_membership_witnesses(pub_, one);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0], membership_witness(pub_, {}));
+  for (const AccumulatorContext* ctx : {&owner_, &pub_}) {
+    EXPECT_TRUE(batch_membership_witnesses(*ctx, {}).empty());
+    auto batch = batch_membership_witnesses(*ctx, one);
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch[0], membership_witness(*ctx, {}));
+  }
 }
 
 TEST_F(BatchWitnessTest, PooledBatchMatchesSerial) {
   auto xs = reps(40);
-  auto serial = batch_membership_witnesses(pub_, xs);
   ThreadPool pool(4);
-  AccumulatorContext pooled = pub_;
-  pooled.set_pool(&pool);
-  EXPECT_EQ(batch_membership_witnesses(pooled, xs), serial);
+  for (const AccumulatorContext* ctx : {&owner_, &pub_}) {
+    auto serial = batch_membership_witnesses(*ctx, xs);
+    AccumulatorContext pooled = *ctx;
+    pooled.set_pool(&pool);
+    EXPECT_EQ(batch_membership_witnesses(pooled, xs), serial);
+  }
 }
 
 TEST_F(BatchWitnessTest, FixedBaseBatchMatchesGeneric) {

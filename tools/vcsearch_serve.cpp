@@ -147,9 +147,12 @@ int main(int argc, char** argv) {
   auto cloud_ctx = AccumulatorContext::public_side(AccumulatorParams{
       standard_accumulator_modulus(snapshot->config().modulus_bits).n,
       standard_qr_generator(snapshot->config().modulus_bits)});
-  if (opened.fixed_base && opened.fixed_base->base == cloud_ctx.g()) {
-    // Skip the fixed-base rebuild squarings the serving core would
-    // otherwise pay on every cold start.
+  // The persisted table has the flat schemes' width.  Adopting it skips
+  // the rebuild squarings a flat-scheme server would otherwise pay on
+  // every cold start; the interval schemes raise g to one interval's
+  // product at most, so they leave it and size their own narrower table.
+  if (!uses_interval_witnesses(scheme) && opened.fixed_base &&
+      opened.fixed_base->base == cloud_ctx.g()) {
     cloud_ctx.adopt_fixed_base(*opened.fixed_base);
     std::printf("store: adopted persisted fixed-base table (%zu-bit capacity)\n",
                 opened.fixed_base->capacity_bits);
