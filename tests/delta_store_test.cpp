@@ -16,7 +16,9 @@
 #include <fstream>
 #include <thread>
 
+#include "hash/sha256.hpp"
 #include "obs/metrics.hpp"
+#include "store/epoch_codec.hpp"
 #include "store/epoch_store.hpp"
 #include "store/mapped_file.hpp"
 #include "test_fixtures.hpp"
@@ -485,6 +487,55 @@ TEST_F(DeltaStoreTest, WitnessTierDegradesPerTouchedTerm) {
         << term;
   }
   fs::remove_all(root);
+}
+
+// Pins the owner update path's output bytes: additions (one bringing a new
+// term, and enough postings of one term to split its last interval past
+// 2·interval_size), a delta publish, removals (one taking a term's last
+// posting), another delta publish, and the final full record.  Any change
+// to the accumulator, Bloom, interval or signing steps of an update shows
+// up as a different digest.
+TEST(UpdatePathBytes, PinnedDeltasAndFinalSnapshot) {
+  SynthSpec spec{.name = "pin", .num_docs = 24, .min_doc_words = 15,
+                 .max_doc_words = 30, .vocab_size = 90, .zipf_s = 0.9, .seed = 2401};
+  testbed::TestBed bed(spec, testbed::small_config(128, "update-pin"), /*key_seed=*/2402,
+                       /*threads=*/2);
+  auto digest_hex = [](const Bytes& b) { return to_hex(Sha256::hash(b)); };
+  bed.vidx.note_full_publish();
+
+  auto words = bed.frequent_terms(2);
+  const std::string hot = porter_stem(words[0]);
+  const std::size_t hot_intervals = bed.vidx.find(hot)->doc_intervals.interval_count();
+  std::vector<Document> docs;
+  std::uint32_t id = spec.num_docs;
+  docs.push_back(Document{id++, "pin-new", words[0] + " pinbrandnewterm"});
+  for (int i = 0; i < 17; ++i) {
+    docs.push_back(Document{id++, "pin-hot", words[0] + " " + words[1]});
+  }
+  bed.vidx.add_documents(docs, bed.owner_ctx, bed.owner_key);
+  ASSERT_NE(bed.vidx.find("pinbrandnewterm"), nullptr);
+  // 18 more postings land in the hot term's last interval: it splits.
+  EXPECT_GT(bed.vidx.find(hot)->doc_intervals.interval_count(), hot_intervals + 1);
+  auto added = bed.vidx.publish_delta();
+  ASSERT_TRUE(added.has_value());
+  const Bytes added_bytes = store::encode_epoch(*added, 1);
+
+  const std::vector<std::uint64_t> gone = {2, 5, spec.num_docs, spec.num_docs + 3};
+  bed.vidx.remove_documents(gone, bed.owner_ctx, bed.owner_key);
+  EXPECT_EQ(bed.vidx.find("pinbrandnewterm"), nullptr);
+  auto removed = bed.vidx.publish_delta();
+  ASSERT_TRUE(removed.has_value());
+  EXPECT_NE(std::find(removed->removed.begin(), removed->removed.end(), "pinbrandnewterm"),
+            removed->removed.end());
+  const Bytes removed_bytes = store::encode_epoch(*removed, 1);
+  EXPECT_NO_THROW(bed.vidx.validate(bed.owner_key.verify_key()));
+
+  EXPECT_EQ(digest_hex(added_bytes),
+            "bdc0b71f48210fe4491932411745f981f540af74b380eb0ea8d657fdbec5f198");
+  EXPECT_EQ(digest_hex(removed_bytes),
+            "b3428a9efe651d5c18960bc525d5fe1cf3a9df7f82ca17d1ecd3daf16b32e48d");
+  EXPECT_EQ(digest_hex(store::encode_epoch(*bed.vidx.snapshot(), 1)),
+            "c8423201bf80315bad6656dfb20b3c6b30efca5dac4fc079ba04a036615e3e59");
 }
 
 }  // namespace
