@@ -308,25 +308,37 @@ IntervalNonmembershipProof IntervalIndex::prove_nonmembership(
   return proof;
 }
 
-void IntervalIndex::insert(const AccumulatorContext& ctx,
-                           std::span<const std::uint64_t> new_elements,
+void IntervalIndex::update(const AccumulatorContext& ctx, std::span<const std::uint64_t> added,
+                           std::span<const std::uint64_t> removed,
                            PrimeCache& element_primes) {
-  if (new_elements.empty()) return;
+  if (added.empty() && removed.empty()) return;
   if (!ctx.power().has_trapdoor()) {
-    throw UsageError("IntervalIndex::insert requires the owner trapdoor");
+    throw UsageError("IntervalIndex::update requires the owner trapdoor");
   }
+  // Mark the intervals whose member lists change: removals first, then
+  // additions; absent removals and present additions change nothing.
   std::vector<bool> touched(intervals_.size(), false);
-  for (std::uint64_t v : new_elements) {
-    std::size_t k = find_interval(v);
-    auto& members = intervals_[k].members;
-    auto it = std::lower_bound(members.begin(), members.end(), v);
-    if (it != members.end() && *it == v) continue;  // already present
-    members.insert(it, v);
-    touched[k] = true;
-  }
+  auto mark = [&](std::span<const std::uint64_t> values, bool insert) {
+    for (std::uint64_t v : values) {
+      std::size_t k = find_interval(v);
+      auto& members = intervals_[k].members;
+      auto it = std::lower_bound(members.begin(), members.end(), v);
+      if (insert == (it != members.end() && *it == v)) continue;
+      if (insert) {
+        members.insert(it, v);
+      } else {
+        members.erase(it);
+      }
+      touched[k] = true;
+    }
+  };
+  mark(removed, false);
+  mark(added, true);
   // Re-chunk touched intervals (splitting any that grew past twice the
-  // nominal size, to keep online proving cheap), then refresh the stale
-  // accumulators in one pool fan-out.
+  // nominal size, to keep online proving cheap; a removal never does),
+  // then refresh the stale accumulators in one pool fan-out.  Ranges are
+  // kept, so an interval may become empty and nonmembership proofs for the
+  // removed values work immediately.
   std::vector<Interval> next;
   next.reserve(intervals_.size());
   std::vector<std::size_t> stale;  // indices into `next` needing re-accumulation
@@ -355,45 +367,14 @@ void IntervalIndex::insert(const AccumulatorContext& ctx,
       next.push_back(std::move(sub));
     }
   }
+  intervals_ = std::move(next);
+  if (stale.empty()) return;
   for_each_index(ctx.pool(), stale.size(), [&](std::size_t i) {
-    Interval& iv = next[stale[i]];
+    Interval& iv = intervals_[stale[i]];
     iv.desc.b = ctx.accumulate(member_reps(iv, element_primes));
   });
-  for (std::size_t i : stale) next[i].stamp = fresh_stamp();
-  intervals_ = std::move(next);
+  for (std::size_t i : stale) intervals_[i].stamp = fresh_stamp();
   rebuild_middle_layer(ctx, element_primes);
-}
-
-void IntervalIndex::remove(const AccumulatorContext& ctx,
-                           std::span<const std::uint64_t> elements,
-                           PrimeCache& element_primes) {
-  if (elements.empty()) return;
-  if (!ctx.power().has_trapdoor()) {
-    throw UsageError("IntervalIndex::remove requires the owner trapdoor");
-  }
-  std::vector<bool> touched(intervals_.size(), false);
-  for (std::uint64_t v : elements) {
-    std::size_t k = find_interval(v);
-    auto& members = intervals_[k].members;
-    auto it = std::lower_bound(members.begin(), members.end(), v);
-    if (it == members.end() || *it != v) continue;  // not present
-    members.erase(it);
-    touched[k] = true;
-  }
-  std::vector<std::size_t> stale;
-  for (std::size_t k = 0; k < intervals_.size(); ++k) {
-    if (touched[k]) stale.push_back(k);
-  }
-  // Eq 6 per interval: recompute b_k from the surviving members (the
-  // interval is small, so a fresh accumulation is as cheap as the
-  // modular-inverse update and avoids carrying extra state).  Touched
-  // intervals refresh concurrently.
-  for_each_index(ctx.pool(), stale.size(), [&](std::size_t i) {
-    std::size_t k = stale[i];
-    intervals_[k].desc.b = ctx.accumulate(member_reps(intervals_[k], element_primes));
-  });
-  for (std::size_t k : stale) intervals_[k].stamp = fresh_stamp();
-  if (!stale.empty()) rebuild_middle_layer(ctx, element_primes);
 }
 
 namespace {

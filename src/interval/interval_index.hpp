@@ -148,19 +148,15 @@ class IntervalIndex {
       const AccumulatorContext& ctx, std::span<const std::uint64_t> values,
       PrimeCache& element_primes) const;
 
-  // Incremental update (§II-D): inserts new elements, rebuilding only the
-  // touched intervals and refreshing the middle layer.  Requires the
-  // trapdoor (middle-layer deletions use Eq 6).
-  void insert(const AccumulatorContext& ctx, std::span<const std::uint64_t> new_elements,
-              PrimeCache& element_primes);
-
-  // Incremental delete (§II-D, Eq 6): removes elements, recomputing only
-  // the touched interval accumulators.  Interval ranges are preserved (an
-  // interval may become empty), so nonmembership proofs for the removed
-  // values work immediately.  Elements not present are ignored.  Requires
-  // the trapdoor.
-  void remove(const AccumulatorContext& ctx, std::span<const std::uint64_t> elements,
-              PrimeCache& element_primes);
+  // Incremental update (§II-D): removes `removed`, then inserts `added`,
+  // re-accumulating only the intervals whose members changed and refreshing
+  // the middle layer.  An interval that grows past twice the nominal size
+  // splits; ranges are otherwise kept (an interval may become empty), so
+  // nonmembership proofs for removed values work immediately.  Absent
+  // removals and present additions are ignored.  Requires the trapdoor
+  // (middle-layer deletions use Eq 6).
+  void update(const AccumulatorContext& ctx, std::span<const std::uint64_t> added,
+              std::span<const std::uint64_t> removed, PrimeCache& element_primes);
 
   // --- verification (public side) ----------------------------------------
   // Checks that `values` ⊆ X given the signed root.  `values` must be

@@ -131,7 +131,7 @@ CloudService::StatePtr CloudService::build_state(
   // Keep the shared fixed-base table for g as wide as this scheme's widest
   // g-exponent: every epoch's engine then reuses the same table (it is
   // shared through context copies) instead of rebuilding it.  The interval
-  // schemes raise g to one interval's product at most: IntervalIndex::insert
+  // schemes raise g to one interval's product at most: IntervalIndex::update
   // splits any interval above 2·interval_size members, so no chat exponent
   // and no Bézout b is wider.  The flat schemes raise it to the complement
   // of the longest posting list.

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "bloom/compressed_bloom.hpp"
+#include "obs/metrics.hpp"
 #include "support/errors.hpp"
 #include "support/stopwatch.hpp"
 #include "support/threadpool.hpp"
@@ -115,7 +116,9 @@ IndexBuilder IndexBuilder::build(InvertedIndex index, const AccumulatorContext& 
   double accumulate_seconds = sw.seconds();
 
   // Phase 3: dictionary gap intervals (unknown keywords, §III-D4).
-  double dict_seconds = vidx.rebuild_dictionary(pooled_ctx, owner_key);
+  sw.reset();
+  vidx.rebuild_dictionary(pooled_ctx, owner_key);
+  double dict_seconds = sw.seconds();
 
   if (stats != nullptr) {
     stats->prime_precompute_seconds = prime_seconds;
@@ -132,9 +135,8 @@ const IndexEntry* IndexBuilder::find(std::string_view term) const {
   return it == entries_.end() ? nullptr : it->second.get();
 }
 
-double IndexBuilder::rebuild_dictionary(const AccumulatorContext& owner_ctx,
-                                        const SigningKey& owner_key) {
-  Stopwatch sw;
+void IndexBuilder::rebuild_dictionary(const AccumulatorContext& owner_ctx,
+                                      const SigningKey& owner_key) {
   cached_snapshot_.reset();
   dict_dirty_ = true;
   auto dict = std::make_shared<DictionaryIntervals>(DictionaryIntervals::build(
@@ -143,7 +145,6 @@ double IndexBuilder::rebuild_dictionary(const AccumulatorContext& owner_ctx,
   dict_attestation_ = std::make_shared<DictAttestation>(
       DictAttestation{stmt, owner_key.sign(stmt.encode())});
   dict_ = std::move(dict);
-  return sw.seconds();
 }
 
 void IndexBuilder::note_full_publish() {
@@ -290,6 +291,122 @@ void IndexBuilder::validate(const VerifyKey& owner_key) const {
   require(dict_attestation_->stmt.epoch <= epoch_, "dictionary epoch out of range");
 }
 
+namespace {
+
+// The owner update path's stages (docs/OBSERVABILITY.md): histogram-only
+// spans whose readings also fill UpdateTimings.
+struct UpdateStages {
+  obs::Histogram& flat = obs::MetricsRegistry::global().stage("update_flat_accumulator");
+  obs::Histogram& bloom = obs::MetricsRegistry::global().stage("update_bloom");
+  obs::Histogram& interval = obs::MetricsRegistry::global().stage("update_interval");
+  obs::Histogram& sign = obs::MetricsRegistry::global().stage("update_sign");
+  obs::Histogram& dictionary = obs::MetricsRegistry::global().stage("update_dictionary");
+};
+
+const UpdateStages& update_stages() {
+  static const UpdateStages stages;
+  return stages;
+}
+
+// A posting list's tuple and docID elements, each sorted.
+struct PostingElements {
+  U64Set tuples, docs;
+
+  explicit PostingElements(const PostingList& postings) {
+    for (const Posting& p : postings) {
+      tuples.push_back(InvertedIndex::encode_tuple(p));
+      docs.push_back(InvertedIndex::encode_doc(p.doc_id));
+    }
+    std::sort(tuples.begin(), tuples.end());
+    std::sort(docs.begin(), docs.end());
+  }
+};
+
+std::vector<Bigint> representatives(const U64Set& elements, PrimeCache& primes) {
+  std::vector<Bigint> reps;
+  reps.reserve(elements.size());
+  for (std::uint64_t v : elements) reps.push_back(primes.get(v));
+  return reps;
+}
+
+}  // namespace
+
+void IndexBuilder::update_entry(const std::string& term,
+                                std::shared_ptr<const IndexEntry>& entry,
+                                const PostingList& added, const PostingList& removed,
+                                const AccumulatorContext& owner_ctx,
+                                const SigningKey& owner_key, UpdateTimings& t) {
+  const UpdateStages& stages = update_stages();
+  // Copy-on-write: clone the touched entry so snapshots from earlier
+  // epochs keep serving the pre-update version untouched.
+  auto clone = std::make_shared<IndexEntry>(*entry);
+  IndexEntry& e = *clone;
+  e.postings = *index_.find(term);
+  const PostingElements add(added), gone(removed);
+
+  // Eq 5 over the added representatives, Eq 6 (the inverse exponent mod
+  // phi(n)) over the removed ones: cost proportional to the changed
+  // elements only, independent of the existing set size.
+  TermStatement stmt = e.attestation.stmt;
+  {
+    obs::Span span(stages.flat);
+    if (!added.empty()) {
+      stmt.tuple_acc = owner_ctx.add_elements(stmt.tuple_acc,
+                                              representatives(add.tuples, *tuple_primes_));
+      stmt.doc_acc = owner_ctx.add_elements(stmt.doc_acc,
+                                            representatives(add.docs, *doc_primes_));
+    }
+    if (!removed.empty()) {
+      stmt.tuple_acc = owner_ctx.delete_elements(stmt.tuple_acc,
+                                                 representatives(gone.tuples, *tuple_primes_));
+      stmt.doc_acc = owner_ctx.delete_elements(stmt.doc_acc,
+                                               representatives(gone.docs, *doc_primes_));
+    }
+    t.flat_accumulator_seconds += span.seconds();
+  }
+
+  // Bloom: decompress the signed filter, move its counters, recompress (§V-D).
+  CompressedBloom recompressed;
+  {
+    obs::Span span(stages.bloom);
+    CountingBloom stored = decompress_bloom(e.bloom_attestation.stmt.doc_bloom);
+    for (std::uint64_t d : gone.docs) stored.remove(d);
+    for (std::uint64_t d : add.docs) stored.add(d);
+    recompressed = compress_bloom(stored);
+    t.bloom_seconds += span.seconds();
+  }
+
+  // Interval trees: only the touched intervals re-accumulate.
+  {
+    obs::Span span(stages.interval);
+    e.tuple_intervals.update(owner_ctx, add.tuples, gone.tuples, *tuple_primes_);
+    e.doc_intervals.update(owner_ctx, add.docs, gone.docs, *doc_primes_);
+    stmt.tuple_root = e.tuple_intervals.root();
+    stmt.doc_root = e.doc_intervals.root();
+    t.interval_seconds += span.seconds();
+  }
+
+  // Re-sign the updated statements at the new epoch.
+  {
+    obs::Span span(stages.sign);
+    stmt.posting_count = e.postings.size();
+    stmt.postings_digest = postings_digest(e.postings);
+    stmt.epoch = epoch_;
+    e.attestation = TermAttestation{stmt, owner_key.sign(stmt.encode())};
+    BloomStatement bstmt{term, std::move(recompressed), epoch_};
+    e.bloom_attestation = BloomAttestation{bstmt, owner_key.sign(bstmt.encode())};
+    t.sign_seconds += span.seconds();
+  }
+  entry = std::move(clone);
+}
+
+void IndexBuilder::update_dictionary(const AccumulatorContext& owner_ctx,
+                                     const SigningKey& owner_key, UpdateTimings& t) {
+  obs::Span span(update_stages().dictionary);
+  rebuild_dictionary(owner_ctx, owner_key);
+  t.dictionary_seconds = span.seconds();
+}
+
 UpdateTimings IndexBuilder::add_documents(const std::vector<Document>& docs,
                                           const AccumulatorContext& owner_ctx,
                                           const SigningKey& owner_key, bool rebuild_dict) {
@@ -317,70 +434,20 @@ UpdateTimings IndexBuilder::add_documents(const std::vector<Document>& docs,
     removed_terms_.erase(term);  // a re-appearing term is an upsert again
     max_posting_count_ = std::max(max_posting_count_, index_.find(term)->size());
     auto it = entries_.find(term);
-    if (it == entries_.end()) {
-      // Brand-new term: build its entry from scratch (small list).
-      Stopwatch sw;
-      IndexEntry e = build_entry(term, *index_.find(term), owner_ctx, owner_key);
-      t.new_term_seconds += sw.seconds();
-      ++t.new_terms;
-      entries_.emplace(term, std::make_shared<const IndexEntry>(std::move(e)));
-      new_terms = true;
+    if (it != entries_.end()) {
+      update_entry(term, it->second, new_postings, {}, owner_ctx, owner_key, t);
       continue;
     }
-    // Copy-on-write: clone the touched entry so snapshots from earlier
-    // epochs keep serving the pre-update version untouched.
-    auto clone = std::make_shared<IndexEntry>(*it->second);
-    IndexEntry& e = *clone;
-    U64Set new_tuples, new_docs;
-    for (const Posting& p : new_postings) {
-      new_tuples.push_back(InvertedIndex::encode_tuple(p));
-      new_docs.push_back(InvertedIndex::encode_doc(p.doc_id));
-      e.postings.push_back(p);
-    }
-    std::sort(new_tuples.begin(), new_tuples.end());
-    std::sort(new_docs.begin(), new_docs.end());
-
-    // Eq 5: flat accumulator updates — cost proportional to the *added*
-    // elements only, independent of the existing set size.
+    // Brand-new term: build its entry from scratch (small list).
     Stopwatch sw;
-    std::vector<Bigint> tuple_reps, doc_reps;
-    for (std::uint64_t v : new_tuples) tuple_reps.push_back(tuple_primes_->get(v));
-    for (std::uint64_t v : new_docs) doc_reps.push_back(doc_primes_->get(v));
-    TermStatement stmt = e.attestation.stmt;
-    stmt.tuple_acc = owner_ctx.add_elements(stmt.tuple_acc, tuple_reps);
-    stmt.doc_acc = owner_ctx.add_elements(stmt.doc_acc, doc_reps);
-    t.flat_accumulator_seconds += sw.seconds();
-
-    // Bloom: decompress the signed filter, add, recompress (§V-D).
-    sw.reset();
-    CountingBloom stored = decompress_bloom(e.bloom_attestation.stmt.doc_bloom);
-    for (std::uint64_t d : new_docs) stored.add(d);
-    CompressedBloom recompressed = compress_bloom(stored);
-    t.bloom_seconds += sw.seconds();
-
-    // Interval trees: incremental insert into touched intervals.
-    sw.reset();
-    e.tuple_intervals.insert(owner_ctx, new_tuples, *tuple_primes_);
-    e.doc_intervals.insert(owner_ctx, new_docs, *doc_primes_);
-    stmt.tuple_root = e.tuple_intervals.root();
-    stmt.doc_root = e.doc_intervals.root();
-    t.interval_seconds += sw.seconds();
-
-    // Re-sign the updated statements at the new epoch.
-    sw.reset();
-    stmt.posting_count = e.postings.size();
-    stmt.postings_digest = postings_digest(e.postings);
-    stmt.epoch = epoch_;
-    e.attestation = TermAttestation{stmt, owner_key.sign(stmt.encode())};
-    BloomStatement bstmt{term, std::move(recompressed), epoch_};
-    e.bloom_attestation = BloomAttestation{bstmt, owner_key.sign(bstmt.encode())};
-    t.sign_seconds += sw.seconds();
-    it->second = std::move(clone);
+    IndexEntry e = build_entry(term, *index_.find(term), owner_ctx, owner_key);
+    t.new_term_seconds += sw.seconds();
+    ++t.new_terms;
+    entries_.emplace(term, std::make_shared<const IndexEntry>(std::move(e)));
+    new_terms = true;
   }
 
-  if (rebuild_dict && new_terms) {
-    t.dictionary_seconds = rebuild_dictionary(owner_ctx, owner_key);
-  }
+  if (rebuild_dict && new_terms) update_dictionary(owner_ctx, owner_key, t);
   return t;
 }
 
@@ -408,62 +475,16 @@ UpdateTimings IndexBuilder::remove_documents(std::span<const std::uint64_t> doc_
     max_shrank = max_shrank || it->second->postings.size() == max_posting_count_;
     t.added_postings += gone.size();  // postings *changed* by this update
 
-    if (index_.find(term) == nullptr) {
-      // Every posting of this term is gone: drop the whole entry.
-      entries_.erase(it);
-      terms_vanished = true;
-      removed_terms_.insert(term);
-      dirty_terms_.erase(term);
+    if (index_.find(term) != nullptr) {
+      dirty_terms_.insert(term);
+      update_entry(term, it->second, {}, gone, owner_ctx, owner_key, t);
       continue;
     }
-    dirty_terms_.insert(term);
-
-    // Copy-on-write, as in add_documents.
-    auto clone = std::make_shared<IndexEntry>(*it->second);
-    IndexEntry& e = *clone;
-    U64Set gone_tuples, gone_docs;
-    for (const Posting& p : gone) {
-      gone_tuples.push_back(InvertedIndex::encode_tuple(p));
-      gone_docs.push_back(InvertedIndex::encode_doc(p.doc_id));
-    }
-    std::sort(gone_tuples.begin(), gone_tuples.end());
-    std::sort(gone_docs.begin(), gone_docs.end());
-    e.postings = *index_.find(term);
-
-    // Eq 6: flat accumulator deletion via the inverse exponent mod phi(n).
-    Stopwatch sw;
-    std::vector<Bigint> tuple_reps, doc_reps;
-    for (std::uint64_t v : gone_tuples) tuple_reps.push_back(tuple_primes_->get(v));
-    for (std::uint64_t v : gone_docs) doc_reps.push_back(doc_primes_->get(v));
-    TermStatement stmt = e.attestation.stmt;
-    stmt.tuple_acc = owner_ctx.delete_elements(stmt.tuple_acc, tuple_reps);
-    stmt.doc_acc = owner_ctx.delete_elements(stmt.doc_acc, doc_reps);
-    t.flat_accumulator_seconds += sw.seconds();
-
-    // Bloom: counter decrements + recompress the signed filter.
-    sw.reset();
-    CountingBloom stored = decompress_bloom(e.bloom_attestation.stmt.doc_bloom);
-    for (std::uint64_t d : gone_docs) stored.remove(d);
-    CompressedBloom recompressed = compress_bloom(stored);
-    t.bloom_seconds += sw.seconds();
-
-    // Interval trees: in-place element removal (on the clone).
-    sw.reset();
-    e.tuple_intervals.remove(owner_ctx, gone_tuples, *tuple_primes_);
-    e.doc_intervals.remove(owner_ctx, gone_docs, *doc_primes_);
-    stmt.tuple_root = e.tuple_intervals.root();
-    stmt.doc_root = e.doc_intervals.root();
-    t.interval_seconds += sw.seconds();
-
-    sw.reset();
-    stmt.posting_count = e.postings.size();
-    stmt.postings_digest = postings_digest(e.postings);
-    stmt.epoch = epoch_;
-    e.attestation = TermAttestation{stmt, owner_key.sign(stmt.encode())};
-    BloomStatement bstmt{term, std::move(recompressed), epoch_};
-    e.bloom_attestation = BloomAttestation{bstmt, owner_key.sign(bstmt.encode())};
-    t.sign_seconds += sw.seconds();
-    it->second = std::move(clone);
+    // Every posting of this term is gone: drop the whole entry.
+    entries_.erase(it);
+    terms_vanished = true;
+    removed_terms_.insert(term);
+    dirty_terms_.erase(term);
   }
 
   if (max_shrank) {
@@ -472,9 +493,7 @@ UpdateTimings IndexBuilder::remove_documents(std::span<const std::uint64_t> doc_
       max_posting_count_ = std::max(max_posting_count_, e->postings.size());
     }
   }
-  if (rebuild_dict && terms_vanished) {
-    t.dictionary_seconds = rebuild_dictionary(owner_ctx, owner_key);
-  }
+  if (rebuild_dict && terms_vanished) update_dictionary(owner_ctx, owner_key, t);
   return t;
 }
 

@@ -148,7 +148,7 @@ class IndexBuilder {
                                  bool rebuild_dictionary = true);
 
   // Rebuilds the dictionary gap structure + attestation from current terms.
-  double rebuild_dictionary(const AccumulatorContext& owner_ctx, const SigningKey& owner_key);
+  void rebuild_dictionary(const AccumulatorContext& owner_ctx, const SigningKey& owner_key);
 
   // --- delta publication ---------------------------------------------------
   // Every committed mutation records which terms it touched or removed and
@@ -197,6 +197,20 @@ class IndexBuilder {
 
   IndexEntry build_entry(const std::string& term, const PostingList& postings,
                          const AccumulatorContext& owner_ctx, const SigningKey& owner_key) const;
+
+  // The one per-term step of add_documents and remove_documents (§II-D,
+  // Eq 5/6): moves a surviving term's entry by the postings `added` to and
+  // `removed` from its list — both flat accumulators, the signed Bloom
+  // filter, both interval trees — and re-signs it at the current epoch.
+  // `entry` is replaced by an updated clone (copy-on-write), so snapshots of
+  // earlier epochs keep serving the old version.  Phases are timed into `t`.
+  void update_entry(const std::string& term, std::shared_ptr<const IndexEntry>& entry,
+                    const PostingList& added, const PostingList& removed,
+                    const AccumulatorContext& owner_ctx, const SigningKey& owner_key,
+                    UpdateTimings& t);
+  // rebuild_dictionary() on the update path, timed into `t`.
+  void update_dictionary(const AccumulatorContext& owner_ctx, const SigningKey& owner_key,
+                         UpdateTimings& t);
 
   // Marks the start of a committed mutation: bumps the epoch that re-signed
   // statements will carry and invalidates the cached snapshot.

@@ -185,7 +185,7 @@ TEST_F(IntervalIndexTest, InsertUpdatesRootAndProofsStillVerify) {
   IntervalIndex idx = IntervalIndex::build(owner_, elems, primes_, cfg_);
   Bigint old_root = idx.root();
   std::vector<std::uint64_t> added = {11, 13, 15};
-  idx.insert(owner_, added, primes_);
+  idx.update(owner_, added, {}, primes_);
   EXPECT_NE(idx.root(), old_root);
   EXPECT_EQ(idx.element_count(), 43u);
   // New members prove membership; untouched members still prove.
@@ -202,7 +202,7 @@ TEST_F(IntervalIndexTest, InsertMatchesFreshBuild) {
   auto elems = evens(30);
   IntervalIndex idx = IntervalIndex::build(owner_, elems, primes_, cfg_);
   std::vector<std::uint64_t> added = {101, 103};
-  idx.insert(owner_, added, primes_);
+  idx.update(owner_, added, {}, primes_);
   // The root need not equal a fresh build's root (ranges differ), but all
   // elements must verify.
   std::vector<std::uint64_t> all = elems;
@@ -218,7 +218,7 @@ TEST_F(IntervalIndexTest, InsertSplitsOversizedInterval) {
   EXPECT_EQ(idx.interval_count(), 1u);
   std::vector<std::uint64_t> added;
   for (std::uint64_t i = 0; i < 12; ++i) added.push_back(101 + 2 * i);
-  idx.insert(owner_, added, primes_);
+  idx.update(owner_, added, {}, primes_);
   EXPECT_GT(idx.interval_count(), 1u);
   auto proof = idx.prove_membership(owner_, added, primes_);
   EXPECT_TRUE(IntervalIndex::verify_membership(pub_, idx.root(), proof, added, primes_));
@@ -228,7 +228,7 @@ TEST_F(IntervalIndexTest, InsertDuplicateIsNoop) {
   auto elems = evens(10);
   IntervalIndex idx = IntervalIndex::build(owner_, elems, primes_, cfg_);
   Bigint root = idx.root();
-  idx.insert(owner_, std::vector<std::uint64_t>{10, 12}, primes_);
+  idx.update(owner_, std::vector<std::uint64_t>{10, 12}, {}, primes_);
   EXPECT_EQ(idx.element_count(), 10u);
   EXPECT_EQ(idx.root(), root);
 }
@@ -236,7 +236,7 @@ TEST_F(IntervalIndexTest, InsertDuplicateIsNoop) {
 TEST_F(IntervalIndexTest, InsertRequiresTrapdoor) {
   auto elems = evens(10);
   IntervalIndex idx = IntervalIndex::build(owner_, elems, primes_, cfg_);
-  EXPECT_THROW(idx.insert(pub_, std::vector<std::uint64_t>{11}, primes_), UsageError);
+  EXPECT_THROW(idx.update(pub_, std::vector<std::uint64_t>{11}, {}, primes_), UsageError);
 }
 
 // A patch against the pre-update index rebuilds the updated index exactly;
@@ -245,7 +245,7 @@ TEST_F(IntervalIndexTest, InsertRequiresTrapdoor) {
 TEST_F(IntervalIndexTest, PatchRebuildsUpdatedIndexFromBase) {
   const IntervalIndex base = IntervalIndex::build(owner_, evens(80), primes_, cfg_);
   IntervalIndex idx = base;
-  idx.insert(owner_, std::vector<std::uint64_t>{171, 173}, primes_);  // past the last member
+  idx.update(owner_, std::vector<std::uint64_t>{171, 173}, {}, primes_);  // past the last member
   ASSERT_NE(idx.root(), base.root());
 
   ByteWriter patch;

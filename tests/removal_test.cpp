@@ -208,7 +208,7 @@ TEST_F(RemovalTest, IntervalRemoveStandalone) {
   IntervalIndex idx =
       IntervalIndex::build(owner_ctx_, elems, primes, IntervalConfig{.interval_size = 8});
   std::vector<std::uint64_t> gone = {4, 20, 58};
-  idx.remove(owner_ctx_, gone, primes);
+  idx.update(owner_ctx_, {}, gone, primes);
   EXPECT_EQ(idx.element_count(), 27u);
   // Removed values now prove nonmembership; survivors still prove membership.
   auto np = idx.prove_nonmembership(pub_ctx_, gone, primes);
@@ -217,7 +217,7 @@ TEST_F(RemovalTest, IntervalRemoveStandalone) {
   auto mp = idx.prove_membership(pub_ctx_, kept, primes);
   EXPECT_TRUE(IntervalIndex::verify_membership(pub_ctx_, idx.root(), mp, kept, primes));
   // Removing everything leaves a provably empty structure.
-  idx.remove(owner_ctx_, elems, primes);
+  idx.update(owner_ctx_, {}, elems, primes);
   EXPECT_EQ(idx.element_count(), 0u);
   auto np_all = idx.prove_nonmembership(pub_ctx_, elems, primes);
   EXPECT_TRUE(
@@ -225,7 +225,7 @@ TEST_F(RemovalTest, IntervalRemoveStandalone) {
   // Public side cannot delete.
   IntervalIndex idx2 =
       IntervalIndex::build(owner_ctx_, elems, primes, IntervalConfig{.interval_size = 8});
-  EXPECT_THROW(idx2.remove(pub_ctx_, gone, primes), UsageError);
+  EXPECT_THROW(idx2.update(pub_ctx_, {}, gone, primes), UsageError);
 }
 
 }  // namespace
