@@ -77,50 +77,45 @@ double CountingBloom::load() const {
          static_cast<double>(params_.counters);
 }
 
-CountingBloom CountingBloom::elementwise_min(const CountingBloom& a, const CountingBloom& b) {
-  if (!(a.params_ == b.params_)) throw UsageError("elementwise_min: parameter mismatch");
-  CountingBloom out(a.params_);
-  std::uint64_t sum = 0;
-  for (std::size_t j = 0; j < out.counters_.size(); ++j) {
-    out.counters_[j] = std::min(a.counters_[j], b.counters_[j]);
-    sum += out.counters_[j];
-  }
-  out.elements_added_ = sum / a.params_.hashes;  // approximate; min is not a set
-  return out;
-}
+namespace {
 
-CheckElements extract_check_elements(const BloomParams& params,
-                                     std::span<const std::uint64_t> x1,
-                                     std::span<const std::uint64_t> x2,
-                                     std::span<const std::uint64_t> intersection) {
-  CountingBloom b1 = CountingBloom::from_set(params, x1);
-  CountingBloom b2 = CountingBloom::from_set(params, x2);
-  CountingBloom bx = CountingBloom::from_set(params, intersection);
-  CountingBloom bhat = CountingBloom::elementwise_min(b1, b2);
-
-  std::vector<bool> slot_open(params.counters, false);
-  for (std::uint32_t j = 0; j < params.counters; ++j) {
-    slot_open[j] = bx.counter(j) < bhat.counter(j);
-  }
-  auto is_member = [&](std::uint64_t e) {
-    return std::binary_search(intersection.begin(), intersection.end(), e);
-  };
-  CheckElements out;
-  CountingBloom probe(params);  // reuse hashing
-  for (std::uint64_t e : x1) {
-    if (is_member(e)) continue;
-    for (std::uint32_t j : probe.positions(e)) {
-      if (slot_open[j]) {
-        out.c1.push_back(e);
-        break;
-      }
+const BloomParams& shared_params(std::span<const CountingBloom> filters) {
+  if (filters.empty()) throw UsageError("Bloom slot rule needs at least one filter");
+  for (const CountingBloom& f : filters) {
+    if (!(f.params() == filters[0].params())) {
+      throw UsageError("Bloom slot rule: parameter mismatch");
     }
   }
-  for (std::uint64_t e : x2) {
-    if (is_member(e)) continue;
-    for (std::uint32_t j : probe.positions(e)) {
-      if (slot_open[j]) {
-        out.c2.push_back(e);
+  return filters[0].params();
+}
+
+// B̂_j: the element-wise minimum over every filter.
+std::uint32_t min_counter(std::span<const CountingBloom> filters, std::uint32_t j) {
+  std::uint32_t bhat = filters[0].counter(j);
+  for (const CountingBloom& f : filters.subspan(1)) bhat = std::min(bhat, f.counter(j));
+  return bhat;
+}
+
+}  // namespace
+
+CheckSlots::CheckSlots(std::span<const CountingBloom> filters,
+                       std::span<const std::uint64_t> intersection)
+    : probe_(shared_params(filters)),
+      intersection_(intersection.begin(), intersection.end()),
+      open_(probe_.params().counters, false) {
+  CountingBloom bx = CountingBloom::from_set(probe_.params(), intersection);
+  for (std::uint32_t j = 0; j < open_.size(); ++j) {
+    open_[j] = bx.counter(j) < min_counter(filters, j);
+  }
+}
+
+std::vector<std::uint64_t> CheckSlots::select(std::span<const std::uint64_t> set) const {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t e : set) {
+    if (std::binary_search(intersection_.begin(), intersection_.end(), e)) continue;
+    for (std::uint32_t j : probe_.positions(e)) {
+      if (open_[j]) {
+        out.push_back(e);
         break;
       }
     }
@@ -128,24 +123,28 @@ CheckElements extract_check_elements(const BloomParams& params,
   return out;
 }
 
-bool verify_check_elements(const CountingBloom& b1, const CountingBloom& b2,
-                           std::span<const std::uint64_t> intersection,
-                           std::span<const std::uint64_t> c1,
-                           std::span<const std::uint64_t> c2) {
-  if (!(b1.params() == b2.params())) return false;
-  const BloomParams& params = b1.params();
-  CountingBloom bx = CountingBloom::from_set(params, intersection);
-  CountingBloom bc1 = CountingBloom::from_set(params, c1);
-  CountingBloom bc2 = CountingBloom::from_set(params, c2);
-  for (std::uint32_t j = 0; j < params.counters; ++j) {
-    std::uint32_t bhat = std::min(b1.counter(j), b2.counter(j));
-    if (bx.counter(j) > bhat) return false;  // X not contained in both
-    if (bx.counter(j) == bhat) continue;     // slot fully explained by X
-    // Eq 8/9: the disclosed check elements must close the gap exactly.
-    if (bx.counter(j) + bc1.counter(j) != b1.counter(j)) return false;
-    if (bx.counter(j) + bc2.counter(j) != b2.counter(j)) return false;
+SlotAccounting check_slot_accounting(std::span<const CountingBloom> filters,
+                                     std::span<const std::uint64_t> intersection,
+                                     std::span<const std::span<const std::uint64_t>> check_sets) {
+  const BloomParams& params = shared_params(filters);
+  if (check_sets.size() != filters.size()) {
+    throw UsageError("Bloom slot accounting needs one check set per filter");
   }
-  return true;
+  CountingBloom bx = CountingBloom::from_set(params, intersection);
+  std::vector<CountingBloom> checks;
+  checks.reserve(check_sets.size());
+  for (auto c : check_sets) checks.push_back(CountingBloom::from_set(params, c));
+  for (std::uint32_t j = 0; j < params.counters; ++j) {
+    const std::uint32_t bhat = min_counter(filters, j);
+    if (bx.counter(j) > bhat) return SlotAccounting::kResultExceedsFilters;
+    if (bx.counter(j) == bhat) continue;  // slot fully explained by X
+    for (std::size_t i = 0; i < filters.size(); ++i) {
+      if (bx.counter(j) + checks[i].counter(j) != filters[i].counter(j)) {
+        return SlotAccounting::kGapNotClosed;
+      }
+    }
+  }
+  return SlotAccounting::kHolds;
 }
 
 double poisson_entropy_bits(double load) {

@@ -1,8 +1,8 @@
 // Counting Bloom filters for integrity proofs (§III-D2).
 //
-// The Bloom-based integrity proof keeps two counting filters B(X1), B(X2)
-// and discloses only the *check elements* — members of X1\X and X2\X whose
-// slots collide between the filters (Eq 8/9).  With well-spread hashes the
+// The Bloom-based integrity proof keeps one counting filter B(X_i) per
+// keyword and discloses only the *check elements* — members of X_i\X whose
+// slots collide between the filters (Eq 8/9, for Q >= 2 keywords).  With well-spread hashes the
 // expected number of check elements is k²|X1||X2|/m (Eq 11/12), minimized
 // at k = 1, which is the paper's choice and our default.
 #pragma once
@@ -53,9 +53,6 @@ class CountingBloom {
   // The k slot positions of an element (deterministic keyed hash).
   [[nodiscard]] std::vector<std::uint32_t> positions(std::uint64_t element) const;
 
-  // Element-wise minimum B̂ of two filters with identical params.
-  static CountingBloom elementwise_min(const CountingBloom& a, const CountingBloom& b);
-
   // The keyed hash is a function of the params, so it takes no part.
   friend bool operator==(const CountingBloom& a, const CountingBloom& b) {
     return a.params_ == b.params_ && a.counters_ == b.counters_ &&
@@ -77,25 +74,35 @@ class CountingBloom {
   std::uint64_t elements_added_ = 0;
 };
 
-// Check-element extraction (prover side): given X1, X2 and X = X1 ∩ X2,
-// returns C1 ⊆ X1\X and C2 ⊆ X2\X — the elements hashing into slots where
-// B(X) disagrees with min(B(X1), B(X2)).
-struct CheckElements {
-  std::vector<std::uint64_t> c1;
-  std::vector<std::uint64_t> c2;
-};
-CheckElements extract_check_elements(const BloomParams& params,
-                                     std::span<const std::uint64_t> x1,
-                                     std::span<const std::uint64_t> x2,
-                                     std::span<const std::uint64_t> intersection);
+// Check-element selection (prover side, Eq 7-9 over Q >= 1 filters): slot
+// j is open when B(X)_j < B̂_j, where X is the claimed intersection and B̂
+// the element-wise minimum of the keywords' filters B(X_1)..B(X_Q).  The
+// check elements of X_i are its elements outside X that hash into an open
+// slot.  The filters must share params (UsageError otherwise); `select`
+// may run concurrently.
+class CheckSlots {
+ public:
+  CheckSlots(std::span<const CountingBloom> filters, std::span<const std::uint64_t> intersection);
 
-// Verifier side slot accounting (Eq 8/9): for every slot j with
-// B(X)_j < B̂_j, the disclosed check elements must exactly close the gap in
-// both filters.
-bool verify_check_elements(const CountingBloom& b1, const CountingBloom& b2,
-                           std::span<const std::uint64_t> intersection,
-                           std::span<const std::uint64_t> c1,
-                           std::span<const std::uint64_t> c2);
+  [[nodiscard]] bool open(std::uint32_t slot) const { return open_[slot]; }
+  // The check elements of one keyword's sorted set X_i, in its order.
+  [[nodiscard]] std::vector<std::uint64_t> select(std::span<const std::uint64_t> set) const;
+
+ private:
+  CountingBloom probe_;  // hashes positions; never counts
+  std::vector<std::uint64_t> intersection_;
+  std::vector<bool> open_;
+};
+
+// Slot accounting (verifier side, Eq 7-9 over Q filters): B(X) <= B̂ in
+// every slot, and in every open slot the disclosed check elements close the
+// gap exactly in each filter, B(X)_j + B(C_i)_j = B(X_i)_j.  Reports the
+// first failure in slot order.  `check_sets` pairs with `filters`, which
+// must share params (UsageError otherwise).
+enum class SlotAccounting { kHolds, kResultExceedsFilters, kGapNotClosed };
+SlotAccounting check_slot_accounting(std::span<const CountingBloom> filters,
+                                     std::span<const std::uint64_t> intersection,
+                                     std::span<const std::span<const std::uint64_t>> check_sets);
 
 // Entropy of a Poisson(load) counter in bits — H(l) in Eq 10; the expected
 // compressed size of a counting filter is m * H(l) bits.

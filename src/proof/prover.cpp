@@ -298,7 +298,6 @@ BloomIntegrity Prover::make_bloom_integrity(
     bool interval_form) const {
   static obs::Histogram& stage = obs::MetricsRegistry::global().stage("integrity_bloom");
   obs::Span span(stage, "integrity_bloom");
-  const BloomParams& params = snap_->config().bloom;
   // B̂ = element-wise min over every keyword's signed filter — decoded here,
   // as the verifier decodes it; slots where B(S) falls short need check
   // elements from every keyword.
@@ -307,32 +306,15 @@ BloomIntegrity Prover::make_bloom_integrity(
   for (const IndexEntry* e : entries) {
     filters.push_back(decompress_bloom(e->bloom_attestation.stmt.doc_bloom));
   }
-  CountingBloom bs = CountingBloom::from_set(params, result.docs);
-  std::vector<bool> open(params.counters, false);
-  for (std::uint32_t j = 0; j < params.counters; ++j) {
-    std::uint32_t bhat = filters[0].counter(j);
-    for (std::size_t i = 1; i < filters.size(); ++i) bhat = std::min(bhat, filters[i].counter(j));
-    open[j] = bs.counter(j) < bhat;
-  }
+  const CheckSlots slots(filters, result.docs);
 
   BloomIntegrity integrity;
   integrity.parts.resize(entries.size());
-  // Per-keyword parts are independent; each task keeps its own probe filter
-  // so position hashing has no shared state.
+  // Per-keyword parts are independent: fan out.
   for_each_index(pool_, entries.size(), [&](std::size_t i) {
-    CountingBloom probe(params);
     BloomKeywordPart part;
     part.bloom = entries[i]->bloom_attestation;
-    for (const Posting& p : entries[i]->postings) {
-      std::uint64_t d = InvertedIndex::encode_doc(p.doc_id);
-      if (std::binary_search(result.docs.begin(), result.docs.end(), d)) continue;
-      for (std::uint32_t j : probe.positions(d)) {
-        if (open[j]) {
-          part.check_elements.push_back(d);
-          break;
-        }
-      }
-    }
+    part.check_elements = slots.select(InvertedIndex::doc_set(entries[i]->postings));
     part.check_membership = prove_membership(Side::kDocs, *entries[i], part.check_elements,
                                              interval_form, tier_for(result.keywords[i]));
     integrity.parts[i] = std::move(part);

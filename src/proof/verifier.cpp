@@ -425,23 +425,13 @@ void ResultVerifier::verify_bloom_integrity(const MultiKeywordResponse& multi,
   require(common.empty(), "an element appears in every check set");
 
   // Slot accounting (Eq 7/8/9 generalized to Q filters).
-  CountingBloom bs = CountingBloom::from_set(config_.bloom, result.docs);
-  std::vector<CountingBloom> check_filters;
-  check_filters.reserve(q);
-  for (std::size_t i = 0; i < q; ++i) {
-    check_filters.push_back(
-        CountingBloom::from_set(config_.bloom, integrity.parts[i].check_elements));
-  }
-  for (std::uint32_t j = 0; j < config_.bloom.counters; ++j) {
-    std::uint32_t bhat = filters[0].counter(j);
-    for (std::size_t i = 1; i < q; ++i) bhat = std::min(bhat, filters[i].counter(j));
-    require(bs.counter(j) <= bhat, "result filter exceeds the signed filters");
-    if (bs.counter(j) == bhat) continue;
-    for (std::size_t i = 0; i < q; ++i) {
-      require(bs.counter(j) + check_filters[i].counter(j) == filters[i].counter(j),
-              "check elements do not close the filter gap");
-    }
-  }
+  std::vector<std::span<const std::uint64_t>> check_sets;
+  check_sets.reserve(q);
+  for (const BloomKeywordPart& part : integrity.parts) check_sets.push_back(part.check_elements);
+  const SlotAccounting slots = check_slot_accounting(filters, result.docs, check_sets);
+  require(slots != SlotAccounting::kResultExceedsFilters,
+          "result filter exceeds the signed filters");
+  require(slots != SlotAccounting::kGapNotClosed, "check elements do not close the filter gap");
 
   // C_i ⊆ X_i via membership evidence on the doc accumulator.
   for (std::size_t i = 0; i < q; ++i) {

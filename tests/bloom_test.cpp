@@ -23,6 +23,28 @@ U64Set range_set(std::uint64_t lo, std::uint64_t hi) {
   return out;
 }
 
+std::vector<CountingBloom> filters_of(const BloomParams& params, const std::vector<U64Set>& sets) {
+  std::vector<CountingBloom> out;
+  for (const U64Set& x : sets) out.push_back(CountingBloom::from_set(params, x));
+  return out;
+}
+
+// The prover's side of the slot rule: every set's check elements against
+// the claimed intersection `x`.
+std::vector<U64Set> select_all(const std::vector<CountingBloom>& filters,
+                               const std::vector<U64Set>& sets, const U64Set& x) {
+  const CheckSlots slots(filters, x);
+  std::vector<U64Set> out;
+  for (const U64Set& xi : sets) out.push_back(slots.select(xi));
+  return out;
+}
+
+SlotAccounting account(const std::vector<CountingBloom>& filters, const U64Set& x,
+                       const std::vector<U64Set>& checks) {
+  std::vector<std::span<const std::uint64_t>> spans(checks.begin(), checks.end());
+  return check_slot_accounting(filters, x, spans);
+}
+
 TEST(CountingBloom, AddIncrementsItsSlots) {
   CountingBloom b(small_params());
   b.add(42);
@@ -88,16 +110,26 @@ TEST(CountingBloom, LoadFormula) {
 }
 
 TEST(CountingBloom, ElementwiseMin) {
-  auto x1 = range_set(0, 30);
-  auto x2 = range_set(20, 50);
-  CountingBloom b1 = CountingBloom::from_set(small_params(256), x1);
-  CountingBloom b2 = CountingBloom::from_set(small_params(256), x2);
-  CountingBloom bhat = CountingBloom::elementwise_min(b1, b2);
-  for (std::size_t j = 0; j < 256; ++j) {
-    EXPECT_EQ(bhat.counter(j), std::min(b1.counter(j), b2.counter(j)));
+  // A slot is open exactly where B(X) falls below the element-wise minimum
+  // B̂ of the keywords' filters, for Q = 2 and Q = 3.
+  const auto params = small_params(256);
+  const U64Set x = range_set(20, 25);
+  for (const std::vector<U64Set>& sets :
+       {std::vector<U64Set>{range_set(0, 30), range_set(20, 50)},
+        std::vector<U64Set>{range_set(0, 30), range_set(20, 50), range_set(10, 40)}}) {
+    const auto filters = filters_of(params, sets);
+    const CountingBloom bx = CountingBloom::from_set(params, x);
+    const CheckSlots slots(filters, x);
+    for (std::uint32_t j = 0; j < 256; ++j) {
+      std::uint32_t bhat = filters[0].counter(j);
+      for (const CountingBloom& f : filters) bhat = std::min(bhat, f.counter(j));
+      EXPECT_EQ(slots.open(j), bx.counter(j) < bhat) << sets.size() << " filters, slot " << j;
+    }
   }
-  EXPECT_THROW(
-      CountingBloom::elementwise_min(b1, CountingBloom(small_params(128))), UsageError);
+  const std::vector<CountingBloom> mixed = {CountingBloom(small_params(256)),
+                                            CountingBloom(small_params(128))};
+  EXPECT_THROW(CheckSlots(mixed, x), UsageError);
+  EXPECT_THROW(account(mixed, x, {U64Set{}, U64Set{}}), UsageError);
 }
 
 TEST(CountingBloom, IntersectionFilterDominatedByMin) {
@@ -115,22 +147,22 @@ TEST(CountingBloom, IntersectionFilterDominatedByMin) {
 }
 
 TEST(CheckElements, ExtractedElementsSatisfyEquations) {
-  auto x1 = range_set(0, 60);
-  auto x2 = range_set(40, 120);
-  auto x = set_intersection(x1, x2);
   auto params = small_params(64);  // small m forces collisions
-  CheckElements ce = extract_check_elements(params, x1, x2, x);
-  CountingBloom b1 = CountingBloom::from_set(params, x1);
-  CountingBloom b2 = CountingBloom::from_set(params, x2);
-  EXPECT_TRUE(verify_check_elements(b1, b2, x, ce.c1, ce.c2));
-  // Check elements come from the differences.
-  for (std::uint64_t e : ce.c1) {
-    EXPECT_TRUE(std::binary_search(x1.begin(), x1.end(), e));
-    EXPECT_FALSE(std::binary_search(x.begin(), x.end(), e));
-  }
-  for (std::uint64_t e : ce.c2) {
-    EXPECT_TRUE(std::binary_search(x2.begin(), x2.end(), e));
-    EXPECT_FALSE(std::binary_search(x.begin(), x.end(), e));
+  for (const std::vector<U64Set>& sets :
+       {std::vector<U64Set>{range_set(0, 60), range_set(40, 120)},
+        std::vector<U64Set>{range_set(0, 60), range_set(40, 120), range_set(30, 90)}}) {
+    U64Set x = sets[0];
+    for (const U64Set& xi : sets) x = set_intersection(x, xi);
+    const auto filters = filters_of(params, sets);
+    const auto checks = select_all(filters, sets, x);
+    EXPECT_EQ(account(filters, x, checks), SlotAccounting::kHolds) << sets.size();
+    // Check elements come from the differences.
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      for (std::uint64_t e : checks[i]) {
+        EXPECT_TRUE(std::binary_search(sets[i].begin(), sets[i].end(), e));
+        EXPECT_FALSE(std::binary_search(x.begin(), x.end(), e));
+      }
+    }
   }
 }
 
@@ -145,19 +177,20 @@ TEST(CheckElements, HidingAnIntersectionMemberFailsVerification) {
   // it keeping the element out of C2.
   U64Set claimed = x;
   claimed.erase(std::find(claimed.begin(), claimed.end(), 35));
-  CheckElements ce = extract_check_elements(params, x1, x2, claimed);
-  CountingBloom b1 = CountingBloom::from_set(params, x1);
-  CountingBloom b2 = CountingBloom::from_set(params, x2);
+  const auto filters = filters_of(params, {x1, x2});
+  auto checks = select_all(filters, {x1, x2}, claimed);
   // With the hidden element present in both C1 and C2 the equations pass —
   // that's exactly what disjointness catches at the proof layer:
-  EXPECT_TRUE(verify_check_elements(b1, b2, claimed, ce.c1, ce.c2));
-  EXPECT_FALSE(sets_disjoint(ce.c1, ce.c2));
+  EXPECT_EQ(account(filters, claimed, checks), SlotAccounting::kHolds);
+  EXPECT_FALSE(sets_disjoint(checks[0], checks[1]));
   // Dropping it from C2 (to fake disjointness) breaks Eq 9:
-  U64Set c2_censored;
-  for (std::uint64_t e : ce.c2) {
-    if (e != 35) c2_censored.push_back(e);
-  }
-  EXPECT_FALSE(verify_check_elements(b1, b2, claimed, ce.c1, c2_censored));
+  checks[1].erase(std::find(checks[1].begin(), checks[1].end(), 35));
+  EXPECT_EQ(account(filters, claimed, checks), SlotAccounting::kGapNotClosed);
+  // Claiming non-members as results overfills their slots.
+  U64Set inflated = x;
+  for (std::uint64_t v : range_set(500, 600)) inflated.push_back(v);
+  EXPECT_EQ(account(filters, inflated, {U64Set{}, U64Set{}}),
+            SlotAccounting::kResultExceedsFilters);
 }
 
 TEST(CheckElements, DisjointSetsNeedFewChecks) {
@@ -165,8 +198,8 @@ TEST(CheckElements, DisjointSetsNeedFewChecks) {
   auto x1 = range_set(0, 20);
   auto x2 = range_set(100, 120);
   auto params = small_params(4096);
-  CheckElements ce = extract_check_elements(params, x1, x2, {});
-  EXPECT_LT(ce.c1.size() + ce.c2.size(), 10u);
+  const auto checks = select_all(filters_of(params, {x1, x2}), {x1, x2}, {});
+  EXPECT_LT(checks[0].size() + checks[1].size(), 10u);
 }
 
 TEST(CheckElements, ExpectedSizeBound) {
@@ -178,10 +211,10 @@ TEST(CheckElements, ExpectedSizeBound) {
   for (int i = 0; i < 60; ++i) x2.push_back(rng.next_u64() >> 1);
   std::sort(x1.begin(), x1.end());
   std::sort(x2.begin(), x2.end());
-  CheckElements ce = extract_check_elements(params, x1, x2, {});
+  const auto checks = select_all(filters_of(params, {x1, x2}), {x1, x2}, {});
   double bound = 80.0 * 60.0 / 512.0;  // ~9.4 expected
-  EXPECT_LT(static_cast<double>(ce.c1.size()), 6 * bound + 10);
-  EXPECT_LT(static_cast<double>(ce.c2.size()), 6 * bound + 10);
+  EXPECT_LT(static_cast<double>(checks[0].size()), 6 * bound + 10);
+  EXPECT_LT(static_cast<double>(checks[1].size()), 6 * bound + 10);
 }
 
 TEST(PoissonEntropy, KnownValues) {

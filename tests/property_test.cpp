@@ -139,9 +139,11 @@ TEST_P(BloomProperty, CompressRoundtripAndCheckAccounting) {
 
   // Check-element extraction always satisfies the slot equations.
   U64Set inter = set_intersection(x1, x2);
-  CheckElements ce = extract_check_elements(params, x1, x2, inter);
-  CountingBloom b2 = CountingBloom::from_set(params, x2);
-  EXPECT_TRUE(verify_check_elements(b1, b2, inter, ce.c1, ce.c2));
+  const std::vector<CountingBloom> filters = {b1, CountingBloom::from_set(params, x2)};
+  const CheckSlots slots(filters, inter);
+  const U64Set c1 = slots.select(x1), c2 = slots.select(x2);
+  const std::vector<std::span<const std::uint64_t>> checks = {c1, c2};
+  EXPECT_EQ(check_slot_accounting(filters, inter, checks), SlotAccounting::kHolds);
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometries, BloomProperty,
