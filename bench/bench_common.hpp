@@ -100,7 +100,7 @@ inline double median(std::vector<double> xs) {
 // self-describing (which scale the numbers were measured at).
 inline const char* const kBenchParamEnv[] = {
     "VC_DOCS",   "VC_MODULUS_BITS", "VC_REP_BITS", "VC_BLOOM_M",
-    "VC_RUNS",   "VC_INTERVAL_SIZE", "VC_BATCH_N", "VC_OBS",
+    "VC_RUNS",   "VC_INTERVAL_SIZE", "VC_BATCH_N",
     "VC_TIER_N", "VC_TIER_TERMS",   "VC_TIER_REQUIRE_SPEEDUP",
     "VC_DELTA_INITIAL", "VC_DELTA_ADDED", "VC_DELTA_REQUIRE_FLAT",
     "VC_DELTA_REQUIRE_SPEEDUP",

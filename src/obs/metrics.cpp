@@ -1,39 +1,12 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "obs/trace.hpp"
 
 namespace vc::obs {
-
-// --- enable switch -----------------------------------------------------------
-
-namespace {
-
-// -1 = not yet initialized from the environment.
-std::atomic<int> g_enabled{-1};
-
-bool init_enabled_from_env() {
-  const char* v = std::getenv("VC_OBS");
-  bool on = !(v != nullptr && v[0] == '0' && v[1] == '\0');
-  int expected = -1;
-  g_enabled.compare_exchange_strong(expected, on ? 1 : 0);
-  return g_enabled.load(std::memory_order_relaxed) == 1;
-}
-
-}  // namespace
-
-bool enabled() {
-  if constexpr (!kCompiledIn) return false;
-  int state = g_enabled.load(std::memory_order_relaxed);
-  if (state >= 0) return state == 1;
-  return init_enabled_from_env();
-}
-
-void set_enabled(bool on) { g_enabled.store(on ? 1 : 0, std::memory_order_relaxed); }
 
 // --- histogram ---------------------------------------------------------------
 
@@ -57,7 +30,6 @@ Histogram::Histogram(std::span<const double> bounds) : bounds_(bounds) {
 }
 
 void Histogram::observe(double v) {
-  if (!enabled()) return;
   auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   std::size_t idx = static_cast<std::size_t>(it - bounds_.begin());  // == size() -> overflow
   counts_[idx].fetch_add(1, std::memory_order_relaxed);
@@ -109,16 +81,14 @@ namespace {
 thread_local Span* t_current_span = nullptr;
 }
 
-Span::Span(Histogram& h) : hist_(enabled() ? &h : nullptr) {
-  if (hist_ == nullptr) return;
+Span::Span(Histogram& h) : hist_(&h) {
   parent_ = t_current_span;
   depth_ = parent_ == nullptr ? 0 : parent_->depth_ + 1;
   t_current_span = this;
   start_ = Clock::now();
 }
 
-Span::Span(Histogram& h, const char* trace_name) : hist_(enabled() ? &h : nullptr) {
-  if (hist_ == nullptr) return;
+Span::Span(Histogram& h, const char* trace_name) : hist_(&h) {
   parent_ = t_current_span;
   depth_ = parent_ == nullptr ? 0 : parent_->depth_ + 1;
   t_current_span = this;
@@ -127,12 +97,10 @@ Span::Span(Histogram& h, const char* trace_name) : hist_(enabled() ? &h : nullpt
 }
 
 double Span::seconds() const {
-  if (hist_ == nullptr) return 0;
   return std::chrono::duration<double>(Clock::now() - start_).count();
 }
 
 Span::~Span() {
-  if (hist_ == nullptr) return;
   double elapsed = std::chrono::duration<double>(Clock::now() - start_).count();
   if (traced_) trace_detail::end_span();
   hist_->observe(elapsed);

@@ -14,14 +14,8 @@
 // the parent's child-time, and self_seconds() exposes the exclusive time —
 // one query therefore yields the per-stage breakdown of §III-C's pipeline
 // (prime lookup, interval walk, witness generation, aggregation, Bloom
-// path, serialization, verification).
-//
-// Kill switches:
-//   compile-time  -DVC_OBS_DISABLED   every update folds to a no-op branch
-//                                     on a constant-false
-//   runtime       VC_OBS=0 (env)      spans skip both clock reads, updates
-//                                     skip the atomic; set_enabled() does
-//                                     the same programmatically
+// path, serialization, verification).  Telemetry has no off switch: its
+// cost measures within noise (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <array>
@@ -36,23 +30,10 @@
 
 namespace vc::obs {
 
-#ifdef VC_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
-// Runtime switch, initialized lazily from the VC_OBS environment variable
-// ("0" disables) and overridable for tests and embedders.
-bool enabled();
-void set_enabled(bool on);
-
 // Monotonically increasing event count.
 class Counter {
  public:
-  void inc(std::uint64_t delta = 1) {
-    if (enabled()) v_.fetch_add(delta, std::memory_order_relaxed);
-  }
+  void inc(std::uint64_t delta = 1) { v_.fetch_add(delta, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
 
@@ -63,12 +44,8 @@ class Counter {
 // Instantaneous signed level (queue depth, workers busy, ...).
 class Gauge {
  public:
-  void set(std::int64_t v) {
-    if (enabled()) v_.store(v, std::memory_order_relaxed);
-  }
-  void add(std::int64_t delta) {
-    if (enabled()) v_.fetch_add(delta, std::memory_order_relaxed);
-  }
+  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
+  void add(std::int64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
   [[nodiscard]] std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
 
@@ -82,10 +59,7 @@ class Gauge {
 class TimeCounter {
  public:
   void add(double seconds) {
-    if (enabled()) {
-      nanos_.fetch_add(static_cast<std::int64_t>(seconds * 1e9),
-                       std::memory_order_relaxed);
-    }
+    nanos_.fetch_add(static_cast<std::int64_t>(seconds * 1e9), std::memory_order_relaxed);
   }
   [[nodiscard]] double seconds() const {
     return static_cast<double>(nanos_.load(std::memory_order_relaxed)) * 1e-9;
@@ -131,7 +105,7 @@ class Histogram {
 };
 
 // RAII stage timer.  Construction and destruction each read the monotonic
-// clock once when telemetry is enabled and touch nothing otherwise.
+// clock once.
 //
 // The two-argument form additionally records the span into the thread's
 // active trace (obs/trace.hpp) under `trace_name`, building the per-query
@@ -147,7 +121,7 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  // Wall time since construction (0 when telemetry is disabled).
+  // Wall time since construction.
   [[nodiscard]] double seconds() const;
   // Elapsed minus the time spent inside already-closed child spans.
   [[nodiscard]] double self_seconds() const { return seconds() - child_seconds_; }
@@ -155,7 +129,7 @@ class Span {
 
  private:
   using Clock = std::chrono::steady_clock;
-  Histogram* hist_;  // null when disabled at construction
+  Histogram* hist_;
   Span* parent_ = nullptr;
   int depth_ = 0;
   bool traced_ = false;  // opened a trace span that ~Span must close

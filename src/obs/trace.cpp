@@ -52,12 +52,6 @@ obs::Counter& traces_slow_total() {
   return c;
 }
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtoull(v, nullptr, 10);
-}
-
 }  // namespace
 
 // --- TraceData ---------------------------------------------------------------
@@ -189,7 +183,6 @@ std::uint64_t mint_trace_id() {
 
 TraceScope::TraceScope(std::uint64_t trace_id, const char* root_name)
     : root_name_(root_name) {
-  if (!enabled()) return;
   prev_trace_ = t_trace;
   prev_parent_ = t_parent;
   trace_ = std::make_shared<TraceData>(trace_id != 0 ? trace_id : mint_trace_id());
@@ -199,7 +192,6 @@ TraceScope::TraceScope(std::uint64_t trace_id, const char* root_name)
 }
 
 TraceScope::~TraceScope() {
-  if (trace_ == nullptr) return;
   trace_detail::end_span();
   t_trace = std::move(prev_trace_);
   t_parent = prev_parent_;
@@ -219,11 +211,6 @@ TraceScope::~TraceScope() {
 }
 
 // --- TraceCollector ----------------------------------------------------------
-
-TraceCollector::TraceCollector() {
-  slow_ns_.store(env_u64("VC_SLOW_MS", 250) * 1'000'000ull, std::memory_order_relaxed);
-  sample_capacity_ = static_cast<std::size_t>(env_u64("VC_TRACE_CAPACITY", 128));
-}
 
 TraceCollector& TraceCollector::global() {
   // Leaked on purpose, like MetricsRegistry: traced code may run during

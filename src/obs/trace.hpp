@@ -19,9 +19,6 @@
 // Propagation: ThreadPool::submit and parallel_for capture the calling
 // thread's binding (active trace + current span) and install it in the
 // worker, so fan-out spans parent correctly across threads.
-//
-// Kill switches are shared with metrics: VC_OBS=0 / set_enabled(false)
-// makes TraceScope, span recording and attributes all fold to no-ops.
 #pragma once
 
 #include <array>
@@ -158,7 +155,7 @@ void trace_attr(const char* key, std::string value);
 
 // RAII root of one trace: installs a fresh TraceData on this thread, opens
 // the root span, and on destruction finalizes the trace and offers it to
-// the global TraceCollector.  Inert when telemetry is disabled.
+// the global TraceCollector.
 class TraceScope {
  public:
   // trace_id == 0 mints one.
@@ -167,13 +164,10 @@ class TraceScope {
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;
 
-  [[nodiscard]] bool active() const { return trace_ != nullptr; }
-  [[nodiscard]] std::uint64_t trace_id() const {
-    return trace_ == nullptr ? 0 : trace_->id();
-  }
+  [[nodiscard]] std::uint64_t trace_id() const { return trace_->id(); }
   // Upgrade the ID once the authoritative one is known (signed query body).
   void set_trace_id(std::uint64_t id) {
-    if (trace_ != nullptr && id != 0) trace_->set_id(id);
+    if (id != 0) trace_->set_id(id);
   }
 
  private:
@@ -193,8 +187,7 @@ class TraceCollector {
  public:
   static TraceCollector& global();
 
-  // All three knobs are overridable; defaults come from the environment
-  // (VC_SLOW_MS, VC_TRACE_CAPACITY) else 250 ms / 128 / 64.
+  // All three knobs are overridable; the defaults are 250 ms / 128 / 64.
   void configure(std::size_t sample_capacity, std::uint64_t slow_ns,
                  std::size_t slow_capacity);
   void set_slow_threshold_ns(std::uint64_t ns) {
@@ -219,7 +212,7 @@ class TraceCollector {
   void clear();
 
  private:
-  TraceCollector();
+  TraceCollector() = default;
 
   mutable std::mutex mu_;
   std::vector<std::shared_ptr<const FinishedTrace>> sampled_;  // reservoir

@@ -70,6 +70,15 @@ const char* scheme_name(SchemeKind scheme) {
   return "?";
 }
 
+SchemeKind parse_scheme(std::string_view name) {
+  if (name == "hybrid") return SchemeKind::kHybrid;
+  if (name == "accumulator") return SchemeKind::kAccumulator;
+  if (name == "bloom") return SchemeKind::kBloom;
+  if (name == "interval") return SchemeKind::kIntervalAccumulator;
+  throw UsageError("unknown scheme '" + std::string(name) +
+                   "' (accepted: hybrid, accumulator, bloom, interval)");
+}
+
 void SearchResult::write(ByteWriter& w) const {
   w.varint(keywords.size());
   for (const auto& k : keywords) w.str(k);

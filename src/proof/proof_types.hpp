@@ -26,6 +26,9 @@ enum class SchemeKind : std::uint8_t {
   kHybrid = 3,               // interval witnesses + per-query integrity choice
 };
 const char* scheme_name(SchemeKind scheme);
+// The scheme a command-line name selects: "hybrid", "accumulator", "bloom"
+// or "interval".  Throws UsageError naming the accepted names otherwise.
+SchemeKind parse_scheme(std::string_view name);
 // The schemes whose correctness and accumulator integrity use interval
 // witnesses, so a g-exponent spans one interval at most.
 [[nodiscard]] constexpr bool uses_interval_witnesses(SchemeKind scheme) {

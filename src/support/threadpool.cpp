@@ -78,19 +78,15 @@ void ThreadPool::worker_loop() {
       queue_.pop_front();
     }
     pool_metrics::queue_depth().add(-1);
-    if (obs::enabled()) {
-      pool_metrics::workers_busy().add(1);
-      double task_s = 0;
-      {
-        ScopedTimer t(task_s);
-        task();
-      }
-      pool_metrics::busy_seconds().add(task_s);
-      pool_metrics::tasks_run().inc();
-      pool_metrics::workers_busy().add(-1);
-    } else {
+    pool_metrics::workers_busy().add(1);
+    double task_s = 0;
+    {
+      ScopedTimer t(task_s);
       task();
     }
+    pool_metrics::busy_seconds().add(task_s);
+    pool_metrics::tasks_run().inc();
+    pool_metrics::workers_busy().add(-1);
   }
 }
 

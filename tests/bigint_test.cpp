@@ -340,7 +340,6 @@ std::uint64_t fixedbase_count(const char* result) {
 }
 
 TEST(FixedBase, EveryWindowEveryWidthMatchesPowm) {
-  obs::set_enabled(true);
   const Bigint n = kP * kQ;
   DeterministicRng rng(21);
   const Bigint base = Bigint::random_below(rng, n);
@@ -398,7 +397,6 @@ TEST(FixedBase, TrapdoorTablesMatchPowm) {
 }
 
 TEST(FixedBase, NegativeExponentOfTableBaseIsAHit) {
-  obs::set_enabled(true);
   const Bigint n = kP * kQ;
   DeterministicRng rng(24);
   const Bigint g = Bigint::random_below(rng, n);
@@ -451,7 +449,6 @@ TEST(FixedBase, ShortAndUnreducedBasesMatchPowm) {
 // wider falls back to powm and counts as a miss.  Only the table-served
 // exponentiations are timed in the fixed_base_pow stage.
 TEST(FixedBase, CapacityEdgeHitsAndOnePastIsAMiss) {
-  obs::set_enabled(true);
   const RsaModulus& mod = standard_accumulator_modulus(1024);
   const Bigint& g = standard_qr_generator(1024);
   PowerContext pub(mod.n);
@@ -478,7 +475,6 @@ TEST(FixedBase, CapacityEdgeHitsAndOnePastIsAMiss) {
 // every exponent, however wide, is served by them after reduction, and
 // they never leave the context.
 TEST(FixedBase, TrapdoorTablesServeEveryWidthAndAreNeverExported) {
-  obs::set_enabled(true);
   const RsaModulus& mod = standard_accumulator_modulus(1024);
   const Bigint& g = standard_qr_generator(1024);
   PowerContext owner(mod.n, mod.p, mod.q);

@@ -42,6 +42,22 @@ test -z "$(find "$WORK" -maxdepth 1 -name '*.vc')" || {
 "$BUILD/tools/vcsearch-inspect" --dir "$WORK" --validate > "$WORK/inspect.log"
 grep -q "validation       all" "$WORK/inspect.log"
 
+# An unknown --scheme is a usage error (exit 2) that lists the accepted
+# names, in serve and in loadgen, before either serves or sends anything.
+for TOOL in serve loadgen; do
+  set +e
+  timeout 60 "$BUILD/tools/vcsearch-$TOOL" --dir "$WORK" --port 0 --scheme accumulater \
+      > "$WORK/scheme-$TOOL.log" 2>&1
+  RC=$?
+  set -e
+  test "$RC" -eq 2 || {
+    echo "$TOOL accepted --scheme accumulater (rc $RC)"; cat "$WORK/scheme-$TOOL.log"; exit 1; }
+  grep -q "accepted: hybrid, accumulator, bloom, interval" "$WORK/scheme-$TOOL.log"
+  if grep -q "serving" "$WORK/scheme-$TOOL.log"; then
+    echo "$TOOL served under an unknown scheme"; exit 1
+  fi
+done
+
 "$BUILD/tools/vcsearch-serve" --dir "$WORK" --port 0 $SERVE_FLAGS > "$WORK/serve.log" 2>&1 &
 SERVE_PID=$!
 tries=0

@@ -116,7 +116,6 @@ TEST(Concurrency, PooledProverByteIdenticalToSingleThreaded) {
 // endpoints snapshot and render it; registration, updates, spans and both
 // renderers must race cleanly (this is the TSan target for the obs layer).
 TEST(Concurrency, MetricsRegistrySharedAcrossThreads) {
-  obs::set_enabled(true);
   obs::MetricsRegistry reg;
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 2000;

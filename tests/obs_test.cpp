@@ -1,6 +1,6 @@
 // Telemetry layer: counters, gauges, time counters, histogram percentiles,
-// span nesting/self-time, registry find-or-create semantics, the disabled
-// kill switch, and the Prometheus/JSON/profile renderers.
+// span nesting/self-time, registry find-or-create semantics, and the
+// Prometheus/JSON/profile renderers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,18 +14,9 @@ namespace {
 
 // Each test works against its own registry so tests can't see each other's
 // metrics; the process-wide singleton is only touched by the render tests.
-// In a -DVC_OBS_DISABLED build every update is compiled to a no-op, so the
-// behavioral tests are skipped rather than asserted.
-class Obs : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!kCompiledIn) GTEST_SKIP() << "built with VC_OBS_DISABLED";
-    set_enabled(true);
-  }
-};
+class Obs : public ::testing::Test {};
 
 TEST_F(Obs, CounterAndGaugeBasics) {
-  set_enabled(true);
   MetricsRegistry reg;
   Counter& c = reg.counter("test_ops_total", "", "ops");
   EXPECT_EQ(c.value(), 0u);
@@ -48,7 +39,6 @@ TEST_F(Obs, CounterAndGaugeBasics) {
 }
 
 TEST_F(Obs, RegistryFindOrCreate) {
-  set_enabled(true);
   MetricsRegistry reg;
   Counter& a = reg.counter("same_total", "k=\"1\"", "");
   Counter& b = reg.counter("same_total", "k=\"1\"", "");
@@ -63,7 +53,6 @@ TEST_F(Obs, RegistryFindOrCreate) {
 }
 
 TEST_F(Obs, HistogramCountsAndPercentiles) {
-  set_enabled(true);
   MetricsRegistry reg;
   Histogram& h = reg.histogram("test_lat_seconds", "", "");
   // 100 observations spread 1ms..100ms: quantiles should land in range.
@@ -87,7 +76,6 @@ TEST_F(Obs, HistogramCountsAndPercentiles) {
 }
 
 TEST_F(Obs, HistogramExtremesClampToEdgeBuckets) {
-  set_enabled(true);
   MetricsRegistry reg;
   Histogram& h = reg.histogram("test_edge_seconds", "", "");
   h.observe(1e-9);   // below the smallest bound
@@ -98,7 +86,6 @@ TEST_F(Obs, HistogramExtremesClampToEdgeBuckets) {
 }
 
 TEST_F(Obs, SpanRecordsAndNests) {
-  set_enabled(true);
   MetricsRegistry reg;
   Histogram& outer_h = reg.histogram("span_outer_seconds", "", "");
   Histogram& inner_h = reg.histogram("span_inner_seconds", "", "");
@@ -120,32 +107,7 @@ TEST_F(Obs, SpanRecordsAndNests) {
   EXPECT_GE(outer_h.snapshot().sum, inner_h.snapshot().sum);
 }
 
-TEST_F(Obs, DisabledIsNoOp) {
-  set_enabled(false);
-  MetricsRegistry reg;
-  Counter& c = reg.counter("off_total", "", "");
-  Gauge& g = reg.gauge("off_depth", "", "");
-  TimeCounter& t = reg.time_counter("off_seconds_total", "", "");
-  Histogram& h = reg.histogram("off_lat_seconds", "", "");
-  c.inc();
-  c.inc(100);
-  g.set(5);
-  g.add(9);
-  t.add(1.0);
-  h.observe(0.5);
-  {
-    Span s(h);
-    EXPECT_EQ(s.seconds(), 0.0);  // no clock reads while disabled
-  }
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
-  EXPECT_EQ(t.seconds(), 0.0);
-  EXPECT_EQ(h.snapshot().count, 0u);
-  set_enabled(true);
-}
-
 TEST_F(Obs, ResetValuesKeepsObjectsValid) {
-  set_enabled(true);
   MetricsRegistry reg;
   Counter& c = reg.counter("resettable_total", "", "");
   c.inc(9);
@@ -156,7 +118,6 @@ TEST_F(Obs, ResetValuesKeepsObjectsValid) {
 }
 
 TEST_F(Obs, PrometheusRenderShape) {
-  set_enabled(true);
   MetricsRegistry reg;
   reg.counter("render_ops_total", "scheme=\"hybrid\"", "ops served").inc(3);
   reg.histogram("render_lat_seconds", "", "latency").observe(0.01);
@@ -169,7 +130,6 @@ TEST_F(Obs, PrometheusRenderShape) {
 }
 
 TEST_F(Obs, JsonRenderShape) {
-  set_enabled(true);
   MetricsRegistry reg;
   reg.counter("j_ops_total", "", "").inc(2);
   reg.histogram("j_lat_seconds", "", "").observe(0.25);
@@ -181,7 +141,6 @@ TEST_F(Obs, JsonRenderShape) {
 }
 
 TEST_F(Obs, ProfileRenderListsStages) {
-  set_enabled(true);
   MetricsRegistry reg;
   Histogram& h = reg.histogram("vc_stage_seconds", "stage=\"unit_test\"", "");
   h.observe(0.002);
@@ -198,7 +157,6 @@ TEST_F(Obs, JsonEscape) {
 }
 
 TEST_F(Obs, StageConvenienceSharesFamily) {
-  set_enabled(true);
   MetricsRegistry reg;
   Histogram& a = reg.stage("prove");
   Histogram& b = reg.stage("prove");

@@ -30,10 +30,10 @@
 //   store/       the epoch store holding the signed verifiable index (epoch 1,
 //                incl. prime caches), unless --store points elsewhere
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "cli_args.hpp"
 #include "crypto/standard_params.hpp"
 #include "obs/export.hpp"
 #include "store/epoch_store.hpp"
@@ -45,24 +45,6 @@
 #include "vindex/witness_tier.hpp"
 
 using namespace vc;
-
-namespace {
-
-const char* arg_value(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const char* out_dir = arg_value(argc, argv, "--out", nullptr);

@@ -15,27 +15,15 @@
 // verdicts) of one epoch file.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 
+#include "cli_args.hpp"
 #include "store/epoch_store.hpp"
 #include "vindex/index_builder.hpp"
 
 using namespace vc;
 
 namespace {
-const char* arg_value(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
 // Dumps the store root, the CURRENT delta chain, then the header + section
 // table of one epoch file (--epoch N, defaulting to CURRENT; snapshots and
 // deltas are the same record format).  Exits non-zero when any chain record or the

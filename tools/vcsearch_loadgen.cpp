@@ -39,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "crypto/standard_params.hpp"
 #include "data/testbed.hpp"
 #include "obs/export.hpp"
@@ -51,30 +52,9 @@ using namespace vc;
 
 namespace {
 
-const char* arg_value(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
 double arg_double(int argc, char** argv, const char* name, double fallback) {
   const char* v = arg_value(argc, argv, name, nullptr);
   return v == nullptr ? fallback : std::strtod(v, nullptr);
-}
-
-SchemeKind parse_scheme(const char* s) {
-  if (std::strcmp(s, "accumulator") == 0) return SchemeKind::kAccumulator;
-  if (std::strcmp(s, "bloom") == 0) return SchemeKind::kBloom;
-  if (std::strcmp(s, "interval") == 0) return SchemeKind::kIntervalAccumulator;
-  return SchemeKind::kHybrid;
 }
 
 // One completed request, timed against its scheduled open-loop arrival.
@@ -104,6 +84,7 @@ std::string fmt(double v) {
 
 int main(int argc, char** argv) {
   const bool spawn = has_flag(argc, argv, "--spawn");
+  const SchemeKind scheme = scheme_arg(argc, argv);
   const char* dir = arg_value(argc, argv, "--dir", nullptr);
   std::uint16_t port = static_cast<std::uint16_t>(
       std::strtoul(arg_value(argc, argv, "--port", "0"), nullptr, 10));
@@ -149,7 +130,6 @@ int main(int argc, char** argv) {
     TestbedOptions opts;
     opts.corpus = spec;
     bed.emplace(std::move(opts));
-    SchemeKind scheme = parse_scheme(arg_value(argc, argv, "--scheme", "hybrid"));
     cloud.emplace(bed->vindex().snapshot(), bed->public_ctx(), bed->cloud_key(),
                   bed->owner_key().verify_key(), &bed->pool(), scheme);
     frontend.emplace(*cloud, port, &bed->pool());

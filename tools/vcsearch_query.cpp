@@ -29,6 +29,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "cli_args.hpp"
 #include "crypto/standard_params.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
@@ -37,22 +38,6 @@
 #include "protocol/owner.hpp"
 
 using namespace vc;
-
-namespace {
-const char* arg_value(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-}  // namespace
 
 int main(int argc, char** argv) {
   const char* dir = arg_value(argc, argv, "--dir", nullptr);

@@ -26,17 +26,17 @@
 //
 // Every /search is traced (GET /traces lists the sampled span trees;
 // /traces/<id>/chrome exports Chrome trace_event JSON for Perfetto).
-// Queries slower than --slow-ms (default 250, also VC_SLOW_MS) are always
+// Queries slower than --slow-ms (default 250) are always
 // kept and logged as one structured JSON line on stderr.  --profile dumps
 // the registry snapshot plus the top-10 slowest sampled traces on clean
 // shutdown.
 #include <csignal>
 #include <cstdlib>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 
+#include "cli_args.hpp"
 #include "crypto/standard_params.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
@@ -51,27 +51,6 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void handle_signal(int) { g_stop = 1; }
 
-const char* arg_value(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
-SchemeKind parse_scheme(const char* s) {
-  if (std::strcmp(s, "accumulator") == 0) return SchemeKind::kAccumulator;
-  if (std::strcmp(s, "bloom") == 0) return SchemeKind::kBloom;
-  if (std::strcmp(s, "interval") == 0) return SchemeKind::kIntervalAccumulator;
-  return SchemeKind::kHybrid;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -83,7 +62,7 @@ int main(int argc, char** argv) {
   }
   std::uint16_t port = static_cast<std::uint16_t>(
       std::strtoul(arg_value(argc, argv, "--port", "8080"), nullptr, 10));
-  SchemeKind scheme = parse_scheme(arg_value(argc, argv, "--scheme", "hybrid"));
+  SchemeKind scheme = scheme_arg(argc, argv);
   std::size_t max_inflight =
       std::strtoul(arg_value(argc, argv, "--max-inflight", "32"), nullptr, 10);
   if (max_inflight == 0) max_inflight = 1;
@@ -93,7 +72,7 @@ int main(int argc, char** argv) {
       1024;
 
   // Trace collection: --slow-ms / --trace-capacity override the collector's
-  // env-seeded defaults (VC_SLOW_MS / VC_TRACE_CAPACITY, else 250 ms / 128).
+  // defaults (250 ms / 128).
   auto& collector = obs::TraceCollector::global();
   if (const char* v = arg_value(argc, argv, "--slow-ms", nullptr); v != nullptr) {
     collector.set_slow_threshold_ns(std::strtoull(v, nullptr, 10) * 1'000'000ull);
