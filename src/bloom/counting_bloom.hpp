@@ -2,9 +2,10 @@
 //
 // The Bloom-based integrity proof keeps one counting filter B(X_i) per
 // keyword and discloses only the *check elements* — members of X_i\X whose
-// slots collide between the filters (Eq 8/9, for Q >= 2 keywords).  With well-spread hashes the
-// expected number of check elements is k²|X1||X2|/m (Eq 11/12), minimized
-// at k = 1, which is the paper's choice and our default.
+// slots collide between the filters (Eq 8/9, for Q >= 2 keywords).  With
+// well-spread hashes the expected number of check elements is
+// k²|X1||X2|/m (Eq 11/12), minimized at k = 1, which is the paper's choice
+// and our default.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +75,7 @@ class CountingBloom {
   std::uint64_t elements_added_ = 0;
 };
 
-// Check-element selection (prover side, Eq 7-9 over Q >= 1 filters): slot
+// Check-element selection (prover side, Eq 7-9 over Q filters): slot
 // j is open when B(X)_j < B̂_j, where X is the claimed intersection and B̂
 // the element-wise minimum of the keywords' filters B(X_1)..B(X_Q).  The
 // check elements of X_i are its elements outside X that hash into an open
