@@ -96,7 +96,7 @@ TEST_F(VIndexTest, AttestationsVerifyAgainstOwnerKey) {
 }
 
 TEST_F(VIndexTest, FlatAccumulatorMatchesManualAccumulation) {
-  const auto& term = vidx_->index().dictionary()[3];
+  const std::string term = vidx_->index().dictionary()[3];  // dictionary() returns a copy
   const auto* e = vidx_->find(term);
   U64Set docs = InvertedIndex::doc_set(e->postings);
   std::vector<Bigint> reps;
