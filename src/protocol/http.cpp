@@ -346,10 +346,11 @@ void HttpFrontend::release_inflight() {
   static obs::Gauge& inflight_gauge = obs::MetricsRegistry::global().gauge(
       "vc_http_inflight", "", "Admitted /search requests currently running");
   inflight_gauge.add(-1);
-  {
-    std::lock_guard<std::mutex> lk(inflight_mu_);
-    --inflight_;
-  }
+  // Notify under the lock: once stop() sees zero it may destroy the
+  // frontend, so this thread must be done with the condition variable
+  // before the waiter can get the mutex.
+  std::lock_guard<std::mutex> lk(inflight_mu_);
+  --inflight_;
   inflight_cv_.notify_all();
 }
 
