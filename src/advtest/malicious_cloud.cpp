@@ -53,12 +53,6 @@ struct BloomTamper {
   static std::vector<std::uint32_t>& counters(CountingBloom& b) { return b.counters_; }
 };
 
-struct IntervalAccess {
-  static const Bigint& mid_witness(const IntervalIndex& idx, std::size_t k) {
-    return idx.intervals_[k].mid_witness;
-  }
-};
-
 namespace {
 
 // Same choice the honest prover makes (§III-C): the smallest posting list.
@@ -384,7 +378,7 @@ ForgedResponse MaliciousCloud::forge_witness_substitution(const SearchResponse& 
     std::size_t k = idx.find_interval(part.desc.lo);
     std::size_t other = (k + 1) % idx.interval_count();
     part.desc = idx.descriptor(other);
-    part.mid_witness = IntervalAccess::mid_witness(idx, other);
+    part.mid_witness = idx.mid_witness(other);
     out.trace.push_back({"substitute_interval", i, other});
     out.outcome = ForgeOutcome::kForged;
     out.response = sign(std::move(resp));

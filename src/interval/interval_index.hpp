@@ -31,10 +31,6 @@
 
 namespace vc {
 
-namespace advtest {
-struct IntervalAccess;
-}  // namespace advtest
-
 struct IntervalConfig {
   // Elements per interval; the paper picks 100 (§V-A).
   std::size_t interval_size = 100;
@@ -121,6 +117,10 @@ class IntervalIndex {
   [[nodiscard]] std::span<const std::uint64_t> interval_members(std::size_t k) const {
     return intervals_[k].members;
   }
+  // Membership witness c_{b_k} of interval k's descriptor in the root.
+  [[nodiscard]] const Bigint& mid_witness(std::size_t k) const {
+    return intervals_[k].mid_witness;
+  }
 
   // Optional fast-path hook for prove_membership: given one touched
   // interval's full sorted member list and the sorted group of proven values
@@ -204,12 +204,6 @@ class IntervalIndex {
   friend bool operator==(const IntervalIndex&, const IntervalIndex&);
 
  private:
-  // Narrow test-only hook: the adversarial soundness harness (src/advtest)
-  // reads interval internals (member lists, precomputed middle witnesses)
-  // to graft genuinely-authenticated parts of *other* intervals into
-  // proofs — the witness-substitution forgery class.
-  friend struct advtest::IntervalAccess;
-
   struct Interval {
     IntervalDescriptor desc;
     std::vector<std::uint64_t> members;  // sorted

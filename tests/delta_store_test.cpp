@@ -14,6 +14,8 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <thread>
 
 #include "hash/sha256.hpp"
@@ -489,53 +491,155 @@ TEST_F(DeltaStoreTest, WitnessTierDegradesPerTouchedTerm) {
   fs::remove_all(root);
 }
 
-// Pins the owner update path's output bytes: additions (one bringing a new
-// term, and enough postings of one term to split its last interval past
+// The pinned owner update sequence: additions (one bringing a new term, and
+// enough postings of one term to split its last interval past
 // 2·interval_size), a delta publish, removals (one taking a term's last
-// posting), another delta publish, and the final full record.  Any change
-// to the accumulator, Bloom, interval or signing steps of an update shows
-// up as a different digest.
-TEST(UpdatePathBytes, PinnedDeltasAndFinalSnapshot) {
-  SynthSpec spec{.name = "pin", .num_docs = 24, .min_doc_words = 15,
-                 .max_doc_words = 30, .vocab_size = 90, .zipf_s = 0.9, .seed = 2401};
-  testbed::TestBed bed(spec, testbed::small_config(128, "update-pin"), /*key_seed=*/2402,
-                       /*threads=*/2);
-  auto digest_hex = [](const Bytes& b) { return to_hex(Sha256::hash(b)); };
+// posting), and another delta publish.  `on_full_publish` runs on the
+// starting snapshot before the builder notes it as published.
+struct PinnedUpdatePath {
+  std::optional<IndexDelta> added;
+  std::optional<IndexDelta> removed;
+};
+
+constexpr std::uint64_t kPinDocs = 24;
+
+SynthSpec pinned_update_spec() {
+  return SynthSpec{.name = "pin", .num_docs = kPinDocs, .min_doc_words = 15,
+                   .max_doc_words = 30, .vocab_size = 90, .zipf_s = 0.9, .seed = 2401};
+}
+
+PinnedUpdatePath run_pinned_update_path(
+    testbed::TestBed& bed, const std::function<void(const IndexSnapshot&)>& on_full_publish) {
+  PinnedUpdatePath out;
+  if (on_full_publish) on_full_publish(*bed.vidx.snapshot());
   bed.vidx.note_full_publish();
 
   auto words = bed.frequent_terms(2);
   const std::string hot = porter_stem(words[0]);
   const std::size_t hot_intervals = bed.vidx.find(hot)->doc_intervals.interval_count();
   std::vector<Document> docs;
-  std::uint32_t id = spec.num_docs;
+  auto id = static_cast<std::uint32_t>(kPinDocs);
   docs.push_back(Document{id++, "pin-new", words[0] + " pinbrandnewterm"});
   for (int i = 0; i < 17; ++i) {
     docs.push_back(Document{id++, "pin-hot", words[0] + " " + words[1]});
   }
   bed.vidx.add_documents(docs, bed.owner_ctx, bed.owner_key);
-  ASSERT_NE(bed.vidx.find("pinbrandnewterm"), nullptr);
+  EXPECT_NE(bed.vidx.find("pinbrandnewterm"), nullptr);
   // 18 more postings land in the hot term's last interval: it splits.
   EXPECT_GT(bed.vidx.find(hot)->doc_intervals.interval_count(), hot_intervals + 1);
-  auto added = bed.vidx.publish_delta();
-  ASSERT_TRUE(added.has_value());
-  const Bytes added_bytes = store::encode_epoch(*added, 1);
+  out.added = bed.vidx.publish_delta();
+  EXPECT_TRUE(out.added.has_value());
 
-  const std::vector<std::uint64_t> gone = {2, 5, spec.num_docs, spec.num_docs + 3};
+  const std::vector<std::uint64_t> gone = {2, 5, kPinDocs, kPinDocs + 3};
   bed.vidx.remove_documents(gone, bed.owner_ctx, bed.owner_key);
   EXPECT_EQ(bed.vidx.find("pinbrandnewterm"), nullptr);
-  auto removed = bed.vidx.publish_delta();
-  ASSERT_TRUE(removed.has_value());
-  EXPECT_NE(std::find(removed->removed.begin(), removed->removed.end(), "pinbrandnewterm"),
-            removed->removed.end());
-  const Bytes removed_bytes = store::encode_epoch(*removed, 1);
+  out.removed = bed.vidx.publish_delta();
+  EXPECT_TRUE(out.removed.has_value());
+  if (out.removed) {
+    EXPECT_NE(std::find(out.removed->removed.begin(), out.removed->removed.end(),
+                        "pinbrandnewterm"),
+              out.removed->removed.end());
+  }
   EXPECT_NO_THROW(bed.vidx.validate(bed.owner_key.verify_key()));
+  return out;
+}
 
-  EXPECT_EQ(digest_hex(added_bytes),
+// Pins the owner update path's output bytes: both delta records and the
+// final full record.  Any change to the accumulator, Bloom, interval or
+// signing steps of an update, or to the record encoding, shows up as a
+// different digest.
+TEST(UpdatePathBytes, PinnedDeltasAndFinalSnapshot) {
+  testbed::TestBed bed(pinned_update_spec(), testbed::small_config(128, "update-pin"),
+                       /*key_seed=*/2402, /*threads=*/2);
+  auto digest_hex = [](const Bytes& b) { return to_hex(Sha256::hash(b)); };
+  const PinnedUpdatePath run = run_pinned_update_path(bed, nullptr);
+  ASSERT_TRUE(run.added.has_value() && run.removed.has_value());
+
+  EXPECT_EQ(digest_hex(store::encode_epoch(*run.added, 1)),
             "bdc0b71f48210fe4491932411745f981f540af74b380eb0ea8d657fdbec5f198");
-  EXPECT_EQ(digest_hex(removed_bytes),
+  EXPECT_EQ(digest_hex(store::encode_epoch(*run.removed, 1)),
             "b3428a9efe651d5c18960bc525d5fe1cf3a9df7f82ca17d1ecd3daf16b32e48d");
   EXPECT_EQ(digest_hex(store::encode_epoch(*bed.vidx.snapshot(), 1)),
             "c8423201bf80315bad6656dfb20b3c6b30efca5dac4fc079ba04a036615e3e59");
+}
+
+// Canonical digest of what a record decodes to for `terms`: each term's
+// two interval trees (root; per interval its descriptor, member list and
+// middle witness) and both attestation signatures.  It reads the decoded
+// objects, not the record bytes, so a change to the record encoding
+// leaves it alone while any moved root, descriptor, member or signature
+// changes it.
+std::string decoded_content_digest(const IndexSnapshot& snap,
+                                   const std::vector<std::string>& terms) {
+  ByteWriter w;
+  auto write_tree = [&](const IntervalIndex& tree) {
+    tree.root().write(w);
+    w.varint(tree.interval_count());
+    for (std::size_t k = 0; k < tree.interval_count(); ++k) {
+      tree.descriptor(k).write(w);
+      const auto members = tree.interval_members(k);
+      w.varint(members.size());
+      for (std::uint64_t m : members) w.u64(m);
+      tree.mid_witness(k).write(w);
+    }
+  };
+  for (const std::string& term : terms) {
+    const IndexEntry* entry = snap.find(term);
+    EXPECT_NE(entry, nullptr) << term;
+    if (entry == nullptr) continue;
+    w.str(term);
+    write_tree(entry->tuple_intervals);
+    write_tree(entry->doc_intervals);
+    entry->attestation.sig.write(w);
+    entry->bloom_attestation.sig.write(w);
+  }
+  return to_hex(Sha256::hash(w.data()));
+}
+
+std::vector<std::string> touched_terms(const IndexDelta& delta) {
+  std::vector<std::string> terms;
+  for (const auto& [term, entry] : delta.touched) terms.push_back(term);
+  return terms;
+}
+
+// The same sequence as PinnedDeltasAndFinalSnapshot, digested after a
+// decode: both delta records reopened through the store's chain (their
+// touched terms) and the final full record through open_snapshot (every
+// term).  Record layout changes re-pin the test above; this one must not
+// move unless a proof-relevant value does.
+TEST(UpdatePathBytes, PinnedDecodedContent) {
+  testbed::TestBed bed(pinned_update_spec(), testbed::small_config(128, "update-pin"),
+                       /*key_seed=*/2402, /*threads=*/2);
+  const fs::path root = fs::path(::testing::TempDir()) / "vc_update_pin_content";
+  fs::remove_all(root);
+  store::EpochStore store(root);
+  const PinnedUpdatePath run = run_pinned_update_path(
+      bed, [&](const IndexSnapshot& snap) { store.publish(snap, /*shard_count=*/1); });
+  ASSERT_TRUE(run.added.has_value() && run.removed.has_value());
+  store.publish_delta(*run.added, /*shard_count=*/1);
+  store.publish_delta(*run.removed, /*shard_count=*/1);
+
+  const store::OpenedEpoch added = store.open_epoch(run.added->epoch);
+  const store::OpenedEpoch removed = store.open_epoch(run.removed->epoch);
+  const fs::path full_file = root / "final.vcs";
+  {
+    const Bytes full = store::encode_epoch(*bed.vidx.snapshot(), 1);
+    std::ofstream out(full_file, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(full.data()),
+              static_cast<std::streamsize>(full.size()));
+  }
+  const store::OpenedEpoch final_record =
+      store::open_snapshot(std::make_shared<const store::MappedFile>(full_file));
+  std::vector<std::string> all_terms;
+  for (const auto& [term, entry] : final_record.snapshot->entries()) all_terms.push_back(term);
+
+  EXPECT_EQ(decoded_content_digest(*added.snapshot, touched_terms(*run.added)),
+            "b2514aaa33e7775640bc787aa7df0bcae729786d1b883facc3922c191be9067d");
+  EXPECT_EQ(decoded_content_digest(*removed.snapshot, touched_terms(*run.removed)),
+            "e4b97b6845540aed4cd242ca93ec37be6767321cf17af9d34fb892ba8911eea8");
+  EXPECT_EQ(decoded_content_digest(*final_record.snapshot, all_terms),
+            "4451b14850e83f7c8bbe9bf1f9fe0b596952b7a8a21847b7486490b07c2fa4bf");
+  fs::remove_all(root);
 }
 
 }  // namespace
