@@ -75,9 +75,15 @@ enum class ForgeryClass : std::uint8_t {
   // one term while claiming the chain head).  The stale accumulator cannot
   // argue for postings only the delta added, so the verifier must kill it.
   kEpochChainSplice,
+  // Interval descriptors ship the counter of their middle-layer prime, and
+  // the verifier derives only that candidate.  Lie about it: a counter
+  // whose candidate is composite, a larger counter whose candidate is a
+  // prime the signed root never accumulated, or another interval's
+  // counter — the descriptor and middle witness stay genuine.
+  kDescriptorCounter,
 };
 
-inline constexpr std::size_t kForgeryClassCount = 15;
+inline constexpr std::size_t kForgeryClassCount = 16;
 
 const char* forgery_class_name(ForgeryClass c);
 

@@ -174,6 +174,8 @@ ForgedResponse MaliciousCloud::forge(const SignedQuery& query, ForgeryClass cls,
       return forge_topk_inflated(honest(query, scheme), rng);
     case ForgeryClass::kEpochChainSplice:
       return forge_epoch_chain_splice(query, scheme, rng);
+    case ForgeryClass::kDescriptorCounter:
+      return forge_descriptor_counter(honest(query, SchemeKind::kHybrid), rng);
   }
   throw UsageError("unknown forgery class");
 }
@@ -378,12 +380,92 @@ ForgedResponse MaliciousCloud::forge_witness_substitution(const SearchResponse& 
     std::size_t k = idx.find_interval(part.desc.lo);
     std::size_t other = (k + 1) % idx.interval_count();
     part.desc = idx.descriptor(other);
+    part.mid_ctr = idx.mid_counter(other);
     part.mid_witness = idx.mid_witness(other);
     out.trace.push_back({"substitute_interval", i, other});
     out.outcome = ForgeOutcome::kForged;
     out.response = sign(std::move(resp));
     return out;
   }
+  return out;
+}
+
+ForgedResponse MaliciousCloud::forge_descriptor_counter(const SearchResponse& base,
+                                                        DeterministicRng& rng) {
+  ForgedResponse out;
+  if (std::get_if<MultiKeywordResponse>(&base.body) == nullptr) return out;
+  SearchResponse resp = base;
+  auto& body = std::get<MultiKeywordResponse>(resp.body);
+  // Every interval part of the response, with the tree it came from: the
+  // correctness parts from their keyword's tuple tree, the integrity
+  // nonmembership parts from their keyword's doc tree.
+  struct Target {
+    const IntervalDescriptor* desc;
+    std::uint32_t* ctr;
+    const IntervalIndex* tree;
+    PrimeRepConfig primes;
+  };
+  std::vector<Target> targets;
+  const VerifiableIndexConfig& config = snap_->config();
+  for (std::size_t i = 0; i < body.proof.correctness.keywords.size(); ++i) {
+    MembershipEvidence& ev = body.proof.correctness.keywords[i];
+    if (!ev.interval_form) continue;
+    const IntervalIndex& tree = entry(body.result.keywords[i])->tuple_intervals;
+    for (IntervalMembershipPart& part : ev.interval.parts) {
+      targets.push_back({&part.desc, &part.mid_ctr, &tree, config.tuple_prime_config()});
+    }
+  }
+  if (auto* acc = std::get_if<AccumulatorIntegrity>(&body.proof.integrity)) {
+    for (NonmembershipGroup& group : acc->groups) {
+      if (!group.evidence.interval_form) continue;
+      const IntervalIndex& tree = entry(body.result.keywords[group.keyword])->doc_intervals;
+      for (IntervalNonmembershipPart& part : group.evidence.interval.parts) {
+        targets.push_back({&part.desc, &part.mid_ctr, &tree, config.doc_prime_config()});
+      }
+    }
+  }
+  if (targets.empty()) return out;
+  const std::size_t t = rng.below(targets.size());
+  Target& target = targets[t];
+  const std::uint32_t honest_ctr = *target.ctr;
+  const PrimeRepGenerator mid_gen = IntervalIndex::middle_generator(target.primes);
+  const Bytes desc = target.desc->encode();
+  switch (rng.below(3)) {
+    case 0: {
+      // A composite candidate: every counter below the honest one is one,
+      // and above it composites are the common case.
+      auto c = static_cast<std::uint32_t>(honest_ctr == 0 ? 1 : rng.below(honest_ctr));
+      while (is_probable_prime(mid_gen.candidate(desc, c))) ++c;
+      *target.ctr = c;
+      out.trace.push_back({"composite_mid_counter", t, c});
+      break;
+    }
+    case 1: {
+      // The next prime candidate: a valid representative of the descriptor
+      // under a non-minimal counter, which the root never accumulated.
+      std::uint32_t c = honest_ctr + 1;
+      while (!is_probable_prime(mid_gen.candidate(desc, c))) ++c;
+      *target.ctr = c;
+      out.trace.push_back({"nonminimal_mid_counter", t, c});
+      break;
+    }
+    default: {
+      // Another interval's counter from the same tree.
+      const IntervalIndex& tree = *target.tree;
+      const std::size_t start = rng.below(tree.interval_count());
+      for (std::size_t off = 0; off < tree.interval_count(); ++off) {
+        const std::size_t k = (start + off) % tree.interval_count();
+        if (tree.mid_counter(k) == honest_ctr) continue;
+        *target.ctr = tree.mid_counter(k);
+        out.trace.push_back({"foreign_mid_counter", t, k});
+        break;
+      }
+      if (*target.ctr == honest_ctr) return out;  // every interval shares the counter
+      break;
+    }
+  }
+  out.outcome = ForgeOutcome::kForged;
+  out.response = sign(std::move(resp));
   return out;
 }
 

@@ -85,6 +85,8 @@ class MaliciousCloud {
                                                   DeterministicRng& rng);
   [[nodiscard]] ForgedResponse forge_topk_inflated(const SearchResponse& base,
                                                    DeterministicRng& rng);
+  [[nodiscard]] ForgedResponse forge_descriptor_counter(const SearchResponse& base,
+                                                        DeterministicRng& rng);
   [[nodiscard]] ForgedResponse forge_epoch_chain_splice(const SignedQuery& query,
                                                         SchemeKind scheme,
                                                         DeterministicRng& rng);

@@ -21,6 +21,7 @@ const char* forgery_class_name(ForgeryClass c) {
     case ForgeryClass::kTopkOmittedWinner: return "topk_omitted_winner";
     case ForgeryClass::kTopkInflatedTf: return "topk_inflated_tf";
     case ForgeryClass::kEpochChainSplice: return "epoch_chain_splice";
+    case ForgeryClass::kDescriptorCounter: return "descriptor_counter";
   }
   return "?";
 }
@@ -101,6 +102,12 @@ void ProofMutator::collect_multi(MultiKeywordResponse& multi, std::vector<Mutati
           d.hi += 1;
         }
         trace_.push_back({"shift_interval_bounds", i, p});
+      });
+      // --- counter bump: the descriptor's shipped counter now names a
+      // composite or a prime the signed middle layer never accumulated ----
+      out.emplace_back("bump_mid_counter", [this, &ev, i, p] {
+        ev.interval.parts[p].mid_ctr += 1;
+        trace_.push_back({"bump_mid_counter", i, p});
       });
     }
   }

@@ -20,11 +20,19 @@ std::uint64_t fresh_stamp() {
 
 // Smallest encodings of a proof part, for bounding decoded part counts: a
 // Bigint is at least a sign byte plus a length varint, a descriptor two
-// u64 bounds plus one Bigint.
+// u64 bounds plus one Bigint, a counter one varint byte.
 constexpr std::size_t kMinBigintBytes = 2;
 constexpr std::size_t kMinDescriptorBytes = 16 + kMinBigintBytes;
-constexpr std::size_t kMinMembershipPartBytes = kMinDescriptorBytes + 2 * kMinBigintBytes;
-constexpr std::size_t kMinNonmembershipPartBytes = kMinDescriptorBytes + 3 * kMinBigintBytes;
+constexpr std::size_t kMinMembershipPartBytes = kMinDescriptorBytes + 1 + 2 * kMinBigintBytes;
+constexpr std::size_t kMinNonmembershipPartBytes =
+    kMinDescriptorBytes + 1 + 3 * kMinBigintBytes;
+
+// A middle-layer prime counter, one varint; candidates are numbered by u32.
+std::uint32_t read_counter(ByteReader& r) {
+  const std::uint64_t ctr = r.varint();
+  if (ctr > 0xFFFFFFFFu) throw ParseError("interval prime counter exceeds 32 bits");
+  return static_cast<std::uint32_t>(ctr);
+}
 }  // namespace
 
 // --- descriptors -------------------------------------------------------------
@@ -55,6 +63,7 @@ IntervalDescriptor IntervalDescriptor::read(ByteReader& r) {
 
 void IntervalMembershipPart::write(ByteWriter& w) const {
   desc.write(w);
+  w.varint(mid_ctr);
   chat.write(w);
   mid_witness.write(w);
 }
@@ -62,6 +71,7 @@ void IntervalMembershipPart::write(ByteWriter& w) const {
 IntervalMembershipPart IntervalMembershipPart::read(ByteReader& r) {
   IntervalMembershipPart p;
   p.desc = IntervalDescriptor::read(r);
+  p.mid_ctr = read_counter(r);
   p.chat = Bigint::read(r);
   p.mid_witness = Bigint::read(r);
   return p;
@@ -75,6 +85,7 @@ std::size_t IntervalMembershipPart::encoded_size() const {
 
 void IntervalNonmembershipPart::write(ByteWriter& w) const {
   desc.write(w);
+  w.varint(mid_ctr);
   nmw.write(w);
   mid_witness.write(w);
 }
@@ -82,6 +93,7 @@ void IntervalNonmembershipPart::write(ByteWriter& w) const {
 IntervalNonmembershipPart IntervalNonmembershipPart::read(ByteReader& r) {
   IntervalNonmembershipPart p;
   p.desc = IntervalDescriptor::read(r);
+  p.mid_ctr = read_counter(r);
   p.nmw = NonmembershipWitness::read(r);
   p.mid_witness = Bigint::read(r);
   return p;
@@ -173,7 +185,7 @@ IntervalIndex IntervalIndex::build(const AccumulatorContext& ctx,
     Interval& iv = idx.intervals_[i];
     iv.desc.b = ctx.accumulate(idx.member_reps(iv, element_primes));
   });
-  idx.rebuild_middle_layer(ctx, element_primes);
+  idx.rebuild_middle_layer(ctx, element_primes, std::vector<bool>(k, true));
   return idx;
 }
 
@@ -186,13 +198,21 @@ std::vector<Bigint> IntervalIndex::member_reps(const Interval& iv,
 }
 
 void IntervalIndex::rebuild_middle_layer(const AccumulatorContext& ctx,
-                                         const PrimeCache& element_primes) {
+                                         const PrimeCache& element_primes,
+                                         const std::vector<bool>& stale) {
   PrimeRepGenerator mid_gen = middle_generator(element_primes.generator().config());
   std::vector<Bigint> mid_reps(intervals_.size());
-  // Each representative hashes and BPSW-tests dozens of candidates: fan out.
+  // A stale descriptor's search hashes and BPSW-tests dozens of candidates;
+  // a kept one's prime is its recorded candidate, one hash: fan out.
   for_each_index(ctx.pool(), intervals_.size(), [&](std::size_t i) {
-    intervals_[i].mid_rep = mid_gen.representative(intervals_[i].desc.encode());
-    mid_reps[i] = intervals_[i].mid_rep;
+    Interval& iv = intervals_[i];
+    if (stale[i]) {
+      PrimeRep rep = mid_gen.search(iv.desc.encode());
+      iv.mid_ctr = rep.counter;
+      mid_reps[i] = std::move(rep.prime);
+    } else {
+      mid_reps[i] = mid_gen.candidate(iv.desc.encode(), iv.mid_ctr);
+    }
   });
   root_ = ctx.accumulate(mid_reps);
 
@@ -256,6 +276,7 @@ IntervalMembershipProof IntervalIndex::prove_membership(
       if (std::optional<Bigint> chat = chat_provider(iv.members, grouped[k])) {
         proof.parts[t] = IntervalMembershipPart{
             .desc = iv.desc,
+            .mid_ctr = iv.mid_ctr,
             .chat = *std::move(chat),
             .mid_witness = iv.mid_witness,
         };
@@ -272,6 +293,7 @@ IntervalMembershipProof IntervalIndex::prove_membership(
     }
     proof.parts[t] = IntervalMembershipPart{
         .desc = iv.desc,
+        .mid_ctr = iv.mid_ctr,
         .chat = membership_witness(ctx, rest),
         .mid_witness = iv.mid_witness,
     };
@@ -301,6 +323,7 @@ IntervalNonmembershipProof IntervalIndex::prove_nonmembership(
     for (std::uint64_t v : grouped[k]) outsider_reps.push_back(element_primes.get(v));
     proof.parts[t] = IntervalNonmembershipPart{
         .desc = iv.desc,
+        .mid_ctr = iv.mid_ctr,
         .nmw = nonmembership_witness(ctx, member_reps(iv, element_primes), outsider_reps),
         .mid_witness = iv.mid_witness,
     };
@@ -373,29 +396,39 @@ void IntervalIndex::update(const AccumulatorContext& ctx, std::span<const std::u
     Interval& iv = intervals_[stale[i]];
     iv.desc.b = ctx.accumulate(member_reps(iv, element_primes));
   });
-  for (std::size_t i : stale) intervals_[i].stamp = fresh_stamp();
-  rebuild_middle_layer(ctx, element_primes);
+  std::vector<bool> is_stale(intervals_.size(), false);
+  for (std::size_t i : stale) {
+    intervals_[i].stamp = fresh_stamp();
+    is_stale[i] = true;
+  }
+  rebuild_middle_layer(ctx, element_primes, is_stale);
 }
 
 namespace {
 
-// Records the check that the descriptor is authenticated by the root.
-void add_descriptor(VerifyBatch& batch, const Bigint& root, const IntervalDescriptor& desc,
-                    const Bigint& mid_witness, const PrimeRepGenerator& mid_gen,
-                    const char* failure) {
+// Records the check that the descriptor, at its shipped counter, is
+// authenticated by the root.  False when that counter's candidate is
+// composite: the root accumulates only primes.
+bool add_descriptor(VerifyBatch& batch, const Bigint& root, const IntervalDescriptor& desc,
+                    std::uint32_t mid_ctr, const Bigint& mid_witness,
+                    const PrimeRepGenerator& mid_gen, const char* failure) {
   static obs::Histogram& stage = obs::MetricsRegistry::global().stage("hash_to_prime");
-  const Bigint mid_rep = [&] {
+  Bigint mid_rep;
+  {
     obs::Span span(stage, "hash_to_prime");  // the derivation, not the modexp check
-    return mid_gen.representative(desc.encode());
-  }();
+    mid_rep = mid_gen.candidate(desc.encode(), mid_ctr);
+    if (!is_probable_prime(mid_rep)) return false;
+  }
   batch.add_membership(root, mid_witness, std::span<const Bigint>(&mid_rep, 1), failure);
+  return true;
 }
 
-// The part loop both proof kinds share: every part must claim at least one
-// value, no value may be claimed twice, and every value must be claimed.
-// Each part's descriptor check against the root and the check `add_part`
-// records over the representatives of its values go into `batch` under
-// `failure`; the return value covers only the structural checks.
+// The part loop both proof kinds share: every part's descriptor counter
+// must give a prime, every part must claim at least one value, no value
+// may be claimed twice, and every value must be claimed.  Each part's
+// descriptor check against the root and the check `add_part` records over
+// the representatives of its values go into `batch` under `failure`; the
+// return value covers only the structural checks.
 template <typename Part, typename AddPart>
 bool verify_parts(const Bigint& root, const std::vector<Part>& parts,
                   std::span<const std::uint64_t> values, PrimeCache& element_primes,
@@ -405,7 +438,10 @@ bool verify_parts(const Bigint& root, const std::vector<Part>& parts,
       IntervalIndex::middle_generator(element_primes.generator().config());
   std::vector<bool> covered(values.size(), false);
   for (const Part& part : parts) {
-    add_descriptor(batch, root, part.desc, part.mid_witness, mid_gen, failure);
+    if (!add_descriptor(batch, root, part.desc, part.mid_ctr, part.mid_witness, mid_gen,
+                        failure)) {
+      return false;
+    }
     std::vector<Bigint> reps;
     for (std::size_t i = 0; i < values.size(); ++i) {
       if (values[i] >= part.desc.lo && values[i] <= part.desc.hi) {
@@ -453,7 +489,7 @@ void IntervalIndex::write(ByteWriter& w) const {
   for (const Interval& iv : intervals_) {
     iv.desc.write(w);
     write_members(w, iv.members);
-    iv.mid_rep.write(w);
+    w.varint(iv.mid_ctr);
     iv.mid_witness.write(w);
   }
 }
@@ -468,7 +504,7 @@ IntervalIndex IntervalIndex::read(ByteReader& r, IntervalConfig config) {
     Interval iv;
     iv.desc = IntervalDescriptor::read(r);
     iv.members = read_members(r);
-    iv.mid_rep = Bigint::read(r);
+    iv.mid_ctr = read_counter(r);
     iv.mid_witness = Bigint::read(r);
     iv.stamp = fresh_stamp();
     idx.intervals_.push_back(std::move(iv));
@@ -491,7 +527,7 @@ void IntervalIndex::write_patch(ByteWriter& w, const IntervalIndex& base) const 
       w.varint(0);
       iv.desc.write(w);
       write_members(w, iv.members);
-      iv.mid_rep.write(w);
+      w.varint(iv.mid_ctr);
     }
     iv.mid_witness.write(w);
   }
@@ -509,7 +545,7 @@ IntervalIndex IntervalIndex::read_patch(ByteReader& r, const IntervalIndex& base
     if (ref == 0) {
       iv.desc = IntervalDescriptor::read(r);
       iv.members = read_members(r);
-      iv.mid_rep = Bigint::read(r);
+      iv.mid_ctr = read_counter(r);
       iv.stamp = fresh_stamp();
     } else {
       if (ref > base.intervals_.size()) {
@@ -518,7 +554,7 @@ IntervalIndex IntervalIndex::read_patch(ByteReader& r, const IntervalIndex& base
       const Interval& from = base.intervals_[ref - 1];
       iv.desc = from.desc;
       iv.members = from.members;
-      iv.mid_rep = from.mid_rep;
+      iv.mid_ctr = from.mid_ctr;
       iv.stamp = from.stamp;
     }
     iv.mid_witness = Bigint::read(r);

@@ -16,6 +16,11 @@
 // [lo_k, hi_k] and that the descriptor belongs to the signed root.  The
 // owner constructs intervals to partition the full u64 domain, so each
 // value has exactly one authenticated home interval.
+//
+// Each part also ships the counter at which the owner's minimal-counter
+// search found the descriptor's prime, so the verifier derives that one
+// candidate and BPSW-tests it instead of repeating the search
+// (docs/SOUNDNESS.md, "Prover-supplied counters").
 #pragma once
 
 #include <cstdint>
@@ -52,6 +57,7 @@ struct IntervalDescriptor {
 // Proof that a group of values belongs to X, one part per touched interval.
 struct IntervalMembershipPart {
   IntervalDescriptor desc;
+  std::uint32_t mid_ctr = 0;  // counter of the descriptor's middle-layer prime
   Bigint chat;        // aggregated membership witness of the values within b
   Bigint mid_witness; // membership witness of the descriptor in the root
 
@@ -64,6 +70,7 @@ struct IntervalMembershipPart {
 // interval (values in the same gap share one part).
 struct IntervalNonmembershipPart {
   IntervalDescriptor desc;
+  std::uint32_t mid_ctr = 0;
   NonmembershipWitness nmw;  // aggregated nonmembership within b
   Bigint mid_witness;
 
@@ -121,6 +128,9 @@ class IntervalIndex {
   [[nodiscard]] const Bigint& mid_witness(std::size_t k) const {
     return intervals_[k].mid_witness;
   }
+  // Counter of interval k's middle-layer prime: middle_generator(...)
+  // .candidate(descriptor(k).encode(), mid_counter(k)) is that prime.
+  [[nodiscard]] std::uint32_t mid_counter(std::size_t k) const { return intervals_[k].mid_ctr; }
 
   // Optional fast-path hook for prove_membership: given one touched
   // interval's full sorted member list and the sorted group of proven values
@@ -150,7 +160,7 @@ class IntervalIndex {
 
   // Incremental update (§II-D): removes `removed`, then inserts `added`,
   // re-accumulating only the intervals whose members changed and refreshing
-  // the middle layer.  An interval that grows past twice the nominal size
+  // the middle layer (only those intervals search for their prime again).  An interval that grows past twice the nominal size
   // splits; ranges are otherwise kept (an interval may become empty), so
   // nonmembership proofs for removed values work immediately.  Absent
   // removals and present additions are ignored.  Requires the trapdoor
@@ -185,7 +195,7 @@ class IntervalIndex {
                                    PrimeCache& element_primes);
 
   // The middle-layer prime generator for a given element-prime config; the
-  // verifier needs it to recompute descriptor representatives.
+  // verifier derives descriptor primes from it at the shipped counters.
   static PrimeRepGenerator middle_generator(const PrimeRepConfig& element_config);
 
   // Full-structure serialization (what the owner uploads to the cloud).  The
@@ -207,9 +217,10 @@ class IntervalIndex {
   struct Interval {
     IntervalDescriptor desc;
     std::vector<std::uint64_t> members;  // sorted
-    Bigint mid_rep;                      // prime representative of desc
-    Bigint mid_witness;                  // c_{b_k}, precomputed (Fig 3)
-    // Identity of (desc, members, mid_rep): fresh whenever the interval is
+    // Counter of desc's middle-layer prime (the minimal one: the search's).
+    std::uint32_t mid_ctr = 0;
+    Bigint mid_witness;  // c_{b_k}, precomputed (Fig 3)
+    // Identity of (desc, members, mid_ctr): fresh whenever the interval is
     // built, re-accumulated or parsed in full, kept by copies.  Equal
     // nonzero stamps mean equal content, so write_patch finds the intervals
     // an update left alone without comparing them.  Not serialized, not
@@ -217,12 +228,16 @@ class IntervalIndex {
     std::uint64_t stamp = 0;
 
     friend bool operator==(const Interval& a, const Interval& b) {
-      return a.desc == b.desc && a.members == b.members && a.mid_rep == b.mid_rep &&
+      return a.desc == b.desc && a.members == b.members && a.mid_ctr == b.mid_ctr &&
              a.mid_witness == b.mid_witness;
     }
   };
 
-  void rebuild_middle_layer(const AccumulatorContext& ctx, const PrimeCache& element_primes);
+  // Re-derives the root and every middle witness.  The intervals flagged in
+  // `stale` (re-accumulated descriptors) search for their prime and record
+  // its counter; the rest rebuild theirs from (desc, mid_ctr) with one hash.
+  void rebuild_middle_layer(const AccumulatorContext& ctx, const PrimeCache& element_primes,
+                            const std::vector<bool>& stale);
   [[nodiscard]] std::vector<Bigint> member_reps(const Interval& iv,
                                                 PrimeCache& element_primes) const;
 

@@ -8,7 +8,10 @@
 // the representative is the first truly prime candidate.  Both the owner and
 // the cloud run the same deterministic mapping, so representatives never
 // travel on the wire unless a proof chooses to include them (Table I's "with
-// prime" variant).
+// prime" variant).  A proof may instead ship the counter the search stopped
+// at (interval descriptors do): the verifier then derives that one
+// candidate and tests it, instead of searching (Ozdemir et al., prover-
+// supplied nonces; docs/SOUNDNESS.md).
 //
 // Width note: the paper maps k-bit elements to 3k-bit representatives to
 // make the map collision-free under hashing assumptions.  The width here is
@@ -35,6 +38,12 @@ struct PrimeRepConfig {
   std::string domain = "vc.default";
 };
 
+// A representative together with the counter whose candidate it is.
+struct PrimeRep {
+  Bigint prime;
+  std::uint32_t counter = 0;
+};
+
 class PrimeRepGenerator {
  public:
   explicit PrimeRepGenerator(PrimeRepConfig config);
@@ -46,10 +55,22 @@ class PrimeRepGenerator {
   [[nodiscard]] Bigint representative(std::span<const std::uint8_t> element) const;
   [[nodiscard]] Bigint representative(std::string_view element) const;
 
+  // Candidate `counter` of `element`: HMAC(key, element || u32le(counter))
+  // expanded by MGF1 to the width, with the top and low bits set.  Not
+  // necessarily prime.
+  [[nodiscard]] Bigint candidate(std::span<const std::uint8_t> element,
+                                 std::uint32_t counter) const;
+  // The first prime candidate and its counter: representative(element) is
+  // search(element).prime.
+  [[nodiscard]] PrimeRep search(std::span<const std::uint8_t> element) const;
+
   [[nodiscard]] const PrimeRepConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] Bigint search(std::span<const std::uint8_t> element) const;
+  // Candidate `counter` of the element absorbed into `keyed_element` (the
+  // HMAC inner state after the element), written into `out`.
+  void candidate_into(const Sha256& keyed_element, std::uint32_t counter, Bytes& scratch,
+                      Bigint& out) const;
 
   PrimeRepConfig config_;
   HmacSha256 hmac_;  // keyed by the domain

@@ -338,7 +338,8 @@ Bytes SearchResponse::payload_bytes() const {
   ByteWriter w;
   // Tag and body index pin each other in both directions so a signature
   // over one wire version can never be replayed as the other.
-  w.str(body.index() == 3 ? "vc.response.v4" : "vc.response.v3");
+  // v5/v6 (v3/v4 before interval parts carried their prime counters).
+  w.str(body.index() == 3 ? "vc.response.v6" : "vc.response.v5");
   w.u64(query_id);
   w.u64(epoch);
   w.u64(trace_id);
@@ -388,8 +389,8 @@ SearchResponse SearchResponse::read(ByteReader& r) {
   Bytes payload = r.bytes();
   ByteReader pr(payload);
   std::string tag = pr.str();
-  const bool v4 = tag == "vc.response.v4";
-  if (!v4 && tag != "vc.response.v3") throw ParseError("bad response tag");
+  const bool boolean = tag == "vc.response.v6";
+  if (!boolean && tag != "vc.response.v5") throw ParseError("bad response tag");
   SearchResponse resp;
   resp.query_id = pr.u64();
   resp.epoch = pr.u64();
@@ -397,7 +398,7 @@ SearchResponse SearchResponse::read(ByteReader& r) {
   std::uint64_t nk = pr.varint();
   for (std::uint64_t i = 0; i < nk; ++i) resp.raw_keywords.push_back(pr.str());
   std::uint8_t kind = pr.u8();
-  if (v4 != (kind == 3)) throw ParseError("response tag does not match body kind");
+  if (boolean != (kind == 3)) throw ParseError("response tag does not match body kind");
   if (kind == 0) {
     MultiKeywordResponse multi;
     multi.result = SearchResult::read(pr);

@@ -94,7 +94,10 @@ class StoreChainError : public StoreError {
 // check and must be rebuilt.
 inline constexpr std::array<std::uint8_t, 8> kMagic = {'V', 'C', 'E', 'P',
                                                        'O', 'C', 'H', '4'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+// Version 2 stores each interval's middle-layer prime counter in place of
+// the prime (version 1); a version-1 record fails the version check and
+// its store must be rebuilt.
+inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 96;
 inline constexpr std::size_t kSectionEntryBytes = 32;
 inline constexpr std::size_t kFingerprintOffset = 32;  // 32-byte SHA-256 digest

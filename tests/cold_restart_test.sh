@@ -97,9 +97,9 @@ mkdir -p "$WORK/t"
 grep -q "terms tiered" "$WORK/t/build.log"
 grep -q "store: published epoch 1" "$WORK/t/build.log"
 
-# The tiered epoch passes structural validation: v1, tier sections, CRCs OK.
+# The tiered epoch passes structural validation: v2, tier sections, CRCs OK.
 "$BUILD/tools/vcsearch-inspect" --store "$WORK/t/store" > "$WORK/t/inspect.log"
-grep -q "format version 1" "$WORK/t/inspect.log"
+grep -q "format version 2" "$WORK/t/inspect.log"
 grep -q "section witness-tier-dir" "$WORK/t/inspect.log"
 grep -q "section witness-tables" "$WORK/t/inspect.log"
 grep -q "section fixed-base" "$WORK/t/inspect.log"

@@ -114,5 +114,39 @@ TEST(CorruptionSmall, SchemeTagOutOfRange) {
   EXPECT_THROW(QueryProof::read(r), ParseError);
 }
 
+TEST(CorruptionSmall, IntervalCounterAbove32Bits) {
+  // A part's middle-layer prime counter is a varint; candidates are numbered
+  // by u32, so 2^32 is refused while 2^32 - 1 still parses.
+  const IntervalDescriptor desc{.lo = 1, .hi = 9, .b = Bigint(5)};
+  auto membership = [&](std::uint64_t ctr) {
+    ByteWriter w;
+    desc.write(w);
+    w.varint(ctr);
+    Bigint(7).write(w);  // chat
+    Bigint(3).write(w);  // mid_witness
+    return std::move(w).take();
+  };
+  auto nonmembership = [&](std::uint64_t ctr) {
+    ByteWriter w;
+    desc.write(w);
+    w.varint(ctr);
+    NonmembershipWitness{.a = Bigint(2), .d = Bigint(4)}.write(w);
+    Bigint(3).write(w);
+    return std::move(w).take();
+  };
+  for (std::uint64_t ctr : {std::uint64_t{1} << 32, ~std::uint64_t{0}}) {
+    const Bytes m = membership(ctr);
+    ByteReader rm(m);
+    EXPECT_THROW((void)IntervalMembershipPart::read(rm), ParseError) << ctr;
+    const Bytes n = nonmembership(ctr);
+    ByteReader rn(n);
+    EXPECT_THROW((void)IntervalNonmembershipPart::read(rn), ParseError) << ctr;
+  }
+  const Bytes ok = membership(0xFFFFFFFFu);
+  ByteReader r(ok);
+  EXPECT_EQ(IntervalMembershipPart::read(r).mid_ctr, 0xFFFFFFFFu);
+  EXPECT_TRUE(r.done());
+}
+
 }  // namespace
 }  // namespace vc

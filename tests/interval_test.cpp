@@ -128,6 +128,73 @@ TEST_F(IntervalIndexTest, MembershipVerifyRejectsTamperedDescriptor) {
   EXPECT_FALSE(IntervalIndex::verify_membership(pub_, idx.root(), proof, values, primes_));
 }
 
+// The verifier derives a descriptor's prime at the shipped counter only: a
+// counter whose candidate is composite, or a later prime candidate the
+// root never accumulated, fails both proof kinds.
+TEST_F(IntervalIndexTest, VerifyRejectsAnyCounterButTheAccumulatedOne) {
+  IntervalIndex idx = IntervalIndex::build(owner_, evens(30), primes_, cfg_);
+  const PrimeRepGenerator mid = IntervalIndex::middle_generator(primes_.generator().config());
+  const std::vector<std::uint64_t> in = {10}, out = {11};
+  const auto membership = idx.prove_membership(owner_, in, primes_);
+  const auto nonmembership = idx.prove_nonmembership(owner_, out, primes_);
+  ASSERT_TRUE(IntervalIndex::verify_membership(pub_, idx.root(), membership, in, primes_));
+  ASSERT_TRUE(
+      IntervalIndex::verify_nonmembership(pub_, idx.root(), nonmembership, out, primes_));
+  const Bytes desc = idx.descriptor(0).encode();
+  const std::uint32_t honest = idx.mid_counter(0);
+  std::uint32_t composite = honest == 0 ? 1 : 0;
+  while (is_probable_prime(mid.candidate(desc, composite))) ++composite;
+  std::uint32_t later_prime = honest + 1;
+  while (!is_probable_prime(mid.candidate(desc, later_prime))) ++later_prime;
+  for (std::uint32_t ctr : {composite, later_prime}) {
+    auto m = membership;
+    m.parts[0].mid_ctr = ctr;
+    EXPECT_FALSE(IntervalIndex::verify_membership(pub_, idx.root(), m, in, primes_)) << ctr;
+    auto n = nonmembership;
+    n.parts[0].mid_ctr = ctr;
+    EXPECT_FALSE(IntervalIndex::verify_nonmembership(pub_, idx.root(), n, out, primes_))
+        << ctr;
+  }
+}
+
+// Counters stay the minimal ones through updates (kept intervals reuse
+// theirs, re-chunked ones search again) and through both encodings.
+TEST_F(IntervalIndexTest, CountersStayMinimalThroughUpdatesAndCodec) {
+  const PrimeRepGenerator mid = IntervalIndex::middle_generator(primes_.generator().config());
+  auto expect_minimal = [&](const IntervalIndex& idx) {
+    for (std::size_t k = 0; k < idx.interval_count(); ++k) {
+      const Bytes desc = idx.descriptor(k).encode();
+      EXPECT_EQ(mid.candidate(desc, idx.mid_counter(k)), mid.representative(desc)) << k;
+    }
+  };
+  const IntervalIndex base = IntervalIndex::build(owner_, evens(60), primes_, cfg_);
+  expect_minimal(base);
+  IntervalIndex idx = base;
+  // One removal in the first interval, and enough additions past the last
+  // member to split the last interval.
+  std::vector<std::uint64_t> added;
+  for (std::uint64_t v = 131; v < 131 + 2 * 20; v += 2) added.push_back(v);
+  idx.update(owner_, added, std::vector<std::uint64_t>{12}, primes_);
+  ASSERT_GT(idx.interval_count(), base.interval_count());
+  expect_minimal(idx);
+  ByteWriter full, patch;
+  idx.write(full);
+  idx.write_patch(patch, base);
+  ByteReader rf(full.data()), rp(patch.data());
+  const IntervalIndex from_full = IntervalIndex::read(rf, cfg_);
+  const IntervalIndex from_patch = IntervalIndex::read_patch(rp, base);
+  EXPECT_EQ(from_full, idx);
+  EXPECT_EQ(from_patch, idx);
+  // A reread index updates to the same result as the in-memory one.
+  IntervalIndex reread = from_full;
+  const Bigint before = idx.root();
+  idx.update(owner_, std::vector<std::uint64_t>{13}, {}, primes_);
+  reread.update(owner_, std::vector<std::uint64_t>{13}, {}, primes_);
+  EXPECT_NE(idx.root(), before);
+  EXPECT_EQ(reread, idx);
+  expect_minimal(reread);
+}
+
 TEST_F(IntervalIndexTest, EmptyValuesNeedEmptyProof) {
   auto elems = evens(10);
   IntervalIndex idx = IntervalIndex::build(owner_, elems, primes_, cfg_);
@@ -241,7 +308,7 @@ TEST_F(IntervalIndexTest, InsertRequiresTrapdoor) {
 
 // A patch against the pre-update index rebuilds the updated index exactly;
 // the intervals the insert left alone travel as base references, so the
-// patch is far smaller than the full encoding.
+// patch is well below the full encoding.
 TEST_F(IntervalIndexTest, PatchRebuildsUpdatedIndexFromBase) {
   const IntervalIndex base = IntervalIndex::build(owner_, evens(80), primes_, cfg_);
   IntervalIndex idx = base;
@@ -255,7 +322,9 @@ TEST_F(IntervalIndexTest, PatchRebuildsUpdatedIndexFromBase) {
   EXPECT_TRUE(r.done());
   ByteWriter full;
   idx.write(full);
-  EXPECT_LT(patch.size(), full.size() / 2);
+  // The patch is mostly the refreshed middle witnesses, which at this
+  // modulus are ~40% of the full encoding (the rest: descriptors, members).
+  EXPECT_LT(patch.size(), full.size() * 3 / 5);
 
   // Against an unrelated base of the same config every interval ships in
   // full, and the result is still exact.

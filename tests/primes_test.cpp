@@ -25,6 +25,28 @@ TEST(PrimeRep, ProducesPrimesOfExactWidth) {
   }
 }
 
+// search() is the minimal-counter derivation over candidate(): it stops at
+// the first prime candidate, every lower counter's candidate is composite,
+// and each candidate has the exact width and is odd.
+TEST(PrimeRep, SearchStopsAtFirstPrimeCandidate) {
+  PrimeRepGenerator gen(small_config());
+  bool saw_nonzero_counter = false;
+  for (std::uint8_t e = 0; e < 32; ++e) {
+    const Bytes element = {e, 0x5a, static_cast<std::uint8_t>(e * 7)};
+    const PrimeRep rep = gen.search(element);
+    EXPECT_EQ(rep.prime, gen.representative(element)) << int(e);
+    EXPECT_EQ(gen.candidate(element, rep.counter), rep.prime) << int(e);
+    for (std::uint32_t c = 0; c < rep.counter; ++c) {
+      const Bigint composite = gen.candidate(element, c);
+      EXPECT_EQ(composite.bit_length(), 64u);
+      EXPECT_TRUE(composite.is_odd());
+      EXPECT_FALSE(is_probable_prime(composite)) << int(e) << " at " << c;
+    }
+    saw_nonzero_counter |= rep.counter > 0;
+  }
+  EXPECT_TRUE(saw_nonzero_counter);
+}
+
 TEST(PrimeRep, Deterministic) {
   PrimeRepGenerator a(small_config()), b(small_config());
   for (std::uint64_t e : {0ULL, 7ULL, ~0ULL}) {

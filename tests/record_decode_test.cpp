@@ -247,6 +247,91 @@ TEST_F(RecordDecodeTest, LayeredRecordWithTierSectionsIsCorrupt) {
   }
 }
 
+// A stored interval's prime counter above u32: the first full blob's first
+// tuple interval gets a 5-byte counter varint (2^32) and the term directory
+// is re-laid around the longer blob.  Parsing the entry is a typed error.
+TEST_F(RecordDecodeTest, OversizeIntervalCounterIsTypedError) {
+  store::EpochStore store = scratch_store("ctr");
+  const fs::path file = store.epoch_file(base_);
+  Sections s = split(file);
+  const std::size_t dir_at = index_of(s, store::SectionId::kTermDirectory);
+  const std::size_t entries_at = index_of(s, store::SectionId::kEntries);
+  struct Loc {
+    std::string term;
+    std::uint64_t offset, size;
+  };
+  std::vector<Loc> dir;
+  {
+    ByteReader r(s.payloads[dir_at]);
+    const std::uint64_t n = r.varint();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      Loc loc;
+      loc.term = r.str();
+      loc.offset = r.varint();
+      loc.size = r.varint();
+      dir.push_back(std::move(loc));
+    }
+  }
+  ASSERT_FALSE(dir.empty());
+  ASSERT_EQ(dir[0].offset, 0u);
+  Bytes& entries = s.payloads[entries_at];
+  // Walk the first blob to its first tuple interval's counter.
+  ByteReader r(std::span<const std::uint8_t>(entries).subspan(0, dir[0].size));
+  ASSERT_EQ(r.u8(), 0);                     // EntryKind::kFull
+  (void)r.raw(8 * r.varint());              // postings
+  (void)Bigint::read(r);                    // tuple root
+  ASSERT_GE(r.varint(), 1u);                // interval count
+  (void)r.u64();                            // lo
+  (void)r.u64();                            // hi
+  (void)Bigint::read(r);                    // b
+  const std::uint64_t members = r.varint();
+  for (std::uint64_t i = 0; i < members; ++i) (void)r.varint();
+  const std::size_t ctr_at = dir[0].size - r.remaining();
+  (void)r.varint();
+  const std::size_t ctr_len = dir[0].size - r.remaining() - ctr_at;
+  ByteWriter big;
+  big.varint(std::uint64_t{1} << 32);
+  const std::size_t grow = big.size() - ctr_len;
+  entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(ctr_at),
+                entries.begin() + static_cast<std::ptrdiff_t>(ctr_at + ctr_len));
+  entries.insert(entries.begin() + static_cast<std::ptrdiff_t>(ctr_at), big.data().begin(),
+                 big.data().end());
+  ByteWriter relaid;
+  relaid.varint(dir.size());
+  for (std::size_t i = 0; i < dir.size(); ++i) {
+    relaid.str(dir[i].term);
+    relaid.varint(i == 0 ? 0 : dir[i].offset + grow);
+    relaid.varint(i == 0 ? dir[i].size + grow : dir[i].size);
+  }
+  s.payloads[dir_at] = std::move(relaid).take();
+  write_file(file, seal(s));
+
+  store::OpenedEpoch opened =
+      store::open_snapshot(std::make_shared<const store::MappedFile>(file));
+  try {
+    (void)opened.snapshot->find(dir[0].term);
+    ADD_FAILURE() << "an interval with a 33-bit prime counter parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("interval prime counter exceeds 32 bits"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Format version 1 stored each interval's middle-layer prime where version
+// 2 stores its counter; a version-1 record is refused, not misparsed.
+TEST_F(RecordDecodeTest, FormatVersion1RecordIsCorrupt) {
+  store::EpochStore store = scratch_store("v1");
+  write_file(store.epoch_file(base_), seal(split(store.epoch_file(base_)), 1));
+  try {
+    (void)store.open_current();
+    ADD_FAILURE() << "a version-1 record opened";
+  } catch (const store::StoreCorruptError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 1"), std::string::npos)
+        << e.what();
+  }
+}
+
 // Format version 3 was the separate delta codec; it is no longer read.
 TEST_F(RecordDecodeTest, FormatVersion3RecordIsCorrupt) {
   store::EpochStore store = scratch_store("v3");

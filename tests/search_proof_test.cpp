@@ -310,6 +310,48 @@ TEST_F(SearchProofTest, HybridPolicyPicksAccumulatorForSmallDifference) {
   }
 }
 
+// Every interval part of a Hybrid response ships the counter the owner's
+// minimal-counter search stopped at: its candidate is the descriptor's
+// representative, in the correctness parts (tuple trees) and in the
+// integrity parts (doc trees) alike.
+TEST_F(SearchProofTest, ShippedDescriptorCountersAreMinimal) {
+  const VerifiableIndexConfig& cfg = bed_->config;
+  const PrimeRepGenerator tuple_mid = IntervalIndex::middle_generator(cfg.tuple_prime_config());
+  const PrimeRepGenerator doc_mid = IntervalIndex::middle_generator(cfg.doc_prime_config());
+  std::size_t membership_parts = 0, nonmembership_parts = 0;
+  auto expect_minimal = [](const PrimeRepGenerator& gen, const IntervalDescriptor& desc,
+                           std::uint32_t ctr) {
+    const Bytes enc = desc.encode();
+    EXPECT_EQ(gen.candidate(enc, ctr), gen.representative(enc)) << ctr;
+  };
+  auto terms = frequent_terms(4);
+  for (const auto& kws : std::vector<std::vector<std::string>>{
+           {terms[0], terms[1]}, {terms[0], terms[2], terms[3]}, {terms[1], terms[3]}}) {
+    SearchResponse resp = engine_->search(make_query(kws), SchemeKind::kHybrid);
+    const auto& proof = std::get<MultiKeywordResponse>(resp.body).proof;
+    for (const MembershipEvidence& ev : proof.correctness.keywords) {
+      for (const auto& part : ev.interval.parts) {
+        expect_minimal(tuple_mid, part.desc, part.mid_ctr);
+        ++membership_parts;
+      }
+    }
+    if (const auto* acc = std::get_if<AccumulatorIntegrity>(&proof.integrity)) {
+      for (const auto& part : acc->check_membership.interval.parts) {
+        expect_minimal(doc_mid, part.desc, part.mid_ctr);
+        ++membership_parts;
+      }
+      for (const NonmembershipGroup& group : acc->groups) {
+        for (const auto& part : group.evidence.interval.parts) {
+          expect_minimal(doc_mid, part.desc, part.mid_ctr);
+          ++nonmembership_parts;
+        }
+      }
+    }
+  }
+  EXPECT_GT(membership_parts, 0u);
+  EXPECT_GT(nonmembership_parts, 0u);
+}
+
 // Table I's "with prime" effect, stated as its cause rather than as two
 // wall-clock readings: after the caches are dropped the first verify
 // derives representatives (cache misses), and a second verify of the same

@@ -148,7 +148,7 @@ TEST_F(SoundnessTest, HonestControlsAllAccepted) {
 }
 
 TEST_F(SoundnessTest, EveryForgeryClassProducesForgedProofs) {
-  // All fifteen classes must contribute actual forged (not merely refused)
+  // All sixteen classes must contribute actual forged (not merely refused)
   // proofs somewhere in the workload, and each class's kill rate is 100%.
   std::map<ForgeryClass, std::size_t> forged_per_class, killed_per_class;
   for (const auto& rec : report().attempts) {
@@ -161,6 +161,26 @@ TEST_F(SoundnessTest, EveryForgeryClassProducesForgedProofs) {
     EXPECT_GT(forged_per_class[cls], 0u) << advtest::forgery_class_name(cls);
     EXPECT_EQ(killed_per_class[cls], forged_per_class[cls])
         << advtest::forgery_class_name(cls);
+  }
+}
+
+TEST_F(SoundnessTest, DescriptorCounterCoversEveryVariant) {
+  // The three counter lies (composite candidate, non-minimal prime,
+  // another interval's counter) each reach the verifier and each dies.
+  std::map<std::string, std::size_t> forged, killed;
+  for (const auto& rec : report().attempts) {
+    if (rec.cls != ForgeryClass::kDescriptorCounter ||
+        rec.outcome != advtest::ForgeOutcome::kForged) {
+      continue;
+    }
+    ASSERT_EQ(rec.trace.size(), 1u);
+    ++forged[rec.trace[0].name];
+    if (rec.rejected) ++killed[rec.trace[0].name];
+  }
+  for (const char* variant :
+       {"composite_mid_counter", "nonminimal_mid_counter", "foreign_mid_counter"}) {
+    EXPECT_GT(forged[variant], 0u) << variant;
+    EXPECT_EQ(killed[variant], forged[variant]) << variant;
   }
 }
 

@@ -458,23 +458,23 @@ TEST_F(TieredStoreTest, UntieredPublishStaysFormatV1) {
   fs::remove_all(root);
 }
 
-// Tiered snapshots used to be stamped format version 2.  That layout is no
-// longer read: such a file is a typed error (the store must be rebuilt),
-// never misparsed.
-TEST_F(TieredStoreTest, FormatVersion2FileIsCorrupt) {
-  fs::path p = scratch_copy("v2");
+// Format version 1 stored each interval's middle-layer prime where version
+// 2 stores its counter.  A tiered file stamped version 1 is a typed error
+// (the store must be rebuilt), never misparsed.
+TEST_F(TieredStoreTest, FormatVersion1FileIsCorrupt) {
+  fs::path p = scratch_copy("v1");
   {
     std::fstream f(p, std::ios::binary | std::ios::in | std::ios::out);
     ASSERT_TRUE(f.is_open());
-    const std::uint32_t v2 = 2;  // little-endian, right after the 8-byte magic
+    const std::uint32_t v1 = 1;  // little-endian, right after the 8-byte magic
     f.seekp(static_cast<std::streamoff>(store::kMagic.size()));
-    f.write(reinterpret_cast<const char*>(&v2), sizeof(v2));
+    f.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
   }
   try {
     (void)store::open_snapshot(std::make_shared<const store::MappedFile>(p));
-    ADD_FAILURE() << "a version-2 file opened";
+    ADD_FAILURE() << "a version-1 file opened";
   } catch (const store::StoreCorruptError& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported format version 2"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 1"), std::string::npos)
         << e.what();
   }
 }
