@@ -556,11 +556,11 @@ TEST(UpdatePathBytes, PinnedDeltasAndFinalSnapshot) {
   ASSERT_TRUE(run.added.has_value() && run.removed.has_value());
 
   EXPECT_EQ(digest_hex(store::encode_epoch(*run.added, 1)),
-            "bdc0b71f48210fe4491932411745f981f540af74b380eb0ea8d657fdbec5f198");
+            "d72b5c414a24e34413532b5f14bb8c558542ea4d5877c4476ee54b9aabb88e34");
   EXPECT_EQ(digest_hex(store::encode_epoch(*run.removed, 1)),
-            "b3428a9efe651d5c18960bc525d5fe1cf3a9df7f82ca17d1ecd3daf16b32e48d");
+            "afa4ffa5284302c7818c73edf4131be532faebfe1b66ce0bf9e0ecdac1cc969a");
   EXPECT_EQ(digest_hex(store::encode_epoch(*bed.vidx.snapshot(), 1)),
-            "c8423201bf80315bad6656dfb20b3c6b30efca5dac4fc079ba04a036615e3e59");
+            "8927efadd3a8031469bcda8bc0e8db2f31f538edb64ad6abf9e50eaab2f8df3a");
 }
 
 // Canonical digest of what a record decodes to for `terms`: each term's
