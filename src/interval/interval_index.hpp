@@ -160,8 +160,9 @@ class IntervalIndex {
 
   // Incremental update (§II-D): removes `removed`, then inserts `added`,
   // re-accumulating only the intervals whose members changed and refreshing
-  // the middle layer (only those intervals search for their prime again).  An interval that grows past twice the nominal size
-  // splits; ranges are otherwise kept (an interval may become empty), so
+  // the middle layer, where only those intervals search for their prime
+  // again.  An interval that grows past twice the nominal size splits;
+  // ranges are otherwise kept (an interval may become empty), so
   // nonmembership proofs for removed values work immediately.  Absent
   // removals and present additions are ignored.  Requires the trapdoor
   // (middle-layer deletions use Eq 6).

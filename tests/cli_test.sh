@@ -223,6 +223,19 @@ grep -q 'vc_snapshot_swaps_total' "$WORK/metrics2.txt"
 kill $SERVE_PID
 wait $SERVE_PID 2>/dev/null || true
 
+# An owner update: --update-synth draws its documents over the --synth
+# base corpus's vocabulary (params.txt records its seed and size), so it
+# mostly touches terms the index already holds, and the delta epoch's
+# attestations still validate.
+"$BUILD/tools/vcsearch-build" --out "$WORK" --update-synth 5 > "$WORK/update.log"
+grep -q "store: published delta epoch 2" "$WORK/update.log"
+TOUCHED=$(sed -n 's/.* \([0-9]*\) touched terms (\([0-9]*\) new).*/\1/p' "$WORK/update.log")
+NEW=$(sed -n 's/.* \([0-9]*\) touched terms (\([0-9]*\) new).*/\2/p' "$WORK/update.log")
+test -n "$TOUCHED" && test "$NEW" -lt "$TOUCHED" || {
+  echo "update touched no existing term"; cat "$WORK/update.log"; exit 1; }
+"$BUILD/tools/vcsearch-inspect" --dir "$WORK" --validate > "$WORK/inspect2.log"
+grep -q "validation       all" "$WORK/inspect2.log"
+
 # A store in the previous on-disk format (magic VCEPOCH3: snapshots and
 # deltas were two codecs with their own section ids) is refused with the
 # typed store error: serve exits non-zero without serving, and inspect

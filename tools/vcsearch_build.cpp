@@ -9,9 +9,12 @@
 //                                 -inspect and -query look for it)
 //                  [--update-synth N]  incremental mode: reopen the builder
 //                                 from the store's CURRENT epoch, append N
-//                                 fresh synthetic documents, and publish the
-//                                 mutation as a delta record chained to it
-//                                 (O(touched terms), not O(index))
+//                                 fresh synthetic documents drawn over the
+//                                 --synth base corpus's vocabulary (its seed
+//                                 and size are read from params.txt), and
+//                                 publish the mutation as a delta record
+//                                 chained to it (O(touched terms), not
+//                                 O(index))
 //                  [--compact-store]  fold the store's delta chain into a
 //                                 full snapshot and exit (what
 //                                 vcsearch-serve's background worker does
@@ -26,12 +29,15 @@
 // Writes into --out:
 //   owner.key    owner signing key (plaintext; prototype)
 //   cloud.key    cloud signing key (handed to the cloud operator)
-//   params.txt   human-readable parameter summary
+//   params.txt   human-readable parameter summary (plus, for --synth, the
+//                synth_seed and synth_docs that --update-synth draws over)
 //   store/       the epoch store holding the signed verifiable index (epoch 1,
 //                incl. prime caches), unless --store points elsewhere
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <string>
 
 #include "cli_args.hpp"
 #include "crypto/standard_params.hpp"
@@ -45,6 +51,21 @@
 #include "vindex/witness_tier.hpp"
 
 using namespace vc;
+
+namespace {
+
+// The `key=value` lines of params.txt.
+std::map<std::string, std::string> read_params(const std::filesystem::path& file) {
+  std::map<std::string, std::string> params;
+  std::ifstream in(file);
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t eq = line.find('=');
+    if (eq != std::string::npos) params[line.substr(0, eq)] = line.substr(eq + 1);
+  }
+  return params;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const char* out_dir = arg_value(argc, argv, "--out", nullptr);
@@ -95,8 +116,21 @@ int main(int argc, char** argv) {
         standard_qr_generator(vidx.config().modulus_bits));
 
     std::uint32_t n = static_cast<std::uint32_t>(std::strtoul(update, nullptr, 10));
+    // Draw over the base corpus's vocabulary: the profile of its seed and
+    // size, with N documents.  An index built from --docs recorded neither;
+    // it falls back to --seed and a vocabulary sized from N.
+    const auto params = read_params(out / "params.txt");
+    const auto base_seed = params.find("synth_seed");
+    const auto base_docs = params.find("synth_docs");
     std::uint64_t seed = std::strtoull(arg_value(argc, argv, "--seed", "1"), nullptr, 10);
-    SynthSpec add_spec = enron_profile(n, seed);
+    std::uint32_t vocab_docs = n;
+    if (base_seed != params.end() && base_docs != params.end()) {
+      seed = std::strtoull(base_seed->second.c_str(), nullptr, 10);
+      vocab_docs =
+          static_cast<std::uint32_t>(std::strtoul(base_docs->second.c_str(), nullptr, 10));
+    }
+    SynthSpec add_spec = enron_profile(vocab_docs, seed);
+    add_spec.num_docs = n;
     // Fresh draws over the same vocabulary, docIDs continuing past the
     // indexed ones (epoch number salts doc_seed so repeated updates differ).
     add_spec.doc_seed = seed + 1000 + vidx.epoch();
@@ -159,14 +193,15 @@ int main(int argc, char** argv) {
 
   std::uint64_t seed = std::strtoull(arg_value(argc, argv, "--seed", "1"), nullptr, 10);
   Corpus corpus("cli");
+  std::uint32_t synth_docs = 0;  // 0: the corpus came from --docs
   if (const char* dir = arg_value(argc, argv, "--docs", nullptr)) {
     std::size_t loaded = corpus.load_directory(dir);
     std::printf("loaded %zu documents from %s (%.2f MB)\n", loaded, dir,
                 static_cast<double>(corpus.total_bytes()) / (1024 * 1024));
   } else {
-    std::uint32_t n = static_cast<std::uint32_t>(
+    synth_docs = static_cast<std::uint32_t>(
         std::strtoul(arg_value(argc, argv, "--synth", "500"), nullptr, 10));
-    corpus = generate_corpus(enron_profile(n, seed));
+    corpus = generate_corpus(enron_profile(synth_docs, seed));
     std::printf("generated synthetic corpus: %zu documents (%.2f MB)\n", corpus.size(),
                 static_cast<double>(corpus.total_bytes()) / (1024 * 1024));
   }
@@ -201,6 +236,9 @@ int main(int argc, char** argv) {
            << "interval_size=" << config.interval_size << "\n"
            << "bloom_m=" << config.bloom.counters << "\n"
            << "terms=" << stats.terms << "\nrecords=" << stats.records << "\n";
+    if (synth_docs != 0) {
+      params << "synth_seed=" << seed << "\nsynth_docs=" << synth_docs << "\n";
+    }
   }
   std::printf("wrote %s/{owner.key,cloud.key,params.txt}\n", out_dir);
   SnapshotPtr snapshot = vidx.snapshot();
