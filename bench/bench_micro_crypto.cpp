@@ -76,6 +76,33 @@ void BM_PrimeRepresentativeDescriptor(benchmark::State& state) {
 }
 BENCHMARK(BM_PrimeRepresentativeDescriptor)->Unit(benchmark::kMicrosecond);
 
+// The same derivation when the proof ships the counter: one candidate at
+// the minimal counter (found before timing) plus one BPSW test, which is
+// what the verifier now pays per interval part.
+void BM_PrimeRepresentativeAtCounter(benchmark::State& state) {
+  const PrimeRepGenerator gen = IntervalIndex::middle_generator(
+      PrimeRepConfig{.rep_bits = 128, .domain = "vc.tuples"});
+  DeterministicRng rng(7);
+  IntervalDescriptor desc{.lo = 0, .hi = 0,
+                          .b = Bigint::random_bits(rng, 1024) % standard_accumulator_modulus(1024).n};
+  std::vector<std::pair<Bytes, std::uint32_t>> shipped;
+  for (int i = 0; i < 64; ++i) {
+    desc.hi = desc.lo + 99;
+    Bytes enc = desc.encode();
+    const std::uint32_t ctr = gen.search(enc).counter;
+    shipped.emplace_back(std::move(enc), ctr);
+    desc.lo += 100;
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [enc, ctr] = shipped[i++ % shipped.size()];
+    const Bigint candidate = gen.candidate(enc, ctr);
+    benchmark::DoNotOptimize(is_probable_prime(candidate));
+  }
+  state.SetLabel(std::to_string(shipped.front().first.size()) + "-byte descriptor");
+}
+BENCHMARK(BM_PrimeRepresentativeAtCounter)->Unit(benchmark::kMicrosecond);
+
 void BM_PowOwnerVsCloud(benchmark::State& state) {
   const bool owner_side = state.range(0) == 1;
   const auto& mod = standard_accumulator_modulus(1024);
