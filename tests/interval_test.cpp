@@ -130,7 +130,8 @@ TEST_F(IntervalIndexTest, MembershipVerifyRejectsTamperedDescriptor) {
 
 // The verifier derives a descriptor's prime at the shipped counter only: a
 // counter whose candidate is composite, or a later prime candidate the
-// root never accumulated, fails both proof kinds.
+// root never accumulated, fails both proof kinds.  The composite fails the
+// part's structure (the BPSW test), the prime the batched root equation.
 TEST_F(IntervalIndexTest, VerifyRejectsAnyCounterButTheAccumulatedOne) {
   IntervalIndex idx = IntervalIndex::build(owner_, evens(30), primes_, cfg_);
   const PrimeRepGenerator mid = IntervalIndex::middle_generator(primes_.generator().config());
@@ -154,6 +155,11 @@ TEST_F(IntervalIndexTest, VerifyRejectsAnyCounterButTheAccumulatedOne) {
     n.parts[0].mid_ctr = ctr;
     EXPECT_FALSE(IntervalIndex::verify_nonmembership(pub_, idx.root(), n, out, primes_))
         << ctr;
+    VerifyBatch batch(pub_);
+    const bool structural =
+        IntervalIndex::verify_membership(idx.root(), m, in, primes_, batch, "counter");
+    EXPECT_EQ(structural, ctr == later_prime) << ctr;
+    if (structural) EXPECT_FALSE(batch.holds()) << ctr;
   }
 }
 

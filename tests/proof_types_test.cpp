@@ -75,6 +75,7 @@ TEST(EvidenceSerialization, FlatAndIntervalFormsTagged) {
   interval.interval_form = true;
   interval.interval.parts.push_back(IntervalMembershipPart{
       .desc = IntervalDescriptor{.lo = 1, .hi = 10, .b = Bigint(7)},
+      .mid_ctr = 300,  // a two-byte varint
       .chat = Bigint(8),
       .mid_witness = Bigint(9)});
   ByteWriter w2;
@@ -84,6 +85,8 @@ TEST(EvidenceSerialization, FlatAndIntervalFormsTagged) {
   EXPECT_TRUE(back2.interval_form);
   ASSERT_EQ(back2.interval.parts.size(), 1u);
   EXPECT_EQ(back2.interval.parts[0].desc, interval.interval.parts[0].desc);
+  EXPECT_EQ(back2.interval.parts[0].mid_ctr, 300u);
+  EXPECT_TRUE(r2.done());
 }
 
 TEST(QueryProofSerialization, IntegrityVariantsRoundtrip) {
@@ -206,10 +209,12 @@ MembershipEvidence interval_membership(int seed) {
   e.interval_form = true;
   e.interval.parts.push_back(IntervalMembershipPart{
       .desc = IntervalDescriptor{.lo = 1, .hi = 8, .b = Bigint(seed)},
+      .mid_ctr = static_cast<std::uint32_t>(seed),
       .chat = Bigint(seed + 1),
       .mid_witness = Bigint(seed + 2)});
   e.interval.parts.push_back(IntervalMembershipPart{
       .desc = IntervalDescriptor{.lo = 9, .hi = 16, .b = Bigint(seed + 3)},
+      .mid_ctr = static_cast<std::uint32_t>(seed + 1),
       .chat = Bigint(seed + 4),
       .mid_witness = Bigint(seed + 5)});
   return e;
@@ -227,6 +232,7 @@ NonmembershipEvidence interval_nonmembership(int seed) {
   e.interval_form = true;
   e.interval.parts.push_back(IntervalNonmembershipPart{
       .desc = IntervalDescriptor{.lo = 4, .hi = 20, .b = Bigint(seed)},
+      .mid_ctr = static_cast<std::uint32_t>(seed + 2),
       .nmw = NonmembershipWitness{Bigint(-seed - 1), Bigint(seed + 2)},
       .mid_witness = Bigint(seed + 3)});
   return e;
