@@ -338,7 +338,6 @@ Bytes SearchResponse::payload_bytes() const {
   ByteWriter w;
   // Tag and body index pin each other in both directions so a signature
   // over one wire version can never be replayed as the other.
-  // v5/v6 (v3/v4 before interval parts carried their prime counters).
   w.str(body.index() == 3 ? "vc.response.v6" : "vc.response.v5");
   w.u64(query_id);
   w.u64(epoch);
